@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,22 @@ def mean_total_loglik(m: PointwiseLogLikMatrix) -> float:
     return float(m.row_totals().mean())
 
 
-_HEADER_PREFIX = "point_"
+def _header(width: int) -> list[str]:
+    return [f"point_{j + 1}" for j in range(width)]
+
+
+def _is_path(source) -> bool:
+    return isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
+
+
+def _csv_rows(source) -> list[list[str]]:
+    """Rows of a CSV path or text stream, every cell stripped of surrounding
+    whitespace, rows whose cells are all blank dropped."""
+    if _is_path(source):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return _csv_rows(fh)
+    rows = ([cell.strip() for cell in row] for row in csv.reader(source))
+    return [row for row in rows if any(row)]
 
 
 def _parse_cell(text: str, row: int, col: int) -> float:
@@ -179,31 +195,55 @@ def _parse_cell(text: str, row: int, col: int) -> float:
         ) from None
 
 
-def read_loglik_csv(source) -> PointwiseLogLikMatrix:
-    """Read a draw matrix from CSV: one row per draw, one column per point.
+def _is_numeric_row(cells: list[str]) -> bool:
+    try:
+        [float(c) for c in cells]
+    except ValueError:
+        return False
+    return True
 
-    An optional single header row `point_1,...,point_n` is allowed. Rows
-    must be rectangular with no missing cells. Structural problems raise
-    MatrixFormatError; non-finite entries raise NonFiniteLogLikError.
+
+def _load_fast(fh, start) -> np.ndarray | None:
+    """The matrix from numpy's C parser, streamed from fh, or None when the
+    input needs the row-by-row reader: a first line that is neither numbers
+    nor point_1..point_n (blank, quoted, a bad header), or anything numpy
+    refuses.
+
+    Numpy converts each cell with the same routine as Python's float(), so
+    every matrix it accepts is the one the row-by-row reader would build.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_loglik_csv(fh)
-    rows = list(csv.reader(source))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    cells = [c.strip() for c in fh.readline().split(",")]
+    if _is_numeric_row(cells):
+        fh.seek(start)
+    elif cells != _header(len(cells)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                              ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if data.shape[0] == 0 or data.shape[1] != len(cells):
+        return None
+    return data
+
+
+def _load_rows(fh) -> np.ndarray:
+    """The row-by-row reader: the reference for what the format accepts, and
+    the source of every row- and column-numbered error message."""
+    rows = _csv_rows(fh)
     if not rows:
         raise MatrixFormatError("empty draw-matrix file")
 
-    first = [c.strip() for c in rows[0]]
+    first = rows[0]
     start = 0
-    try:
-        [float(c) for c in first]
-    except ValueError:
-        expected = [f"{_HEADER_PREFIX}{j + 1}" for j in range(len(first))]
+    if not _is_numeric_row(first):
+        expected = _header(len(first))
         if first != expected:
             raise MatrixFormatError(
                 f"header row must be {','.join(expected)}, got {','.join(first)}"
-            ) from None
+            )
         start = 1
     body = rows[start:]
     if not body:
@@ -217,23 +257,52 @@ def read_loglik_csv(source) -> PointwiseLogLikMatrix:
                 f"row {r + start} has {len(row)} cells, expected {width}"
             )
         for c, cell in enumerate(row):
-            if not cell.strip():
+            if not cell:
                 raise MatrixFormatError(f"missing cell at row {r + start}, column {c}")
-            data[r, c] = _parse_cell(cell.strip(), r + start, c)
+            data[r, c] = _parse_cell(cell, r + start, c)
+    return data
+
+
+def read_loglik_csv(source) -> PointwiseLogLikMatrix:
+    """Read a draw matrix from CSV: one row per draw, one column per point.
+
+    `source` is a path or a text stream. An optional single header row
+    `point_1,...,point_n` is allowed; rows whose cells are all blank are
+    skipped and cells may be quoted or padded with whitespace. Rows must be
+    rectangular with no missing cells. Structural problems raise
+    MatrixFormatError naming the first bad row and column; non-finite
+    entries raise NonFiniteLogLikError.
+
+    The file is streamed through numpy's parser, so memory stays about the
+    size of the matrix; input numpy refuses is read again row by row, which
+    accepts the rest of the format and words every error.
+    """
+    if _is_path(source):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return read_loglik_csv(fh)
+    if not source.seekable():
+        source = io.StringIO(source.read())
+    start = source.tell()
+    data = _load_fast(source, start)
+    if data is None:
+        source.seek(start)
+        data = _load_rows(source)
     return PointwiseLogLikMatrix(data)
 
 
 def write_loglik_csv(m: PointwiseLogLikMatrix, target, header: bool = True) -> None:
-    """Write a matrix in the same CSV format read_loglik_csv accepts."""
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+    """Write a matrix in the same CSV format read_loglik_csv accepts.
+
+    Each value is written as repr(float), which reads back bit-identical.
+    """
+    if _is_path(target):
         with open(target, "w", encoding="utf-8", newline="") as fh:
             write_loglik_csv(m, fh, header=header)
             return
-    writer = csv.writer(target, lineterminator="\n")
     if header:
-        writer.writerow([f"point_{j + 1}" for j in range(m.n_points)])
-    for row in m.values:
-        writer.writerow([repr(float(v)) for v in row])
+        target.write(",".join(_header(m.n_points)) + "\n")
+    for row in m.values.tolist():
+        target.write(",".join(map(repr, row)) + "\n")
 
 
 def matrix_from_csv_text(text: str) -> PointwiseLogLikMatrix:

@@ -1,10 +1,9 @@
 """Built-in Bayesian models producing parameter draws and pointwise log likelihoods."""
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
+from ..draws import _csv_rows
 from ..errors import MatrixFormatError
 from .balanced import balanced_group_posterior_draws, balanced_hierarchical_loglik, load_balanced_csv
 from .normal import NormalMeanModel, NormalMeanSpec, normal_pointwise_loglik, normal_posterior_draws
@@ -41,12 +40,8 @@ __all__ = [
 
 def load_election_csv(source) -> RegressionData:
     """Read `year,growth,vote` rows (header required) into regression data."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_election_csv(fh)
-    rows = list(csv.reader(source))
-    rows = [r for r in rows if r and any(c.strip() for c in r)]
-    if not rows or [c.strip() for c in rows[0]] != ["year", "growth", "vote"]:
+    rows = _csv_rows(source)
+    if not rows or rows[0] != ["year", "growth", "vote"]:
         raise MatrixFormatError("election CSV must start with header year,growth,vote")
     growth, vote = [], []
     for r, row in enumerate(rows[1:], start=1):

@@ -9,11 +9,9 @@ on the same posterior draws.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from ..draws import PointwiseLogLikMatrix
+from ..draws import PointwiseLogLikMatrix, _csv_rows
 from ..errors import MatrixFormatError
 from .normal import NormalMeanSpec, normal_posterior_draws
 from ..seeds import derive_seed
@@ -74,14 +72,10 @@ def balanced_hierarchical_loglik(theta_draws: np.ndarray, y: np.ndarray, countin
 
 def load_balanced_csv(source) -> np.ndarray:
     """Read an n x J observation table with header `group_1,...,group_J`."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_balanced_csv(fh)
-    rows = list(csv.reader(source))
-    rows = [r for r in rows if r and any(c.strip() for c in r)]
+    rows = _csv_rows(source)
     if not rows:
         raise MatrixFormatError("empty balanced-data file")
-    header = [c.strip() for c in rows[0]]
+    header = rows[0]
     expected = [f"group_{j + 1}" for j in range(len(header))]
     if header != expected:
         raise MatrixFormatError(

@@ -17,13 +17,12 @@ refused.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from ..draws import PointwiseLogLikMatrix
+from ..draws import PointwiseLogLikMatrix, _csv_rows
 from ..errors import MatrixFormatError, ModelRefusalError
 
 __all__ = [
@@ -90,19 +89,15 @@ class EightSchoolsData:
 
 def load_schools_csv(source) -> EightSchoolsData:
     """Read `school,y,sigma` rows (header required)."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_schools_csv(fh)
-    rows = list(csv.reader(source))
-    rows = [r for r in rows if r and any(c.strip() for c in r)]
-    if not rows or [c.strip() for c in rows[0]] != ["school", "y", "sigma"]:
+    rows = _csv_rows(source)
+    if not rows or rows[0] != ["school", "y", "sigma"]:
         raise MatrixFormatError("schools CSV must start with header school,y,sigma")
     names, ys, sigmas = [], [], []
     for r, row in enumerate(rows[1:], start=1):
         if len(row) != 3:
             raise MatrixFormatError(f"row {r} has {len(row)} cells, expected 3")
         try:
-            names.append(row[0].strip())
+            names.append(row[0])
             ys.append(float(row[1]))
             sigmas.append(float(row[2]))
         except ValueError:

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -178,3 +179,97 @@ def test_csv_write_reads_back_bit_identical_via_stringio():
     write_loglik_csv(m, buf)
     back = read_loglik_csv(io.StringIO(buf.getvalue()))
     assert back.values.tobytes() == m.values.tobytes()
+
+
+# Every case pins what the row-by-row reader produced before reads went
+# through numpy's parser: the exact values, or the error class and message.
+_CSV_CORPUS = {
+    "blank lines": ("1,2\n\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "whitespace-only lines": ("point_1,point_2\n  \n1,2\n\t\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "comma row": ("1,2\n,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "double comma rows": ("point_1,point_2,point_3\n,,\n1,2,3\n , ,\n4,5,6\n",
+                          [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "crlf": ("point_1,point_2\r\n1,2\r\n-3.5,4e-3\r\n", [[1.0, 2.0], [-3.5, 0.004]]),
+    "padded cells": (" point_1 ,\tpoint_2\n 1 ,\t2\t\n  -3,4  \n", [[1.0, 2.0], [-3.0, 4.0]]),
+    "quoted cells": ('"1","-2.5"\n"3",4\n', [[1.0, -2.5], [3.0, 4.0]]),
+    "underscore": ("1_0,2\n3,4\n", [[10.0, 2.0], [3.0, 4.0]]),
+    "headerless single cell": ("-2.3\n", [[-2.3]]),
+    "hex": ("1\n0x10\n", (MatrixFormatError, "cell at row 1, column 0 is not a number: '0x10'")),
+    "hex first row": ("0x10\n", (MatrixFormatError, "header row must be point_1, got 0x10")),
+    "nan": ("1,2\nnan,4\n", (NonFiniteLogLikError, "non-finite log density at draw 1, point 0: nan")),
+    "overflow": ("point_1\n1\n1e400\n", (NonFiniteLogLikError, "non-finite log density at draw 1, point 0: inf")),
+    "ragged": ("1,2\n3,4\n5\n", (MatrixFormatError, "row 2 has 1 cells, expected 2")),
+    "trailing semicolon": ("1,2\n3,4;\n", (MatrixFormatError, "cell at row 1, column 1 is not a number: '4;'")),
+    "comment line": ("# draws\n1\n", (MatrixFormatError, "header row must be point_1, got # draws")),
+    "comment after data": ("1\n# end\n", (MatrixFormatError, "cell at row 1, column 0 is not a number: '# end'")),
+    "missing cell": ("1,2\n3,\n", (MatrixFormatError, "missing cell at row 1, column 1")),
+    "bad header": ("a,b\n1,2\n", (MatrixFormatError, "header row must be point_1,point_2, got a,b")),
+    "empty": ("", (MatrixFormatError, "empty draw-matrix file")),
+    "only blank rows": ("\n , \n", (MatrixFormatError, "empty draw-matrix file")),
+    "header only": ("point_1,point_2\n", (MatrixFormatError, "draw-matrix file has a header but no draws")),
+    "bad cell in the last of 500 rows": (
+        "point_1,point_2,point_3\n" + "".join(f"{r}.5,{-r},{r}e-3\n" for r in range(499)) + "1,2,x\n",
+        (MatrixFormatError, "cell at row 500, column 2 is not a number: 'x'"),
+    ),
+}
+
+
+class _NonSeekable(io.StringIO):
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+
+def _open_stream(text, tmp_path):
+    return io.StringIO(text)
+
+
+def _open_path(text, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _open_non_seekable(text, tmp_path):
+    return _NonSeekable(text)
+
+
+@pytest.mark.parametrize("opener", [_open_stream, _open_path, _open_non_seekable])
+@pytest.mark.parametrize("case", sorted(_CSV_CORPUS))
+def test_csv_reader_parity_corpus(case, opener, tmp_path):
+    text, want = _CSV_CORPUS[case]
+    source = opener(text, tmp_path)
+    if isinstance(want, tuple):
+        error, message = want
+        with pytest.raises(error) as info:
+            read_loglik_csv(source)
+        assert type(info.value) is error and str(info.value) == message
+    else:
+        got = read_loglik_csv(source).values
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+        assert got.shape == (len(want), len(want[0]))
+
+
+def _csv_writer_reference(m, header):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header:
+        writer.writerow([f"point_{j + 1}" for j in range(m.n_points)])
+    for row in m.values:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("header", [True, False])
+def test_csv_writer_bytes_match_csv_module(header, tmp_path):
+    m = PointwiseLogLikMatrix(np.array([
+        [-1.5, 5e-324, 1e300, 3.0],
+        [-0.0, -2.2250738585072014e-308, -1e300, 1e16],
+        [0.1, -7.0, 123456789.0, 1.0000000000000002],
+    ]))
+    path = tmp_path / "m.csv"
+    write_loglik_csv(m, path, header=header)
+    assert path.read_bytes() == _csv_writer_reference(m, header)
+    assert read_loglik_csv(path).values.tobytes() == m.values.tobytes()
