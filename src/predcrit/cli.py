@@ -264,15 +264,9 @@ def fit(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
         extras["theta_bayes"] = f.theta_bayes.tolist()
     else:
         f = model_obj.fit(data, draws=draws, seed=derive_seed(seed, 0))
-        spec = NormalMeanSpec.from_data(np.asarray(data, dtype=float), m=m, mu0=mu0)
-        lpd_mean = float(
-            (-0.5 * np.log(2 * np.pi) - 0.5 * (np.asarray(data) - spec.posterior_mean) ** 2).sum()
-        )
-        mle = PointEstimateLogLik(
-            float((-0.5 * np.log(2 * np.pi) - 0.5 * (np.asarray(data) - np.mean(data)) ** 2).sum()),
-            "mle",
-            k=1,
-        )
+        spec = NormalMeanSpec.from_data(data, m=m, mu0=mu0)
+        lpd_mean = oracle_mod.lpd_at_posterior_mean(spec)
+        mle = PointEstimateLogLik(oracle_mod.lpd_at_mle(spec), "mle", k=1)
         extras["posterior_mean_theta"] = f.posterior_mean_theta
     rep = criterion_report(f.pointwise_loglik(), lpd_at_mean=lpd_mean, mle=mle, waic_variant=int(waic_variant))
     payload = {"draws": draws, "seed": seed, "model": model, **extras, "report": rep.to_dict()}

@@ -249,7 +249,7 @@ def _load_rows(fh) -> np.ndarray:
     if not body:
         raise MatrixFormatError("draw-matrix file has a header but no draws")
 
-    width = len(body[0])
+    width = len(first)
     data = np.empty((len(body), width), dtype=float)
     for r, row in enumerate(body):
         if len(row) != width:

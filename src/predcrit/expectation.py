@@ -2,7 +2,8 @@
 
 Each replicate draws a true mean (fixed, or from the prior when the prior
 is proper), draws a dataset y_1..y_n ~ N(theta, 1), and evaluates every
-requested estimator in closed form; the per-point target elppd is also
+requested estimator with the oracle module's closed forms, applied to
+the whole chunk of replicates at once; the per-point target elppd is also
 evaluated analytically, so no second Monte Carlo layer is needed. Averages
 over replicates then get z-scored against the exact expectations from the
 oracle module.
@@ -149,47 +150,27 @@ def _replicate_chunk(plan: ReplicationPlan, chunk_index: int, size: int) -> dict
         theta = np.full(size, plan.theta0)
     y = theta[:, None] + rng.standard_normal((size, n))
 
-    ybar = y.mean(axis=1)
-    s2 = y.var(axis=1, ddof=1) if n > 1 else np.zeros(size)
-    v = 1.0 / (m + n)
-    theta_hat = (m * mu0 + n * ybar) / (m + n)
-    dev = y - theta_hat[:, None]
-    sum_dev2 = (dev**2).sum(axis=1)
-
-    log2pi = math.log(2 * math.pi)
-    lppd = -(n / 2) * math.log(2 * math.pi * (1 + v)) - sum_dev2 / (2 * (1 + v))
-    elppd = -(n / 2) * math.log(2 * math.pi * (1 + v)) - n * (
-        (theta - theta_hat) ** 2 + 1.0
-    ) / (2 * (1 + v))
-    lpd_mle = -(n / 2) * log2pi - 0.5 * (n - 1) * s2
-    lpd_mean = -(n / 2) * log2pi - 0.5 * ((n - 1) * s2 + n * (ybar - theta_hat) ** 2)
-    mean_post_loglik = -(n / 2) * log2pi - 0.5 * (sum_dev2 + n * v)
-    p_w1 = 2.0 * (lppd - mean_post_loglik)
-    p_w2 = sum_dev2 * v + n * v**2 / 2
+    s2y = y.var(axis=1, ddof=1) if n > 1 else np.zeros(size)
+    spec = oracle.NormalMeanSpec(n=n, ybar=y.mean(axis=1), s2y=s2y, m=m, mu0=mu0)
+    lppd = oracle.lppd(spec)
+    elppd = n * oracle.elppd_given_posterior(theta, spec.posterior_mean, spec.posterior_var)
+    p_w1 = oracle.p_waic1(spec)
+    p_w2 = oracle.p_waic2(spec)
 
     values = {
         "lppd": lppd - elppd,
         "elppd": elppd,
-        "aic": elppd - (lpd_mle - 1.0),
-        "dic": elppd - (lpd_mean - n / (m + n)),
+        "aic": elppd - oracle.elpd_aic(spec),
+        "dic": elppd - (oracle.lpd_at_posterior_mean(spec) - oracle.p_dic(spec)),
         "waic1": elppd - (lppd - p_w1),
         "waic2": elppd - (lppd - p_w2),
-        "p_dic": np.full(size, n / (m + n)),
+        "p_dic": np.full(size, oracle.p_dic(spec)),
         "p_waic1": p_w1,
         "p_waic2": p_w2,
     }
 
     if set(plan.estimators) & _LOO_NAMES:
-        w = 1.0 / (m + n - 1)
-        const = -0.5 * math.log(2 * math.pi * (1 + w))
-        ybar_minus = (n * ybar[:, None] - y) / (n - 1)
-        th_minus = (m * mu0 + (n - 1) * ybar_minus) / (m + n - 1)
-        lppd_loo = (const - (y - th_minus) ** 2 / (2 * (1 + w))).sum(axis=1)
-        lppd_bar = np.zeros(size)
-        for i in range(n):  # fold loop keeps memory at O(size * n)
-            di = y - th_minus[:, i][:, None]
-            lppd_bar += (const - di**2 / (2 * (1 + w))).sum(axis=1)
-        lppd_bar /= n
+        lppd_loo, lppd_bar = oracle.loo_quantities(y, m, mu0)
         b = lppd - lppd_bar
         values["loo"] = elppd - lppd_loo
         values["cloo"] = elppd - (lppd_loo + b)
@@ -212,7 +193,7 @@ def _oracle_value(name: str, plan: ReplicationPlan) -> float:
         "loo": lambda: oracle.expected_loo_gap(n, m, pd2),
         "cloo": lambda: oracle.expected_cloo_gap(n, m, pd2),
         "b": lambda: oracle.expected_b(n, m, pd2),
-        "p_dic": lambda: n / (m + n),
+        "p_dic": lambda: oracle.p_dic(oracle.NormalMeanSpec(n=n, m=m)),
         "p_waic1": lambda: oracle.expected_p_waic1(n, m, pd2),
         "p_waic2": lambda: oracle.expected_p_waic2(n, m, pd2),
         "p_loo": lambda: oracle.expected_lppd(n, m, pd2) - oracle.expected_lppd_loo(n, m, pd2),
@@ -237,7 +218,9 @@ def run_expectation_study(plan: ReplicationPlan) -> ExpectationResult:
     for name in plan.estimators:
         vals = np.concatenate([c[name] for c in chunks])
         mc_mean = float(vals.mean())
-        mc_se = float(math.sqrt(vals.var(ddof=1) / plan.R))
+        # a constant estimator has no Monte Carlo error; its rounding-level
+        # sample variance would turn an exact match into a huge z-score
+        mc_se = 0.0 if (vals == vals[0]).all() else float(math.sqrt(vals.var(ddof=1) / plan.R))
         oracle_value = _oracle_value(name, plan)
         if mc_se > 0:
             z = (mc_mean - oracle_value) / mc_se

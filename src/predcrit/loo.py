@@ -70,27 +70,17 @@ def lppd_loo(model: FittableModel, data, *, draws: int, seed: int) -> tuple[floa
 
     Returns the total and the per-point held-out log predictive densities.
     """
-    n = _check_foldable(data)
-    per_point = []
-    for i in range(n):
-        fit = model.fit(data, exclude=i, draws=draws, seed=derive_seed(seed, i))
-        col = fit.pointwise_loglik([i]).column(0)
-        per_point.append(log_mean_exp(col))
-    return float(sum(per_point)), per_point
+    rep = loo_report(model, data, 0.0, draws=draws, seed=seed)
+    return rep.lppd_loo, rep.per_point
 
 
 def lppd_bar_minus_i(model: FittableModel, data, *, draws: int, seed: int) -> float:
     """Average over folds of the full-data lppd under each fold posterior.
 
-    Reuses the same derived fold seeds as lppd_loo, so the two agree on
+    Uses the same derived fold seeds as lppd_loo, so the two agree on
     which posterior each fold produced.
     """
-    n = _check_foldable(data)
-    fold_vals = []
-    for i in range(n):
-        fit = model.fit(data, exclude=i, draws=draws, seed=derive_seed(seed, i))
-        fold_vals.append(lppd_of(fit.pointwise_loglik()))
-    return float(np.mean(fold_vals))
+    return loo_report(model, data, 0.0, draws=draws, seed=seed).lppd_bar_minus_i
 
 
 def bias_correct(lppd_full: float, lppd_bar: float, lppd_loo_val: float) -> tuple[float, float]:
@@ -138,8 +128,8 @@ def loo_report(
 ) -> LooReport:
     """Run all n folds once and assemble the LOO estimates.
 
-    Equivalent to calling lppd_loo and lppd_bar_minus_i separately (same
-    derived fold seeds) but performs each refit only once.
+    Fold i refits with the seed derived from (seed, i); `lppd_loo` and
+    `lppd_bar_minus_i` are fields of this report.
     """
     n = _check_foldable(data)
     per_point = []

@@ -25,7 +25,11 @@ _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class NormalMeanSpec:
-    """Sufficient statistics plus prior for the normal-mean family."""
+    """Sufficient statistics plus prior for the normal-mean family.
+
+    `ybar` and `s2y` may be arrays of per-dataset values (one entry per
+    replicate); `n`, `m` and `mu0` are scalars shared by every dataset.
+    """
 
     n: int
     ybar: float = 0.0
@@ -36,7 +40,7 @@ class NormalMeanSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.s2y < 0:
+        if np.any(np.asarray(self.s2y) < 0):
             raise ValueError("sample variance must be nonnegative")
         if self.m < 0:
             raise ValueError("prior precision m must be nonnegative")

@@ -6,7 +6,9 @@ against the draw-based pipeline.
 
 Observed-data quantities take a NormalMeanSpec (n, ybar, s2y, m, mu0)
 where m is the prior precision; m = 0 recovers the flat prior as a
-special case of every formula.
+special case of every formula. A spec whose ybar and s2y are arrays gets
+one value per entry, which is how replication studies evaluate a whole
+chunk of replicate datasets at once.
 
 Expectation quantities average over replicate datasets y ~ N(theta, 1)^n
 and future data from the same source. They take the scalar
@@ -122,26 +124,32 @@ def p_waic2(spec: NormalMeanSpec) -> float:
     )
 
 
-def loo_quantities(y, m: float = 0.0, mu0: float = 0.0) -> tuple[float, float]:
+def loo_quantities(y, m: float = 0.0, mu0: float = 0.0):
     """(lppd_loo, lppd_bar): exact leave-one-out predictive summaries.
 
-    The fold-i posterior predictive is N(. | (m mu0 + (n-1) ybar_-i)/(m+n-1),
-    1 + 1/(m+n-1)); lppd_loo scores each held-out point, lppd_bar averages
-    the full-data score over folds.
+    The fold-i posterior predictive is N(. | c_i, 1 + w) with
+    c_i = (m mu0 + (n-1) ybar_-i)/(m+n-1) and w = 1/(m+n-1); lppd_loo scores
+    each held-out point, lppd_bar averages the full-data score over folds.
+    Works along the last axis of `y`, so a stack of datasets gives one pair
+    of values per dataset.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    n = y.size
+    y = np.asarray(y, dtype=float)
+    n = y.shape[-1]
     if n < 2:
         raise ValueError("leave-one-out requires at least 2 data points")
     if m < 0:
         raise ValueError("prior precision m must be nonnegative")
     w = 1.0 / (m + n - 1)
-    ybar_minus = (y.sum() - y) / (n - 1)
-    centers = (m * mu0 + (n - 1) * ybar_minus) / (m + n - 1)
-    const = -0.5 * math.log(2 * math.pi * (1 + w))
-    lppd_loo = float((const - (y - centers) ** 2 / (2 * (1 + w))).sum())
-    dd = y[None, :] - centers[:, None]
-    lppd_bar = float((const - dd**2 / (2 * (1 + w))).sum() / n)
+    ybar = y.mean(axis=-1)
+    sum_dev2 = ((y - ybar[..., None]) ** 2).sum(axis=-1)
+    shift2 = n * m**2 * (ybar - mu0) ** 2
+    const = -(n / 2) * math.log(2 * math.pi * (1 + w))
+    # With d_i = y_i - ybar: y_i - c_i = ((m+n) d_i + m (ybar - mu0)) w, and
+    # fold i scores the full data with sum_j (y_j - c_i)^2
+    # = sum_dev2 + n (ybar - c_i)^2, where ybar - c_i = (m (ybar - mu0) + d_i) w.
+    # Summing over i (sum_i d_i = 0) leaves only sufficient statistics.
+    lppd_loo = const - ((m + n) ** 2 * sum_dev2 + shift2) * w**2 / (2 * (1 + w))
+    lppd_bar = const - (sum_dev2 * (1 + w**2) + shift2 * w**2) / (2 * (1 + w))
     return lppd_loo, lppd_bar
 
 

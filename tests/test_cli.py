@@ -194,6 +194,20 @@ def test_fit_normal_mean(runner, tmp_path):
     payload = json.loads(result.output)
     assert payload["seed"] == 9 and payload["draws"] == 5000
     assert payload["report"]["p_dic"] == pytest.approx(1.0, abs=0.1)
+    # the point-estimate log densities are the exact sums at ybar and at
+    # the conjugate posterior mean
+    y = np.array([0.0, 2.0, 1.0, -0.5])
+    result = runner.invoke(
+        main,
+        ["fit", "--model", "normal-mean", "--input", path, "--m", "1.5", "--mu0", "0.4",
+         "--draws", "500", "--format", "json"],
+    )
+    assert result.exit_code == 0
+    report = json.loads(result.output)["report"]
+    post_mean = (1.5 * 0.4 + y.sum()) / (1.5 + y.size)
+    for field, center in (("lpd_at_mle", y.mean()), ("lpd_at_mean", post_mean)):
+        want = float((-0.5 * np.log(2 * np.pi) - 0.5 * (y - center) ** 2).sum())
+        assert report[field] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_fit_balanced_counting_modes(runner, tmp_path):

@@ -183,6 +183,8 @@ def test_csv_write_reads_back_bit_identical_via_stringio():
 
 # Every case pins what the row-by-row reader produced before reads went
 # through numpy's parser: the exact values, or the error class and message.
+# The two header-width cases are the exception: that reader took the width
+# from the first data row and accepted them.
 _CSV_CORPUS = {
     "blank lines": ("1,2\n\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
     "whitespace-only lines": ("point_1,point_2\n  \n1,2\n\t\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
@@ -207,6 +209,10 @@ _CSV_CORPUS = {
     "empty": ("", (MatrixFormatError, "empty draw-matrix file")),
     "only blank rows": ("\n , \n", (MatrixFormatError, "empty draw-matrix file")),
     "header only": ("point_1,point_2\n", (MatrixFormatError, "draw-matrix file has a header but no draws")),
+    "header wider than rows": ("point_1,point_2,point_3\n1,2\n3,4\n",
+                               (MatrixFormatError, "row 1 has 2 cells, expected 3")),
+    "header narrower than rows": ("point_1\n1,2\n3,4\n",
+                                  (MatrixFormatError, "row 1 has 2 cells, expected 1")),
     "bad cell in the last of 500 rows": (
         "point_1,point_2,point_3\n" + "".join(f"{r}.5,{-r},{r}e-3\n" for r in range(499)) + "1,2,x\n",
         (MatrixFormatError, "cell at row 500, column 2 is not a number: 'x'"),

@@ -66,6 +66,20 @@ def test_flat_prior_p_dic_is_exactly_one_on_every_replicate():
     assert (vals == 1.0).all()
 
 
+@pytest.mark.parametrize(
+    "n, m, name",
+    [(3, 0.7, "p_dic"), (3, 1.0, "p_dic"), (3, 0.3, "p_dic"), (1, 0.0, "p_waic1")],
+)
+def test_constant_estimator_has_zero_error_and_zero_z(n, m, name):
+    # p_dic = n/(m+n) on every replicate, as is p_waic1 at n = 1 under the
+    # flat prior; summation rounding must not become a Monte Carlo error
+    source = "from_prior" if m > 0 else "fixed"
+    plan = ReplicationPlan(R=20_000, n=n, m=m, theta_source=source, estimators=(name,))
+    s = run_expectation_study(plan).stats[name]
+    assert s.mc_se == 0.0
+    assert s.z_score == 0.0
+
+
 def test_flat_prior_z_scores_are_sane():
     for n in (1, 5):
         names = tuple(e for e in ESTIMATOR_NAMES if n >= 2 or e not in _LOO_NAMES)

@@ -153,6 +153,61 @@ def test_loo_quantities_informative_limit():
     assert lo == pytest.approx(pinned, rel=1e-9)
 
 
+def _loo_brute_force(y, m, mu0):
+    """Fold i's predictive density at every point j, as an n x n matrix."""
+    n = y.size
+    w = 1.0 / (m + n - 1)
+    centers = np.array([(m * mu0 + np.delete(y, i).sum()) / (m + n - 1) for i in range(n)])
+    dens = -0.5 * np.log(2 * np.pi * (1 + w)) - (y[None, :] - centers[:, None]) ** 2 / (2 * (1 + w))
+    return np.trace(dens), dens.sum() / n
+
+
+def test_loo_quantities_match_brute_force():
+    rng = np.random.default_rng(314)
+    for n in (2, 3, 9, 40):
+        for m in (0.0, 1.3):
+            y = rng.normal(0.8, 1.5, size=n)
+            lo, bar = oracle.loo_quantities(y, m=m, mu0=-0.7)
+            ref_lo, ref_bar = _loo_brute_force(y, m, -0.7)
+            assert lo == pytest.approx(ref_lo, rel=1e-12)
+            assert bar == pytest.approx(ref_bar, rel=1e-12)
+
+
+def test_loo_quantities_work_along_the_last_axis():
+    rng = np.random.default_rng(315)
+    stack = rng.normal(-1.0, 1.0, size=(5, 6))
+    lo, bar = oracle.loo_quantities(stack, m=0.9, mu0=0.2)
+    assert lo.shape == bar.shape == (5,)
+    for r, row in enumerate(stack):
+        assert (lo[r], bar[r]) == oracle.loo_quantities(row, m=0.9, mu0=0.2)
+
+
+def test_array_spec_matches_scalar_calls_elementwise():
+    rng = np.random.default_rng(316)
+    ybar = rng.normal(0.0, 2.0, size=7)
+    s2y = rng.uniform(0.0, 3.0, size=7)
+    fns = (
+        oracle.lpd_at_mle, oracle.elpd_aic, oracle.lpd_at_posterior_mean,
+        oracle.mean_posterior_loglik, oracle.p_dic, oracle.lppd, oracle.p_waic1,
+        oracle.p_waic2,
+    )
+    for m in (0.0, 1.7):
+        spec = NormalMeanSpec(n=4, ybar=ybar, s2y=s2y, m=m, mu0=0.6)
+        scalar_specs = [NormalMeanSpec(n=4, ybar=float(a), s2y=float(b), m=m, mu0=0.6)
+                        for a, b in zip(ybar, s2y)]
+        for fn in fns:
+            got = np.broadcast_to(fn(spec), ybar.shape)
+            want = [fn(s) for s in scalar_specs]
+            np.testing.assert_allclose(got, want, rtol=1e-14, err_msg=fn.__name__)
+        theta = rng.normal(size=7)
+        got = oracle.elppd_given_posterior(theta, spec.posterior_mean, spec.posterior_var)
+        want = [oracle.elppd_given_posterior(float(t), s.posterior_mean, s.posterior_var)
+                for t, s in zip(theta, scalar_specs)]
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+    with pytest.raises(ValueError, match="sample variance"):
+        NormalMeanSpec(n=4, ybar=ybar, s2y=np.array([1.0, -1e-3]))
+
+
 def test_elppd_given_posterior():
     assert oracle.elppd_given_posterior(0.0, 0.0, 0.0) == pytest.approx(
         -0.5 * math.log(2 * math.pi) - 0.5, rel=RTOL
