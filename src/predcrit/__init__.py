@@ -6,7 +6,6 @@ conjugate fitters, closed-form oracles for the normal-mean family, and a
 replication harness for validating estimator expectations round it out.
 """
 from .draws import (
-    ColumnSummary,
     PointwiseLogLikMatrix,
     log_mean_exp,
     lppd,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PointwiseLogLikMatrix",
-    "ColumnSummary",
     "log_mean_exp",
     "sample_variance",
     "mc_standard_error",

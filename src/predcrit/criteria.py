@@ -22,9 +22,9 @@ import numpy as np
 
 from .draws import (
     PointwiseLogLikMatrix,
+    _column_pass,
     lppd,
-    lppd_mc_se,
-    mean_total_loglik,
+    mc_standard_error,
     sample_variance,
 )
 
@@ -91,9 +91,13 @@ def p_dic(lpd_at_mean: float, m: PointwiseLogLikMatrix) -> float:
     Can come out negative when the posterior mean is far from the mode;
     callers should surface that as a warning, not clamp it.
     """
+    return _p_dic(lpd_at_mean, m.row_totals())
+
+
+def _p_dic(lpd_at_mean: float, row_totals: np.ndarray) -> float:
     if not math.isfinite(lpd_at_mean):
         raise ValueError("lpd_at_mean must be finite")
-    return 2.0 * (lpd_at_mean - mean_total_loglik(m))
+    return 2.0 * (lpd_at_mean - float(row_totals.mean()))
 
 
 def p_dic_alt(row_totals) -> float:
@@ -106,17 +110,14 @@ def p_waic1(m: PointwiseLogLikMatrix) -> float:
 
     Nonnegative by Jensen's inequality.
     """
-    vals = m.values
-    shift = vals.max(axis=0)
-    lme = shift + np.log(np.exp(vals - shift).mean(axis=0))
-    return float(2.0 * (lme - vals.mean(axis=0)).sum())
+    return _column_pass(m).p_waic1
 
 
 def p_waic2(m: PointwiseLogLikMatrix) -> float:
     """Sum over points of the sample variance of log p(y_i|theta^s)."""
     if m.n_draws < 2:
         raise ValueError("variance requires at least 2 draws")
-    return float(m.values.var(axis=0, ddof=1).sum())
+    return _column_pass(m).p_waic2
 
 
 def waic(m: PointwiseLogLikMatrix, variant: int = 2) -> tuple[float, float]:
@@ -161,11 +162,6 @@ def lpd_posterior_summary(row_totals, bins: int = 30) -> LpdPosteriorSummary:
     return LpdPosteriorSummary(
         mean=mean, max=mx, gap=mx - mean, bin_left=edges[:-1], counts=counts
     )
-
-
-def _influence_se(per_draw: np.ndarray) -> float:
-    n = per_draw.size
-    return float(math.sqrt(per_draw.var(ddof=1) / n))
 
 
 @dataclass
@@ -225,42 +221,29 @@ def criterion_report(
     if waic_variant not in (1, 2):
         raise ValueError("WAIC variant must be 1 or 2")
     warnings: list[str] = []
-    vals = m.values
-    shift = vals.max(axis=0)
-    lme = shift + np.log(np.exp(vals - shift).mean(axis=0))
-    mean_cols = vals.mean(axis=0)
-    lppd_val = float(lme.sum())
-    pw1 = float(2.0 * (lme - mean_cols).sum())
+    cp = _column_pass(m)
     report = CriterionReport(
-        lppd=lppd_val,
-        p_waic1=pw1,
-        elppd_waic1=lppd_val - pw1,
+        lppd=cp.lppd,
+        p_waic1=cp.p_waic1,
+        elppd_waic1=cp.lppd - cp.p_waic1,
         waic_variant=waic_variant,
     )
 
-    have_variance = m.n_draws >= 2
+    have_variance = cp.p_waic2 is not None
     if have_variance:
-        var_cols = vals.var(axis=0, ddof=1)
-        report.p_waic2 = float(var_cols.sum())
-        report.elppd_waic2 = lppd_val - report.p_waic2
-        row_totals = m.row_totals()
-        report.p_dic_alt = float(2.0 * row_totals.var(ddof=1))
-        report.mc_se_lppd = lppd_mc_se(m)
-        report.mc_se_mean_loglik = _influence_se(row_totals)
-        report.mc_se_p_dic_alt = 2.0 * _influence_se(
-            (row_totals - row_totals.mean()) ** 2
-        )
-        ratio = np.exp(vals - lme)
-        report.mc_se_p_waic1 = 2.0 * _influence_se(
-            ((ratio - 1.0) - (vals - mean_cols)).sum(axis=1)
-        )
-        dev2 = (vals - mean_cols) ** 2
-        report.mc_se_p_waic2 = _influence_se((dev2 - var_cols).sum(axis=1))
-        if waic_variant == 2:
-            waic_influence = ((ratio - 1.0) - (dev2 - var_cols)).sum(axis=1)
-        else:
-            waic_influence = ((ratio - 1.0) - 2.0 * ((ratio - 1.0) - (vals - mean_cols))).sum(axis=1)
-        report.mc_se_waic = 2.0 * _influence_se(waic_influence)
+        report.p_waic2 = cp.p_waic2
+        report.elppd_waic2 = cp.lppd - cp.p_waic2
+        report.p_dic_alt = p_dic_alt(cp.totals)
+        # Each error is that of a mean over draws of a per-draw sum of
+        # first-order influences; their per-point constants drop out.
+        se = mc_standard_error
+        R, D, Q, T = cp.ratio_sums, cp.dev_sums, cp.dev2_sums, cp.totals
+        report.mc_se_lppd = se(R)
+        report.mc_se_mean_loglik = se(T)
+        report.mc_se_p_dic_alt = 2.0 * se((T - T.mean()) ** 2)
+        report.mc_se_p_waic1 = 2.0 * se(R - D)
+        report.mc_se_p_waic2 = se(Q)
+        report.mc_se_waic = 2.0 * se(R - Q if waic_variant == 2 else 2.0 * D - R)
     else:
         warnings.append(
             "variance-based estimates (p_waic2, p_dic_alt, mc_se fields) "
@@ -274,7 +257,7 @@ def criterion_report(
 
     if lpd_at_mean is not None:
         report.lpd_at_mean = float(lpd_at_mean)
-        pd = p_dic(lpd_at_mean, m)
+        pd = _p_dic(lpd_at_mean, cp.totals)
         report.p_dic = pd
         report.elpd_dic = lpd_at_mean - pd
         report.dic = -2.0 * report.elpd_dic

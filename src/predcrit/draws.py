@@ -16,6 +16,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,14 +24,12 @@ from .errors import MatrixFormatError, NonFiniteLogLikError
 
 __all__ = [
     "PointwiseLogLikMatrix",
-    "ColumnSummary",
     "log_mean_exp",
     "sample_variance",
     "mc_standard_error",
     "lppd",
     "lppd_mc_se",
     "mean_total_loglik",
-    "column_summary",
     "read_loglik_csv",
     "write_loglik_csv",
 ]
@@ -82,15 +81,6 @@ class PointwiseLogLikMatrix:
         return self.values.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class ColumnSummary:
-    """The three per-point reductions shared by lppd and both WAIC penalties."""
-
-    log_mean: float
-    mean_log: float
-    var_log: float
-
-
 def _as_column(column) -> np.ndarray:
     col = np.asarray(column, dtype=float)
     if col.ndim != 1:
@@ -102,6 +92,19 @@ def _as_column(column) -> np.ndarray:
     return col
 
 
+def _log_mean_exp(vals: np.ndarray, out: np.ndarray | None = None):
+    """Log mean exp along axis 0, each column shifted by its maximum.
+
+    Returns (lme, w, w_bar): w = exp(vals - max), written into `out` when
+    one is given, and w_bar its column mean, so lme = max + log(w_bar).
+    """
+    shift = vals.max(axis=0)
+    w = np.subtract(vals, shift, out=out)
+    np.exp(w, out=w)
+    w_bar = w.mean(axis=0)
+    return shift + np.log(w_bar), w, w_bar
+
+
 def log_mean_exp(column) -> float:
     """log( (1/S) sum_s exp(a_s) ), shifted by the column maximum.
 
@@ -109,9 +112,7 @@ def log_mean_exp(column) -> float:
     overflow for entries up to around 700 + log(max magnitude headroom);
     inputs with |a_s| up to 1e6 are safe.
     """
-    col = _as_column(column)
-    m = col.max()
-    return float(m + math.log(np.exp(col - m).mean()))
+    return float(_log_mean_exp(_as_column(column))[0])
 
 
 def sample_variance(column) -> float:
@@ -130,37 +131,62 @@ def mc_standard_error(column) -> float:
     return float(math.sqrt(col.var(ddof=1) / col.size))
 
 
-def column_summary(column) -> ColumnSummary:
-    col = _as_column(column)
-    log_mean = log_mean_exp(col)
-    mean_log = float(col.mean())
-    var_log = float(col.var(ddof=1)) if col.size >= 2 else 0.0
-    return ColumnSummary(log_mean=log_mean, mean_log=mean_log, var_log=var_log)
-
-
 def lppd(m: PointwiseLogLikMatrix) -> float:
     """Log pointwise predictive density: sum over points of log_mean_exp.
 
     Deterministic given the matrix; columns are reduced in index order.
     """
+    return float(_log_mean_exp(m.values)[0].sum())
+
+
+class _ColumnPass(NamedTuple):
+    """The column-sum criteria of one matrix, and the per-draw sums every
+    Monte Carlo error of them is a variance of (ratio_i = exp(a_i - lme_i),
+    dev_i = a_i - mean_i)."""
+
+    lppd: float
+    p_waic1: float
+    p_waic2: float | None  # None for a single draw
+    ratio_sums: np.ndarray  # R_s = sum_i ratio_si
+    dev_sums: np.ndarray  # D_s = sum_i dev_si
+    dev2_sums: np.ndarray  # Q_s = sum_i dev_si^2
+    totals: np.ndarray  # T_s = sum_i a_si
+
+
+def _column_pass(m: PointwiseLogLikMatrix) -> _ColumnPass:
+    """Every column reduction of the criteria in one pass over the matrix.
+
+    One S x n working buffer holds first the ratios, then the deviations,
+    then their squares. The deviations are centred per column rather than
+    taken from the totals, so D and Q stay accurate at any magnitude of
+    the log densities.
+    """
     vals = m.values
-    shift = vals.max(axis=0)
-    return float((shift + np.log(np.exp(vals - shift).mean(axis=0))).sum())
+    lme, buf, w_bar = _log_mean_exp(vals, out=np.empty_like(vals))
+    buf /= w_bar
+    ratio_sums = buf.sum(axis=1)
+    mean = vals.mean(axis=0)
+    np.subtract(vals, mean, out=buf)
+    dev_sums = buf.sum(axis=1)
+    np.square(buf, out=buf)
+    s = m.n_draws
+    return _ColumnPass(
+        lppd=float(lme.sum()),
+        p_waic1=float(2.0 * (lme - mean).sum()),
+        p_waic2=float((buf.sum(axis=0) / (s - 1)).sum()) if s > 1 else None,
+        ratio_sums=ratio_sums,
+        dev_sums=dev_sums,
+        dev2_sums=buf.sum(axis=1),
+        totals=m.row_totals(),
+    )
 
 
 def lppd_mc_se(m: PointwiseLogLikMatrix) -> float:
-    """Delta-method Monte Carlo standard error of lppd over the S draws.
-
-    Uses the per-draw influence sum_i (exp(a_si - log_mean_i) - 1); the
-    shift keeps the ratios stable at any log-density magnitude.
+    """Delta-method Monte Carlo standard error of lppd over the S draws:
+    the error of the mean of the per-draw ratio sums R_s, whose mean is n.
+    The shift keeps the ratios stable at any log-density magnitude.
     """
-    if m.n_draws < 2:
-        raise ValueError("variance requires at least 2 draws")
-    vals = m.values
-    shift = vals.max(axis=0)
-    lme = shift + np.log(np.exp(vals - shift).mean(axis=0))
-    influence = (np.exp(vals - lme) - 1.0).sum(axis=1)
-    return float(math.sqrt(influence.var(ddof=1) / m.n_draws))
+    return mc_standard_error(_column_pass(m).ratio_sums)
 
 
 def mean_total_loglik(m: PointwiseLogLikMatrix) -> float:
@@ -290,21 +316,24 @@ def read_loglik_csv(source) -> PointwiseLogLikMatrix:
     return PointwiseLogLikMatrix(data)
 
 
+def _write_csv(target, header, rows) -> None:
+    """Write the header line (unless None), then one line per row, to a
+    path or a text stream. Rows are iterables of cell strings, joined with
+    commas as given: no cell needs quoting."""
+    if _is_path(target):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            _write_csv(fh, header, rows)
+            return
+    if header is not None:
+        target.write(",".join(header) + "\n")
+    for row in rows:
+        target.write(",".join(row) + "\n")
+
+
 def write_loglik_csv(m: PointwiseLogLikMatrix, target, header: bool = True) -> None:
     """Write a matrix in the same CSV format read_loglik_csv accepts.
 
     Each value is written as repr(float), which reads back bit-identical.
     """
-    if _is_path(target):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            write_loglik_csv(m, fh, header=header)
-            return
-    if header:
-        target.write(",".join(_header(m.n_points)) + "\n")
-    for row in m.values.tolist():
-        target.write(",".join(map(repr, row)) + "\n")
-
-
-def matrix_from_csv_text(text: str) -> PointwiseLogLikMatrix:
-    """Convenience for tests and in-memory use."""
-    return read_loglik_csv(io.StringIO(text))
+    _write_csv(target, _header(m.n_points) if header else None,
+               (map(repr, row) for row in m.values.tolist()))

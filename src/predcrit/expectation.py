@@ -14,7 +14,6 @@ reassembled bit-identically.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
+from .draws import _write_csv
 from .seeds import derive_seed
 
 __all__ = [
@@ -260,13 +260,9 @@ def bias_curve(n_values, m: float, estimator: str, R: int, seed: int) -> list[di
 
 
 def write_bias_curve_csv(rows, target) -> None:
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            write_bias_curve_csv(rows, fh)
-            return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(["n", "estimator", "mc_mean", "mc_se", "oracle"])
-    for row in rows:
-        writer.writerow(
-            [row["n"], row["estimator"], repr(row["mc_mean"]), repr(row["mc_se"]), repr(row["oracle"])]
-        )
+    _write_csv(
+        target,
+        ("n", "estimator", "mc_mean", "mc_se", "oracle"),
+        ((str(row["n"]), row["estimator"], repr(row["mc_mean"]), repr(row["mc_se"]), repr(row["oracle"]))
+         for row in rows),
+    )

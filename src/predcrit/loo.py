@@ -18,7 +18,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .draws import PointwiseLogLikMatrix, log_mean_exp, lppd as lppd_of
+from .draws import PointwiseLogLikMatrix, log_mean_exp, lppd as lppd_of, mc_standard_error
 from .seeds import derive_seed
 
 __all__ = [
@@ -55,14 +55,6 @@ def _check_foldable(data) -> int:
     if n < 2:
         raise ValueError("leave-one-out requires at least 2 data points")
     return n
-
-
-def _held_out_column_se(col: np.ndarray) -> float:
-    # delta-method error of log_mean_exp for one column
-    shift = col.max()
-    ratio = np.exp(col - shift)
-    ratio /= ratio.mean()
-    return float(math.sqrt(ratio.var(ddof=1) / col.size)) if col.size >= 2 else 0.0
 
 
 def lppd_loo(model: FittableModel, data, *, draws: int, seed: int) -> tuple[float, list[float]]:
@@ -139,8 +131,10 @@ def loo_report(
         fit = model.fit(data, exclude=i, draws=draws, seed=derive_seed(seed, i))
         mat = fit.pointwise_loglik()
         col = mat.column(i)
-        per_point.append(log_mean_exp(col))
-        se_sq += _held_out_column_se(col) ** 2
+        lme = log_mean_exp(col)
+        per_point.append(lme)
+        if col.size > 1:  # delta-method error of log_mean_exp(col)
+            se_sq += mc_standard_error(np.exp(col - lme)) ** 2
         fold_full.append(lppd_of(mat))
     loo_total = float(sum(per_point))
     bar = float(np.mean(fold_full))

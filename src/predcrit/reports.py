@@ -7,9 +7,8 @@ seed via fixed stream indices.
 """
 from __future__ import annotations
 
-import csv
-
-from .criteria import PointEstimateLogLik, criterion_report, lpd_posterior_summary, p_dic
+from .criteria import PointEstimateLogLik, criterion_report, lpd_posterior_summary
+from .draws import _write_csv
 from .loo import loo_report
 from .models import (
     EightSchoolsData,
@@ -86,12 +85,10 @@ def schools_table_report(
             rows["aic"][mode] = -2.0 * (lpd_mle - k)
 
         lpd_mean = fit.lpd_at_posterior_mean()
-        pd = p_dic(lpd_mean, mat)
+        rep = criterion_report(mat, lpd_at_mean=lpd_mean, waic_variant=waic_variant)
         rows["minus2_lpd_mean"][mode] = -2.0 * lpd_mean
-        rows["p_dic"][mode] = pd
-        rows["dic"][mode] = -2.0 * (lpd_mean - pd)
-
-        rep = criterion_report(mat, waic_variant=waic_variant)
+        rows["p_dic"][mode] = rep.p_dic
+        rows["dic"][mode] = rep.dic
         rows["minus2_lppd"][mode] = -2.0 * rep.lppd
         rows["p_waic1"][mode] = rep.p_waic1
         rows["p_waic2"][mode] = rep.p_waic2
@@ -158,11 +155,5 @@ def election_report(
 
 def write_histogram_csv(bin_left, counts, target) -> None:
     """Two-column plot data: bin_left,count."""
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            write_histogram_csv(bin_left, counts, fh)
-            return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(["bin_left", "count"])
-    for left, count in zip(bin_left, counts):
-        writer.writerow([repr(float(left)), int(count)])
+    _write_csv(target, ("bin_left", "count"),
+               ((repr(float(left)), str(int(count))) for left, count in zip(bin_left, counts)))

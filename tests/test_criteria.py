@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from predcrit.criteria import (
     p_waic2,
     waic,
 )
-from predcrit.draws import PointwiseLogLikMatrix, lppd
+from predcrit.draws import PointwiseLogLikMatrix, lppd, lppd_mc_se
 
 
 def _matrix(vals):
@@ -165,3 +166,105 @@ def test_mc_se_fields_shrink_with_draws():
     r_big = criterion_report(big)
     assert r_big.mc_se_lppd < r_small.mc_se_lppd
     assert r_big.mc_se_p_waic2 < r_small.mc_se_p_waic2
+
+
+def _parent_report(vals, lpd_at_mean, mle, waic_variant):
+    """The report's fields from the per-(s, i) influence formulas it used
+    before the one-pass kernel, as a reference."""
+
+    def se(per_draw):
+        return math.sqrt(per_draw.var(ddof=1) / per_draw.size)
+
+    shift = vals.max(axis=0)
+    lme = shift + np.log(np.exp(vals - shift).mean(axis=0))
+    mean_cols = vals.mean(axis=0)
+    row_totals = vals.sum(axis=1)
+    ref = {"lppd": lme.sum(), "p_waic1": 2.0 * (lme - mean_cols).sum()}
+    ref["elppd_waic1"] = ref["lppd"] - ref["p_waic1"]
+    if vals.shape[0] >= 2:
+        var_cols = vals.var(axis=0, ddof=1)
+        ratio = np.exp(vals - lme)
+        dev = vals - mean_cols
+        dev2 = dev**2
+        ref["p_waic2"] = var_cols.sum()
+        ref["elppd_waic2"] = ref["lppd"] - ref["p_waic2"]
+        ref["p_dic_alt"] = 2.0 * row_totals.var(ddof=1)
+        ref["mc_se_lppd"] = se((ratio - 1.0).sum(axis=1))
+        ref["mc_se_mean_loglik"] = se(row_totals)
+        ref["mc_se_p_dic_alt"] = 2.0 * se((row_totals - row_totals.mean()) ** 2)
+        ref["mc_se_p_waic1"] = 2.0 * se(((ratio - 1.0) - dev).sum(axis=1))
+        ref["mc_se_p_waic2"] = se((dev2 - var_cols).sum(axis=1))
+        if waic_variant == 2:
+            waic_influence = ((ratio - 1.0) - (dev2 - var_cols)).sum(axis=1)
+        else:
+            waic_influence = ((ratio - 1.0) - 2.0 * ((ratio - 1.0) - dev)).sum(axis=1)
+        ref["mc_se_waic"] = 2.0 * se(waic_influence)
+    if waic_variant == 1:
+        ref["waic"] = -2.0 * ref["elppd_waic1"]
+    elif "elppd_waic2" in ref:
+        ref["waic"] = -2.0 * ref["elppd_waic2"]
+    if lpd_at_mean is not None:
+        ref["lpd_at_mean"] = lpd_at_mean
+        ref["p_dic"] = 2.0 * (lpd_at_mean - row_totals.mean())
+        ref["elpd_dic"] = lpd_at_mean - ref["p_dic"]
+        ref["dic"] = -2.0 * ref["elpd_dic"]
+        if "mc_se_mean_loglik" in ref:
+            ref["mc_se_p_dic"] = 2.0 * ref["mc_se_mean_loglik"]
+    if mle is not None:
+        ref["lpd_at_mle"] = mle.total_loglik
+        ref["elpd_aic"] = mle.total_loglik - mle.k
+        ref["aic"] = -2.0 * ref["elpd_aic"]
+        ref["bic"] = -2.0 * mle.total_loglik + mle.k * math.log(vals.shape[1])
+    return ref
+
+
+def _differential_corpus():
+    rng = np.random.default_rng(2024)
+    for s in (2, 3, 50):
+        for n in (1, 7):
+            base = rng.normal(-2.0, 1.3, size=(s, n))
+            constant = np.tile(rng.normal(-2.0, 1.0, size=n), (s, 1))
+            mixed = base.copy()
+            mixed[:, ::2] = constant[:, ::2]
+            for vals in (base, constant, mixed, base + 1e5, base - 1e5, mixed - 1e5):
+                yield vals
+
+
+def test_report_matches_per_draw_influence_reference():
+    mle = PointEstimateLogLik(-20.0, "mle", k=3)
+    cases = 0
+    for vals in _differential_corpus():
+        m = _matrix(vals)
+        for variant in (1, 2):
+            for lpd_at_mean, fit in ((None, None), (float(vals.sum(axis=1).max()), mle)):
+                rep = criterion_report(m, lpd_at_mean=lpd_at_mean, mle=fit, waic_variant=variant)
+                ref = _parent_report(vals, lpd_at_mean, fit, variant)
+                for key, got in rep.to_dict().items():
+                    if key in ("warnings", "waic_variant", "k"):
+                        continue
+                    if key not in ref:
+                        assert got is None, (key, vals.shape)
+                        continue
+                    assert math.isclose(got, ref[key], rel_tol=1e-9, abs_tol=1e-12), (
+                        key, got, ref[key], vals.shape, variant
+                    )
+                assert rep.lppd == lppd(m)
+                assert rep.p_waic1 == p_waic1(m)
+                if m.n_draws >= 2:
+                    assert rep.p_waic2 == p_waic2(m)
+                    assert rep.mc_se_lppd == lppd_mc_se(m)
+                if lpd_at_mean is not None:
+                    assert rep.p_dic == p_dic(lpd_at_mean, m)
+                cases += 1
+    assert cases == 2 * 3 * 6 * 2 * 2
+
+
+def test_report_working_memory_is_about_one_matrix():
+    m = _matrix(np.random.default_rng(6).normal(-2.0, 1.0, size=(4000, 250)))
+    tracemalloc.start()
+    try:
+        criterion_report(m, lpd_at_mean=-500.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * m.values.nbytes

@@ -7,10 +7,8 @@ import pytest
 
 from predcrit.draws import (
     PointwiseLogLikMatrix,
-    column_summary,
     log_mean_exp,
     lppd,
-    matrix_from_csv_text,
     mc_standard_error,
     mean_total_loglik,
     read_loglik_csv,
@@ -18,6 +16,8 @@ from predcrit.draws import (
     write_loglik_csv,
 )
 from predcrit.errors import MatrixFormatError, NonFiniteLogLikError
+from predcrit.expectation import write_bias_curve_csv
+from predcrit.reports import write_histogram_csv
 
 
 def test_log_mean_exp_constant_column_is_fixed_point():
@@ -116,11 +116,11 @@ def test_jensen_inequality_and_equality_for_constant():
     rng = np.random.default_rng(11)
     for _ in range(40):
         col = rng.normal(rng.uniform(-50, 50), rng.uniform(0.01, 4), size=30)
-        cs = column_summary(col)
-        tol = 1e-12 * max(1.0, abs(cs.log_mean))
-        assert cs.log_mean >= cs.mean_log - tol
-    cs = column_summary(np.full(10, -3.25))
-    assert cs.log_mean == pytest.approx(cs.mean_log, abs=1e-13)
+        lme = log_mean_exp(col)
+        tol = 1e-12 * max(1.0, abs(lme))
+        assert lme >= col.mean() - tol
+    col = np.full(10, -3.25)
+    assert log_mean_exp(col) == pytest.approx(col.mean(), abs=1e-13)
 
 
 def test_shift_invariance_of_log_mean_exp():
@@ -152,24 +152,24 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_headerless_and_header_forms():
-    assert matrix_from_csv_text("-2.3\n").values.tolist() == [[-2.3]]
-    m = matrix_from_csv_text("point_1,point_2\n-1,-2\n-3,-4\n")
+    assert read_loglik_csv(io.StringIO("-2.3\n")).values.tolist() == [[-2.3]]
+    m = read_loglik_csv(io.StringIO("point_1,point_2\n-1,-2\n-3,-4\n"))
     assert m.n_draws == 2 and m.n_points == 2
 
 
 def test_csv_format_errors():
     with pytest.raises(MatrixFormatError, match="header row must be"):
-        matrix_from_csv_text("a,b\n1,2\n")
+        read_loglik_csv(io.StringIO("a,b\n1,2\n"))
     with pytest.raises(MatrixFormatError, match="row 2 has 1 cells"):
-        matrix_from_csv_text("1,2\n3,4\n5\n")
+        read_loglik_csv(io.StringIO("1,2\n3,4\n5\n"))
     with pytest.raises(MatrixFormatError, match="missing cell"):
-        matrix_from_csv_text("1,2\n3,\n")
+        read_loglik_csv(io.StringIO("1,2\n3,\n"))
     with pytest.raises(MatrixFormatError, match="empty"):
-        matrix_from_csv_text("")
+        read_loglik_csv(io.StringIO(""))
     with pytest.raises(MatrixFormatError, match="no draws"):
-        matrix_from_csv_text("point_1,point_2\n")
+        read_loglik_csv(io.StringIO("point_1,point_2\n"))
     with pytest.raises(NonFiniteLogLikError):
-        matrix_from_csv_text("1,2\ninf,4\n")
+        read_loglik_csv(io.StringIO("1,2\ninf,4\n"))
 
 
 def test_csv_write_reads_back_bit_identical_via_stringio():
@@ -279,3 +279,20 @@ def test_csv_writer_bytes_match_csv_module(header, tmp_path):
     write_loglik_csv(m, path, header=header)
     assert path.read_bytes() == _csv_writer_reference(m, header)
     assert read_loglik_csv(path).values.tobytes() == m.values.tobytes()
+
+
+def test_plot_csv_writers_pin_bytes(tmp_path):
+    hist = tmp_path / "hist.csv"
+    write_histogram_csv(np.array([-43.25, -42.5, 0.1]), np.array([3, 0, 12]), hist)
+    assert hist.read_bytes() == b"bin_left,count\n-43.25,3\n-42.5,0\n0.1,12\n"
+    rows = [
+        {"n": 2, "estimator": "cloo", "mc_mean": -0.125, "mc_se": 0.01, "oracle": 1 / 3},
+        {"n": 5, "estimator": "cloo", "mc_mean": 1e-20, "mc_se": 0.0, "oracle": -2.5},
+    ]
+    buf = io.StringIO()
+    write_bias_curve_csv(rows, buf)
+    assert buf.getvalue().encode() == (
+        b"n,estimator,mc_mean,mc_se,oracle\n"
+        b"2,cloo,-0.125,0.01,0.3333333333333333\n"
+        b"5,cloo,1e-20,0.0,-2.5\n"
+    )
