@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from .criteria import PointEstimateLogLik, criterion_report
-from .draws import read_loglik_csv
+from .draws import lppd, read_loglik_csv
 from .errors import MatrixFormatError, ModelRefusalError, NonFiniteLogLikError
 from .expectation import (
     ESTIMATOR_NAMES,
@@ -27,19 +27,16 @@ from .expectation import (
 )
 from .loo import loo_report
 from .models import (
+    BalancedModel,
     NormalMeanModel,
     NormalMeanSpec,
     RegressionModel,
     SchoolsModel,
-    balanced_group_posterior_draws,
-    balanced_hierarchical_loglik,
     default_eight_schools,
     default_election,
     load_balanced_csv,
     load_election_csv,
     load_schools_csv,
-    regression_fit,
-    schools_fit,
 )
 from . import oracle as oracle_mod
 from .reports import election_report, schools_table_report, write_histogram_csv
@@ -83,31 +80,26 @@ def _emit(text: str, output: str | None) -> None:
         click.echo(text)
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return f"{value:.4f}"
-
-
-def _render_flat_table(pairs) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k.ljust(width)}  {_fmt_cell(v)}" for k, v in pairs)
-
-
-def _render_flat_csv(pairs) -> str:
-    lines = ["name,value"]
-    for k, v in pairs:
-        lines.append(f"{k},{v if isinstance(v, str) else repr(float(v))}")
-    return "\n".join(lines)
-
-
-def _emit_pairs(pairs, fmt, output, footer: str = "") -> None:
-    text = _render_flat_csv(pairs) if fmt == "csv" else _render_flat_table(pairs)
-    _emit(text + footer, output)
-
-
 def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2)
+
+
+def _numeric_pairs(fields: dict) -> list:
+    """The (name, value) pairs of a report's numeric fields, in order."""
+    return [(k, v) for k, v in fields.items() if isinstance(v, (int, float))]
+
+
+def _emit_report(payload, pairs, fmt, output, warnings) -> None:
+    """`payload` as JSON, or the numeric (name, value) `pairs` as CSV or as
+    a table that ends with one `warning:` line per warning."""
+    if fmt == "json":
+        text = _json_dumps(payload)
+    elif fmt == "csv":
+        text = "\n".join(["name,value"] + [f"{k},{float(v)!r}" for k, v in pairs])
+    else:
+        width = max(len(k) for k, _ in pairs)
+        text = "\n".join([f"{k.ljust(width)}  {v:.4f}" for k, v in pairs] + [f"warning: {w}" for w in warnings])
+    _emit(text, output)
 
 
 draws_option = click.option(
@@ -145,21 +137,14 @@ def main():
 @_handle_errors
 def criteria(input_path, lpd_at_mean, mle_loglik, k, waic_variant, fmt, output):
     """Criteria from a pointwise log-likelihood CSV (rows = draws)."""
+    if (k is None) != (mle_loglik is None):
+        raise ValueError("--mle-loglik requires --k" if k is None else "--k requires --mle-loglik")
     mat = read_loglik_csv(input_path)
-    mle = None
-    if mle_loglik is not None:
-        if k is None:
-            raise ValueError("--mle-loglik requires --k")
-        mle = PointEstimateLogLik(mle_loglik, "mle", k=k)
+    mle = None if mle_loglik is None else PointEstimateLogLik(mle_loglik, "mle", k=k)
     rep = criterion_report(mat, lpd_at_mean=lpd_at_mean, mle=mle, waic_variant=int(waic_variant))
     payload = {"draws": mat.n_draws, "seed": None, "report": rep.to_dict()}
-    if fmt == "json":
-        _emit(_json_dumps(payload), output)
-    else:
-        pairs = [("draws", float(mat.n_draws)), ("points", float(mat.n_points))]
-        pairs += [(name, v) for name, v in rep.to_dict().items() if isinstance(v, (int, float)) and v is not None]
-        footer = "".join(f"\nwarning: {w}" for w in rep.warnings) if fmt == "table" else ""
-        _emit_pairs(pairs, fmt, output, footer)
+    pairs = [("draws", float(mat.n_draws)), ("points", float(mat.n_points))]
+    _emit_report(payload, pairs + _numeric_pairs(payload["report"]), fmt, output, rep.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +159,18 @@ def _read_values(path) -> np.ndarray:
         raise MatrixFormatError("data file must contain only numbers") from None
 
 
-def _build_model(model, input_path, m, mu0, mode, prediction_mode):
-    """(model object, data object) for the refittable built-in families."""
-    if model == "balanced":
-        raise ValueError("the balanced model supports `fit` only (known hyperparameters)")
+def _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
+                 dic_parameterization="log-sigma"):
+    """(model object, data object) for a built-in family."""
+    if model in ("normal-mean", "balanced") and input_path is None:
+        raise ValueError(f"--input is required for the {model} model")
     if model == "normal-mean":
-        if input_path is None:
-            raise ValueError("--input is required for the normal-mean model")
         return NormalMeanModel(m=m, mu0=mu0), _read_values(input_path)
+    if model == "balanced":
+        return BalancedModel(mu, tau, counting), load_balanced_csv(input_path)
     if model == "regression":
         data = load_election_csv(input_path) if input_path else default_election()
-        return RegressionModel(), data
+        return RegressionModel(dic_parameterization.replace("-", "_")), data
     data = load_schools_csv(input_path) if input_path else default_eight_schools()
     pred = "new_groups" if prediction_mode == "new" else "existing_groups"
     return SchoolsModel(), data.with_mode(mode, prediction_mode=pred)
@@ -229,52 +215,15 @@ def _with_options(options):
 def fit(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
         dic_parameterization, draws, seed, waic_variant, fmt, output):
     """Fit a built-in model and report its criteria."""
-    if model == "balanced":
-        if input_path is None:
-            raise ValueError("--input is required for the balanced model")
-        y = load_balanced_csv(input_path)
-        theta = balanced_group_posterior_draws(y, mu=mu, tau=tau, draws=draws,
-                                               seed=derive_seed(seed, 0))
-        mat = balanced_hierarchical_loglik(theta, y, counting)
-        rep = criterion_report(mat, waic_variant=int(waic_variant))
-        payload = {
-            "draws": draws, "seed": seed, "model": model, "counting": counting,
-            "n_points": mat.n_points, "report": rep.to_dict(),
-        }
-        if fmt == "json":
-            _emit(_json_dumps(payload), output)
-        else:
-            pairs = [("counting_points", float(mat.n_points))]
-            pairs += [(k, v) for k, v in rep.to_dict().items()
-                      if isinstance(v, (int, float)) and v is not None]
-            _emit_pairs(pairs, fmt, output)
-        return
-    model_obj, data = _build_model(model, input_path, m, mu0, mode, prediction_mode)
-    extras = {}
-    if model == "regression":
-        f = regression_fit(data, draws, derive_seed(seed, 0))
-        mle = PointEstimateLogLik(f.mle_loglik(), "mle", k=3)
-        lpd_mean = f.lpd_at_posterior_mean(dic_parameterization.replace("-", "_"))
-        extras["mle"] = dict(zip(("a", "b", "sigma"), f.mle))
-        extras["posterior_means"] = f.posterior_means
-    elif model == "schools":
-        f = schools_fit(data, draws, derive_seed(seed, 0))
-        lpd_mean = f.lpd_at_posterior_mean()
-        mle = None
-        extras["theta_bayes"] = f.theta_bayes.tolist()
-    else:
-        f = model_obj.fit(data, draws=draws, seed=derive_seed(seed, 0))
-        spec = NormalMeanSpec.from_data(data, m=m, mu0=mu0)
-        lpd_mean = oracle_mod.lpd_at_posterior_mean(spec)
-        mle = PointEstimateLogLik(oracle_mod.lpd_at_mle(spec), "mle", k=1)
-        extras["posterior_mean_theta"] = f.posterior_mean_theta
-    rep = criterion_report(f.pointwise_loglik(), lpd_at_mean=lpd_mean, mle=mle, waic_variant=int(waic_variant))
-    payload = {"draws": draws, "seed": seed, "model": model, **extras, "report": rep.to_dict()}
-    if fmt == "json":
-        _emit(_json_dumps(payload), output)
-    else:
-        pairs = [(k, v) for k, v in rep.to_dict().items() if isinstance(v, (int, float)) and v is not None]
-        _emit_pairs(pairs, fmt, output)
+    model_obj, data = _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
+                                   dic_parameterization)
+    f = model_obj.fit(data, draws=draws, seed=derive_seed(seed, 0))
+    pe = f.point_estimates()
+    rep = criterion_report(f.pointwise_loglik(), lpd_at_mean=pe.lpd_at_mean, mle=pe.mle,
+                           waic_variant=int(waic_variant))
+    payload = {"draws": draws, "seed": seed, "model": model, **pe.summary, "report": rep.to_dict()}
+    pairs = _numeric_pairs(pe.summary) + _numeric_pairs(payload["report"])
+    _emit_report(payload, pairs, fmt, output, rep.warnings)
 
 
 @main.command()
@@ -286,18 +235,12 @@ def fit(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
 @_handle_errors
 def loo(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting, draws, seed, fmt, output):
     """Exact leave-one-out cross-validation by refitting."""
-    model_obj, data = _build_model(model, input_path, m, mu0, mode, prediction_mode)
+    model_obj, data = _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting)
     full_fit = model_obj.fit(data, draws=draws, seed=derive_seed(seed, 0))
-    rep = criterion_report(full_fit.pointwise_loglik())
-    loo_rep = loo_report(model_obj, data, rep.lppd, draws=draws, seed=derive_seed(seed, 1))
-    payload = {"draws": draws, "seed": seed, "model": model, "lppd": rep.lppd, "loo": loo_rep.to_dict()}
-    if fmt == "json":
-        _emit(_json_dumps(payload), output)
-    else:
-        pairs = [("lppd", rep.lppd)] + [
-            (k, v) for k, v in loo_rep.to_dict().items() if isinstance(v, (int, float))
-        ]
-        _emit_pairs(pairs, fmt, output)
+    full_lppd = lppd(full_fit.pointwise_loglik())
+    loo_rep = loo_report(model_obj, data, full_lppd, draws=draws, seed=derive_seed(seed, 1))
+    payload = {"draws": draws, "seed": seed, "model": model, "lppd": full_lppd, "loo": loo_rep.to_dict()}
+    _emit_report(payload, [("lppd", full_lppd)] + _numeric_pairs(payload["loo"]), fmt, output, ())
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +272,13 @@ def schools_table(input_path, draws, seed, waic_variant, fmt, output):
     cols = table["columns"]
     label_width = max(len(r) for r in table["rows"])
     cell_width = max(len(UNDEFINED_CELL_ABBREV), 18)
-    header = " " * label_width + "  " + "  ".join(c.rjust(cell_width) for c in cols)
-    lines = [header]
+    lines = [" " * label_width + "  " + "  ".join(c.rjust(cell_width) for c in cols)]
     for name, per_col in table["rows"].items():
-        cells = []
-        for c in cols:
-            v = per_col[c]
-            cells.append((UNDEFINED_CELL_ABBREV if isinstance(v, str) else f"{v:.2f}").rjust(cell_width))
-        lines.append(name.ljust(label_width) + "  " + "  ".join(cells))
+        cells = (UNDEFINED_CELL_ABBREV if isinstance(v, str) else f"{v:.2f}" for v in (per_col[c] for c in cols))
+        lines.append(name.ljust(label_width) + "  " + "  ".join(c.rjust(cell_width) for c in cells))
     lines.append("")
-    seen = []
-    for per_col in table["rows"].values():
-        for v in per_col.values():
-            if isinstance(v, str) and v not in seen:
-                seen.append(v)
-    for reason in seen:
-        lines.append(f"[{UNDEFINED_CELL_ABBREV}] {reason}")
+    reasons = dict.fromkeys(v for per_col in table["rows"].values() for v in per_col.values() if isinstance(v, str))
+    lines += [f"[{UNDEFINED_CELL_ABBREV}] {reason}" for reason in reasons]
     _emit("\n".join(lines), output)
 
 
@@ -374,9 +308,6 @@ def election(input_path, hist_out, dic_parameterization, draws, seed, waic_varia
     )
     if hist_out:
         write_histogram_csv(rep["lpd_posterior"]["bin_left"], rep["lpd_posterior"]["counts"], hist_out)
-    if fmt == "json":
-        _emit(_json_dumps(rep), output)
-        return
     c = rep["criteria"]
     pairs_out = [
         ("mle_a", rep["mle"]["a"]),
@@ -400,7 +331,7 @@ def election(input_path, hist_out, dic_parameterization, draws, seed, waic_varia
         ("lpd_max", rep["lpd_posterior"]["max"]),
         ("lpd_gap", rep["lpd_posterior"]["gap"]),
     ]
-    _emit_pairs(pairs_out, fmt, output)
+    _emit_report(rep, [(k, v) for k, v in pairs_out if v is not None], fmt, output, c["warnings"])
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +360,7 @@ def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
         s2y = float(y.var(ddof=1)) if n > 1 else 0.0
     spec = NormalMeanSpec(n=n, ybar=ybar, s2y=s2y, m=m, mu0=mu0)
     table = oracle_mod.formula_table(spec, y=y)
-    if fmt == "json":
-        _emit(_json_dumps(table), output)
-    else:
-        _emit_pairs(list(table.items()), fmt, output)
+    _emit_report(table, list(table.items()), fmt, output, ())
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .draws import (
 
 __all__ = [
     "PointEstimateLogLik",
+    "PointEstimates",
     "CriterionReport",
     "LpdPosteriorSummary",
     "aic",
@@ -66,6 +67,17 @@ class PointEstimateLogLik:
             raise ValueError("parameter count k must be nonnegative")
         if self.estimate_kind == "mle" and self.k is None:
             raise ValueError("parameter count k is required for an MLE estimate")
+
+
+@dataclass(frozen=True)
+class PointEstimates:
+    """What a fit knows beyond its draw matrix: `lpd_at_mean` feeds DIC and
+    `mle` AIC/BIC (either None when the model does not define it);
+    `summary` holds the model's point summaries as JSON-ready fields."""
+
+    lpd_at_mean: float | None
+    mle: PointEstimateLogLik | None
+    summary: dict
 
 
 def aic(pe: PointEstimateLogLik) -> tuple[float, float]:
@@ -141,9 +153,6 @@ class LpdPosteriorSummary:
     gap: float
     bin_left: np.ndarray
     counts: np.ndarray
-
-    def histogram_rows(self):
-        return list(zip(self.bin_left.tolist(), self.counts.tolist()))
 
 
 def lpd_posterior_summary(row_totals, bins: int = 30) -> LpdPosteriorSummary:

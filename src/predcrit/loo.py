@@ -50,13 +50,6 @@ class FittableModel(Protocol):
         bit-reproducible given (data, exclude, draws, seed)."""
 
 
-def _check_foldable(data) -> int:
-    n = len(data)
-    if n < 2:
-        raise ValueError("leave-one-out requires at least 2 data points")
-    return n
-
-
 def lppd_loo(model: FittableModel, data, *, draws: int, seed: int) -> tuple[float, list[float]]:
     """Sum over points of log mean held-out density across n refits.
 
@@ -106,7 +99,7 @@ class LooReport:
     p_loo: float
     p_cloo: float
     per_point: list[float]
-    mc_se_lppd_loo: float
+    mc_se_lppd_loo: float | None
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -121,9 +114,12 @@ def loo_report(
     """Run all n folds once and assemble the LOO estimates.
 
     Fold i refits with the seed derived from (seed, i); `lppd_loo` and
-    `lppd_bar_minus_i` are fields of this report.
+    `lppd_bar_minus_i` are fields of this report. With a single draw the
+    Monte Carlo error is unavailable and `mc_se_lppd_loo` is None.
     """
-    n = _check_foldable(data)
+    n = len(data)
+    if n < 2:
+        raise ValueError("leave-one-out requires at least 2 data points")
     per_point = []
     fold_full = []
     se_sq = 0.0
@@ -133,7 +129,7 @@ def loo_report(
         col = mat.column(i)
         lme = log_mean_exp(col)
         per_point.append(lme)
-        if col.size > 1:  # delta-method error of log_mean_exp(col)
+        if draws > 1:  # delta-method error of log_mean_exp(col)
             se_sq += mc_standard_error(np.exp(col - lme)) ** 2
         fold_full.append(lppd_of(mat))
     loo_total = float(sum(per_point))
@@ -147,5 +143,5 @@ def loo_report(
         p_loo=p_loo(lppd_full, loo_total),
         p_cloo=p_cloo(bar, loo_total),
         per_point=per_point,
-        mc_se_lppd_loo=float(math.sqrt(se_sq)),
+        mc_se_lppd_loo=math.sqrt(se_sq) if draws > 1 else None,
     )

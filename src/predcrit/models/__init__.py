@@ -5,7 +5,7 @@ import numpy as np
 
 from ..draws import _csv_rows
 from ..errors import MatrixFormatError
-from .balanced import balanced_group_posterior_draws, balanced_hierarchical_loglik, load_balanced_csv
+from .balanced import BalancedModel, balanced_group_posterior_draws, balanced_hierarchical_loglik, load_balanced_csv
 from .normal import NormalMeanModel, NormalMeanSpec, normal_pointwise_loglik, normal_posterior_draws
 from .regression import DIC_PARAMETERIZATIONS, RegressionData, RegressionModel, regression_fit
 from .schools import (
@@ -30,6 +30,7 @@ __all__ = [
     "schools_fit",
     "default_eight_schools",
     "load_schools_csv",
+    "BalancedModel",
     "balanced_hierarchical_loglik",
     "balanced_group_posterior_draws",
     "load_balanced_csv",

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..criteria import PointEstimates
 from ..draws import PointwiseLogLikMatrix, _csv_rows
 from ..errors import MatrixFormatError
-from .normal import NormalMeanSpec, normal_posterior_draws
+from .normal import NormalMeanSpec, normal_logpdf_inplace, normal_posterior_draws
 from ..seeds import derive_seed
 
 __all__ = [
+    "BalancedModel",
     "balanced_hierarchical_loglik",
     "balanced_group_posterior_draws",
     "load_balanced_csv",
@@ -24,8 +26,6 @@ __all__ = [
 ]
 
 COUNTINGS = ("observation", "group")
-
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def balanced_group_posterior_draws(y: np.ndarray, mu: float, tau: float, draws: int, seed: int) -> np.ndarray:
@@ -64,10 +64,40 @@ def balanced_hierarchical_loglik(theta_draws: np.ndarray, y: np.ndarray, countin
         raise ValueError("y must be n x J and theta_draws S x J")
     n, J = y.shape
     # S x n x J, then flatten or sum over i
-    ll = -_HALF_LOG_2PI - 0.5 * (y[None, :, :] - theta[:, None, :]) ** 2
+    ll = normal_logpdf_inplace(y[None, :, :] - theta[:, None, :], 1.0)
     if counting == "observation":
         return PointwiseLogLikMatrix(ll.reshape(theta.shape[0], n * J))
     return PointwiseLogLikMatrix(ll.sum(axis=1))
+
+
+class _BalancedFit:
+    def __init__(self, matrix: PointwiseLogLikMatrix, counting: str):
+        self._matrix = matrix
+        self._counting = counting
+
+    def pointwise_loglik(self) -> PointwiseLogLikMatrix:
+        return self._matrix
+
+    def point_estimates(self) -> PointEstimates:
+        """No point estimate with known hyperparameters: only the counting."""
+        summary = {"counting": self._counting, "n_points": self._matrix.n_points}
+        return PointEstimates(lpd_at_mean=None, mle=None, summary=summary)
+
+
+class BalancedModel:
+    """Known (mu, tau) and a data-point counting. Only the full table is
+    fitted; a leave-one-out refit is refused."""
+
+    def __init__(self, mu: float, tau: float, counting: str):
+        self.mu = mu
+        self.tau = tau
+        self.counting = counting
+
+    def fit(self, data, exclude: int | None = None, *, draws: int, seed: int) -> _BalancedFit:
+        if exclude is not None:
+            raise ValueError("the balanced model supports `fit` only (known hyperparameters)")
+        theta = balanced_group_posterior_draws(data, self.mu, self.tau, draws, seed)
+        return _BalancedFit(balanced_hierarchical_loglik(theta, data, self.counting), self.counting)
 
 
 def load_balanced_csv(source) -> np.ndarray:

@@ -11,16 +11,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..criteria import PointEstimateLogLik, PointEstimates
 from ..draws import PointwiseLogLikMatrix
 
 __all__ = [
     "NormalMeanSpec",
     "normal_posterior_draws",
     "normal_pointwise_loglik",
+    "normal_logpdf_inplace",
     "NormalMeanModel",
 ]
 
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+
+def normal_logpdf_inplace(resid: np.ndarray, var) -> np.ndarray:
+    """Overwrite `resid` with log N(resid | 0, var) and return it.
+
+    `var` broadcasts against `resid`. Every model scores its data here, so
+    the caller owns the only S x n buffer the density needs.
+    """
+    np.square(resid, out=resid)
+    resid /= -2.0 * var
+    resid -= 0.5 * np.log(2.0 * np.pi * var)
+    return resid
 
 
 @dataclass(frozen=True)
@@ -70,21 +82,29 @@ def normal_pointwise_loglik(y, theta) -> PointwiseLogLikMatrix:
     """Entry (s, i) = log N(y_i | theta^s, 1)."""
     y = np.asarray(y, dtype=float).reshape(1, -1)
     theta = np.asarray(theta, dtype=float).reshape(-1, 1)
-    return PointwiseLogLikMatrix(-_HALF_LOG_2PI - 0.5 * (y - theta) ** 2)
+    return PointwiseLogLikMatrix(normal_logpdf_inplace(y - theta, 1.0))
 
 
 class _NormalMeanFit:
-    def __init__(self, y_full: np.ndarray, theta: np.ndarray):
+    def __init__(self, y_full: np.ndarray, spec: NormalMeanSpec, theta: np.ndarray):
         self._y = y_full
+        self._spec = spec
         self.theta = theta
-
-    @property
-    def posterior_mean_theta(self) -> float:
-        return float(self.theta.mean())
 
     def pointwise_loglik(self, indices=None) -> PointwiseLogLikMatrix:
         y = self._y if indices is None else self._y[np.asarray(indices, dtype=int)]
         return normal_pointwise_loglik(y, self.theta)
+
+    def point_estimates(self) -> PointEstimates:
+        """Closed-form log densities of the training data at ybar and at
+        the conjugate posterior mean."""
+        from .. import oracle  # oracle imports this module
+
+        return PointEstimates(
+            lpd_at_mean=oracle.lpd_at_posterior_mean(self._spec),
+            mle=PointEstimateLogLik(oracle.lpd_at_mle(self._spec), "mle", k=1),
+            summary={"posterior_mean_theta": float(self.theta.mean())},
+        )
 
 
 class NormalMeanModel:
@@ -108,4 +128,4 @@ class NormalMeanModel:
             raise ValueError("flat-prior fit needs at least one training point")
         spec = NormalMeanSpec.from_data(train, m=self.m, mu0=self.mu0)
         theta = normal_posterior_draws(spec, draws, seed)
-        return _NormalMeanFit(y, theta)
+        return _NormalMeanFit(y, spec, theta)

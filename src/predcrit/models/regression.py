@@ -5,8 +5,8 @@ sigma^2 | y  ~  scaled-inverse-chi^2(n - 2, s^2)   (s^2 = RSS / (n - 2))
 (a, b) | sigma^2, y  ~  Normal(OLS estimate, sigma^2 (X'X)^-1)
 
 so exact joint draws need no MCMC. The DIC point estimate is not
-parameterization invariant in sigma; the fit exposes the three usual
-choices and callers must pick one.
+parameterization invariant in sigma; the model is built with one of the
+three usual choices and its fits report DIC under it.
 """
 from __future__ import annotations
 
@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..criteria import PointEstimateLogLik, PointEstimates
 from ..draws import PointwiseLogLikMatrix
+from .normal import normal_logpdf_inplace
 
 __all__ = ["RegressionData", "RegressionModel", "regression_fit", "DIC_PARAMETERIZATIONS"]
 
@@ -50,8 +52,10 @@ def _design(x: np.ndarray) -> np.ndarray:
 class _RegressionFit:
     """Joint posterior draws plus the point summaries used downstream."""
 
-    def __init__(self, data: RegressionData, train_idx: np.ndarray, draws: int, seed: int):
+    def __init__(self, data: RegressionData, train_idx: np.ndarray, draws: int, seed: int,
+                 dic_parameterization: str):
         self._data = data
+        self._dic_parameterization = dic_parameterization
         x = data.x[train_idx]
         y = data.y[train_idx]
         X = _design(x)
@@ -93,21 +97,22 @@ class _RegressionFit:
             "log_sigma": float(np.log(self.sigma).mean()),
         }
 
-    def mle_loglik(self) -> float:
-        """Total log density of the dataset at the training MLE."""
-        a, b, s = self.mle
-        return self._total_loglik_at(a, b, s)
+    def point_estimates(self) -> PointEstimates:
+        """Log densities of the dataset at the training MLE (k = 3) and at
+        the posterior mean under the model's DIC parameterization."""
+        return PointEstimates(
+            lpd_at_mean=self.lpd_at_posterior_mean(self._dic_parameterization),
+            mle=PointEstimateLogLik(self._total_loglik_at(*self.mle), "mle", k=3),
+            summary={"mle": dict(zip(("a", "b", "sigma"), self.mle)), "posterior_means": self.posterior_means},
+        )
 
-    def lpd_at_posterior_mean(self, parameterization: str = "log_sigma") -> float:
+    def lpd_at_posterior_mean(self, parameterization: str) -> float:
         """Total log density at the posterior mean of (a, b, <scale>).
 
-        The scale point estimate depends on which transform is averaged;
-        built-in reports use log_sigma.
+        The scale point estimate depends on which transform is averaged.
         """
         if parameterization not in DIC_PARAMETERIZATIONS:
-            raise ValueError(
-                f"parameterization must be one of {DIC_PARAMETERIZATIONS}"
-            )
+            raise ValueError(f"parameterization must be one of {DIC_PARAMETERIZATIONS}")
         pm = self.posterior_means
         if parameterization == "sigma":
             s = pm["sigma"]
@@ -119,9 +124,7 @@ class _RegressionFit:
 
     def _total_loglik_at(self, a: float, b: float, s: float) -> float:
         r = self._data.y - (a + b * self._data.x)
-        return float(
-            (-0.5 * np.log(2 * np.pi * s**2) - r**2 / (2 * s**2)).sum()
-        )
+        return float(normal_logpdf_inplace(r, s**2).sum())
 
     # ---- draw-level evaluation -------------------------------------------
     def pointwise_loglik(self, indices=None) -> PointwiseLogLikMatrix:
@@ -130,20 +133,25 @@ class _RegressionFit:
         else:
             idx = np.asarray(indices, dtype=int)
             x, y = self._data.x[idx], self._data.y[idx]
-        mu = self.a[:, None] + self.b[:, None] * x[None, :]
-        ll = -0.5 * np.log(2 * np.pi * self.sigma2)[:, None] - (y[None, :] - mu) ** 2 / (
-            2 * self.sigma2[:, None]
-        )
-        return PointwiseLogLikMatrix(ll)
+        resid = self.b[:, None] * x[None, :]
+        resid += self.a[:, None]
+        np.subtract(y[None, :], resid, out=resid)
+        return PointwiseLogLikMatrix(normal_logpdf_inplace(resid, self.sigma2[:, None]))
 
 
 class RegressionModel:
+    """Refittable flat-prior regression; `dic_parameterization` picks the
+    scale point estimate its fits report DIC at."""
+
+    def __init__(self, dic_parameterization: str = "log_sigma"):
+        self.dic_parameterization = dic_parameterization
+
     def fit(self, data: RegressionData, exclude: int | None = None, *, draws: int, seed: int) -> _RegressionFit:
         n = len(data)
         idx = np.arange(n)
         if exclude is not None:
             idx = np.delete(idx, exclude)
-        return _RegressionFit(data, idx, draws, seed)
+        return _RegressionFit(data, idx, draws, seed, self.dic_parameterization)
 
 
 def regression_fit(data: RegressionData, draws: int, seed: int) -> _RegressionFit:

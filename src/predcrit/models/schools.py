@@ -22,8 +22,10 @@ from importlib import resources
 
 import numpy as np
 
+from ..criteria import PointEstimateLogLik, PointEstimates
 from ..draws import PointwiseLogLikMatrix, _csv_rows
 from ..errors import MatrixFormatError, ModelRefusalError
+from .normal import normal_logpdf_inplace
 
 __all__ = [
     "EightSchoolsData",
@@ -211,8 +213,20 @@ class _SchoolsFit:
         if not self._valid.all():
             raise ModelRefusalError("model cannot predict held-out point")
         d = self._data
-        r = d.y - self.theta_bayes
-        return float((-0.5 * np.log(2 * np.pi * d.sigma**2) - r**2 / (2 * d.sigma**2)).sum())
+        return float(normal_logpdf_inplace(d.y - self.theta_bayes, d.sigma**2).sum())
+
+    def point_estimates(self) -> PointEstimates:
+        """Log densities at the posterior mean of the group effects and,
+        for the two flat-prior modes, at the MLE."""
+        mle = None
+        if self._data.mode != "hierarchical":
+            lpd_mle, k = schools_mle(self._data)
+            mle = PointEstimateLogLik(lpd_mle, "mle", k=k)
+        return PointEstimates(
+            lpd_at_mean=self.lpd_at_posterior_mean(),
+            mle=mle,
+            summary={"theta_bayes": self.theta_bayes.tolist()},
+        )
 
     def pointwise_loglik(self, indices=None) -> PointwiseLogLikMatrix:
         d = self._data
@@ -222,12 +236,9 @@ class _SchoolsFit:
                 "model cannot predict held-out point: the no-pooling fit has "
                 "no distribution for an unobserved group"
             )
-        y, sigma = d.y[idx], d.sigma[idx]
-        th = self.theta[:, idx]
-        ll = -0.5 * np.log(2 * np.pi * sigma[None, :] ** 2) - (y[None, :] - th) ** 2 / (
-            2 * sigma[None, :] ** 2
-        )
-        return PointwiseLogLikMatrix(ll)
+        resid = self.theta[:, idx]  # fancy indexing: a fresh buffer
+        np.subtract(d.y[idx], resid, out=resid)
+        return PointwiseLogLikMatrix(normal_logpdf_inplace(resid, d.sigma[idx] ** 2))
 
 
 def schools_mle(data: EightSchoolsData) -> tuple[float, int]:
@@ -236,14 +247,13 @@ def schools_mle(data: EightSchoolsData) -> tuple[float, int]:
     Only the two flat-prior modes have a maximum likelihood estimate; the
     hierarchical model has none, so it raises.
     """
-    y, sigma = data.y, data.sigma
-    base = float((-0.5 * np.log(2 * np.pi * sigma**2)).sum())
-    if data.mode == "no_pooling":
-        return base, data.J
+    y, var = data.y, data.sigma**2
+    if data.mode == "no_pooling":  # theta_j = y_j leaves no residual
+        return float(normal_logpdf_inplace(np.zeros(data.J), var).sum()), data.J
     if data.mode == "complete_pooling":
-        w = 1.0 / sigma**2
+        w = 1.0 / var
         mu_hat = float((w * y).sum() / w.sum())
-        return base - 0.5 * float(((y - mu_hat) ** 2 * w).sum()), 1
+        return float(normal_logpdf_inplace(y - mu_hat, var).sum()), 1
     raise ValueError("the hierarchical model has no maximum likelihood estimate")
 
 

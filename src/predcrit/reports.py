@@ -7,7 +7,7 @@ seed via fixed stream indices.
 """
 from __future__ import annotations
 
-from .criteria import PointEstimateLogLik, criterion_report, lpd_posterior_summary
+from .criteria import criterion_report, lpd_posterior_summary
 from .draws import _write_csv
 from .loo import loo_report
 from .models import (
@@ -17,10 +17,9 @@ from .models import (
     SchoolsModel,
     default_eight_schools,
     default_election,
-    regression_fit,
     schools_fit,
 )
-from .models.schools import POOLING_MODES, schools_mle
+from .models.schools import POOLING_MODES
 from .seeds import derive_seed
 
 __all__ = [
@@ -73,20 +72,18 @@ def schools_table_report(
         d = base.with_mode(mode)
         fit = schools_fit(d, draws, derive_seed(seed, col_idx))
         mat = fit.pointwise_loglik()
+        pe = fit.point_estimates()
 
-        if mode == "hierarchical":
-            rows["minus2_lpd_mle"][mode] = UNDEFINED_AIC_HIERARCHICAL
-            rows["k"][mode] = UNDEFINED_AIC_HIERARCHICAL
-            rows["aic"][mode] = UNDEFINED_AIC_HIERARCHICAL
+        if pe.mle is None:
+            for row in ("minus2_lpd_mle", "k", "aic"):
+                rows[row][mode] = UNDEFINED_AIC_HIERARCHICAL
         else:
-            lpd_mle, k = schools_mle(d)
-            rows["minus2_lpd_mle"][mode] = -2.0 * lpd_mle
-            rows["k"][mode] = float(k)
-            rows["aic"][mode] = -2.0 * (lpd_mle - k)
+            rows["minus2_lpd_mle"][mode] = -2.0 * pe.mle.total_loglik
+            rows["k"][mode] = float(pe.mle.k)
+            rows["aic"][mode] = -2.0 * (pe.mle.total_loglik - pe.mle.k)
 
-        lpd_mean = fit.lpd_at_posterior_mean()
-        rep = criterion_report(mat, lpd_at_mean=lpd_mean, waic_variant=waic_variant)
-        rows["minus2_lpd_mean"][mode] = -2.0 * lpd_mean
+        rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, waic_variant=waic_variant)
+        rows["minus2_lpd_mean"][mode] = -2.0 * pe.lpd_at_mean
         rows["p_dic"][mode] = rep.p_dic
         rows["dic"][mode] = rep.dic
         rows["minus2_lppd"][mode] = -2.0 * rep.lppd
@@ -124,14 +121,13 @@ def election_report(
     """Full regression summary: fit, criteria, exact LOO, and the posterior
     distribution of the total log density (histogram included)."""
     d = data if data is not None else default_election()
-    fit = regression_fit(d, draws, derive_seed(seed, 0))
-    a_mle, b_mle, sigma_mle = fit.mle
-    mle = PointEstimateLogLik(fit.mle_loglik(), "mle", k=3)
-    lpd_mean = fit.lpd_at_posterior_mean(dic_parameterization)
+    model = RegressionModel(dic_parameterization)
+    fit = model.fit(d, draws=draws, seed=derive_seed(seed, 0))
+    pe = fit.point_estimates()
     mat = fit.pointwise_loglik()
-    rep = criterion_report(mat, lpd_at_mean=lpd_mean, mle=mle, waic_variant=waic_variant)
+    rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle, waic_variant=waic_variant)
     summary = lpd_posterior_summary(mat.row_totals(), bins=bins)
-    loo = loo_report(RegressionModel(), d, rep.lppd, draws=draws, seed=derive_seed(seed, 1))
+    loo = loo_report(model, d, rep.lppd, draws=draws, seed=derive_seed(seed, 1))
 
     return {
         "draws": draws,
@@ -139,8 +135,7 @@ def election_report(
         "waic_variant": waic_variant,
         "dic_parameterization": dic_parameterization,
         "n": len(d),
-        "mle": {"a": a_mle, "b": b_mle, "sigma": sigma_mle},
-        "posterior_means": fit.posterior_means,
+        **pe.summary,
         "criteria": rep.to_dict(),
         "loo": loo.to_dict(),
         "lpd_posterior": {

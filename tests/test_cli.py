@@ -5,6 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 from predcrit.cli import main
+from predcrit.models import default_eight_schools
+from predcrit.models.schools import schools_mle
+from predcrit.reports import election_report
 
 
 @pytest.fixture
@@ -49,6 +52,9 @@ def test_criteria_requires_k_with_mle(runner, tmp_path):
     path = _write(tmp_path, "m.csv", "-1\n-2\n")
     result = runner.invoke(main, ["criteria", "--input", path, "--mle-loglik", "-2.5"])
     assert result.exit_code == 2
+    result = runner.invoke(main, ["criteria", "--input", path, "--k", "3"])
+    assert result.exit_code == 2
+    assert "--k requires --mle-loglik" in result.output
 
 
 def test_exit_code_2_for_malformed_csv(runner, tmp_path):
@@ -243,3 +249,40 @@ def test_loo_regression_matches_election_report(runner):
     payload = json.loads(result.output)
     assert payload["loo"]["p_loo"] == pytest.approx(2.9, abs=0.4)
     assert len(payload["loo"]["per_point"]) == 15
+
+
+@pytest.mark.parametrize("mode", ["no_pooling", "complete_pooling", "hierarchical"])
+def test_fit_schools_reports_the_mle_of_flat_modes(runner, mode):
+    result = runner.invoke(
+        main, ["fit", "--model", "schools", "--mode", mode, "--draws", "500", "--format", "json"]
+    )
+    assert result.exit_code == 0
+    report = json.loads(result.output)["report"]
+    if mode == "hierarchical":
+        assert report["lpd_at_mle"] is None and report["aic"] is None
+        return
+    lpd_mle, k = schools_mle(default_eight_schools(mode))
+    assert (report["lpd_at_mle"], report["k"]) == (lpd_mle, k)
+    assert report["aic"] == -2.0 * (lpd_mle - k)
+
+
+def test_fit_regression_matches_election_report(runner):
+    result = runner.invoke(
+        main, ["fit", "--model", "regression", "--draws", "2000", "--seed", "12", "--format", "json"]
+    )
+    assert result.exit_code == 0
+    assert json.loads(result.output)["report"] == election_report(draws=2000, seed=12)["criteria"]
+
+
+def test_fit_single_draw_table_prints_warnings(runner, tmp_path):
+    path = _write(tmp_path, "y.csv", "0.0\n2.0\n1.0\n")
+    result = runner.invoke(main, ["fit", "--model", "normal-mean", "--input", path, "--draws", "1"])
+    assert result.exit_code == 0
+    assert "warning: variance-based estimates" in result.output
+    # election leaves out the criteria one draw cannot give, and says why
+    for fmt in ("table", "csv"):
+        result = runner.invoke(main, ["election", "--draws", "1", "--format", fmt])
+        assert result.exit_code == 0
+        names = {line.replace(",", " ").split()[0] for line in result.output.splitlines()}
+        assert "p_waic1" in names and "p_waic2" not in names
+        assert ("warning: variance-based estimates" in result.output) == (fmt == "table")

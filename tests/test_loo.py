@@ -59,6 +59,12 @@ def test_loo_report_identities_and_error_bars():
     assert abs(rep.lppd_loo - FLAT_N2_LPPD_LOO) < 3 * rep.mc_se_lppd_loo + 1e-3
 
 
+def test_single_draw_loo_has_no_error_bar():
+    # one draw has no spread: its Monte Carlo error is unknown, not zero
+    rep = loo_report(NormalMeanModel(), np.array([0.0, 2.0]), 0.0, draws=1, seed=3)
+    assert rep.mc_se_lppd_loo is None
+
+
 def test_loo_needs_two_points():
     with pytest.raises(ValueError, match="at least 2"):
         lppd_loo(NormalMeanModel(), np.array([1.0]), draws=100, seed=0)
