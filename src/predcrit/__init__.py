@@ -29,7 +29,7 @@ from .criteria import (
 )
 from .errors import MatrixFormatError, ModelRefusalError, NonFiniteLogLikError
 from .expectation import ReplicationPlan, bias_curve, run_expectation_study
-from .loo import LooReport, bias_correct, loo_report, lppd_bar_minus_i, lppd_loo, p_cloo, p_loo
+from .loo import LooReport, bias_correct, loo_report, p_cloo, p_loo
 from .seeds import derive_seed
 
 __version__ = "0.1.0"
@@ -54,8 +54,6 @@ __all__ = [
     "lpd_posterior_summary",
     "criterion_report",
     "LooReport",
-    "lppd_loo",
-    "lppd_bar_minus_i",
     "bias_correct",
     "p_loo",
     "p_cloo",

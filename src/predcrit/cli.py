@@ -7,7 +7,6 @@ derives from the single --seed flag; reports echo seed and draw count.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import sys
 
@@ -23,7 +22,6 @@ from .expectation import (
     ReplicationPlan,
     bias_curve,
     run_expectation_study,
-    write_bias_curve_csv,
 )
 from .loo import loo_report
 from .models import (
@@ -70,40 +68,50 @@ def _handle_errors(fn):
     return wrapper
 
 
-def _emit(text: str, output: str | None) -> None:
+def _numeric_rows(fields: dict) -> list:
+    """One (name, (value,)) row per numeric field of a report, in order."""
+    return [(k, (v,)) for k, v in fields.items() if isinstance(v, (int, float))]
+
+
+def _emit(payload, rows, fmt, output, *, columns=("value",), label="name", decimals=4,
+          warnings=()) -> None:
+    """Write one report to `output` (default stdout): `payload` as JSON, or
+    the `rows` of (name, cells) under the header (`label`, *`columns`) as
+    CSV or as a table.
+
+    CSV writes a number as repr(float) and text as given (no text cell
+    holds a comma). A table left-justifies the names, right-justifies each
+    column at `decimals`, and heads the columns only when there is more
+    than one. A text cell shows the words before its first colon; its full
+    text is listed once below the table, ahead of one line per warning.
+    """
+    if fmt == "json":
+        text = json.dumps(payload, indent=2)
+    elif fmt == "csv":
+        text = "\n".join(",".join((name, *(v if isinstance(v, str) else repr(float(v)) for v in cells)))
+                         for name, cells in [(label, columns), *rows])
+    else:
+        grid = [(name, [v.split(":")[0] if isinstance(v, str) else f"{float(v):.{decimals}f}" for v in cells])
+                for name, cells in rows]
+        if len(columns) > 1:
+            grid.insert(0, (label, list(columns)))
+        name_width = max(len(name) for name, _ in grid)
+        widths = [max(len(cells[j]) for _, cells in grid) for j in range(len(columns))]
+        lines = [name.ljust(name_width) + "".join("  " + c.rjust(w) for c, w in zip(cells, widths))
+                 for name, cells in grid]
+        texts = dict.fromkeys(v for _, cells in rows for v in cells if isinstance(v, str) and ":" in v)
+        if texts:
+            lines += [""] + [f"[{t.split(':')[0]}] {t}" for t in texts]
+        text = "\n".join(lines + [f"warning: {w}" for w in warnings])
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write(text + "\n")
     else:
         click.echo(text)
 
 
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2)
-
-
-def _numeric_pairs(fields: dict) -> list:
-    """The (name, value) pairs of a report's numeric fields, in order."""
-    return [(k, v) for k, v in fields.items() if isinstance(v, (int, float))]
-
-
-def _emit_report(payload, pairs, fmt, output, warnings) -> None:
-    """`payload` as JSON, or the numeric (name, value) `pairs` as CSV or as
-    a table that ends with one `warning:` line per warning."""
-    if fmt == "json":
-        text = _json_dumps(payload)
-    elif fmt == "csv":
-        text = "\n".join(["name,value"] + [f"{k},{float(v)!r}" for k, v in pairs])
-    else:
-        width = max(len(k) for k, _ in pairs)
-        text = "\n".join([f"{k.ljust(width)}  {v:.4f}" for k, v in pairs] + [f"warning: {w}" for w in warnings])
-    _emit(text, output)
-
-
 draws_option = click.option(
-    "--draws", "-S", type=int, default=100_000, show_default=True, help="posterior draws per fit"
+    "--draws", "-S", type=click.IntRange(min=1), default=100_000, show_default=True, help="posterior draws per fit"
 )
 seed_option = click.option(
     "--seed", type=int, default=12345, show_default=True, help="master seed; all streams derive from it"
@@ -143,8 +151,8 @@ def criteria(input_path, lpd_at_mean, mle_loglik, k, waic_variant, fmt, output):
     mle = None if mle_loglik is None else PointEstimateLogLik(mle_loglik, "mle", k=k)
     rep = criterion_report(mat, lpd_at_mean=lpd_at_mean, mle=mle, waic_variant=int(waic_variant))
     payload = {"draws": mat.n_draws, "seed": None, "report": rep.to_dict()}
-    pairs = [("draws", float(mat.n_draws)), ("points", float(mat.n_points))]
-    _emit_report(payload, pairs + _numeric_pairs(payload["report"]), fmt, output, rep.warnings)
+    rows = [("draws", (mat.n_draws,)), ("points", (mat.n_points,))] + _numeric_rows(payload["report"])
+    _emit(payload, rows, fmt, output, warnings=rep.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +230,8 @@ def fit(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
     rep = criterion_report(f.pointwise_loglik(), lpd_at_mean=pe.lpd_at_mean, mle=pe.mle,
                            waic_variant=int(waic_variant))
     payload = {"draws": draws, "seed": seed, "model": model, **pe.summary, "report": rep.to_dict()}
-    pairs = _numeric_pairs(pe.summary) + _numeric_pairs(payload["report"])
-    _emit_report(payload, pairs, fmt, output, rep.warnings)
+    rows = _numeric_rows(pe.summary) + _numeric_rows(payload["report"])
+    _emit(payload, rows, fmt, output, warnings=rep.warnings)
 
 
 @main.command()
@@ -240,7 +248,7 @@ def loo(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting, dra
     full_lppd = lppd(full_fit.pointwise_loglik())
     loo_rep = loo_report(model_obj, data, full_lppd, draws=draws, seed=derive_seed(seed, 1))
     payload = {"draws": draws, "seed": seed, "model": model, "lppd": full_lppd, "loo": loo_rep.to_dict()}
-    _emit_report(payload, [("lppd", full_lppd)] + _numeric_pairs(payload["loo"]), fmt, output, ())
+    _emit(payload, [("lppd", (full_lppd,))] + _numeric_rows(payload["loo"]), fmt, output)
 
 
 # ---------------------------------------------------------------------------
@@ -256,33 +264,9 @@ def schools_table(input_path, draws, seed, waic_variant, fmt, output):
     """Deviance table across no pooling / complete pooling / hierarchical."""
     data = load_schools_csv(input_path) if input_path else None
     table = schools_table_report(data, draws=draws, seed=seed, waic_variant=int(waic_variant))
-    if fmt == "json":
-        _emit(_json_dumps(table), output)
-        return
-    if fmt == "csv":
-        lines = ["row," + ",".join(table["columns"])]
-        for name, per_col in table["rows"].items():
-            cells = [
-                v if isinstance(v, str) else repr(float(v))
-                for v in (per_col[c] for c in table["columns"])
-            ]
-            lines.append(name + "," + ",".join(f'"{c}"' if "," in c else c for c in cells))
-        _emit("\n".join(lines), output)
-        return
     cols = table["columns"]
-    label_width = max(len(r) for r in table["rows"])
-    cell_width = max(len(UNDEFINED_CELL_ABBREV), 18)
-    lines = [" " * label_width + "  " + "  ".join(c.rjust(cell_width) for c in cols)]
-    for name, per_col in table["rows"].items():
-        cells = (UNDEFINED_CELL_ABBREV if isinstance(v, str) else f"{v:.2f}" for v in (per_col[c] for c in cols))
-        lines.append(name.ljust(label_width) + "  " + "  ".join(c.rjust(cell_width) for c in cells))
-    lines.append("")
-    reasons = dict.fromkeys(v for per_col in table["rows"].values() for v in per_col.values() if isinstance(v, str))
-    lines += [f"[{UNDEFINED_CELL_ABBREV}] {reason}" for reason in reasons]
-    _emit("\n".join(lines), output)
-
-
-UNDEFINED_CELL_ABBREV = "undefined"
+    rows = [(name, [per_col[c] for c in cols]) for name, per_col in table["rows"].items()]
+    _emit(table, rows, fmt, output, columns=cols, label="row", decimals=2)
 
 
 @main.command()
@@ -308,30 +292,15 @@ def election(input_path, hist_out, dic_parameterization, draws, seed, waic_varia
     )
     if hist_out:
         write_histogram_csv(rep["lpd_posterior"]["bin_left"], rep["lpd_posterior"]["counts"], hist_out)
-    c = rep["criteria"]
-    pairs_out = [
-        ("mle_a", rep["mle"]["a"]),
-        ("mle_b", rep["mle"]["b"]),
-        ("mle_sigma", rep["mle"]["sigma"]),
-        ("E_sigma", rep["posterior_means"]["sigma"]),
-        ("E_sigma2", rep["posterior_means"]["sigma2"]),
-        ("E_log_sigma", rep["posterior_means"]["log_sigma"]),
-        ("lppd", c["lppd"]),
-        ("elpd_aic", c["elpd_aic"]),
-        ("aic", c["aic"]),
-        ("p_dic", c["p_dic"]),
-        ("dic", c["dic"]),
-        ("p_waic1", c["p_waic1"]),
-        ("p_waic2", c["p_waic2"]),
-        ("waic", c["waic"]),
-        ("lppd_loo", rep["loo"]["lppd_loo"]),
-        ("p_loo", rep["loo"]["p_loo"]),
-        ("p_cloo", rep["loo"]["p_cloo"]),
-        ("lpd_mean", rep["lpd_posterior"]["mean"]),
-        ("lpd_max", rep["lpd_posterior"]["max"]),
-        ("lpd_gap", rep["lpd_posterior"]["gap"]),
-    ]
-    _emit_report(rep, [(k, v) for k, v in pairs_out if v is not None], fmt, output, c["warnings"])
+    sections = (
+        ("mle_", rep["mle"], ("a", "b", "sigma")),
+        ("E_", rep["posterior_means"], ("sigma", "sigma2", "log_sigma")),
+        ("", rep["criteria"], ("lppd", "elpd_aic", "aic", "p_dic", "dic", "p_waic1", "p_waic2", "waic")),
+        ("", rep["loo"], ("lppd_loo", "p_loo", "p_cloo")),
+        ("lpd_", rep["lpd_posterior"], ("mean", "max", "gap")),
+    )
+    rows = [(prefix + k, (fields[k],)) for prefix, fields, keys in sections for k in keys if fields[k] is not None]
+    _emit(rep, rows, fmt, output, warnings=rep["criteria"]["warnings"])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +329,7 @@ def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
         s2y = float(y.var(ddof=1)) if n > 1 else 0.0
     spec = NormalMeanSpec(n=n, ybar=ybar, s2y=s2y, m=m, mu0=mu0)
     table = oracle_mod.formula_table(spec, y=y)
-    _emit_report(table, list(table.items()), fmt, output, ())
+    _emit(table, _numeric_rows(table), fmt, output)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +344,7 @@ def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
               default="auto", show_default=True)
 @click.option("--theta0", type=float, default=0.0, show_default=True)
 @click.option("--mu0", type=float, default=0.0, show_default=True)
-@click.option("--curve", is_flag=True, help="sweep --n-values and emit a bias-curve CSV")
+@click.option("--curve", is_flag=True, help="sweep --n-values and emit a bias curve (CSV unless --format json)")
 @click.option("--n-values", type=str, default=None, help="comma-separated n sweep for --curve")
 @seed_option
 @format_option
@@ -397,9 +366,9 @@ def expect(n, m, replicates, estimators, theta_source, theta0, mu0, curve, n_val
             raise ValueError("--curve requires exactly one --estimator")
         ns = [int(t) for t in n_values.split(",") if t.strip()]
         rows = bias_curve(ns, m, estimators[0], replicates, seed)
-        buf = io.StringIO()
-        write_bias_curve_csv(rows, buf)
-        _emit(buf.getvalue().rstrip("\n"), output)
+        columns = ("estimator", "mc_mean", "mc_se", "oracle")
+        _emit(rows, [(str(r["n"]), [r[c] for c in columns]) for r in rows],
+              "csv" if fmt == "table" else fmt, output, columns=columns, label="n")
         return
 
     if n is None:
@@ -421,22 +390,9 @@ def expect(n, m, replicates, estimators, theta_source, theta0, mu0, curve, n_val
         estimators=chosen,
     )
     result = run_expectation_study(plan)
-    if fmt == "json":
-        _emit(result.to_json(), output)
-    elif fmt == "csv":
-        lines = ["estimator,mc_mean,mc_se,oracle,z"]
-        for name, s in result.stats.items():
-            lines.append(
-                f"{name},{s.mc_mean!r},{s.mc_se!r},{s.oracle_value!r},{s.z_score!r}"
-            )
-        _emit("\n".join(lines), output)
-    else:
-        lines = [f"{'estimator':12s} {'mc_mean':>12s} {'mc_se':>10s} {'oracle':>12s} {'z':>8s}"]
-        for name, s in result.stats.items():
-            lines.append(
-                f"{name:12s} {s.mc_mean:12.5f} {s.mc_se:10.5f} {s.oracle_value:12.5f} {s.z_score:8.2f}"
-            )
-        _emit("\n".join(lines), output)
+    rows = [(name, (s.mc_mean, s.mc_se, s.oracle_value, s.z_score)) for name, s in result.stats.items()]
+    _emit(result.to_dict(), rows, fmt, output, columns=("mc_mean", "mc_se", "oracle", "z"),
+          label="estimator", decimals=5)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .draws import _write_csv
 from .seeds import derive_seed
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "ESTIMATOR_NAMES",
     "run_expectation_study",
     "bias_curve",
-    "write_bias_curve_csv",
 ]
 
 CHUNK = 8192
@@ -257,12 +255,3 @@ def bias_curve(n_values, m: float, estimator: str, R: int, seed: int) -> list[di
             }
         )
     return rows
-
-
-def write_bias_curve_csv(rows, target) -> None:
-    _write_csv(
-        target,
-        ("n", "estimator", "mc_mean", "mc_se", "oracle"),
-        ((str(row["n"]), row["estimator"], repr(row["mc_mean"]), repr(row["mc_se"]), repr(row["oracle"]))
-         for row in rows),
-    )

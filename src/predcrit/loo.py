@@ -25,8 +25,6 @@ __all__ = [
     "PosteriorFit",
     "FittableModel",
     "LooReport",
-    "lppd_loo",
-    "lppd_bar_minus_i",
     "bias_correct",
     "p_loo",
     "p_cloo",
@@ -48,24 +46,6 @@ class FittableModel(Protocol):
     def fit(self, data, exclude: int | None = None, *, draws: int, seed: int) -> PosteriorFit:
         """Fit to `data`, optionally leaving one point out. Must be
         bit-reproducible given (data, exclude, draws, seed)."""
-
-
-def lppd_loo(model: FittableModel, data, *, draws: int, seed: int) -> tuple[float, list[float]]:
-    """Sum over points of log mean held-out density across n refits.
-
-    Returns the total and the per-point held-out log predictive densities.
-    """
-    rep = loo_report(model, data, 0.0, draws=draws, seed=seed)
-    return rep.lppd_loo, rep.per_point
-
-
-def lppd_bar_minus_i(model: FittableModel, data, *, draws: int, seed: int) -> float:
-    """Average over folds of the full-data lppd under each fold posterior.
-
-    Uses the same derived fold seeds as lppd_loo, so the two agree on
-    which posterior each fold produced.
-    """
-    return loo_report(model, data, 0.0, draws=draws, seed=seed).lppd_bar_minus_i
 
 
 def bias_correct(lppd_full: float, lppd_bar: float, lppd_loo_val: float) -> tuple[float, float]:

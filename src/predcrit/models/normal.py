@@ -96,13 +96,15 @@ class _NormalMeanFit:
         return normal_pointwise_loglik(y, self.theta)
 
     def point_estimates(self) -> PointEstimates:
-        """Closed-form log densities of the training data at ybar and at
-        the conjugate posterior mean."""
-        from .. import oracle  # oracle imports this module
+        """Total log density of all n points, the ones `pointwise_loglik`
+        scores, at the training ybar (the MLE) and at the training
+        posterior mean."""
+        def lpd_at(center: float) -> float:
+            return float(normal_logpdf_inplace(self._y - center, 1.0).sum())
 
         return PointEstimates(
-            lpd_at_mean=oracle.lpd_at_posterior_mean(self._spec),
-            mle=PointEstimateLogLik(oracle.lpd_at_mle(self._spec), "mle", k=1),
+            lpd_at_mean=lpd_at(self._spec.posterior_mean),
+            mle=PointEstimateLogLik(lpd_at(self._spec.ybar), "mle", k=1),
             summary={"posterior_mean_theta": float(self.theta.mean())},
         )
 

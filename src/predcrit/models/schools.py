@@ -216,14 +216,16 @@ class _SchoolsFit:
         return float(normal_logpdf_inplace(d.y - self.theta_bayes, d.sigma**2).sum())
 
     def point_estimates(self) -> PointEstimates:
-        """Log densities at the posterior mean of the group effects and,
-        for the two flat-prior modes, at the MLE."""
+        """Log densities of all J groups at the posterior mean of the group
+        effects and, for the two flat-prior modes, at the training MLE. A
+        no-pooling refit refuses, as its `pointwise_loglik` does."""
+        lpd_at_mean = self.lpd_at_posterior_mean()
         mle = None
         if self._data.mode != "hierarchical":
-            lpd_mle, k = schools_mle(self._data)
+            lpd_mle, k = schools_mle(self._data, self._exclude)
             mle = PointEstimateLogLik(lpd_mle, "mle", k=k)
         return PointEstimates(
-            lpd_at_mean=self.lpd_at_posterior_mean(),
+            lpd_at_mean=lpd_at_mean,
             mle=mle,
             summary={"theta_bayes": self.theta_bayes.tolist()},
         )
@@ -241,17 +243,23 @@ class _SchoolsFit:
         return PointwiseLogLikMatrix(normal_logpdf_inplace(resid, d.sigma[idx] ** 2))
 
 
-def schools_mle(data: EightSchoolsData) -> tuple[float, int]:
-    """(total log density at the MLE, parameter count k).
+def schools_mle(data: EightSchoolsData, exclude: int | None = None) -> tuple[float, int]:
+    """(total log density of all J groups at the MLE, parameter count k).
 
+    `exclude` leaves one group out of the estimate, not out of the total.
     Only the two flat-prior modes have a maximum likelihood estimate; the
-    hierarchical model has none, so it raises.
+    hierarchical model has none, and no pooling has none for a left-out
+    group, so those raise.
     """
     y, var = data.y, data.sigma**2
     if data.mode == "no_pooling":  # theta_j = y_j leaves no residual
+        if exclude is not None:
+            raise ModelRefusalError("model cannot predict held-out point")
         return float(normal_logpdf_inplace(np.zeros(data.J), var).sum()), data.J
     if data.mode == "complete_pooling":
         w = 1.0 / var
+        if exclude is not None:
+            w[exclude] = 0.0
         mu_hat = float((w * y).sum() / w.sum())
         return float(normal_logpdf_inplace(y - mu_hat, var).sum()), 1
     raise ValueError("the hierarchical model has no maximum likelihood estimate")

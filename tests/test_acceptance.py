@@ -251,7 +251,7 @@ def test_criterion_6_property_suite():
     from predcrit.expectation import _chunk_sizes, _replicate_chunk
     from predcrit.models import SchoolsModel, default_eight_schools
     from predcrit.seeds import derive_seed
-    from predcrit.loo import lppd_loo
+    from predcrit.loo import loo_report
 
     mat = PointwiseLogLikMatrix(rng.normal(-5, 2, size=(200, 10)))
     jensen_ok = all(
@@ -282,7 +282,7 @@ def test_criterion_6_property_suite():
 
     model = NormalMeanModel()
     y = rng.normal(size=5)
-    total, per_point = lppd_loo(model, y, draws=2_000, seed=8)
+    per_point = loo_report(model, y, 0.0, draws=2_000, seed=8).per_point
     redone = {
         i: log_mean_exp(
             model.fit(y, exclude=i, draws=2_000, seed=derive_seed(8, i))
@@ -305,7 +305,7 @@ def test_criterion_6_property_suite():
 
     refused = False
     try:
-        lppd_loo(SchoolsModel(), default_eight_schools(mode="no_pooling"), draws=200, seed=1)
+        loo_report(SchoolsModel(), default_eight_schools(mode="no_pooling"), 0.0, draws=200, seed=1)
     except ModelRefusalError as exc:
         refused = "model cannot predict held-out point" in str(exc)
     _check(failures, "no-pooling LOO refusal error", refused)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -286,3 +287,94 @@ def test_fit_single_draw_table_prints_warnings(runner, tmp_path):
         names = {line.replace(",", " ").split()[0] for line in result.output.splitlines()}
         assert "p_waic1" in names and "p_waic2" not in names
         assert ("warning: variance-based estimates" in result.output) == (fmt == "table")
+
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["fit", "--model", "regression"],
+    ["loo", "--model", "regression"],
+    ["schools-table"],
+    ["election"],
+], ids=lambda argv: argv[0])
+def test_draws_below_one_is_a_usage_error(runner, command, draws):
+    result = runner.invoke(main, [*command, "--draws", draws])
+    assert result.exit_code == 2
+    assert "--draws" in result.output
+
+
+def _flat_field(payload, name, column):
+    return {**payload, **payload.get("report", {}), **payload.get("loo", {})}[name]
+
+
+def _election_field(payload, name, column):
+    prefix, _, key = name.partition("_")
+    section = {"mle": "mle", "E": "posterior_means", "lpd": "lpd_posterior"}.get(prefix)
+    if section:
+        return payload[section][key]
+    return {**payload["criteria"], **payload["loo"]}[name]
+
+
+def _expect_field(payload, name, column):
+    return payload["estimators"][name][{"oracle": "oracle_value", "z": "z_score"}.get(column, column)]
+
+
+_D = ["--draws", "1000", "--seed", "7"]
+_Y = "0.0\n2.0\n1.0\n-0.5\n"
+_GROUPS = "group_1,group_2\n1.0,2.0\n0.5,1.5\n1.5,2.5\n"
+# command -> (argv, text of its --input file or None, the JSON field behind CSV cell (name, column))
+EMITTED = {
+    "criteria": (["criteria", "--mle-loglik", "-2.5", "--k", "2", "--lpd-at-mean", "-2.8"],
+                 "point_1,point_2\n-1,-2\n-1.5,-1.8\n-1.2,-2.5\n",
+                 lambda p, name, col: {"points": 2, **p, **p["report"]}[name]),
+    "fit-normal-mean": (["fit", "--model", "normal-mean", "--m", "1.5", "--mu0", "0.4", *_D], _Y, _flat_field),
+    "fit-schools-no-pooling": (["fit", "--model", "schools", "--mode", "no_pooling", *_D], None, _flat_field),
+    "fit-schools-complete-pooling": (["fit", "--model", "schools", "--mode", "complete_pooling", *_D], None,
+                                     _flat_field),
+    "fit-schools-hierarchical": (["fit", "--model", "schools", *_D], None, _flat_field),
+    "fit-balanced-observation": (["fit", "--model", "balanced", *_D], _GROUPS, _flat_field),
+    "fit-balanced-group": (["fit", "--model", "balanced", "--counting", "group", *_D], _GROUPS, _flat_field),
+    "fit-single-draw": (["fit", "--model", "regression", "--draws", "1"], None, _flat_field),
+    "loo-normal-mean": (["loo", "--model", "normal-mean", *_D], _Y, _flat_field),
+    "loo-regression": (["loo", "--model", "regression", *_D], None, _flat_field),
+    "loo-schools-complete-pooling": (["loo", "--model", "schools", "--mode", "complete_pooling", *_D], None,
+                                     _flat_field),
+    "loo-schools-hierarchical": (["loo", "--model", "schools", *_D], None, _flat_field),
+    "schools-table": (["schools-table", *_D], None, lambda p, name, col: p["rows"][name][col]),
+    "election": (["election", *_D], None, _election_field),
+    "election-single-draw": (["election", "--draws", "1"], None, _election_field),
+    "oracle": (["oracle", "--n", "3", "--y", "0,2,1"], None, _flat_field),
+    "expect": (["expect", "--n", "5", "-R", "2000"], None, _expect_field),
+    "expect-curve": (["expect", "--curve", "--n-values", "2,5", "--estimator", "aic", "-R", "2000"], None,
+                     lambda p, name, col: {str(row["n"]): row for row in p}[name][col]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("command", list(EMITTED))
+def test_every_command_renders_one_report_in_every_format(runner, tmp_path, command, fmt):
+    argv, input_text, field = EMITTED[command]
+    if input_text is not None:
+        argv = [*argv, "--input", _write(tmp_path, "in.csv", input_text)]
+    payload = json.loads(runner.invoke(main, [*argv, "--format", "json"]).output)
+    result = runner.invoke(main, [*argv, "--format", fmt])
+    assert result.exit_code == 0
+    if fmt == "json":
+        assert json.loads(result.output) == payload
+        return
+    header, *rows = list(csv.reader(runner.invoke(main, [*argv, "--format", "csv"]).output.splitlines()))
+    if fmt == "csv":
+        for name, *cells in rows:
+            for column, cell in zip(header[1:], cells):
+                want = field(payload, name, column)
+                assert (cell if isinstance(want, str) else float(cell)) == want, (name, column)
+        return
+    if command == "expect-curve":  # a curve is plot data: its table is its CSV
+        assert result.output == runner.invoke(main, [*argv, "--format", "csv"]).output
+        return
+    lines = result.output.splitlines()
+    if len(header) > 2:  # several columns: the table repeats the header
+        assert lines.pop(0).split() == header
+    assert [line.split()[0] for line in lines[: len(rows)]] == [row[0] for row in rows]
+    report = payload.get("report") or payload.get("criteria") or {}
+    warnings = [f"warning: {w}" for w in report.get("warnings", [])]
+    assert lines[len(lines) - len(warnings):] == warnings

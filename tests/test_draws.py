@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from predcrit import cli
 from predcrit.draws import (
     PointwiseLogLikMatrix,
     log_mean_exp,
@@ -16,7 +18,6 @@ from predcrit.draws import (
     write_loglik_csv,
 )
 from predcrit.errors import MatrixFormatError, NonFiniteLogLikError
-from predcrit.expectation import write_bias_curve_csv
 from predcrit.reports import write_histogram_csv
 
 
@@ -281,7 +282,7 @@ def test_csv_writer_bytes_match_csv_module(header, tmp_path):
     assert read_loglik_csv(path).values.tobytes() == m.values.tobytes()
 
 
-def test_plot_csv_writers_pin_bytes(tmp_path):
+def test_plot_csv_writers_pin_bytes(tmp_path, monkeypatch):
     hist = tmp_path / "hist.csv"
     write_histogram_csv(np.array([-43.25, -42.5, 0.1]), np.array([3, 0, 12]), hist)
     assert hist.read_bytes() == b"bin_left,count\n-43.25,3\n-42.5,0\n0.1,12\n"
@@ -289,9 +290,12 @@ def test_plot_csv_writers_pin_bytes(tmp_path):
         {"n": 2, "estimator": "cloo", "mc_mean": -0.125, "mc_se": 0.01, "oracle": 1 / 3},
         {"n": 5, "estimator": "cloo", "mc_mean": 1e-20, "mc_se": 0.0, "oracle": -2.5},
     ]
-    buf = io.StringIO()
-    write_bias_curve_csv(rows, buf)
-    assert buf.getvalue().encode() == (
+    # the bias curve is written by `expect --curve`; pin its bytes on fixed rows
+    monkeypatch.setattr(cli, "bias_curve", lambda *args: rows)
+    curve = tmp_path / "curve.csv"
+    argv = ["expect", "--curve", "--n-values", "2,5", "--estimator", "cloo", "--output", str(curve)]
+    assert CliRunner().invoke(cli.main, argv).exit_code == 0
+    assert curve.read_bytes() == (
         b"n,estimator,mc_mean,mc_se,oracle\n"
         b"2,cloo,-0.125,0.01,0.3333333333333333\n"
         b"5,cloo,1e-20,0.0,-2.5\n"

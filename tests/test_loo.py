@@ -8,8 +8,6 @@ from predcrit.errors import ModelRefusalError
 from predcrit.loo import (
     bias_correct,
     loo_report,
-    lppd_bar_minus_i,
-    lppd_loo,
     p_cloo,
     p_loo,
 )
@@ -39,10 +37,11 @@ def test_p_loo_and_p_cloo_are_exact_differences():
 def test_refit_loo_matches_flat_normal_closed_form():
     model = NormalMeanModel()
     y = np.array([0.0, 2.0])
-    total, per_point = lppd_loo(model, y, draws=100_000, seed=321)
+    rep = loo_report(model, y, 0.0, draws=100_000, seed=321)
+    total, per_point = rep.lppd_loo, rep.per_point
     assert len(per_point) == 2
     assert total == pytest.approx(FLAT_N2_LPPD_LOO, abs=0.02)
-    bar = lppd_bar_minus_i(model, y, draws=100_000, seed=321)
+    bar = rep.lppd_bar_minus_i
     assert bar == pytest.approx(FLAT_N2_LPPD_BAR, abs=0.02)
 
 
@@ -67,9 +66,7 @@ def test_single_draw_loo_has_no_error_bar():
 
 def test_loo_needs_two_points():
     with pytest.raises(ValueError, match="at least 2"):
-        lppd_loo(NormalMeanModel(), np.array([1.0]), draws=100, seed=0)
-    with pytest.raises(ValueError):
-        lppd_bar_minus_i(NormalMeanModel(), np.array([1.0]), draws=100, seed=0)
+        loo_report(NormalMeanModel(), np.array([1.0]), 0.0, draws=100, seed=0)
 
 
 class _FixedPosteriorModel:
@@ -92,7 +89,7 @@ def test_identical_fold_posteriors_reduce_bar_to_common_lppd():
     rng = np.random.default_rng(17)
     mat = PointwiseLogLikMatrix(rng.normal(-2, 1, size=(64, 5)))
     model = _FixedPosteriorModel(mat)
-    bar = lppd_bar_minus_i(model, np.zeros(5), draws=64, seed=1)
+    bar = loo_report(model, np.zeros(5), 0.0, draws=64, seed=1).lppd_bar_minus_i
     assert bar == pytest.approx(lppd(mat), rel=1e-13)
 
 
@@ -100,14 +97,15 @@ def test_fold_order_independence_bitwise():
     model = NormalMeanModel(m=0.5, mu0=1.0)
     rng = np.random.default_rng(99)
     y = rng.normal(0.5, 1.0, size=6)
-    total, per_point = lppd_loo(model, y, draws=5_000, seed=777)
+    rep = loo_report(model, y, 0.0, draws=5_000, seed=777)
+    total, per_point = rep.lppd_loo, rep.per_point
     # recompute folds in scrambled order straight from derived seeds
     scrambled = {}
     for i in (3, 0, 5, 2, 4, 1):
         fit = model.fit(y, exclude=i, draws=5_000, seed=derive_seed(777, i))
         scrambled[i] = log_mean_exp(fit.pointwise_loglik([i]).column(0))
     assert [scrambled[i] for i in range(6)] == per_point
-    total2, _ = lppd_loo(model, y, draws=5_000, seed=777)
+    total2 = loo_report(model, y, 0.0, draws=5_000, seed=777).lppd_loo
     assert total2 == total
 
 
@@ -123,4 +121,4 @@ def test_derived_seeds_are_distinct_and_deterministic():
 def test_no_pooling_refusal_propagates_through_loo():
     data = default_eight_schools(mode="no_pooling")
     with pytest.raises(ModelRefusalError, match="model cannot predict held-out point"):
-        lppd_loo(SchoolsModel(), data, draws=500, seed=1)
+        loo_report(SchoolsModel(), data, 0.0, draws=500, seed=1)

@@ -14,6 +14,8 @@ from predcrit.models import (
     NormalMeanModel,
     NormalMeanSpec,
     RegressionData,
+    RegressionModel,
+    SchoolsModel,
     balanced_group_posterior_draws,
     balanced_hierarchical_loglik,
     default_eight_schools,
@@ -249,8 +251,6 @@ def test_new_groups_prediction_mode():
 
 def test_no_pooling_heldout_refusal_direct():
     data = default_eight_schools(mode="no_pooling")
-    from predcrit.models import SchoolsModel
-
     fit = SchoolsModel().fit(data, exclude=2, draws=100, seed=0)
     with pytest.raises(ModelRefusalError):
         fit.pointwise_loglik([2])
@@ -342,3 +342,54 @@ def test_balanced_input_validation():
         balanced_group_posterior_draws(y, mu=0.0, tau=0.0, draws=10, seed=1)
     with pytest.raises(ValueError):
         balanced_hierarchical_loglik(np.zeros((10, 2)), y, "group")
+
+
+# ---------------------------------------------------------------------------
+# point_estimates(): all n points, at the training estimates
+# ---------------------------------------------------------------------------
+
+def _normal_total(y, mean, var) -> float:
+    return float(np.sum(-0.5 * np.log(2 * np.pi * var) - (y - mean) ** 2 / (2 * var)))
+
+
+def test_normal_mean_point_estimates_match_the_oracle_on_a_full_fit():
+    y = np.array([0.0, 2.0, 1.0, -0.5])
+    spec = NormalMeanSpec.from_data(y, m=1.5, mu0=0.4)
+    pe = NormalMeanModel(m=1.5, mu0=0.4).fit(y, draws=10, seed=1).point_estimates()
+    assert pe.mle.total_loglik == pytest.approx(oracle.lpd_at_mle(spec), rel=1e-12)
+    assert pe.lpd_at_mean == pytest.approx(oracle.lpd_at_posterior_mean(spec), rel=1e-12)
+
+
+def test_normal_mean_refit_scores_all_points_at_the_training_estimates():
+    y = np.array([0.0, 2.0, 1.0, -0.5])
+    pe = NormalMeanModel(m=1.5, mu0=0.4).fit(y, exclude=0, draws=10, seed=1).point_estimates()
+    train = y[1:]
+    post_mean = (1.5 * 0.4 + train.sum()) / (1.5 + train.size)
+    assert pe.mle.total_loglik == pytest.approx(_normal_total(y, train.mean(), 1.0), rel=1e-12)
+    assert pe.lpd_at_mean == pytest.approx(_normal_total(y, post_mean, 1.0), rel=1e-12)
+
+
+def test_regression_refit_scores_all_points_at_the_training_estimates():
+    data = default_election()
+    fit = RegressionModel().fit(data, exclude=3, draws=2_000, seed=5)
+    pe = fit.point_estimates()
+    x, y = np.delete(data.x, 3), np.delete(data.y, 3)
+    design = np.column_stack([np.ones_like(x), x])
+    (a, b), rss = np.linalg.lstsq(design, y, rcond=None)[:2]
+    sigma2 = float(rss[0]) / x.size
+    assert pe.mle.total_loglik == pytest.approx(_normal_total(data.y, a + b * data.x, sigma2), rel=1e-12)
+    pm = fit.posterior_means
+    at_mean = _normal_total(data.y, pm["a"] + pm["b"] * data.x, np.exp(2 * pm["log_sigma"]))
+    assert pe.lpd_at_mean == pytest.approx(at_mean, rel=1e-12)
+
+
+def test_schools_refits_follow_pointwise_loglik():
+    with pytest.raises(ModelRefusalError):
+        SchoolsModel().fit(default_eight_schools(mode="no_pooling"), exclude=2, draws=100, seed=0).point_estimates()
+    with pytest.raises(ModelRefusalError):
+        schools_mle(default_eight_schools(mode="no_pooling"), exclude=2)
+    data = default_eight_schools(mode="complete_pooling")
+    pe = SchoolsModel().fit(data, exclude=2, draws=100, seed=0).point_estimates()
+    w = np.delete(1 / data.sigma**2, 2)
+    mu_hat = float((w * np.delete(data.y, 2)).sum() / w.sum())
+    assert pe.mle.total_loglik == pytest.approx(_normal_total(data.y, mu_hat, data.sigma**2), rel=1e-12)

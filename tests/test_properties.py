@@ -9,7 +9,7 @@ from predcrit.criteria import PointEstimateLogLik, criterion_report, p_waic1, p_
 from predcrit.draws import PointwiseLogLikMatrix, log_mean_exp, lppd
 from predcrit.errors import ModelRefusalError
 from predcrit.expectation import ReplicationPlan, _chunk_sizes, _replicate_chunk, run_expectation_study
-from predcrit.loo import loo_report, lppd_loo
+from predcrit.loo import loo_report
 from predcrit.models import NormalMeanModel, SchoolsModel, default_eight_schools
 from predcrit.seeds import derive_seed
 
@@ -62,14 +62,15 @@ def test_fold_parallelism_is_bit_reproducible():
     model = NormalMeanModel(m=1.0, mu0=0.5)
     rng = np.random.default_rng(4)
     y = rng.normal(size=5)
-    total, per_point = lppd_loo(model, y, draws=4_000, seed=31)
+    rep = loo_report(model, y, 0.0, draws=4_000, seed=31)
+    total, per_point = rep.lppd_loo, rep.per_point
     # folds recomputed independently, in reverse, from derived seeds
     redone = []
     for i in reversed(range(5)):
         fit = model.fit(y, exclude=i, draws=4_000, seed=derive_seed(31, i))
         redone.append(log_mean_exp(fit.pointwise_loglik([i]).column(0)))
     assert redone[::-1] == per_point
-    assert lppd_loo(model, y, draws=4_000, seed=31)[0] == total
+    assert loo_report(model, y, 0.0, draws=4_000, seed=31).lppd_loo == total
 
 
 def test_replicate_parallelism_is_bit_reproducible():
