@@ -10,7 +10,6 @@ from .draws import (
     log_mean_exp,
     lppd,
     mc_standard_error,
-    mean_total_loglik,
     read_loglik_csv,
     sample_variance,
 )
@@ -21,11 +20,7 @@ from .criteria import (
     bic,
     criterion_report,
     lpd_posterior_summary,
-    p_dic,
     p_dic_alt,
-    p_waic1,
-    p_waic2,
-    waic,
 )
 from .errors import MatrixFormatError, ModelRefusalError, NonFiniteLogLikError
 from .expectation import ReplicationPlan, bias_curve, run_expectation_study
@@ -40,17 +35,12 @@ __all__ = [
     "sample_variance",
     "mc_standard_error",
     "lppd",
-    "mean_total_loglik",
     "read_loglik_csv",
     "PointEstimateLogLik",
     "CriterionReport",
     "aic",
     "bic",
-    "p_dic",
     "p_dic_alt",
-    "p_waic1",
-    "p_waic2",
-    "waic",
     "lpd_posterior_summary",
     "criterion_report",
     "LooReport",

@@ -69,8 +69,22 @@ def _handle_errors(fn):
 
 
 def _numeric_rows(fields: dict) -> list:
-    """One (name, (value,)) row per numeric field of a report, in order."""
-    return [(k, (v,)) for k, v in fields.items() if isinstance(v, (int, float))]
+    """One (name, (value,)) row per numeric field of a report, in order; a
+    field holding a dict gives one `<field>_<key>` row per numeric entry."""
+    rows = []
+    for k, v in fields.items():
+        items = [(f"{k}_{f}", x) for f, x in v.items()] if isinstance(v, dict) else [(k, v)]
+        rows += [(name, (x,)) for name, x in items if isinstance(x, (int, float))]
+    return rows
+
+
+def _parse_list(text: str, option: str, kind=float) -> list:
+    """The comma-separated values of `option`, blank entries skipped."""
+    try:
+        return [kind(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise MatrixFormatError(f"{option} must be a comma-separated list of {noun}") from None
 
 
 def _emit(payload, rows, fmt, output, *, columns=("value",), label="name", decimals=4,
@@ -148,9 +162,9 @@ def criteria(input_path, lpd_at_mean, mle_loglik, k, waic_variant, fmt, output):
     if (k is None) != (mle_loglik is None):
         raise ValueError("--mle-loglik requires --k" if k is None else "--k requires --mle-loglik")
     mat = read_loglik_csv(input_path)
-    mle = None if mle_loglik is None else PointEstimateLogLik(mle_loglik, "mle", k=k)
+    mle = None if mle_loglik is None else PointEstimateLogLik(mle_loglik, k)
     rep = criterion_report(mat, lpd_at_mean=lpd_at_mean, mle=mle, waic_variant=int(waic_variant))
-    payload = {"draws": mat.n_draws, "seed": None, "report": rep.to_dict()}
+    payload = {"draws": mat.n_draws, "points": mat.n_points, "seed": None, "report": rep.to_dict()}
     rows = [("draws", (mat.n_draws,)), ("points", (mat.n_points,))] + _numeric_rows(payload["report"])
     _emit(payload, rows, fmt, output, warnings=rep.warnings)
 
@@ -319,10 +333,7 @@ def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
     """Closed-form values for the unit-variance normal-mean family."""
     y = None
     if y_csv is not None:
-        try:
-            y = np.array([float(t) for t in y_csv.split(",") if t.strip()])
-        except ValueError:
-            raise MatrixFormatError("--y must be a comma-separated list of numbers") from None
+        y = np.array(_parse_list(y_csv, "--y"))
         if y.size != n:
             raise ValueError(f"--y has {y.size} values but --n is {n}")
         ybar = float(y.mean())
@@ -360,18 +371,13 @@ def expect(n, m, replicates, estimators, theta_source, theta0, mu0, curve, n_val
         replicates = 10_000 if curve else 100_000
 
     if curve:
-        if not n_values:
+        ns = _parse_list(n_values or "", "--n-values", int)
+        if not ns:
             raise ValueError("--curve requires --n-values")
         if len(estimators) != 1:
             raise ValueError("--curve requires exactly one --estimator")
-        ns = [int(t) for t in n_values.split(",") if t.strip()]
-        rows = bias_curve(ns, m, estimators[0], replicates, seed)
-        columns = ("estimator", "mc_mean", "mc_se", "oracle")
-        _emit(rows, [(str(r["n"]), [r[c] for c in columns]) for r in rows],
-              "csv" if fmt == "table" else fmt, output, columns=columns, label="n")
-        return
-
-    if n is None:
+        n = ns[0]  # the plan is checked at the first point; bias_curve sets each point's n
+    elif n is None:
         raise ValueError("--n is required unless --curve is given")
     if estimators:
         chosen = tuple(estimators)
@@ -389,6 +395,12 @@ def expect(n, m, replicates, estimators, theta_source, theta0, mu0, curve, n_val
         seed=seed,
         estimators=chosen,
     )
+    if curve:
+        rows = bias_curve(plan, ns)
+        columns = ("estimator", "mc_mean", "mc_se", "oracle")
+        _emit(rows, [(str(r["n"]), [r[c] for c in columns]) for r in rows],
+              "csv" if fmt == "table" else fmt, output, columns=columns, label="n")
+        return
     result = run_expectation_study(plan)
     rows = [(name, (s.mc_mean, s.mc_se, s.oracle_value, s.z_score)) for name, s in result.stats.items()]
     _emit(result.to_dict(), rows, fmt, output, columns=("mc_mean", "mc_se", "oracle", "z"),

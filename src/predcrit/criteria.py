@@ -23,7 +23,6 @@ import numpy as np
 from .draws import (
     PointwiseLogLikMatrix,
     _column_pass,
-    lppd,
     mc_standard_error,
     sample_variance,
 )
@@ -35,11 +34,7 @@ __all__ = [
     "LpdPosteriorSummary",
     "aic",
     "bic",
-    "p_dic",
     "p_dic_alt",
-    "p_waic1",
-    "p_waic2",
-    "waic",
     "lpd_posterior_summary",
     "criterion_report",
 ]
@@ -47,26 +42,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PointEstimateLogLik:
-    """Total log density of the data at a point estimate.
-
-    `estimate_kind` records which estimate produced it ("mle" or
-    "posterior_mean"); `k` is the count of estimated parameters and is
-    required for the AIC/BIC penalty.
-    """
+    """Total log density of the data at the maximum likelihood estimate,
+    and `k`, the count of estimated parameters the AIC/BIC penalty needs."""
 
     total_loglik: float
-    estimate_kind: str
-    k: int | None = None
+    k: int
 
     def __post_init__(self):
         if not math.isfinite(self.total_loglik):
             raise ValueError("point-estimate log likelihood must be finite")
-        if self.estimate_kind not in ("mle", "posterior_mean"):
-            raise ValueError(f"unknown estimate kind: {self.estimate_kind!r}")
-        if self.k is not None and self.k < 0:
+        if self.k < 0:
             raise ValueError("parameter count k must be nonnegative")
-        if self.estimate_kind == "mle" and self.k is None:
-            raise ValueError("parameter count k is required for an MLE estimate")
 
 
 @dataclass(frozen=True)
@@ -82,66 +68,20 @@ class PointEstimates:
 
 def aic(pe: PointEstimateLogLik) -> tuple[float, float]:
     """(elpd_aic, AIC): penalized plug-in fit and its deviance scale."""
-    if pe.estimate_kind != "mle":
-        raise ValueError("AIC requires the maximum likelihood estimate")
     elpd = pe.total_loglik - pe.k
     return elpd, -2.0 * elpd
 
 
 def bic(pe: PointEstimateLogLik, n: int) -> float:
     """-2 log p(y|theta_mle) + k log n."""
-    if pe.estimate_kind != "mle":
-        raise ValueError("BIC requires the maximum likelihood estimate")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be an integer >= 1")
     return -2.0 * pe.total_loglik + pe.k * math.log(n)
 
 
-def p_dic(lpd_at_mean: float, m: PointwiseLogLikMatrix) -> float:
-    """Effective parameters: 2 (log p(y|theta_mean) - E_post log p(y|theta)).
-
-    Can come out negative when the posterior mean is far from the mode;
-    callers should surface that as a warning, not clamp it.
-    """
-    return _p_dic(lpd_at_mean, m.row_totals())
-
-
-def _p_dic(lpd_at_mean: float, row_totals: np.ndarray) -> float:
-    if not math.isfinite(lpd_at_mean):
-        raise ValueError("lpd_at_mean must be finite")
-    return 2.0 * (lpd_at_mean - float(row_totals.mean()))
-
-
 def p_dic_alt(row_totals) -> float:
     """Variance form: 2 Var_post of the per-draw total log likelihood."""
     return 2.0 * sample_variance(row_totals)
-
-
-def p_waic1(m: PointwiseLogLikMatrix) -> float:
-    """2 sum_i (log E_post p(y_i|theta) - E_post log p(y_i|theta)).
-
-    Nonnegative by Jensen's inequality.
-    """
-    return _column_pass(m).p_waic1
-
-
-def p_waic2(m: PointwiseLogLikMatrix) -> float:
-    """Sum over points of the sample variance of log p(y_i|theta^s)."""
-    if m.n_draws < 2:
-        raise ValueError("variance requires at least 2 draws")
-    return _column_pass(m).p_waic2
-
-
-def waic(m: PointwiseLogLikMatrix, variant: int = 2) -> tuple[float, float]:
-    """(elppd_waic, WAIC) for the chosen penalty variant."""
-    if variant == 1:
-        penalty = p_waic1(m)
-    elif variant == 2:
-        penalty = p_waic2(m)
-    else:
-        raise ValueError("WAIC variant must be 1 or 2")
-    elppd = lppd(m) - penalty
-    return elppd, -2.0 * elppd
 
 
 @dataclass(frozen=True)
@@ -265,8 +205,12 @@ def criterion_report(
         report.waic = -2.0 * report.elppd_waic1
 
     if lpd_at_mean is not None:
+        if not math.isfinite(lpd_at_mean):
+            raise ValueError("lpd_at_mean must be finite")
         report.lpd_at_mean = float(lpd_at_mean)
-        pd = _p_dic(lpd_at_mean, cp.totals)
+        # 2 (log p(y|theta_mean) - E_post log p(y|theta)); negative when the
+        # posterior mean is far from the mode, which is warned of, not clamped
+        pd = 2.0 * (lpd_at_mean - float(cp.totals.mean()))
         report.p_dic = pd
         report.elpd_dic = lpd_at_mean - pd
         report.dic = -2.0 * report.elpd_dic

@@ -28,8 +28,6 @@ __all__ = [
     "sample_variance",
     "mc_standard_error",
     "lppd",
-    "lppd_mc_se",
-    "mean_total_loglik",
     "read_loglik_csv",
     "write_loglik_csv",
 ]
@@ -179,19 +177,6 @@ def _column_pass(m: PointwiseLogLikMatrix) -> _ColumnPass:
         dev2_sums=buf.sum(axis=1),
         totals=m.row_totals(),
     )
-
-
-def lppd_mc_se(m: PointwiseLogLikMatrix) -> float:
-    """Delta-method Monte Carlo standard error of lppd over the S draws:
-    the error of the mean of the per-draw ratio sums R_s, whose mean is n.
-    The shift keeps the ratios stable at any log-density magnitude.
-    """
-    return mc_standard_error(_column_pass(m).ratio_sums)
-
-
-def mean_total_loglik(m: PointwiseLogLikMatrix) -> float:
-    """Grand mean over draws of the per-draw total log likelihood."""
-    return float(m.row_totals().mean())
 
 
 def _header(width: int) -> list[str]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -231,27 +231,15 @@ def run_expectation_study(plan: ReplicationPlan) -> ExpectationResult:
     return result
 
 
-def bias_curve(n_values, m: float, estimator: str, R: int, seed: int) -> list[dict]:
-    """One expectation study per n; rows ready for CSV or plotting."""
+def bias_curve(plan: ReplicationPlan, n_values) -> list[dict]:
+    """One expectation study per n: `plan` with that n and the seed derived
+    from (plan.seed, position of n). One row per n and estimator, ready for
+    CSV or plotting."""
     rows = []
-    source = "from_prior" if m > 0 else "fixed"
     for idx, n in enumerate(n_values):
-        plan = ReplicationPlan(
-            R=R,
-            n=int(n),
-            m=m,
-            theta_source=source,
-            seed=derive_seed(seed, idx),
-            estimators=(estimator,),
-        )
-        stat = run_expectation_study(plan).stats[estimator]
-        rows.append(
-            {
-                "n": int(n),
-                "estimator": estimator,
-                "mc_mean": stat.mc_mean,
-                "mc_se": stat.mc_se,
-                "oracle": stat.oracle_value,
-            }
-        )
+        result = run_expectation_study(replace(plan, n=int(n), seed=derive_seed(plan.seed, idx)))
+        rows += [
+            {"n": int(n), "estimator": name, "mc_mean": s.mc_mean, "mc_se": s.mc_se, "oracle": s.oracle_value}
+            for name, s in result.stats.items()
+        ]
     return rows

@@ -11,7 +11,6 @@ under the fold posterior, and the corrected estimate is lppd_loo + b.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -83,9 +82,6 @@ class LooReport:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def loo_report(

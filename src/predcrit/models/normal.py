@@ -104,7 +104,7 @@ class _NormalMeanFit:
 
         return PointEstimates(
             lpd_at_mean=lpd_at(self._spec.posterior_mean),
-            mle=PointEstimateLogLik(lpd_at(self._spec.ybar), "mle", k=1),
+            mle=PointEstimateLogLik(lpd_at(self._spec.ybar), k=1),
             summary={"posterior_mean_theta": float(self.theta.mean())},
         )
 

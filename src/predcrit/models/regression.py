@@ -102,7 +102,7 @@ class _RegressionFit:
         the posterior mean under the model's DIC parameterization."""
         return PointEstimates(
             lpd_at_mean=self.lpd_at_posterior_mean(self._dic_parameterization),
-            mle=PointEstimateLogLik(self._total_loglik_at(*self.mle), "mle", k=3),
+            mle=PointEstimateLogLik(self._total_loglik_at(*self.mle), k=3),
             summary={"mle": dict(zip(("a", "b", "sigma"), self.mle)), "posterior_means": self.posterior_means},
         )
 
@@ -144,6 +144,8 @@ class RegressionModel:
     scale point estimate its fits report DIC at."""
 
     def __init__(self, dic_parameterization: str = "log_sigma"):
+        if dic_parameterization not in DIC_PARAMETERIZATIONS:
+            raise ValueError(f"parameterization must be one of {DIC_PARAMETERIZATIONS}")
         self.dic_parameterization = dic_parameterization
 
     def fit(self, data: RegressionData, exclude: int | None = None, *, draws: int, seed: int) -> _RegressionFit:

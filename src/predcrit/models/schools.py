@@ -223,7 +223,7 @@ class _SchoolsFit:
         mle = None
         if self._data.mode != "hierarchical":
             lpd_mle, k = schools_mle(self._data, self._exclude)
-            mle = PointEstimateLogLik(lpd_mle, "mle", k=k)
+            mle = PointEstimateLogLik(lpd_mle, k)
         return PointEstimates(
             lpd_at_mean=lpd_at_mean,
             mle=mle,

@@ -74,16 +74,15 @@ def schools_table_report(
         mat = fit.pointwise_loglik()
         pe = fit.point_estimates()
 
-        if pe.mle is None:
+        rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle, waic_variant=waic_variant)
+        if rep.k is None:
             for row in ("minus2_lpd_mle", "k", "aic"):
                 rows[row][mode] = UNDEFINED_AIC_HIERARCHICAL
         else:
-            rows["minus2_lpd_mle"][mode] = -2.0 * pe.mle.total_loglik
-            rows["k"][mode] = float(pe.mle.k)
-            rows["aic"][mode] = -2.0 * (pe.mle.total_loglik - pe.mle.k)
-
-        rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, waic_variant=waic_variant)
-        rows["minus2_lpd_mean"][mode] = -2.0 * pe.lpd_at_mean
+            rows["minus2_lpd_mle"][mode] = -2.0 * rep.lpd_at_mle
+            rows["k"][mode] = float(rep.k)
+            rows["aic"][mode] = rep.aic
+        rows["minus2_lpd_mean"][mode] = -2.0 * rep.lpd_at_mean
         rows["p_dic"][mode] = rep.p_dic
         rows["dic"][mode] = rep.dic
         rows["minus2_lppd"][mode] = -2.0 * rep.lppd

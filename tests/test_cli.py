@@ -302,8 +302,35 @@ def test_draws_below_one_is_a_usage_error(runner, command, draws):
     assert "--draws" in result.output
 
 
+def test_fit_rows_carry_nested_summary_fields(runner):
+    argv = ["fit", "--model", "regression", "--draws", "500", "--seed", "3"]
+    payload = json.loads(runner.invoke(main, [*argv, "--format", "json"]).output)
+    rows = {name: float(value) for name, value in
+            csv.reader(runner.invoke(main, [*argv, "--format", "csv"]).output.splitlines()[1:])}
+    for section in ("mle", "posterior_means"):
+        for key, value in payload[section].items():
+            assert rows[f"{section}_{key}"] == value
+    table = [line.split()[0] for line in runner.invoke(main, argv).output.splitlines()]
+    assert table[:8] == ["mle_a", "mle_b", "mle_sigma", "posterior_means_a", "posterior_means_b",
+                         "posterior_means_sigma", "posterior_means_sigma2", "posterior_means_log_sigma"]
+
+
+def test_curve_runs_the_plan_of_its_options(runner):
+    opts = ["--estimator", "aic", "-R", "2000", "--m", "1", "--theta-source", "fixed", "--theta0", "3",
+            "--format", "json"]
+    curve = json.loads(runner.invoke(main, ["expect", "--curve", "--n-values", "2,3", *opts]).output)
+    single = json.loads(runner.invoke(main, ["expect", "--n", "3", *opts]).output)
+    oracle_at_3 = single["estimators"]["aic"]["oracle_value"]
+    assert oracle_at_3 == pytest.approx(-0.4347, abs=1e-4)
+    assert [row["oracle"] for row in curve if row["n"] == 3] == [oracle_at_3]
+    bad = runner.invoke(main, ["expect", "--curve", "--n-values", "2,x", "--estimator", "aic"])
+    assert bad.exit_code == 2
+    assert "--n-values" in bad.output
+
+
 def _flat_field(payload, name, column):
-    return {**payload, **payload.get("report", {}), **payload.get("loo", {})}[name]
+    nested = {f"{k}_{f}": x for k, v in payload.items() if isinstance(v, dict) for f, x in v.items()}
+    return {**nested, **payload, **payload.get("report", {}), **payload.get("loo", {})}[name]
 
 
 def _election_field(payload, name, column):
@@ -325,7 +352,7 @@ _GROUPS = "group_1,group_2\n1.0,2.0\n0.5,1.5\n1.5,2.5\n"
 EMITTED = {
     "criteria": (["criteria", "--mle-loglik", "-2.5", "--k", "2", "--lpd-at-mean", "-2.8"],
                  "point_1,point_2\n-1,-2\n-1.5,-1.8\n-1.2,-2.5\n",
-                 lambda p, name, col: {"points": 2, **p, **p["report"]}[name]),
+                 lambda p, name, col: {**p, **p["report"]}[name]),
     "fit-normal-mean": (["fit", "--model", "normal-mean", "--m", "1.5", "--mu0", "0.4", *_D], _Y, _flat_field),
     "fit-schools-no-pooling": (["fit", "--model", "schools", "--mode", "no_pooling", *_D], None, _flat_field),
     "fit-schools-complete-pooling": (["fit", "--model", "schools", "--mode", "complete_pooling", *_D], None,

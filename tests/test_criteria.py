@@ -11,13 +11,9 @@ from predcrit.criteria import (
     bic,
     criterion_report,
     lpd_posterior_summary,
-    p_dic,
     p_dic_alt,
-    p_waic1,
-    p_waic2,
-    waic,
 )
-from predcrit.draws import PointwiseLogLikMatrix, lppd, lppd_mc_se
+from predcrit.draws import PointwiseLogLikMatrix, lppd
 
 
 def _matrix(vals):
@@ -25,39 +21,37 @@ def _matrix(vals):
 
 
 def test_aic_regression_example():
-    elpd, a = aic(PointEstimateLogLik(-40.3, "mle", k=3))
+    elpd, a = aic(PointEstimateLogLik(-40.3, k=3))
     assert elpd == pytest.approx(-43.3, rel=1e-14)
     assert a == pytest.approx(86.6, rel=1e-14)
 
 
 def test_aic_eight_parameter_example():
     # deviance 54.6 at the MLE with k = 8 gives 70.6
-    elpd, a = aic(PointEstimateLogLik(-27.3, "mle", k=8))
+    elpd, a = aic(PointEstimateLogLik(-27.3, k=8))
     assert a == pytest.approx(70.6, rel=1e-14)
 
 
 def test_aic_zero_case_and_kind_check():
-    assert aic(PointEstimateLogLik(0.0, "mle", k=0)) == (0.0, 0.0)
-    with pytest.raises(ValueError, match="AIC requires the maximum likelihood estimate"):
-        aic(PointEstimateLogLik(-1.0, "posterior_mean", k=1))
-    with pytest.raises(ValueError, match="k is required"):
-        PointEstimateLogLik(-1.0, "mle")
+    assert aic(PointEstimateLogLik(0.0, k=0)) == (0.0, 0.0)
+    with pytest.raises(TypeError, match="'k'"):
+        PointEstimateLogLik(-1.0)
 
 
 def test_bic_examples():
-    assert bic(PointEstimateLogLik(0.0, "mle", k=0), 10) == 0.0
-    val = bic(PointEstimateLogLik(-40.3, "mle", k=3), 15)
+    assert bic(PointEstimateLogLik(0.0, k=0), 10) == 0.0
+    val = bic(PointEstimateLogLik(-40.3, k=3), 15)
     assert val == pytest.approx(80.6 + 3 * math.log(15), rel=1e-14)
     with pytest.raises(ValueError, match="integer"):
-        bic(PointEstimateLogLik(0.0, "mle", k=1), math.e)
+        bic(PointEstimateLogLik(0.0, k=1), math.e)
     with pytest.raises(ValueError):
-        bic(PointEstimateLogLik(0.0, "mle", k=1), 0)
+        bic(PointEstimateLogLik(0.0, k=1), 0)
 
 
 def test_p_dic_matches_hand_arithmetic():
     m = _matrix([[-42.0], [-42.0]])
-    assert p_dic(-40.5, m) == pytest.approx(3.0, rel=1e-14)
-    assert p_dic(-42.0, m) == 0.0
+    assert criterion_report(m, lpd_at_mean=-40.5).p_dic == pytest.approx(3.0, rel=1e-14)
+    assert criterion_report(m, lpd_at_mean=-42.0).p_dic == 0.0
 
 
 def test_p_dic_alt_examples():
@@ -68,33 +62,34 @@ def test_p_dic_alt_examples():
 
 
 def test_p_waic_zero_for_constant_columns():
-    m = _matrix([[-1.0, -2.0], [-1.0, -2.0]])
-    assert p_waic1(m) == pytest.approx(0.0, abs=1e-14)
-    assert p_waic2(m) == 0.0
+    rep = criterion_report(_matrix([[-1.0, -2.0], [-1.0, -2.0]]))
+    assert rep.p_waic1 == pytest.approx(0.0, abs=1e-14)
+    assert rep.p_waic2 == 0.0
 
 
 def test_p_waic_nonnegative_random():
     rng = np.random.default_rng(21)
     for _ in range(25):
-        m = _matrix(rng.normal(-2, 1.3, size=(40, 6)))
-        assert p_waic1(m) >= 0.0
-        assert p_waic2(m) >= 0.0
+        rep = criterion_report(_matrix(rng.normal(-2, 1.3, size=(40, 6))))
+        assert rep.p_waic1 >= 0.0
+        assert rep.p_waic2 >= 0.0
 
 
 def test_waic_identities_and_variants():
     rng = np.random.default_rng(4)
     m = _matrix(rng.normal(-2, 1, size=(60, 5)))
-    for variant, penalty_fn in ((1, p_waic1), (2, p_waic2)):
-        elppd, w = waic(m, variant)
-        assert elppd == lppd(m) - penalty_fn(m)
+    for variant in (1, 2):
+        rep = criterion_report(m, waic_variant=variant)
+        elppd, w = getattr(rep, f"elppd_waic{variant}"), rep.waic
+        assert elppd == lppd(m) - getattr(rep, f"p_waic{variant}")
         assert w == -2.0 * elppd
     with pytest.raises(ValueError):
-        waic(m, 3)
+        criterion_report(m, waic_variant=3)
 
 
 def test_waic_single_constant_column_matrix():
-    m = _matrix([[-1.0], [-1.0]])
-    elppd, w = waic(m, 2)
+    rep = criterion_report(_matrix([[-1.0], [-1.0]]), waic_variant=2)
+    elppd, w = rep.elppd_waic2, rep.waic
     assert elppd == -1.0
     assert w == 2.0
 
@@ -105,7 +100,7 @@ def test_adding_constant_column_shifts_lppd_only():
     m = _matrix(base)
     extended = _matrix(np.column_stack([base, np.full(50, -0.7)]))
     assert lppd(extended) == pytest.approx(lppd(m) - 0.7, rel=1e-13)
-    assert p_waic2(extended) == pytest.approx(p_waic2(m), rel=1e-13)
+    assert criterion_report(extended).p_waic2 == pytest.approx(criterion_report(m).p_waic2, rel=1e-13)
 
 
 def test_lpd_posterior_summary_examples():
@@ -120,7 +115,7 @@ def test_lpd_posterior_summary_examples():
 def test_report_deviance_identities_hold_exactly():
     rng = np.random.default_rng(33)
     m = _matrix(rng.normal(-3, 1.2, size=(80, 7)))
-    mle = PointEstimateLogLik(-20.0, "mle", k=3)
+    mle = PointEstimateLogLik(-20.0, k=3)
     rep = criterion_report(m, lpd_at_mean=-21.0, mle=mle, waic_variant=2)
     assert rep.waic == -2.0 * (rep.lppd - rep.p_waic2)
     assert rep.dic == -2.0 * rep.lpd_at_mean + 2.0 * rep.p_dic
@@ -231,7 +226,7 @@ def _differential_corpus():
 
 
 def test_report_matches_per_draw_influence_reference():
-    mle = PointEstimateLogLik(-20.0, "mle", k=3)
+    mle = PointEstimateLogLik(-20.0, k=3)
     cases = 0
     for vals in _differential_corpus():
         m = _matrix(vals)
@@ -249,12 +244,6 @@ def test_report_matches_per_draw_influence_reference():
                         key, got, ref[key], vals.shape, variant
                     )
                 assert rep.lppd == lppd(m)
-                assert rep.p_waic1 == p_waic1(m)
-                if m.n_draws >= 2:
-                    assert rep.p_waic2 == p_waic2(m)
-                    assert rep.mc_se_lppd == lppd_mc_se(m)
-                if lpd_at_mean is not None:
-                    assert rep.p_dic == p_dic(lpd_at_mean, m)
                 cases += 1
     assert cases == 2 * 3 * 6 * 2 * 2
 

@@ -1,0 +1,20 @@
+"""The README's library quickstart runs as written."""
+import re
+from pathlib import Path
+
+import numpy as np
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    # 200 draws of 15 points whose per-draw totals sit near the quickstart's
+    # lpd_at_mean of -40.5
+    vals = np.random.default_rng(0).normal(-2.75, 0.05, size=(200, 15))
+    rows = [",".join(f"point_{j + 1}" for j in range(15))] + [",".join(map(repr, r)) for r in vals.tolist()]
+    (tmp_path / "loglik.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})
+    assert '"p_waic2"' in capsys.readouterr().out

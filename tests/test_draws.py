@@ -12,7 +12,6 @@ from predcrit.draws import (
     log_mean_exp,
     lppd,
     mc_standard_error,
-    mean_total_loglik,
     read_loglik_csv,
     sample_variance,
     write_loglik_csv,
@@ -68,7 +67,7 @@ def test_mc_standard_error_examples():
 def test_lppd_single_cell():
     m = PointwiseLogLikMatrix(np.array([[-2.3]]))
     assert lppd(m) == -2.3
-    assert mean_total_loglik(m) == -2.3
+    assert m.row_totals().mean() == -2.3
 
 
 def test_lppd_two_by_two():
@@ -80,7 +79,7 @@ def test_lppd_two_by_two():
 
 def test_mean_total_loglik_row_sums():
     m = PointwiseLogLikMatrix(np.array([[-1.0, -2.0], [-3.0, -4.0]]))
-    assert mean_total_loglik(m) == -5.0
+    assert m.row_totals().mean() == -5.0
 
 
 def test_lppd_additivity_over_column_partitions():
@@ -98,7 +97,7 @@ def test_row_duplication_invariances():
     m = PointwiseLogLikMatrix(vals)
     dup = PointwiseLogLikMatrix(np.vstack([vals, vals]))
     assert lppd(dup) == pytest.approx(lppd(m), rel=1e-13)
-    assert mean_total_loglik(dup) == pytest.approx(mean_total_loglik(m), rel=1e-13)
+    assert dup.row_totals().mean() == pytest.approx(m.row_totals().mean(), rel=1e-13)
 
 
 def test_row_duplication_variance_divisor_relation():

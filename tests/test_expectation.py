@@ -159,7 +159,7 @@ def test_expected_b_matches_exact_formula():
 
 
 def test_bias_curve_rows_and_cloo_oracle():
-    rows = bias_curve([2, 5, 10], m=0.0, estimator="cloo", R=5_000, seed=17)
+    rows = bias_curve(ReplicationPlan(R=5_000, n=2, seed=17, estimators=("cloo",)), [2, 5, 10])
     assert [r["n"] for r in rows] == [2, 5, 10]
     for r in rows:
         n = r["n"]
@@ -170,8 +170,8 @@ def test_bias_curve_rows_and_cloo_oracle():
 def test_bias_curve_waic_gap_signs():
     for n in (2, 5, 10):
         assert oracle.expected_waic1_gap(n) < 0 < oracle.expected_waic2_gap(n)
-    rows1 = bias_curve([2, 10], m=0.0, estimator="waic1", R=40_000, seed=19)
-    rows2 = bias_curve([2, 10], m=0.0, estimator="waic2", R=40_000, seed=19)
+    rows1 = bias_curve(ReplicationPlan(R=40_000, n=2, seed=19, estimators=("waic1",)), [2, 10])
+    rows2 = bias_curve(ReplicationPlan(R=40_000, n=2, seed=19, estimators=("waic2",)), [2, 10])
     for r1, r2 in zip(rows1, rows2):
         assert r1["mc_mean"] < 0 < r2["mc_mean"]
 

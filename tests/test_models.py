@@ -6,8 +6,8 @@ import pytest
 from scipy import stats
 
 from predcrit import oracle
-from predcrit.criteria import p_dic, p_waic2
-from predcrit.draws import lppd, lppd_mc_se
+from predcrit.criteria import criterion_report
+from predcrit.draws import lppd
 from predcrit.errors import MatrixFormatError, ModelRefusalError
 from predcrit.models import (
     EightSchoolsData,
@@ -74,7 +74,7 @@ def test_informative_prior_dominates_in_the_limit():
     theta = normal_posterior_draws(spec, 5_000, seed=3)
     assert abs(theta.mean() + 1.0) < 1e-3
     mat = normal_pointwise_loglik(np.full(5, -1.0), theta)
-    assert p_waic2(mat) < 1e-4  # the data provide no information
+    assert criterion_report(mat).p_waic2 < 1e-4  # the data provide no information
 
 
 def test_pointwise_entries():
@@ -90,7 +90,7 @@ def test_draw_based_lppd_matches_oracle_within_mc_error():
     spec = NormalMeanSpec.from_data(y)
     theta = normal_posterior_draws(spec, S, seed=77)
     mat = normal_pointwise_loglik(y, theta)
-    se = lppd_mc_se(mat)
+    se = criterion_report(mat).mc_se_lppd
     assert abs(lppd(mat) - oracle.lppd(spec)) < 3 * se + 1e-4
 
 
@@ -182,6 +182,12 @@ def test_dic_parameterization_choices_are_distinct():
         fit.lpd_at_posterior_mean("tau")
 
 
+def test_regression_model_rejects_unknown_parameterization():
+    # refused when the model is built, before it can fit, score or run LOO
+    with pytest.raises(ValueError, match="parameterization must be one of"):
+        RegressionModel("tau")
+
+
 # ---------------------------------------------------------------------------
 # eight schools
 # ---------------------------------------------------------------------------
@@ -208,12 +214,12 @@ def test_complete_pooling_lpd_at_posterior_mean():
     fit = schools_fit(default_eight_schools(mode="complete_pooling"), S, SEED)
     assert -2 * fit.lpd_at_posterior_mean() == pytest.approx(59.4, abs=0.1)
     mat = fit.pointwise_loglik()
-    assert p_dic(fit.lpd_at_posterior_mean(), mat) == pytest.approx(1.0, abs=0.05)
+    assert criterion_report(mat, lpd_at_mean=fit.lpd_at_posterior_mean()).p_dic == pytest.approx(1.0, abs=0.05)
 
 
 def test_hierarchical_p_dic_near_published_value():
     fit = schools_fit(default_eight_schools(), S, SEED)
-    pd = p_dic(fit.lpd_at_posterior_mean(), fit.pointwise_loglik())
+    pd = criterion_report(fit.pointwise_loglik(), lpd_at_mean=fit.lpd_at_posterior_mean()).p_dic
     assert pd == pytest.approx(2.8, abs=0.3)
 
 
@@ -311,11 +317,11 @@ def test_observation_counting_decomposes_into_group_copies():
     y = _balanced_fixture(n=6, J=4)
     theta = balanced_group_posterior_draws(y, mu=0.0, tau=1.0, draws=40_000, seed=31)
     obs = balanced_hierarchical_loglik(theta, y, "observation")
-    total = p_waic2(obs)
+    total = criterion_report(obs).p_waic2
     per_group = []
     for j in range(4):
         sub = balanced_hierarchical_loglik(theta[:, [j]], y[:, [j]], "observation")
-        per_group.append(p_waic2(sub))
+        per_group.append(criterion_report(sub).p_waic2)
     assert total == pytest.approx(sum(per_group), rel=1e-12)
     # each group's penalty sits near the known-hyperparameter closed form
     spec_like = [
@@ -330,8 +336,9 @@ def test_group_counting_changes_p_waic_strictly():
     obs = balanced_hierarchical_loglik(theta, y, "observation")
     grp = balanced_hierarchical_loglik(theta, y, "group")
     assert obs.n_points == 15 and grp.n_points == 3
-    assert p_waic2(obs) != p_waic2(grp)
-    assert abs(p_waic2(obs) - p_waic2(grp)) > 0.05
+    p_obs, p_grp = criterion_report(obs).p_waic2, criterion_report(grp).p_waic2
+    assert p_obs != p_grp
+    assert abs(p_obs - p_grp) > 0.05
 
 
 def test_balanced_input_validation():

@@ -5,7 +5,8 @@ import pytest
 
 from predcrit import oracle
 from predcrit.models import NormalMeanModel, NormalMeanSpec
-from predcrit.draws import lppd, lppd_mc_se
+from predcrit.criteria import criterion_report
+from predcrit.draws import lppd
 from predcrit.models import normal_pointwise_loglik, normal_posterior_draws
 
 RTOL = 1e-12
@@ -239,7 +240,7 @@ def test_informative_lppd_cross_checked_by_concentrated_draws():
     spec = NormalMeanSpec.from_data(y, m=1e8, mu0=0.7)
     theta = normal_posterior_draws(spec, 50_000, seed=4)
     mat = normal_pointwise_loglik(y, theta)
-    assert lppd(mat) == pytest.approx(oracle.lppd(spec), abs=3 * lppd_mc_se(mat) + 1e-5)
+    assert lppd(mat) == pytest.approx(oracle.lppd(spec), abs=3 * criterion_report(mat).mc_se_lppd + 1e-5)
 
 
 def test_mean_posterior_loglik_consistent_with_p_dic():
