@@ -70,10 +70,16 @@ def _handle_errors(fn):
 
 def _numeric_rows(fields: dict) -> list:
     """One (name, (value,)) row per numeric field of a report, in order; a
-    field holding a dict gives one `<field>_<key>` row per numeric entry."""
+    field holding a dict gives one `<field>_<key>` row per numeric entry,
+    and a list one `<field>_<k>` row per numeric entry, k counted from 1."""
     rows = []
     for k, v in fields.items():
-        items = [(f"{k}_{f}", x) for f, x in v.items()] if isinstance(v, dict) else [(k, v)]
+        if isinstance(v, dict):
+            items = [(f"{k}_{f}", x) for f, x in v.items()]
+        elif isinstance(v, list):
+            items = [(f"{k}_{j}", x) for j, x in enumerate(v, start=1)]
+        else:
+            items = [(k, v)]
         rows += [(name, (x,)) for name, x in items if isinstance(x, (int, float))]
     return rows
 
@@ -371,6 +377,8 @@ def expect(n, m, replicates, estimators, theta_source, theta0, mu0, curve, n_val
         replicates = 10_000 if curve else 100_000
 
     if curve:
+        if n is not None:
+            raise ValueError("--n is not used with --curve; give the sweep in --n-values")
         ns = _parse_list(n_values or "", "--n-values", int)
         if not ns:
             raise ValueError("--curve requires --n-values")

@@ -41,6 +41,14 @@ class PointwiseLogLikMatrix:
     (a zero-probability observation) would make lppd and every derived
     comparison -inf, so it is rejected here with the offending index
     rather than propagated.
+
+    The values keep the layout they are given. Every reduction runs over
+    axis 0, the draws, and on a tall, narrow matrix that runs several
+    times faster per cell when each point's draws sit next to each other
+    in memory, so the models write their matrices column-major (Fortran
+    order) and callers with a row-major one may pass
+    `np.asfortranarray(values)`. No copy is made here: it would double
+    the memory a large matrix needs.
     """
 
     values: np.ndarray

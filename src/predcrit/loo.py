@@ -37,7 +37,8 @@ class PosteriorFit(Protocol):
 
         `indices` selects a subset of points (default all). For a fit made
         with `exclude=i`, entry columns for point i must use only the
-        training posterior.
+        training posterior. The matrix should be column-major (each
+        point's draws contiguous): every fold reduces it over the draws.
         """
 
 

@@ -63,11 +63,11 @@ def balanced_hierarchical_loglik(theta_draws: np.ndarray, y: np.ndarray, countin
     if y.ndim != 2 or theta.ndim != 2 or theta.shape[1] != y.shape[1]:
         raise ValueError("y must be n x J and theta_draws S x J")
     n, J = y.shape
-    # S x n x J, then flatten or sum over i
-    ll = normal_logpdf_inplace(y[None, :, :] - theta[:, None, :], 1.0)
+    # n x J x S, then flatten or sum over i; the transpose is column-major S x n
+    ll = normal_logpdf_inplace(np.subtract(y[:, :, None], theta.T, order="C"), 1.0)
     if counting == "observation":
-        return PointwiseLogLikMatrix(ll.reshape(theta.shape[0], n * J))
-    return PointwiseLogLikMatrix(ll.sum(axis=1))
+        return PointwiseLogLikMatrix(ll.reshape(n * J, theta.shape[0]).T)
+    return PointwiseLogLikMatrix(ll.sum(axis=0).T)
 
 
 class _BalancedFit:

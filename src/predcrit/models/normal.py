@@ -79,10 +79,10 @@ def normal_posterior_draws(spec: NormalMeanSpec, draws: int, seed: int) -> np.nd
 
 
 def normal_pointwise_loglik(y, theta) -> PointwiseLogLikMatrix:
-    """Entry (s, i) = log N(y_i | theta^s, 1)."""
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    theta = np.asarray(theta, dtype=float).reshape(-1, 1)
-    return PointwiseLogLikMatrix(normal_logpdf_inplace(y - theta, 1.0))
+    """Entry (s, i) = log N(y_i | theta^s, 1), as a column-major S x n matrix."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    return PointwiseLogLikMatrix(normal_logpdf_inplace(np.subtract.outer(y, theta).T, 1.0))
 
 
 class _NormalMeanFit:

@@ -133,7 +133,7 @@ class _RegressionFit:
         else:
             idx = np.asarray(indices, dtype=int)
             x, y = self._data.x[idx], self._data.y[idx]
-        resid = self.b[:, None] * x[None, :]
+        resid = np.multiply.outer(x, self.b).T  # S x n, column-major
         resid += self.a[:, None]
         np.subtract(y[None, :], resid, out=resid)
         return PointwiseLogLikMatrix(normal_logpdf_inplace(resid, self.sigma2[:, None]))

@@ -189,12 +189,21 @@ class _SchoolsFit:
             idx = np.searchsorted(cdf, rng.random(draws))
             tau = grid[idx]
             mu = mu_hat[idx] + np.sqrt(v_mu[idx]) * rng.standard_normal(draws)
-            t2 = tau[:, None] ** 2
-            s2 = sigma[None, :] ** 2
-            # conditional mean/var written so tau = 0 needs no special case
-            cond_mean = (y[None, :] * t2 + mu[:, None] * s2) / (t2 + s2)
-            cond_var = s2 * t2 / (t2 + s2)
-            theta = cond_mean + np.sqrt(cond_var) * rng.standard_normal((draws, J))
+            # theta_j | mu, tau ~ N((y t2 + mu s2) / den, s2 t2 / den) with
+            # t2 = tau^2 and den = t2 + s2, so tau = 0 needs no special case;
+            # the tau-only factors are tabulated on the grid, then gathered
+            g2 = grid[:, None] ** 2
+            s2 = sigma**2
+            den = g2 + s2
+            y_g2 = y * g2
+            sd = np.sqrt(s2 * g2 / den)
+            theta = np.take(y_g2, idx, axis=0)
+            buf = np.multiply(mu[:, None], s2)
+            theta += buf
+            theta /= np.take(den, idx, axis=0, out=buf)
+            rng.standard_normal(out=buf)
+            buf *= np.take(sd, idx, axis=0)
+            theta += buf
             if exclude is not None:
                 theta[:, exclude] = mu + tau * rng.standard_normal(draws)
             if data.prediction_mode == "new_groups":

@@ -315,6 +315,18 @@ def test_fit_rows_carry_nested_summary_fields(runner):
                          "posterior_means_sigma", "posterior_means_sigma2", "posterior_means_log_sigma"]
 
 
+def test_fit_rows_carry_list_fields_one_per_entry(runner):
+    argv = ["fit", "--model", "schools", "--draws", "200", "--seed", "3"]
+    payload = json.loads(runner.invoke(main, [*argv, "--format", "json"]).output)
+    rows = {name: float(value) for name, value in
+            csv.reader(runner.invoke(main, [*argv, "--format", "csv"]).output.splitlines()[1:])}
+    assert len(payload["theta_bayes"]) == 8
+    for k, value in enumerate(payload["theta_bayes"], start=1):
+        assert rows[f"theta_bayes_{k}"] == value
+    table = [line.split()[0] for line in runner.invoke(main, argv).output.splitlines()]
+    assert table[:8] == [f"theta_bayes_{k}" for k in range(1, 9)]
+
+
 def test_curve_runs_the_plan_of_its_options(runner):
     opts = ["--estimator", "aic", "-R", "2000", "--m", "1", "--theta-source", "fixed", "--theta0", "3",
             "--format", "json"]
@@ -328,9 +340,19 @@ def test_curve_runs_the_plan_of_its_options(runner):
     assert "--n-values" in bad.output
 
 
+def test_curve_refuses_n(runner):
+    result = runner.invoke(main, ["expect", "--curve", "--n-values", "2", "--n", "7", "--estimator", "aic",
+                                  "-R", "100"])
+    assert result.exit_code == 2
+    assert "--n " in result.output and "--n-values" in result.output
+
+
 def _flat_field(payload, name, column):
+    sections = [payload, payload.get("report", {}), payload.get("loo", {})]
     nested = {f"{k}_{f}": x for k, v in payload.items() if isinstance(v, dict) for f, x in v.items()}
-    return {**nested, **payload, **payload.get("report", {}), **payload.get("loo", {})}[name]
+    listed = {f"{k}_{j}": x for section in sections for k, v in section.items() if isinstance(v, list)
+              for j, x in enumerate(v, start=1)}
+    return {**nested, **listed, **{k: v for section in sections for k, v in section.items()}}[name]
 
 
 def _election_field(payload, name, column):

@@ -10,6 +10,7 @@ from predcrit.criteria import criterion_report
 from predcrit.draws import lppd
 from predcrit.errors import MatrixFormatError, ModelRefusalError
 from predcrit.models import (
+    BalancedModel,
     EightSchoolsData,
     NormalMeanModel,
     NormalMeanSpec,
@@ -27,6 +28,7 @@ from predcrit.models import (
     regression_fit,
     schools_fit,
 )
+from predcrit.models.normal import normal_logpdf_inplace
 from predcrit.models.schools import schools_mle
 
 S = 100_000
@@ -400,3 +402,105 @@ def test_schools_refits_follow_pointwise_loglik():
     w = np.delete(1 / data.sigma**2, 2)
     mu_hat = float((w * np.delete(data.y, 2)).sum() / w.sum())
     assert pe.mle.total_loglik == pytest.approx(_normal_total(data.y, mu_hat, data.sigma**2), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# draw-matrix layout: every model writes its S x n matrix column-major,
+# with the same values the row-major formulas give
+# ---------------------------------------------------------------------------
+
+_LAYOUT_S = 500
+_LAYOUT_Y = np.array([0.0, 2.0, 1.0, -0.5])
+
+
+def _row_major_normal_mean(fit):
+    return normal_logpdf_inplace(fit._y[None, :] - fit.theta[:, None], 1.0)
+
+
+def _row_major_regression(fit):
+    x, y = fit._data.x, fit._data.y
+    resid = fit.b[:, None] * x[None, :]
+    resid += fit.a[:, None]
+    np.subtract(y[None, :], resid, out=resid)
+    return normal_logpdf_inplace(resid, fit.sigma2[:, None])
+
+
+def _row_major_schools(fit):
+    d = fit._data
+    return normal_logpdf_inplace(d.y[None, :] - fit.theta, d.sigma[None, :] ** 2)
+
+
+def _row_major_balanced(counting):
+    def formula(fit):
+        y = _balanced_fixture(n=4, J=3)
+        theta = balanced_group_posterior_draws(y, mu=0.0, tau=1.0, draws=_LAYOUT_S, seed=2)
+        ll = normal_logpdf_inplace(y[None, :, :] - theta[:, None, :], 1.0)
+        return ll.reshape(_LAYOUT_S, -1) if counting == "observation" else ll.sum(axis=1)
+    return formula
+
+
+SCORED_FITS = {
+    "normal-mean": (lambda: NormalMeanModel(m=1.5, mu0=0.4).fit(_LAYOUT_Y, draws=_LAYOUT_S, seed=1),
+                    _row_major_normal_mean),
+    "normal-mean-refit": (lambda: NormalMeanModel().fit(_LAYOUT_Y, exclude=1, draws=_LAYOUT_S, seed=1),
+                          _row_major_normal_mean),
+    "regression": (lambda: regression_fit(default_election(), _LAYOUT_S, 1), _row_major_regression),
+    "regression-refit": (lambda: RegressionModel().fit(default_election(), exclude=4, draws=_LAYOUT_S, seed=1),
+                         _row_major_regression),
+    **{f"schools-{mode}": (lambda mode=mode: schools_fit(default_eight_schools(mode), _LAYOUT_S, 1),
+                           _row_major_schools)
+       for mode in ("no_pooling", "complete_pooling", "hierarchical")},
+    **{f"balanced-{counting}": (lambda counting=counting: BalancedModel(0.0, 1.0, counting).fit(
+        _balanced_fixture(n=4, J=3), draws=_LAYOUT_S, seed=2), _row_major_balanced(counting))
+       for counting in ("observation", "group")},
+}
+
+
+@pytest.mark.parametrize("name", list(SCORED_FITS))
+def test_every_model_writes_a_column_major_matrix_equal_to_the_row_major_formula(name):
+    make_fit, formula = SCORED_FITS[name]
+    fit = make_fit()
+    values = fit.pointwise_loglik().values
+    assert values.shape[0] == _LAYOUT_S and values.shape[1] > 1
+    assert values.flags.f_contiguous
+    assert np.array_equal(values, formula(fit))
+
+
+def test_scoring_a_subset_keeps_the_layout_and_the_columns():
+    fit = regression_fit(default_election(), _LAYOUT_S, 1)
+    sub = fit.pointwise_loglik([4, 0, 9]).values
+    assert sub.flags.f_contiguous
+    assert np.array_equal(sub, fit.pointwise_loglik().values[:, [4, 0, 9]])
+
+
+_SCHOOLS = default_eight_schools()
+HIERARCHICAL_FITS = {
+    "default-grid": lambda draws, seed: schools_fit(_SCHOOLS, draws, seed),
+    "pinned-0": lambda draws, seed: schools_fit(_SCHOOLS, draws, seed, tau_grid=np.array([0.0])),
+    "pinned-5": lambda draws, seed: schools_fit(_SCHOOLS, draws, seed, tau_grid=np.array([5.0])),
+    "exclude-3": lambda draws, seed: SchoolsModel().fit(_SCHOOLS, exclude=3, draws=draws, seed=seed),
+    "new-groups": lambda draws, seed: schools_fit(_SCHOOLS.with_mode("hierarchical", "new_groups"), draws, seed),
+}
+
+
+@pytest.mark.parametrize("case", list(HIERARCHICAL_FITS))
+def test_hierarchical_theta_equals_the_per_draw_conditional_formula(case):
+    draws, seed = 5_000, 17
+    fit = HIERARCHICAL_FITS[case](draws, seed)
+    y, sigma, J = _SCHOOLS.y, _SCHOOLS.sigma, _SCHOOLS.J
+    # replay the fit's stream: tau by inverse CDF, then mu's normals, then theta's
+    rng = np.random.default_rng(seed)
+    idx = np.searchsorted(np.cumsum(fit.tau_mass), rng.random(draws))
+    assert np.array_equal(fit.tau, fit.tau_grid[idx])
+    rng.standard_normal(draws)
+    tau, mu = fit.tau, fit.mu
+    t2 = tau[:, None] ** 2
+    s2 = sigma[None, :] ** 2
+    cond_mean = (y[None, :] * t2 + mu[:, None] * s2) / (t2 + s2)
+    cond_var = s2 * t2 / (t2 + s2)
+    theta = cond_mean + np.sqrt(cond_var) * rng.standard_normal((draws, J))
+    if case == "exclude-3":
+        theta[:, 3] = mu + tau * rng.standard_normal(draws)
+    if case == "new-groups":
+        theta = mu[:, None] + tau[:, None] * rng.standard_normal((draws, J))
+    assert np.array_equal(fit.theta, theta)
