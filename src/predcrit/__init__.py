@@ -24,7 +24,7 @@ from .criteria import (
 )
 from .errors import MatrixFormatError, ModelRefusalError, NonFiniteLogLikError
 from .expectation import ReplicationPlan, bias_curve, run_expectation_study
-from .loo import LooReport, bias_correct, loo_report, p_cloo, p_loo
+from .loo import LooReport, loo_report
 from .seeds import derive_seed
 
 __version__ = "0.1.0"
@@ -44,9 +44,6 @@ __all__ = [
     "lpd_posterior_summary",
     "criterion_report",
     "LooReport",
-    "bias_correct",
-    "p_loo",
-    "p_cloo",
     "loo_report",
     "ReplicationPlan",
     "run_expectation_study",

@@ -14,7 +14,7 @@ import click
 import numpy as np
 
 from .criteria import PointEstimateLogLik, criterion_report
-from .draws import lppd, read_loglik_csv
+from .draws import _require_finite, lppd, read_loglik_csv
 from .errors import MatrixFormatError, ModelRefusalError, NonFiniteLogLikError
 from .expectation import (
     ESTIMATOR_NAMES,
@@ -182,9 +182,10 @@ def _read_values(path) -> np.ndarray:
     if not tokens:
         raise MatrixFormatError("empty data file")
     try:
-        return np.array([float(t) for t in tokens])
+        values = np.array([float(t) for t in tokens])
     except ValueError:
         raise MatrixFormatError("data file must contain only numbers") from None
+    return _require_finite(values, "data file")
 
 
 def _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,

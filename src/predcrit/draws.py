@@ -205,6 +205,14 @@ def _csv_rows(source) -> list[list[str]]:
     return [row for row in rows if any(row)]
 
 
+def _require_finite(values: np.ndarray, name: str) -> np.ndarray:
+    """`values`, unless one is NaN or infinite: then a ValueError naming it."""
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{name} values must be finite, got {bad[0]}")
+    return values
+
+
 def _parse_cell(text: str, row: int, col: int) -> float:
     try:
         return float(text)

@@ -24,20 +24,15 @@ __all__ = [
     "PosteriorFit",
     "FittableModel",
     "LooReport",
-    "bias_correct",
-    "p_loo",
-    "p_cloo",
     "loo_report",
 ]
 
 
 class PosteriorFit(Protocol):
-    def pointwise_loglik(self, indices=None) -> PointwiseLogLikMatrix:
-        """Log densities of the fitted dataset's points under this posterior.
-
-        `indices` selects a subset of points (default all). For a fit made
-        with `exclude=i`, entry columns for point i must use only the
-        training posterior. The matrix should be column-major (each
+    def pointwise_loglik(self) -> PointwiseLogLikMatrix:
+        """Log densities of all of the fitted dataset's points under this
+        posterior. For a fit made with `exclude=i`, column i must use only
+        the training posterior. The matrix should be column-major (each
         point's draws contiguous): every fold reduces it over the draws.
         """
 
@@ -46,28 +41,6 @@ class FittableModel(Protocol):
     def fit(self, data, exclude: int | None = None, *, draws: int, seed: int) -> PosteriorFit:
         """Fit to `data`, optionally leaving one point out. Must be
         bit-reproducible given (data, exclude, draws, seed)."""
-
-
-def bias_correct(lppd_full: float, lppd_bar: float, lppd_loo_val: float) -> tuple[float, float]:
-    """(b, corrected lppd_loo): b = lppd - lppd_bar, corrected = lppd_loo + b."""
-    for v in (lppd_full, lppd_bar, lppd_loo_val):
-        if not math.isfinite(v):
-            raise ValueError("bias correction inputs must be finite")
-    b = lppd_full - lppd_bar
-    return b, lppd_loo_val + b
-
-
-def p_loo(lppd_full: float, lppd_loo_val: float) -> float:
-    """Effective parameters from LOO: lppd - lppd_loo."""
-    return lppd_full - lppd_loo_val
-
-
-def p_cloo(lppd_bar: float, lppd_loo_val: float) -> float:
-    """Effective parameters from bias-corrected LOO: lppd_bar - lppd_loo.
-
-    Identical to lppd - lppd_cloo by the definition of b.
-    """
-    return lppd_bar - lppd_loo_val
 
 
 @dataclass
@@ -92,11 +65,14 @@ def loo_report(
 
     Fold i refits with the seed derived from (seed, i); `lppd_loo` and
     `lppd_bar_minus_i` are fields of this report. With a single draw the
-    Monte Carlo error is unavailable and `mc_se_lppd_loo` is None.
+    Monte Carlo error is unavailable and `mc_se_lppd_loo` is None. A
+    non-finite `lppd_full` is refused before the first refit.
     """
     n = len(data)
     if n < 2:
         raise ValueError("leave-one-out requires at least 2 data points")
+    if not math.isfinite(lppd_full):
+        raise ValueError("the full-data lppd must be finite")
     per_point = []
     fold_full = []
     se_sq = 0.0
@@ -111,14 +87,14 @@ def loo_report(
         fold_full.append(lppd_of(mat))
     loo_total = float(sum(per_point))
     bar = float(np.mean(fold_full))
-    b, cloo = bias_correct(lppd_full, bar, loo_total)
+    b = lppd_full - bar
     return LooReport(
         lppd_loo=loo_total,
         lppd_bar_minus_i=bar,
         b=b,
-        lppd_cloo=cloo,
-        p_loo=p_loo(lppd_full, loo_total),
-        p_cloo=p_cloo(bar, loo_total),
+        lppd_cloo=loo_total + b,
+        p_loo=lppd_full - loo_total,
+        p_cloo=bar - loo_total,
         per_point=per_point,
         mc_se_lppd_loo=math.sqrt(se_sq) if draws > 1 else None,
     )

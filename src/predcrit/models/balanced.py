@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..criteria import PointEstimates
-from ..draws import PointwiseLogLikMatrix, _csv_rows
+from ..draws import PointwiseLogLikMatrix, _csv_rows, _require_finite
 from ..errors import MatrixFormatError
 from .normal import NormalMeanSpec, normal_logpdf_inplace, normal_posterior_draws
 from ..seeds import derive_seed
@@ -121,4 +121,4 @@ def load_balanced_csv(source) -> np.ndarray:
             data[r - 1] = [float(c) for c in row]
         except ValueError:
             raise MatrixFormatError(f"row {r} has a non-numeric cell") from None
-    return data
+    return _require_finite(data, "balanced CSV")

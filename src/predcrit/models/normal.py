@@ -91,9 +91,8 @@ class _NormalMeanFit:
         self._spec = spec
         self.theta = theta
 
-    def pointwise_loglik(self, indices=None) -> PointwiseLogLikMatrix:
-        y = self._y if indices is None else self._y[np.asarray(indices, dtype=int)]
-        return normal_pointwise_loglik(y, self.theta)
+    def pointwise_loglik(self) -> PointwiseLogLikMatrix:
+        return normal_pointwise_loglik(self._y, self.theta)
 
     def point_estimates(self) -> PointEstimates:
         """Total log density of all n points, the ones `pointwise_loglik`

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..criteria import PointEstimateLogLik, PointEstimates
-from ..draws import PointwiseLogLikMatrix
+from ..draws import PointwiseLogLikMatrix, _require_finite
 from .normal import normal_logpdf_inplace
 
 __all__ = ["RegressionData", "RegressionModel", "regression_fit", "DIC_PARAMETERIZATIONS"]
@@ -31,8 +31,8 @@ class RegressionData:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).reshape(-1)
-        y = np.asarray(self.y, dtype=float).reshape(-1)
+        x = _require_finite(np.asarray(self.x, dtype=float).reshape(-1), "x")
+        y = _require_finite(np.asarray(self.y, dtype=float).reshape(-1), "y")
         if x.size != y.size:
             raise ValueError("x and y must have the same length")
         # proper sigma^2 posterior needs n - k >= 1 with k = 3; keep a margin
@@ -99,40 +99,25 @@ class _RegressionFit:
 
     def point_estimates(self) -> PointEstimates:
         """Log densities of the dataset at the training MLE (k = 3) and at
-        the posterior mean under the model's DIC parameterization."""
-        return PointEstimates(
-            lpd_at_mean=self.lpd_at_posterior_mean(self._dic_parameterization),
-            mle=PointEstimateLogLik(self._total_loglik_at(*self.mle), k=3),
-            summary={"mle": dict(zip(("a", "b", "sigma"), self.mle)), "posterior_means": self.posterior_means},
-        )
-
-    def lpd_at_posterior_mean(self, parameterization: str) -> float:
-        """Total log density at the posterior mean of (a, b, <scale>).
-
-        The scale point estimate depends on which transform is averaged.
-        """
-        if parameterization not in DIC_PARAMETERIZATIONS:
-            raise ValueError(f"parameterization must be one of {DIC_PARAMETERIZATIONS}")
+        the posterior mean of (a, b, <scale>). The scale point estimate
+        depends on which transform is averaged: the model's DIC
+        parameterization picks it."""
         pm = self.posterior_means
-        if parameterization == "sigma":
-            s = pm["sigma"]
-        elif parameterization == "sigma2":
-            s = float(np.sqrt(pm["sigma2"]))
-        else:
-            s = float(np.exp(pm["log_sigma"]))
-        return self._total_loglik_at(pm["a"], pm["b"], s)
+        s = {"sigma": pm["sigma"], "sigma2": float(np.sqrt(pm["sigma2"])),
+             "log_sigma": float(np.exp(pm["log_sigma"]))}[self._dic_parameterization]
+        return PointEstimates(
+            lpd_at_mean=self._total_loglik_at(pm["a"], pm["b"], s),
+            mle=PointEstimateLogLik(self._total_loglik_at(*self.mle), k=3),
+            summary={"mle": dict(zip(("a", "b", "sigma"), self.mle)), "posterior_means": pm},
+        )
 
     def _total_loglik_at(self, a: float, b: float, s: float) -> float:
         r = self._data.y - (a + b * self._data.x)
         return float(normal_logpdf_inplace(r, s**2).sum())
 
     # ---- draw-level evaluation -------------------------------------------
-    def pointwise_loglik(self, indices=None) -> PointwiseLogLikMatrix:
-        if indices is None:
-            x, y = self._data.x, self._data.y
-        else:
-            idx = np.asarray(indices, dtype=int)
-            x, y = self._data.x[idx], self._data.y[idx]
+    def pointwise_loglik(self) -> PointwiseLogLikMatrix:
+        x, y = self._data.x, self._data.y
         resid = np.multiply.outer(x, self.b).T  # S x n, column-major
         resid += self.a[:, None]
         np.subtract(y[None, :], resid, out=resid)

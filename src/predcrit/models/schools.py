@@ -12,8 +12,8 @@ The hierarchical posterior is sampled without MCMC: tau from its gridded
 marginal (inverse CDF on a dense uniform grid), then mu | tau, y normal,
 then each theta_j | mu, tau, y normal. A held-out group has no data in
 the training fit, so its effect is drawn from the population N(mu, tau^2);
-under no pooling that distribution does not exist and prediction is
-refused.
+under no pooling that distribution does not exist and a leave-one-out
+refit is refused.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from ..criteria import PointEstimateLogLik, PointEstimates
-from ..draws import PointwiseLogLikMatrix, _csv_rows
+from ..draws import PointwiseLogLikMatrix, _csv_rows, _require_finite
 from ..errors import MatrixFormatError, ModelRefusalError
 from .normal import normal_logpdf_inplace
 
@@ -55,8 +55,8 @@ class EightSchoolsData:
     names: tuple = field(default=())
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        sigma = np.asarray(self.sigma, dtype=float).reshape(-1)
+        y = _require_finite(np.asarray(self.y, dtype=float).reshape(-1), "y")
+        sigma = _require_finite(np.asarray(self.sigma, dtype=float).reshape(-1), "sigma")
         if y.size != sigma.size or y.size < 1:
             raise ValueError("y and sigma must be nonempty and the same length")
         if (sigma <= 0).any():
@@ -145,8 +145,8 @@ class _SchoolsFit:
     """Cached posterior draws for every group, training or held out.
 
     theta has shape (S, J) over the *full* group list; a held-out group's
-    column is populated from the population distribution (hierarchical)
-    or is invalid (no pooling, where scoring it raises).
+    column is drawn from the training posterior (the shared effect, or
+    the hierarchical population). No pooling has none, so its refit raises.
     """
 
     def __init__(
@@ -163,6 +163,11 @@ class _SchoolsFit:
         keep = np.arange(J) if exclude is None else np.delete(np.arange(J), exclude)
         if keep.size == 0:
             raise ValueError("training set must contain at least one group")
+        if data.mode == "no_pooling" and exclude is not None:
+            raise ModelRefusalError(
+                "model cannot predict held-out point: the no-pooling fit has "
+                "no distribution for an unobserved group"
+            )
         rng = np.random.default_rng(seed)
         self.tau = None
         self.mu = None
@@ -170,10 +175,7 @@ class _SchoolsFit:
         self.tau_mass = None
 
         if data.mode == "no_pooling":
-            theta = np.full((draws, J), np.nan)
-            theta[:, keep] = y[keep] + sigma[keep] * rng.standard_normal((draws, keep.size))
-            self._valid = np.zeros(J, dtype=bool)
-            self._valid[keep] = True
+            theta = y + sigma * rng.standard_normal((draws, J))
         elif data.mode == "complete_pooling":
             w = 1.0 / sigma[keep] ** 2
             v_post = 1.0 / w.sum()
@@ -181,7 +183,6 @@ class _SchoolsFit:
             shared = mean_post + np.sqrt(v_post) * rng.standard_normal(draws)
             theta = np.repeat(shared[:, None], J, axis=1)
             self.mu = shared
-            self._valid = np.ones(J, dtype=bool)
         else:
             grid, mass, mu_hat, v_mu = _tau_grid_posterior(y[keep], sigma[keep], tau_grid)
             self.tau_grid, self.tau_mass = grid, mass
@@ -210,7 +211,6 @@ class _SchoolsFit:
                 theta = mu[:, None] + tau[:, None] * rng.standard_normal((draws, J))
             self.tau = tau
             self.mu = mu
-            self._valid = np.ones(J, dtype=bool)
         self.theta = theta
 
     @property
@@ -219,15 +219,12 @@ class _SchoolsFit:
 
     def lpd_at_posterior_mean(self) -> float:
         """Total log density at the posterior mean of the group effects."""
-        if not self._valid.all():
-            raise ModelRefusalError("model cannot predict held-out point")
         d = self._data
         return float(normal_logpdf_inplace(d.y - self.theta_bayes, d.sigma**2).sum())
 
     def point_estimates(self) -> PointEstimates:
         """Log densities of all J groups at the posterior mean of the group
-        effects and, for the two flat-prior modes, at the training MLE. A
-        no-pooling refit refuses, as its `pointwise_loglik` does."""
+        effects and, for the two flat-prior modes, at the training MLE."""
         lpd_at_mean = self.lpd_at_posterior_mean()
         mle = None
         if self._data.mode != "hierarchical":
@@ -239,17 +236,10 @@ class _SchoolsFit:
             summary={"theta_bayes": self.theta_bayes.tolist()},
         )
 
-    def pointwise_loglik(self, indices=None) -> PointwiseLogLikMatrix:
+    def pointwise_loglik(self) -> PointwiseLogLikMatrix:
         d = self._data
-        idx = np.arange(d.J) if indices is None else np.asarray(indices, dtype=int)
-        if not self._valid[idx].all():
-            raise ModelRefusalError(
-                "model cannot predict held-out point: the no-pooling fit has "
-                "no distribution for an unobserved group"
-            )
-        resid = self.theta[:, idx]  # fancy indexing: a fresh buffer
-        np.subtract(d.y[idx], resid, out=resid)
-        return PointwiseLogLikMatrix(normal_logpdf_inplace(resid, d.sigma[idx] ** 2))
+        resid = np.subtract(d.y, self.theta, order="F")  # S x J, column-major
+        return PointwiseLogLikMatrix(normal_logpdf_inplace(resid, d.sigma**2))
 
 
 def schools_mle(data: EightSchoolsData, exclude: int | None = None) -> tuple[float, int]:

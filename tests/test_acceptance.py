@@ -284,7 +284,7 @@ def test_criterion_6_property_suite():
     redone = {
         i: log_mean_exp(
             model.fit(y, exclude=i, draws=2_000, seed=derive_seed(8, i))
-            .pointwise_loglik([i]).column(0)
+            .pointwise_loglik().column(i)
         )
         for i in (4, 1, 3, 0, 2)
     }

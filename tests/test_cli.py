@@ -72,6 +72,28 @@ def test_exit_code_3_for_non_finite(runner, tmp_path):
     assert result.exit_code == 3
 
 
+NON_FINITE_INPUTS = {
+    "schools-y": ("s.csv", "school,y,sigma\nA,nan,15\nB,8,10\nC,-3,16\n",
+                  [["fit", "--model", "schools"], ["schools-table"]], "nan"),
+    "schools-sigma": ("s.csv", "school,y,sigma\nA,28,nan\nB,8,10\nC,-3,16\n",
+                      [["fit", "--model", "schools"]], "nan"),
+    "election-growth": ("e.csv", "year,growth,vote\n1952,nan,44.6\n1956,3.0,57.8\n1960,0.4,49.9\n"
+                        "1964,2.9,61.3\n1968,1.4,49.6\n", [["election"]], "nan"),
+    "normal-mean": ("y.txt", "0.5\ninf\n1.0\n", [["fit", "--model", "normal-mean"]], "inf"),
+    "balanced": ("b.csv", "group_1,group_2\n0.1,nan\n0.5,0.9\n", [["fit", "--model", "balanced"]], "nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_INPUTS))
+def test_non_finite_data_file_is_a_format_error_naming_the_value(runner, tmp_path, case):
+    name, text, commands, value = NON_FINITE_INPUTS[case]
+    path = _write(tmp_path, name, text)
+    for command in commands:
+        result = runner.invoke(main, [*command, "--input", path, "--draws", "100"])
+        assert result.exit_code == 2, result.output
+        assert f"must be finite, got {value}" in result.output
+
+
 def test_exit_code_4_for_model_refusal(runner):
     result = runner.invoke(
         main, ["loo", "--model", "schools", "--mode", "no_pooling", "--draws", "500"]

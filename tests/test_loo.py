@@ -5,33 +5,12 @@ import pytest
 
 from predcrit.draws import PointwiseLogLikMatrix, log_mean_exp, lppd
 from predcrit.errors import ModelRefusalError
-from predcrit.loo import (
-    bias_correct,
-    loo_report,
-    p_cloo,
-    p_loo,
-)
+from predcrit.loo import loo_report
 from predcrit.models import NormalMeanModel, SchoolsModel, default_eight_schools
 from predcrit.seeds import derive_seed
 
 FLAT_N2_LPPD_LOO = -math.log(4 * math.pi) - 2.0  # y = (0, 2), unit-variance normal mean
 FLAT_N2_LPPD_BAR = -math.log(4 * math.pi) - 1.0
-
-
-def test_bias_correct_arithmetic_contract():
-    b, cloo = bias_correct(-40.9, -41.9, -43.8)
-    assert b == pytest.approx(1.0, rel=1e-13)
-    assert cloo == pytest.approx(-42.8, rel=1e-13)
-    b, cloo = bias_correct(-7.0, -7.0, -9.0)
-    assert b == 0.0 and cloo == -9.0
-    with pytest.raises(ValueError):
-        bias_correct(math.nan, 0.0, 0.0)
-
-
-def test_p_loo_and_p_cloo_are_exact_differences():
-    assert p_loo(-40.9, -43.8) == pytest.approx(2.9, rel=1e-13)
-    assert p_loo(-3.0, -3.0) == 0.0
-    assert p_cloo(-41.9, -43.8) == pytest.approx(1.9, rel=1e-13)
 
 
 def test_refit_loo_matches_flat_normal_closed_form():
@@ -79,10 +58,28 @@ class _FixedPosteriorModel:
     def fit(self, data, exclude=None, *, draws, seed):
         return self
 
-    def pointwise_loglik(self, indices=None):
-        if indices is None:
-            return self.matrix
-        return PointwiseLogLikMatrix(self.matrix.values[:, np.asarray(indices)])
+    def pointwise_loglik(self):
+        return self.matrix
+
+
+class _RecordingModel(_FixedPosteriorModel):
+    """A fixed posterior that records the point each `fit` call leaves out."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.calls = []
+
+    def fit(self, data, exclude=None, *, draws, seed):
+        self.calls.append(exclude)
+        return self
+
+
+@pytest.mark.parametrize("lppd_full", [math.nan, math.inf])
+def test_non_finite_full_lppd_is_refused_before_any_refit(lppd_full):
+    model = _RecordingModel(PointwiseLogLikMatrix(np.full((10, 3), -1.0)))
+    with pytest.raises(ValueError, match="finite"):
+        loo_report(model, np.zeros(3), lppd_full, draws=10, seed=1)
+    assert model.calls == []
 
 
 def test_identical_fold_posteriors_reduce_bar_to_common_lppd():
@@ -103,7 +100,7 @@ def test_fold_order_independence_bitwise():
     scrambled = {}
     for i in (3, 0, 5, 2, 4, 1):
         fit = model.fit(y, exclude=i, draws=5_000, seed=derive_seed(777, i))
-        scrambled[i] = log_mean_exp(fit.pointwise_loglik([i]).column(0))
+        scrambled[i] = log_mean_exp(fit.pointwise_loglik().column(i))
     assert [scrambled[i] for i in range(6)] == per_point
     total2 = loo_report(model, y, 0.0, draws=5_000, seed=777).lppd_loo
     assert total2 == total

@@ -177,11 +177,10 @@ def test_regression_rejects_degenerate_inputs():
 
 
 def test_dic_parameterization_choices_are_distinct():
-    fit = regression_fit(default_election(), 50_000, SEED)
-    vals = {p: fit.lpd_at_posterior_mean(p) for p in ("sigma", "sigma2", "log_sigma")}
+    data = default_election()
+    vals = {p: RegressionModel(p).fit(data, draws=50_000, seed=SEED).point_estimates().lpd_at_mean
+            for p in ("sigma", "sigma2", "log_sigma")}
     assert vals["log_sigma"] > vals["sigma"] > vals["sigma2"]
-    with pytest.raises(ValueError):
-        fit.lpd_at_posterior_mean("tau")
 
 
 def test_regression_model_rejects_unknown_parameterization():
@@ -259,14 +258,8 @@ def test_new_groups_prediction_mode():
 
 def test_no_pooling_heldout_refusal_direct():
     data = default_eight_schools(mode="no_pooling")
-    fit = SchoolsModel().fit(data, exclude=2, draws=100, seed=0)
-    with pytest.raises(ModelRefusalError):
-        fit.pointwise_loglik([2])
-    with pytest.raises(ModelRefusalError):
-        fit.pointwise_loglik()
-    # trained groups remain scoreable
-    ok = fit.pointwise_loglik([0, 1, 3])
-    assert ok.n_points == 3
+    with pytest.raises(ModelRefusalError, match="no distribution for an unobserved group"):
+        SchoolsModel().fit(data, exclude=2, draws=100, seed=0)
 
 
 def test_schools_row_sum_consistency():
@@ -464,13 +457,6 @@ def test_every_model_writes_a_column_major_matrix_equal_to_the_row_major_formula
     assert values.shape[0] == _LAYOUT_S and values.shape[1] > 1
     assert values.flags.f_contiguous
     assert np.array_equal(values, formula(fit))
-
-
-def test_scoring_a_subset_keeps_the_layout_and_the_columns():
-    fit = regression_fit(default_election(), _LAYOUT_S, 1)
-    sub = fit.pointwise_loglik([4, 0, 9]).values
-    assert sub.flags.f_contiguous
-    assert np.array_equal(sub, fit.pointwise_loglik().values[:, [4, 0, 9]])
 
 
 _SCHOOLS = default_eight_schools()

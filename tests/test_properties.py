@@ -69,7 +69,7 @@ def test_fold_parallelism_is_bit_reproducible():
     redone = []
     for i in reversed(range(5)):
         fit = model.fit(y, exclude=i, draws=4_000, seed=derive_seed(31, i))
-        redone.append(log_mean_exp(fit.pointwise_loglik([i]).column(0)))
+        redone.append(log_mean_exp(fit.pointwise_loglik().column(i)))
     assert redone[::-1] == per_point
     assert loo_report(model, y, 0.0, draws=4_000, seed=31).lppd_loo == total
 
@@ -99,4 +99,6 @@ def test_loo_report_internal_identities():
     rep = loo_report(model, y, full, draws=3_000, seed=2)
     assert rep.lppd_cloo == rep.lppd_loo + rep.b
     assert rep.p_loo == full - rep.lppd_loo
+    assert rep.b == full - rep.lppd_bar_minus_i
+    assert rep.p_cloo == rep.lppd_bar_minus_i - rep.lppd_loo
     assert rep.p_cloo == pytest.approx(full - rep.lppd_cloo, abs=1e-12)
