@@ -63,12 +63,7 @@ class PointwiseLogLikMatrix:
             raise MatrixFormatError(
                 f"draw matrix must have at least one draw and one point, got shape {arr.shape}"
             )
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            s, i = np.argwhere(bad)[0]
-            raise NonFiniteLogLikError(
-                f"non-finite log density at draw {s}, point {i}: {arr[s, i]}"
-            )
+        _require_finite_loglik(arr)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -85,6 +80,14 @@ class PointwiseLogLikMatrix:
     def row_totals(self) -> np.ndarray:
         """Per-draw total log likelihood, sum over points."""
         return self.values.sum(axis=1)
+
+
+def _require_finite_loglik(values: np.ndarray, first_point: int = 0) -> None:
+    """Refuse S x k log densities of points `first_point`.. holding NaN or inf."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        s, i = np.argwhere(bad)[0]
+        raise NonFiniteLogLikError(f"non-finite log density at draw {s}, point {i + first_point}: {values[s, i]}")
 
 
 def _as_column(column) -> np.ndarray:

@@ -8,6 +8,7 @@ parallel, and still aggregate to bit-identical results.
 The first-order bias correction compensates LOO for conditioning on n-1
 rather than n points: b = lppd - mean over folds of the full-data lppd
 under the fold posterior, and the corrected estimate is lppd_loo + b.
+Without it a fold scores only its held-out point, `heldout_loglik()`.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .draws import PointwiseLogLikMatrix, log_mean_exp, lppd as lppd_of, mc_standard_error
+from .draws import PointwiseLogLikMatrix, _require_finite_loglik, log_mean_exp, lppd as lppd_of, mc_standard_error
 from .seeds import derive_seed
 
 __all__ = [
@@ -36,6 +37,11 @@ class PosteriorFit(Protocol):
         point's draws contiguous): every fold reduces it over the draws.
         """
 
+    def heldout_loglik(self) -> np.ndarray:
+        """For a fit made with `exclude=i`: the length-S column of point i,
+        bitwise equal to `pointwise_loglik().column(i)`, at the cost of that
+        column alone."""
+
 
 class FittableModel(Protocol):
     def fit(self, data, exclude: int | None = None, *, draws: int, seed: int) -> PosteriorFit:
@@ -46,11 +52,11 @@ class FittableModel(Protocol):
 @dataclass
 class LooReport:
     lppd_loo: float
-    lppd_bar_minus_i: float
-    b: float
-    lppd_cloo: float
+    lppd_bar_minus_i: float | None  # these three, and p_cloo, are None
+    b: float | None  # without the bias correction
+    lppd_cloo: float | None
     p_loo: float
-    p_cloo: float
+    p_cloo: float | None
     per_point: list[float]
     mc_se_lppd_loo: float | None
 
@@ -59,14 +65,17 @@ class LooReport:
 
 
 def loo_report(
-    model: FittableModel, data, lppd_full: float, *, draws: int, seed: int
+    model: FittableModel, data, lppd_full: float, *, draws: int, seed: int,
+    bias_correction: bool = True,
 ) -> LooReport:
     """Run all n folds once and assemble the LOO estimates.
 
     Fold i refits with the seed derived from (seed, i); `lppd_loo` and
-    `lppd_bar_minus_i` are fields of this report. With a single draw the
-    Monte Carlo error is unavailable and `mc_se_lppd_loo` is None. A
-    non-finite `lppd_full` is refused before the first refit.
+    `lppd_bar_minus_i` are fields of this report. Without `bias_correction`
+    a fold scores only its held-out column, refused if it holds NaN or inf.
+    With a single draw the Monte Carlo error is unavailable and
+    `mc_se_lppd_loo` is None. A non-finite `lppd_full` is refused before
+    the first refit.
     """
     n = len(data)
     if n < 2:
@@ -78,23 +87,27 @@ def loo_report(
     se_sq = 0.0
     for i in range(n):
         fit = model.fit(data, exclude=i, draws=draws, seed=derive_seed(seed, i))
-        mat = fit.pointwise_loglik()
-        col = mat.column(i)
+        if bias_correction:
+            mat = fit.pointwise_loglik()
+            col = mat.column(i)  # a view: rebinding it first frees the last fold's matrix
+            fold_full.append(lppd_of(mat))
+        else:
+            col = fit.heldout_loglik()
+            _require_finite_loglik(col[:, None], first_point=i)
         lme = log_mean_exp(col)
         per_point.append(lme)
         if draws > 1:  # delta-method error of log_mean_exp(col)
             se_sq += mc_standard_error(np.exp(col - lme)) ** 2
-        fold_full.append(lppd_of(mat))
     loo_total = float(sum(per_point))
-    bar = float(np.mean(fold_full))
-    b = lppd_full - bar
+    bar = float(np.mean(fold_full)) if bias_correction else None
+    b = lppd_full - bar if bias_correction else None
     return LooReport(
         lppd_loo=loo_total,
         lppd_bar_minus_i=bar,
         b=b,
-        lppd_cloo=loo_total + b,
+        lppd_cloo=loo_total + b if bias_correction else None,
         p_loo=lppd_full - loo_total,
-        p_cloo=bar - loo_total,
+        p_cloo=bar - loo_total if bias_correction else None,
         per_point=per_point,
         mc_se_lppd_loo=math.sqrt(se_sq) if draws > 1 else None,
     )

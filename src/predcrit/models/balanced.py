@@ -13,7 +13,7 @@ import numpy as np
 
 from ..criteria import PointEstimates
 from ..draws import PointwiseLogLikMatrix, _csv_rows, _require_finite
-from ..errors import MatrixFormatError
+from ..errors import MatrixFormatError, ModelRefusalError
 from .normal import NormalMeanSpec, normal_logpdf_inplace, normal_posterior_draws
 from ..seeds import derive_seed
 
@@ -95,7 +95,7 @@ class BalancedModel:
 
     def fit(self, data, exclude: int | None = None, *, draws: int, seed: int) -> _BalancedFit:
         if exclude is not None:
-            raise ValueError("the balanced model supports `fit` only (known hyperparameters)")
+            raise ModelRefusalError("the balanced model supports `fit` only (known hyperparameters)")
         theta = balanced_group_posterior_draws(data, self.mu, self.tau, draws, seed)
         return _BalancedFit(balanced_hierarchical_loglik(theta, data, self.counting), self.counting)
 

@@ -86,13 +86,17 @@ def normal_pointwise_loglik(y, theta) -> PointwiseLogLikMatrix:
 
 
 class _NormalMeanFit:
-    def __init__(self, y_full: np.ndarray, spec: NormalMeanSpec, theta: np.ndarray):
+    def __init__(self, y_full: np.ndarray, spec: NormalMeanSpec, theta: np.ndarray, exclude: int | None):
         self._y = y_full
         self._spec = spec
+        self._exclude = exclude
         self.theta = theta
 
     def pointwise_loglik(self) -> PointwiseLogLikMatrix:
         return normal_pointwise_loglik(self._y, self.theta)
+
+    def heldout_loglik(self) -> np.ndarray:
+        return normal_logpdf_inplace(self._y[self._exclude] - self.theta, 1.0)
 
     def point_estimates(self) -> PointEstimates:
         """Total log density of all n points, the ones `pointwise_loglik`
@@ -129,4 +133,4 @@ class NormalMeanModel:
             raise ValueError("flat-prior fit needs at least one training point")
         spec = NormalMeanSpec.from_data(train, m=self.m, mu0=self.mu0)
         theta = normal_posterior_draws(spec, draws, seed)
-        return _NormalMeanFit(y, spec, theta)
+        return _NormalMeanFit(y, spec, theta, exclude)

@@ -52,9 +52,11 @@ def _design(x: np.ndarray) -> np.ndarray:
 class _RegressionFit:
     """Joint posterior draws plus the point summaries used downstream."""
 
-    def __init__(self, data: RegressionData, train_idx: np.ndarray, draws: int, seed: int,
+    def __init__(self, data: RegressionData, exclude: int | None, draws: int, seed: int,
                  dic_parameterization: str):
         self._data = data
+        self._exclude = exclude
+        train_idx = np.arange(len(data)) if exclude is None else np.delete(np.arange(len(data)), exclude)
         self._dic_parameterization = dic_parameterization
         x = data.x[train_idx]
         y = data.y[train_idx]
@@ -123,6 +125,10 @@ class _RegressionFit:
         np.subtract(y[None, :], resid, out=resid)
         return PointwiseLogLikMatrix(normal_logpdf_inplace(resid, self.sigma2[:, None]))
 
+    def heldout_loglik(self) -> np.ndarray:
+        x, y = self._data.x[self._exclude], self._data.y[self._exclude]
+        return normal_logpdf_inplace(y - (x * self.b + self.a), self.sigma2)
+
 
 class RegressionModel:
     """Refittable flat-prior regression; `dic_parameterization` picks the
@@ -134,11 +140,7 @@ class RegressionModel:
         self.dic_parameterization = dic_parameterization
 
     def fit(self, data: RegressionData, exclude: int | None = None, *, draws: int, seed: int) -> _RegressionFit:
-        n = len(data)
-        idx = np.arange(n)
-        if exclude is not None:
-            idx = np.delete(idx, exclude)
-        return _RegressionFit(data, idx, draws, seed, self.dic_parameterization)
+        return _RegressionFit(data, exclude, draws, seed, self.dic_parameterization)
 
 
 def regression_fit(data: RegressionData, draws: int, seed: int) -> _RegressionFit:

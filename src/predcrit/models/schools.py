@@ -18,6 +18,7 @@ refit is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -147,6 +148,8 @@ class _SchoolsFit:
     theta has shape (S, J) over the *full* group list; a held-out group's
     column is drawn from the training posterior (the shared effect, or
     the hierarchical population). No pooling has none, so its refit raises.
+    A refit draws its held-out effect (`_heldout`) when built, after tau
+    and mu, and the other groups' effects only when `theta` is first read.
     """
 
     def __init__(
@@ -168,50 +171,52 @@ class _SchoolsFit:
                 "model cannot predict held-out point: the no-pooling fit has "
                 "no distribution for an unobserved group"
             )
-        rng = np.random.default_rng(seed)
-        self.tau = None
-        self.mu = None
-        self.tau_grid = None
-        self.tau_mass = None
-
-        if data.mode == "no_pooling":
-            theta = y + sigma * rng.standard_normal((draws, J))
-        elif data.mode == "complete_pooling":
+        self._rng = rng = np.random.default_rng(seed)
+        self._draws = draws
+        self.tau = self.mu = self.tau_grid = self.tau_mass = self._heldout = None
+        if data.mode == "complete_pooling":
             w = 1.0 / sigma[keep] ** 2
             v_post = 1.0 / w.sum()
             mean_post = v_post * (w * y[keep]).sum()
-            shared = mean_post + np.sqrt(v_post) * rng.standard_normal(draws)
-            theta = np.repeat(shared[:, None], J, axis=1)
-            self.mu = shared
-        else:
+            self.mu = self._heldout = mean_post + np.sqrt(v_post) * rng.standard_normal(draws)
+        elif data.mode == "hierarchical":
             grid, mass, mu_hat, v_mu = _tau_grid_posterior(y[keep], sigma[keep], tau_grid)
             self.tau_grid, self.tau_mass = grid, mass
-            cdf = np.cumsum(mass)
-            idx = np.searchsorted(cdf, rng.random(draws))
-            tau = grid[idx]
-            mu = mu_hat[idx] + np.sqrt(v_mu[idx]) * rng.standard_normal(draws)
-            # theta_j | mu, tau ~ N((y t2 + mu s2) / den, s2 t2 / den) with
-            # t2 = tau^2 and den = t2 + s2, so tau = 0 needs no special case;
-            # the tau-only factors are tabulated on the grid, then gathered
-            g2 = grid[:, None] ** 2
-            s2 = sigma**2
-            den = g2 + s2
-            y_g2 = y * g2
-            sd = np.sqrt(s2 * g2 / den)
-            theta = np.take(y_g2, idx, axis=0)
-            buf = np.multiply(mu[:, None], s2)
-            theta += buf
-            theta /= np.take(den, idx, axis=0, out=buf)
-            rng.standard_normal(out=buf)
-            buf *= np.take(sd, idx, axis=0)
-            theta += buf
+            self._idx = idx = np.searchsorted(np.cumsum(mass), rng.random(draws))
+            self.tau = grid[idx]
+            self.mu = mu_hat[idx] + np.sqrt(v_mu[idx]) * rng.standard_normal(draws)
             if exclude is not None:
-                theta[:, exclude] = mu + tau * rng.standard_normal(draws)
-            if data.prediction_mode == "new_groups":
-                theta = mu[:, None] + tau[:, None] * rng.standard_normal((draws, J))
-            self.tau = tau
-            self.mu = mu
-        self.theta = theta
+                self._heldout = self.mu + self.tau * rng.standard_normal(draws)
+        if exclude is None:  # a full-data fit draws every effect when built
+            self.theta
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        d, rng, draws = self._data, self._rng, self._draws
+        if d.mode == "no_pooling":
+            return d.y + d.sigma * rng.standard_normal((draws, d.J))
+        if d.mode == "complete_pooling":
+            return np.repeat(self.mu[:, None], d.J, axis=1)
+        # theta_j | mu, tau ~ N((y t2 + mu s2) / den, s2 t2 / den) with
+        # t2 = tau^2 and den = t2 + s2, so tau = 0 needs no special case;
+        # the tau-only factors are tabulated on the grid, then gathered
+        idx, mu = self._idx, self.mu
+        g2 = self.tau_grid[:, None] ** 2
+        s2 = d.sigma**2
+        den = g2 + s2
+        sd = np.sqrt(s2 * g2 / den)
+        theta = np.take(d.y * g2, idx, axis=0)
+        buf = np.multiply(mu[:, None], s2)
+        theta += buf
+        theta /= np.take(den, idx, axis=0, out=buf)
+        rng.standard_normal(out=buf)
+        buf *= np.take(sd, idx, axis=0)
+        theta += buf
+        if d.prediction_mode == "new_groups":
+            theta = mu[:, None] + self.tau[:, None] * rng.standard_normal((draws, d.J))
+        if self._exclude is not None:
+            theta[:, self._exclude] = self._heldout
+        return theta
 
     @property
     def theta_bayes(self) -> np.ndarray:
@@ -240,6 +245,10 @@ class _SchoolsFit:
         d = self._data
         resid = np.subtract(d.y, self.theta, order="F")  # S x J, column-major
         return PointwiseLogLikMatrix(normal_logpdf_inplace(resid, d.sigma**2))
+
+    def heldout_loglik(self) -> np.ndarray:
+        d, i = self._data, self._exclude
+        return normal_logpdf_inplace(d.y[i] - self._heldout, (d.sigma**2)[i])
 
 
 def schools_mle(data: EightSchoolsData, exclude: int | None = None) -> tuple[float, int]:

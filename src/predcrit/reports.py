@@ -94,9 +94,8 @@ def schools_table_report(
             rows["p_loo"][mode] = UNDEFINED_LOO_NO_POOLING
             rows["minus2_lppd_loo"][mode] = UNDEFINED_LOO_NO_POOLING
         else:
-            loo = loo_report(
-                SchoolsModel(), d, rep.lppd, draws=draws, seed=derive_seed(seed, 10 + col_idx)
-            )
+            loo = loo_report(SchoolsModel(), d, rep.lppd, draws=draws, seed=derive_seed(seed, 10 + col_idx),
+                             bias_correction=False)
             rows["p_loo"][mode] = loo.p_loo
             rows["minus2_lppd_loo"][mode] = -2.0 * loo.lppd_loo
 
@@ -126,7 +125,7 @@ def election_report(
     mat = fit.pointwise_loglik()
     rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle, waic_variant=waic_variant)
     summary = lpd_posterior_summary(mat.row_totals(), bins=bins)
-    loo = loo_report(model, d, rep.lppd, draws=draws, seed=derive_seed(seed, 1))
+    loo = loo_report(model, d, rep.lppd, draws=draws, seed=derive_seed(seed, 1), bias_correction=True)
 
     return {
         "draws": draws,

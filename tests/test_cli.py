@@ -256,12 +256,17 @@ def test_fit_balanced_counting_modes(runner, tmp_path):
     grp = json.loads(by_grp.output)
     assert obs["n_points"] == 6 and grp["n_points"] == 2
     assert obs["report"]["p_waic2"] != grp["report"]["p_waic2"]
-    refused = runner.invoke(main, ["loo", "--model", "balanced", "--input", path])
-    assert refused.exit_code == 2
     bad = _write(tmp_path, "bad.csv", "g1,g2\n1,2\n")
     assert runner.invoke(
         main, ["fit", "--model", "balanced", "--input", bad]
     ).exit_code == 2
+
+
+def test_loo_of_the_balanced_model_is_a_model_refusal(runner, tmp_path):
+    path = _write(tmp_path, "bal.csv", "group_1,group_2,group_3\n1.0,2.0,0.5\n0.5,1.5,1.0\n1.5,2.5,0.0\n")
+    refused = runner.invoke(main, ["loo", "--model", "balanced", "--input", path, "--draws", "100"])
+    assert refused.exit_code == 4
+    assert "model refusal: the balanced model supports `fit` only (known hyperparameters)" in refused.output
 
 
 def test_loo_regression_matches_election_report(runner):

@@ -29,7 +29,7 @@ from predcrit.models import (
     schools_fit,
 )
 from predcrit.models.normal import normal_logpdf_inplace
-from predcrit.models.schools import schools_mle
+from predcrit.models.schools import _SchoolsFit, schools_mle
 
 S = 100_000
 SEED = 12345
@@ -474,19 +474,73 @@ def test_hierarchical_theta_equals_the_per_draw_conditional_formula(case):
     draws, seed = 5_000, 17
     fit = HIERARCHICAL_FITS[case](draws, seed)
     y, sigma, J = _SCHOOLS.y, _SCHOOLS.sigma, _SCHOOLS.J
-    # replay the fit's stream: tau by inverse CDF, then mu's normals, then theta's
+    # replay the fit's stream: tau by inverse CDF, then mu's normals, then a
+    # refit's held-out effect, then theta's
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(np.cumsum(fit.tau_mass), rng.random(draws))
     assert np.array_equal(fit.tau, fit.tau_grid[idx])
     rng.standard_normal(draws)
     tau, mu = fit.tau, fit.mu
+    if case == "exclude-3":
+        heldout = mu + tau * rng.standard_normal(draws)
     t2 = tau[:, None] ** 2
     s2 = sigma[None, :] ** 2
     cond_mean = (y[None, :] * t2 + mu[:, None] * s2) / (t2 + s2)
     cond_var = s2 * t2 / (t2 + s2)
     theta = cond_mean + np.sqrt(cond_var) * rng.standard_normal((draws, J))
     if case == "exclude-3":
-        theta[:, 3] = mu + tau * rng.standard_normal(draws)
+        theta[:, 3] = heldout
     if case == "new-groups":
         theta = mu[:, None] + tau[:, None] * rng.standard_normal((draws, J))
     assert np.array_equal(fit.theta, theta)
+
+
+# ---------------------------------------------------------------------------
+# a refit's held-out column: bitwise the full matrix's, at its cost alone
+# ---------------------------------------------------------------------------
+
+_NEW_GROUPS = _SCHOOLS.with_mode("hierarchical", "new_groups")
+REFITS = {
+    "normal-mean-flat": (_LAYOUT_Y, lambda i, draws, seed: NormalMeanModel().fit(
+        _LAYOUT_Y, exclude=i, draws=draws, seed=seed)),
+    "normal-mean-m1": (_LAYOUT_Y, lambda i, draws, seed: NormalMeanModel(m=1.0, mu0=0.3).fit(
+        _LAYOUT_Y, exclude=i, draws=draws, seed=seed)),
+    "regression": (default_election().x, lambda i, draws, seed: RegressionModel().fit(
+        default_election(), exclude=i, draws=draws, seed=seed)),
+    "schools-complete-pooling": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel().fit(
+        _SCHOOLS.with_mode("complete_pooling"), exclude=i, draws=draws, seed=seed)),
+    "schools-existing-groups": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel().fit(
+        _SCHOOLS, exclude=i, draws=draws, seed=seed)),
+    "schools-new-groups": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel().fit(
+        _NEW_GROUPS, exclude=i, draws=draws, seed=seed)),
+    "schools-pinned-tau": (_SCHOOLS.y, lambda i, draws, seed: _SchoolsFit(
+        _SCHOOLS, i, draws, seed, tau_grid=np.array([5.0]))),
+}
+
+
+@pytest.mark.parametrize("name", list(REFITS))
+def test_heldout_column_is_bitwise_the_full_matrix_column(name):
+    points, refit = REFITS[name]
+    for i in range(points.size):
+        fit = refit(i, 2_000, 40 + i)
+        heldout = fit.heldout_loglik()
+        assert heldout.shape == (2_000,)
+        assert np.array_equal(heldout, fit.pointwise_loglik().column(i))
+        assert np.array_equal(heldout, refit(i, 2_000, 40 + i).heldout_loglik())
+
+
+@pytest.mark.parametrize("data", [_SCHOOLS, _NEW_GROUPS, _SCHOOLS.with_mode("complete_pooling")],
+                         ids=["existing-groups", "new-groups", "complete-pooling"])
+def test_a_schools_refit_draws_the_other_effects_only_when_theta_is_read(data):
+    draws, seed = 1_000, 9
+    fit = SchoolsModel().fit(data, exclude=2, draws=draws, seed=seed)
+    heldout = fit.heldout_loglik()
+    assert "theta" not in vars(fit)
+    if fit.tau is not None:  # the held-out effect is the third draw: after tau and mu
+        rng = np.random.default_rng(seed)
+        rng.random(draws)
+        rng.standard_normal(draws)
+        assert np.array_equal(fit.theta[:, 2], fit.mu + fit.tau * rng.standard_normal(draws))
+    else:
+        assert np.array_equal(fit.theta[:, 2], fit.mu)
+    assert np.array_equal(fit.heldout_loglik(), heldout)
