@@ -190,8 +190,8 @@ def _column_pass(m: PointwiseLogLikMatrix) -> _ColumnPass:
     )
 
 
-def _header(width: int) -> list[str]:
-    return [f"point_{j + 1}" for j in range(width)]
+def _header(width: int, prefix: str = "point_") -> list[str]:
+    return [f"{prefix}{j + 1}" for j in range(width)]
 
 
 def _is_path(source) -> bool:
@@ -235,12 +235,12 @@ def _is_numeric_row(cells: list[str]) -> bool:
 
 def _load_fast(fh, start) -> np.ndarray | None:
     """The matrix from numpy's C parser, streamed from fh, or None when the
-    input needs the row-by-row reader: a first line that is neither numbers
-    nor point_1..point_n (blank, quoted, a bad header), or anything numpy
-    refuses.
+    input needs the row-by-row `_read_table`: a first line that is neither
+    numbers nor point_1..point_n (blank, quoted, a bad header), or anything
+    numpy refuses.
 
     Numpy converts each cell with the same routine as Python's float(), so
-    every matrix it accepts is the one the row-by-row reader would build.
+    every matrix it accepts is the one `_read_table` would build.
     """
     cells = [c.strip() for c in fh.readline().split(",")]
     if _is_numeric_row(cells):
@@ -259,37 +259,42 @@ def _load_fast(fh, start) -> np.ndarray | None:
     return data
 
 
-def _load_rows(fh) -> np.ndarray:
-    """The row-by-row reader: the reference for what the format accepts, and
-    the source of every row- and column-numbered error message."""
-    rows = _csv_rows(fh)
-    if not rows:
-        raise MatrixFormatError("empty draw-matrix file")
+def _read_table(source, header, what: str, rows: str, *, labels: int = 0,
+                optional: bool = False) -> np.ndarray:
+    """The numbers of a CSV table: one array row per body row, one column
+    per column after the first `labels`, which hold labels and are not read.
 
-    first = rows[0]
-    start = 0
-    if not _is_numeric_row(first):
-        expected = _header(len(first))
-        if first != expected:
-            raise MatrixFormatError(
-                f"header row must be {','.join(expected)}, got {','.join(first)}"
-            )
-        start = 1
-    body = rows[start:]
+    `header` is the list of column names, or a prefix p naming the columns
+    p1, p2, ... of whatever width the first row has. The header row is
+    required unless `optional`, when a first row that reads as numbers is
+    the first body row instead. Every row must be as wide as the first.
+    The first bad row or cell is named, rows counted from 0 with the header,
+    blank rows not counted (they are dropped, see _csv_rows). The messages
+    call the file `what` and its body rows `rows`.
+    """
+    table = _csv_rows(source)
+    if not table:
+        raise MatrixFormatError(f"empty {what} file")
+    first = table[0]
+    start = 0 if optional and _is_numeric_row(first) else 1
+    expected = _header(len(first), header) if isinstance(header, str) else list(header)
+    if start and first != expected:
+        raise MatrixFormatError(
+            f"header row must be {','.join(expected)}, got {','.join(first)}"
+        )
+    body = table[start:]
     if not body:
-        raise MatrixFormatError("draw-matrix file has a header but no draws")
+        raise MatrixFormatError(f"{what} file has a header but no {rows}")
 
     width = len(first)
-    data = np.empty((len(body), width), dtype=float)
-    for r, row in enumerate(body):
+    data = np.empty((len(body), width - labels), dtype=float)
+    for r, row in enumerate(body, start=start):
         if len(row) != width:
-            raise MatrixFormatError(
-                f"row {r + start} has {len(row)} cells, expected {width}"
-            )
-        for c, cell in enumerate(row):
-            if not cell:
-                raise MatrixFormatError(f"missing cell at row {r + start}, column {c}")
-            data[r, c] = _parse_cell(cell, r + start, c)
+            raise MatrixFormatError(f"row {r} has {len(row)} cells, expected {width}")
+        for c in range(labels, width):
+            if not row[c]:
+                raise MatrixFormatError(f"missing cell at row {r}, column {c}")
+            data[r - start, c - labels] = _parse_cell(row[c], r, c)
     return data
 
 
@@ -316,7 +321,7 @@ def read_loglik_csv(source) -> PointwiseLogLikMatrix:
     data = _load_fast(source, start)
     if data is None:
         source.seek(start)
-        data = _load_rows(source)
+        data = _read_table(source, "point_", "draw-matrix", "draws", optional=True)
     return PointwiseLogLikMatrix(data)
 
 

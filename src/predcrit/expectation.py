@@ -34,25 +34,27 @@ __all__ = [
 
 CHUNK = 8192
 
-# name -> (per-replicate quantity, oracle fn, needs n >= 2 loo machinery)
+# name -> expectation of its per-replicate quantity, from (n, m, prior_dev2).
 # Gap quantities are estimator-vs-target (elppd) errors, paired per
 # replicate; penalty quantities are the raw effective-parameter counts.
-ESTIMATOR_NAMES = (
-    "aic",
-    "dic",
-    "waic1",
-    "waic2",
-    "loo",
-    "cloo",
-    "lppd",
-    "elppd",
-    "p_dic",
-    "p_waic1",
-    "p_waic2",
-    "p_loo",
-    "p_cloo",
-    "b",
-)
+# Each entry looks `oracle.*` up when called, not when this module loads.
+_EXPECTATIONS = {
+    "aic": lambda n, m, pd2: oracle.expected_aic_gap(n, m, pd2),
+    "dic": lambda n, m, pd2: oracle.expected_dic_gap(n, m, pd2),
+    "waic1": lambda n, m, pd2: oracle.expected_waic1_gap(n, m, pd2),
+    "waic2": lambda n, m, pd2: oracle.expected_waic2_gap(n, m, pd2),
+    "loo": lambda n, m, pd2: oracle.expected_loo_gap(n, m, pd2),
+    "cloo": lambda n, m, pd2: oracle.expected_cloo_gap(n, m, pd2),
+    "lppd": lambda n, m, pd2: oracle.true_p(n, m),
+    "elppd": lambda n, m, pd2: oracle.expected_elppd(n, m, pd2),
+    "p_dic": lambda n, m, pd2: oracle.p_dic(oracle.NormalMeanSpec(n=n, m=m)),
+    "p_waic1": lambda n, m, pd2: oracle.expected_p_waic1(n, m, pd2),
+    "p_waic2": lambda n, m, pd2: oracle.expected_p_waic2(n, m, pd2),
+    "p_loo": lambda n, m, pd2: oracle.expected_lppd(n, m, pd2) - oracle.expected_lppd_loo(n, m, pd2),
+    "p_cloo": lambda n, m, pd2: oracle.expected_p_cloo(n, m, pd2),
+    "b": lambda n, m, pd2: oracle.expected_b(n, m, pd2),
+}
+ESTIMATOR_NAMES = tuple(_EXPECTATIONS)
 
 _LOO_NAMES = {"loo", "cloo", "p_loo", "p_cloo", "b"}
 
@@ -179,27 +181,6 @@ def _replicate_chunk(plan: ReplicationPlan, chunk_index: int, size: int) -> dict
     return {name: values[name] for name in plan.estimators}
 
 
-def _oracle_value(name: str, plan: ReplicationPlan) -> float:
-    n, m, pd2 = plan.n, plan.m, plan.prior_dev2
-    table = {
-        "lppd": lambda: oracle.true_p(n, m),
-        "elppd": lambda: oracle.expected_elppd(n, m, pd2),
-        "aic": lambda: oracle.expected_aic_gap(n, m, pd2),
-        "dic": lambda: oracle.expected_dic_gap(n, m, pd2),
-        "waic1": lambda: oracle.expected_waic1_gap(n, m, pd2),
-        "waic2": lambda: oracle.expected_waic2_gap(n, m, pd2),
-        "loo": lambda: oracle.expected_loo_gap(n, m, pd2),
-        "cloo": lambda: oracle.expected_cloo_gap(n, m, pd2),
-        "b": lambda: oracle.expected_b(n, m, pd2),
-        "p_dic": lambda: oracle.p_dic(oracle.NormalMeanSpec(n=n, m=m)),
-        "p_waic1": lambda: oracle.expected_p_waic1(n, m, pd2),
-        "p_waic2": lambda: oracle.expected_p_waic2(n, m, pd2),
-        "p_loo": lambda: oracle.expected_lppd(n, m, pd2) - oracle.expected_lppd_loo(n, m, pd2),
-        "p_cloo": lambda: oracle.expected_p_cloo(n, m, pd2),
-    }
-    return float(table[name]())
-
-
 def run_expectation_study(plan: ReplicationPlan) -> ExpectationResult:
     """Average each requested estimator over R replicates and z-score it.
 
@@ -219,7 +200,7 @@ def run_expectation_study(plan: ReplicationPlan) -> ExpectationResult:
         # a constant estimator has no Monte Carlo error; its rounding-level
         # sample variance would turn an exact match into a huge z-score
         mc_se = 0.0 if (vals == vals[0]).all() else float(math.sqrt(vals.var(ddof=1) / plan.R))
-        oracle_value = _oracle_value(name, plan)
+        oracle_value = float(_EXPECTATIONS[name](plan.n, plan.m, plan.prior_dev2))
         if mc_se > 0:
             z = (mc_mean - oracle_value) / mc_se
         elif math.isclose(mc_mean, oracle_value, rel_tol=1e-9, abs_tol=1e-12):

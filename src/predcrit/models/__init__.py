@@ -1,10 +1,7 @@
 """Built-in Bayesian models producing parameter draws and pointwise log likelihoods."""
 from __future__ import annotations
 
-import numpy as np
-
-from ..draws import _csv_rows
-from ..errors import MatrixFormatError
+from ..draws import _read_table
 from .balanced import BalancedModel, balanced_group_posterior_draws, balanced_hierarchical_loglik, load_balanced_csv
 from .normal import NormalMeanModel, NormalMeanSpec, normal_pointwise_loglik, normal_posterior_draws
 from .regression import DIC_PARAMETERIZATIONS, RegressionData, RegressionModel, regression_fit
@@ -40,20 +37,11 @@ __all__ = [
 
 
 def load_election_csv(source) -> RegressionData:
-    """Read `year,growth,vote` rows (header required) into regression data."""
-    rows = _csv_rows(source)
-    if not rows or rows[0] != ["year", "growth", "vote"]:
-        raise MatrixFormatError("election CSV must start with header year,growth,vote")
-    growth, vote = [], []
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != 3:
-            raise MatrixFormatError(f"row {r} has {len(row)} cells, expected 3")
-        try:
-            growth.append(float(row[1]))
-            vote.append(float(row[2]))
-        except ValueError:
-            raise MatrixFormatError(f"row {r} has a non-numeric cell") from None
-    return RegressionData(np.array(growth), np.array(vote))
+    """Read `year,growth,vote` rows (header required; the year is not read)
+    into regression data."""
+    table = _read_table(source, ("year", "growth", "vote"), "election data", "elections", labels=1)
+    growth, vote = table.T
+    return RegressionData(growth, vote)
 
 
 def default_election() -> RegressionData:

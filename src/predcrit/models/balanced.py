@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..criteria import PointEstimates
-from ..draws import PointwiseLogLikMatrix, _csv_rows, _require_finite
-from ..errors import MatrixFormatError, ModelRefusalError
+from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
+from ..errors import ModelRefusalError
 from .normal import NormalMeanSpec, normal_logpdf_inplace, normal_posterior_draws
 from ..seeds import derive_seed
 
@@ -102,23 +102,4 @@ class BalancedModel:
 
 def load_balanced_csv(source) -> np.ndarray:
     """Read an n x J observation table with header `group_1,...,group_J`."""
-    rows = _csv_rows(source)
-    if not rows:
-        raise MatrixFormatError("empty balanced-data file")
-    header = rows[0]
-    expected = [f"group_{j + 1}" for j in range(len(header))]
-    if header != expected:
-        raise MatrixFormatError(
-            f"balanced CSV header must be {','.join(expected)}, got {','.join(header)}"
-        )
-    if len(rows) < 2:
-        raise MatrixFormatError("balanced CSV has a header but no observations")
-    data = np.empty((len(rows) - 1, len(header)))
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise MatrixFormatError(f"row {r} has {len(row)} cells, expected {len(header)}")
-        try:
-            data[r - 1] = [float(c) for c in row]
-        except ValueError:
-            raise MatrixFormatError(f"row {r} has a non-numeric cell") from None
-    return _require_finite(data, "balanced CSV")
+    return _require_finite(_read_table(source, "group_", "balanced data", "observations"), "balanced CSV")

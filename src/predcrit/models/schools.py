@@ -17,15 +17,15 @@ refit is refused.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
 from ..criteria import PointEstimateLogLik, PointEstimates
-from ..draws import PointwiseLogLikMatrix, _csv_rows, _require_finite
-from ..errors import MatrixFormatError, ModelRefusalError
+from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
+from ..errors import ModelRefusalError
 from .normal import normal_logpdf_inplace
 
 __all__ = [
@@ -53,7 +53,6 @@ class EightSchoolsData:
     sigma: np.ndarray
     mode: str = "hierarchical"
     prediction_mode: str = "existing_groups"
-    names: tuple = field(default=())
 
     def __post_init__(self):
         y = _require_finite(np.asarray(self.y, dtype=float).reshape(-1), "y")
@@ -70,8 +69,6 @@ class EightSchoolsData:
             raise ValueError("new_groups prediction needs the hierarchical mode")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sigma", sigma)
-        if not self.names:
-            object.__setattr__(self, "names", tuple(str(j + 1) for j in range(y.size)))
 
     @property
     def J(self) -> int:
@@ -86,26 +83,13 @@ class EightSchoolsData:
             self.sigma,
             mode=mode,
             prediction_mode=prediction_mode or self.prediction_mode,
-            names=self.names,
         )
 
 
 def load_schools_csv(source) -> EightSchoolsData:
-    """Read `school,y,sigma` rows (header required)."""
-    rows = _csv_rows(source)
-    if not rows or rows[0] != ["school", "y", "sigma"]:
-        raise MatrixFormatError("schools CSV must start with header school,y,sigma")
-    names, ys, sigmas = [], [], []
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != 3:
-            raise MatrixFormatError(f"row {r} has {len(row)} cells, expected 3")
-        try:
-            names.append(row[0])
-            ys.append(float(row[1]))
-            sigmas.append(float(row[2]))
-        except ValueError:
-            raise MatrixFormatError(f"row {r} has a non-numeric cell") from None
-    return EightSchoolsData(np.array(ys), np.array(sigmas), names=tuple(names))
+    """Read `school,y,sigma` rows (header required; the school is not read)."""
+    y, sigma = _read_table(source, ("school", "y", "sigma"), "schools data", "groups", labels=1).T
+    return EightSchoolsData(y, sigma)
 
 
 def default_eight_schools(mode: str = "hierarchical") -> EightSchoolsData:
@@ -197,23 +181,24 @@ class _SchoolsFit:
             return d.y + d.sigma * rng.standard_normal((draws, d.J))
         if d.mode == "complete_pooling":
             return np.repeat(self.mu[:, None], d.J, axis=1)
-        # theta_j | mu, tau ~ N((y t2 + mu s2) / den, s2 t2 / den) with
-        # t2 = tau^2 and den = t2 + s2, so tau = 0 needs no special case;
-        # the tau-only factors are tabulated on the grid, then gathered
         idx, mu = self._idx, self.mu
-        g2 = self.tau_grid[:, None] ** 2
-        s2 = d.sigma**2
-        den = g2 + s2
-        sd = np.sqrt(s2 * g2 / den)
-        theta = np.take(d.y * g2, idx, axis=0)
-        buf = np.multiply(mu[:, None], s2)
-        theta += buf
-        theta /= np.take(den, idx, axis=0, out=buf)
-        rng.standard_normal(out=buf)
-        buf *= np.take(sd, idx, axis=0)
-        theta += buf
         if d.prediction_mode == "new_groups":
             theta = mu[:, None] + self.tau[:, None] * rng.standard_normal((draws, d.J))
+        else:
+            # theta_j | mu, tau ~ N((y t2 + mu s2) / den, s2 t2 / den) with
+            # t2 = tau^2 and den = t2 + s2, so tau = 0 needs no special case;
+            # the tau-only factors are tabulated on the grid, then gathered
+            g2 = self.tau_grid[:, None] ** 2
+            s2 = d.sigma**2
+            den = g2 + s2
+            sd = np.sqrt(s2 * g2 / den)
+            theta = np.take(d.y * g2, idx, axis=0)
+            buf = np.multiply(mu[:, None], s2)
+            theta += buf
+            theta /= np.take(den, idx, axis=0, out=buf)
+            rng.standard_normal(out=buf)
+            buf *= np.take(sd, idx, axis=0)
+            theta += buf
         if self._exclude is not None:
             theta[:, self._exclude] = self._heldout
         return theta

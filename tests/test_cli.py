@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from predcrit.cli import main
-from predcrit.models import default_eight_schools
+from predcrit.errors import MatrixFormatError
+from predcrit.models import default_eight_schools, load_balanced_csv, load_election_csv, load_schools_csv
 from predcrit.models.schools import schools_mle
 from predcrit.reports import election_report
 
@@ -92,6 +93,55 @@ def test_non_finite_data_file_is_a_format_error_naming_the_value(runner, tmp_pat
         result = runner.invoke(main, [*command, "--input", path, "--draws", "100"])
         assert result.exit_code == 2, result.output
         assert f"must be finite, got {value}" in result.output
+
+
+# Each model data file's loader and a command that reads it, then one
+# malformed file per case and the exact message it gets: rows are counted
+# from 0 with the header, columns from 0 with the label column.
+MODEL_FILES = {
+    "schools": (load_schools_csv, ["fit", "--model", "schools"]),
+    "election": (load_election_csv, ["election"]),
+    "balanced": (load_balanced_csv, ["fit", "--model", "balanced"]),
+}
+MALFORMED_MODEL_FILES = {
+    ("schools", "bad header"): ("school,y\nA,28\n", "header row must be school,y,sigma, got school,y"),
+    ("schools", "empty"): ("", "empty schools data file"),
+    ("schools", "header only"): ("school,y,sigma\n", "schools data file has a header but no groups"),
+    ("schools", "short row"): ("school,y,sigma\nA,28,15\nB,8\n", "row 2 has 2 cells, expected 3"),
+    ("schools", "empty cell"): ("school,y,sigma\nA,28,15\nB,,10\n", "missing cell at row 2, column 1"),
+    ("schools", "non-number"): ("school,y,sigma\nA,28,15\nB,8,ten\n",
+                                "cell at row 2, column 2 is not a number: 'ten'"),
+    ("election", "bad header"): ("growth,vote\n2.4,57.2\n",
+                                 "header row must be year,growth,vote, got growth,vote"),
+    ("election", "empty"): ("\n\n", "empty election data file"),
+    ("election", "header only"): ("year,growth,vote\n", "election data file has a header but no elections"),
+    ("election", "short row"): ("year,growth,vote\n1952,2.4,57.2\n1956,2.9\n", "row 2 has 2 cells, expected 3"),
+    ("election", "empty cell"): ("year,growth,vote\n1952,2.4,57.2\n1956, ,53.4\n",
+                                 "missing cell at row 2, column 1"),
+    ("election", "non-number"): ("year,growth,vote\n1952,2.4,57.2\n1956,2.9,53.4%\n",
+                                 "cell at row 2, column 2 is not a number: '53.4%'"),
+    ("balanced", "bad header"): ("group_1,group_3\n0.1,0.5\n",
+                                 "header row must be group_1,group_2, got group_1,group_3"),
+    ("balanced", "empty"): ("", "empty balanced data file"),
+    ("balanced", "header only"): ("group_1,group_2\n", "balanced data file has a header but no observations"),
+    ("balanced", "short row"): ("group_1,group_2\n0.1,0.5\n0.3\n", "row 2 has 1 cells, expected 2"),
+    ("balanced", "empty cell"): ("group_1,group_2\n0.1,0.5\n,0.3\n", "missing cell at row 2, column 0"),
+    ("balanced", "non-number"): ("group_1,group_2\n0.1,0.5\n0.3,x\n",
+                                 "cell at row 2, column 1 is not a number: 'x'"),
+}
+
+
+@pytest.mark.parametrize("model, case", list(MALFORMED_MODEL_FILES))
+def test_malformed_model_file_names_its_row_and_column(runner, tmp_path, model, case):
+    load, command = MODEL_FILES[model]
+    text, message = MALFORMED_MODEL_FILES[model, case]
+    path = _write(tmp_path, "data.csv", text)
+    with pytest.raises(MatrixFormatError) as info:
+        load(path)
+    assert str(info.value) == message
+    result = runner.invoke(main, [*command, "--input", path, "--draws", "100"])
+    assert result.exit_code == 2
+    assert f"input format error: {message}\n" in result.output
 
 
 def test_exit_code_4_for_model_refusal(runner):
