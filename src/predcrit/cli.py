@@ -16,13 +16,7 @@ import numpy as np
 from .criteria import PointEstimateLogLik, criterion_report
 from .draws import _require_finite, lppd, read_loglik_csv
 from .errors import MatrixFormatError, ModelRefusalError, NonFiniteLogLikError
-from .expectation import (
-    ESTIMATOR_NAMES,
-    _LOO_NAMES,
-    ReplicationPlan,
-    bias_curve,
-    run_expectation_study,
-)
+from .expectation import ESTIMATOR_NAMES, ReplicationPlan, bias_curve, run_expectation_study
 from .loo import loo_report
 from .models import (
     BalancedModel,
@@ -141,10 +135,6 @@ format_option = click.option(
     show_default=True,
 )
 output_option = click.option("--output", type=click.Path(), default=None, help="write to file instead of stdout")
-waic_option = click.option(
-    "--waic-variant", type=click.Choice(["1", "2"]), default="2", show_default=True,
-    help="penalty used for the deviance-scale WAIC",
-)
 
 
 @click.group()
@@ -159,17 +149,16 @@ def main():
 @click.option("--lpd-at-mean", type=float, default=None, help="log p(y | posterior mean), enables DIC")
 @click.option("--mle-loglik", type=float, default=None, help="log p(y | MLE), enables AIC/BIC (needs --k)")
 @click.option("--k", type=int, default=None, help="number of parameters at the MLE")
-@waic_option
 @format_option
 @output_option
 @_handle_errors
-def criteria(input_path, lpd_at_mean, mle_loglik, k, waic_variant, fmt, output):
+def criteria(input_path, lpd_at_mean, mle_loglik, k, fmt, output):
     """Criteria from a pointwise log-likelihood CSV (rows = draws)."""
     if (k is None) != (mle_loglik is None):
         raise ValueError("--mle-loglik requires --k" if k is None else "--k requires --mle-loglik")
     mat = read_loglik_csv(input_path)
     mle = None if mle_loglik is None else PointEstimateLogLik(mle_loglik, k)
-    rep = criterion_report(mat, lpd_at_mean=lpd_at_mean, mle=mle, waic_variant=int(waic_variant))
+    rep = criterion_report(mat, lpd_at_mean=lpd_at_mean, mle=mle)
     payload = {"draws": mat.n_draws, "points": mat.n_points, "seed": None, "report": rep.to_dict()}
     rows = [("draws", (mat.n_draws,)), ("points", (mat.n_points,))] + _numeric_rows(payload["report"])
     _emit(payload, rows, fmt, output, warnings=rep.warnings)
@@ -181,11 +170,13 @@ def _read_values(path) -> np.ndarray:
         tokens = fh.read().replace(",", "\n").split()
     if not tokens:
         raise MatrixFormatError("empty data file")
-    try:
-        values = np.array([float(t) for t in tokens])
-    except ValueError:
-        raise MatrixFormatError("data file must contain only numbers") from None
-    return _require_finite(values, "data file")
+    values = []
+    for j, t in enumerate(tokens, start=1):
+        try:
+            values.append(float(t))
+        except ValueError:
+            raise MatrixFormatError(f"value {j} of the data file is not a number: {t!r}") from None
+    return _require_finite(np.array(values), "data file")
 
 
 def _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
@@ -237,19 +228,17 @@ def _with_options(options):
               default="log-sigma", show_default=True, help="scale point estimate for DIC (regression)")
 @draws_option
 @seed_option
-@waic_option
 @format_option
 @output_option
 @_handle_errors
 def fit(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
-        dic_parameterization, draws, seed, waic_variant, fmt, output):
+        dic_parameterization, draws, seed, fmt, output):
     """Fit a built-in model and report its criteria."""
     model_obj, data = _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
                                    dic_parameterization)
     f = model_obj.fit(data, draws=draws, seed=derive_seed(seed, 0))
     pe = f.point_estimates()
-    rep = criterion_report(f.pointwise_loglik(), lpd_at_mean=pe.lpd_at_mean, mle=pe.mle,
-                           waic_variant=int(waic_variant))
+    rep = criterion_report(f.pointwise_loglik(), lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
     payload = {"draws": draws, "seed": seed, "model": model, **pe.summary, "report": rep.to_dict()}
     rows = _numeric_rows(pe.summary) + _numeric_rows(payload["report"])
     _emit(payload, rows, fmt, output, warnings=rep.warnings)
@@ -277,14 +266,13 @@ def loo(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting, dra
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @draws_option
 @seed_option
-@waic_option
 @format_option
 @output_option
 @_handle_errors
-def schools_table(input_path, draws, seed, waic_variant, fmt, output):
+def schools_table(input_path, draws, seed, fmt, output):
     """Deviance table across no pooling / complete pooling / hierarchical."""
     data = load_schools_csv(input_path) if input_path else None
-    table = schools_table_report(data, draws=draws, seed=seed, waic_variant=int(waic_variant))
+    table = schools_table_report(data, draws=draws, seed=seed)
     cols = table["columns"]
     rows = [(name, [per_col[c] for c in cols]) for name, per_col in table["rows"].items()]
     _emit(table, rows, fmt, output, columns=cols, label="row", decimals=2)
@@ -297,20 +285,14 @@ def schools_table(input_path, draws, seed, waic_variant, fmt, output):
               default="log-sigma", show_default=True)
 @draws_option
 @seed_option
-@waic_option
 @format_option
 @output_option
 @_handle_errors
-def election(input_path, hist_out, dic_parameterization, draws, seed, waic_variant, fmt, output):
+def election(input_path, hist_out, dic_parameterization, draws, seed, fmt, output):
     """Regression example: fit, criteria, exact LOO, lpd posterior summary."""
     data = load_election_csv(input_path) if input_path else None
-    rep = election_report(
-        data,
-        draws=draws,
-        seed=seed,
-        waic_variant=int(waic_variant),
-        dic_parameterization=dic_parameterization.replace("-", "_"),
-    )
+    rep = election_report(data, draws=draws, seed=seed,
+                          dic_parameterization=dic_parameterization.replace("-", "_"))
     if hist_out:
         write_histogram_csv(rep["lpd_posterior"]["bin_left"], rep["lpd_posterior"]["counts"], hist_out)
     sections = (
@@ -328,18 +310,25 @@ def election(input_path, hist_out, dic_parameterization, draws, seed, waic_varia
 @main.command("oracle")
 @click.option("--n", type=int, required=True)
 @click.option("--m", type=float, default=0.0, show_default=True)
-@click.option("--ybar", type=float, default=0.0, show_default=True)
-@click.option("--s2y", type=float, default=0.0, show_default=True)
+@click.option("--ybar", type=float, default=None, help="sample mean  [default: 0.0]")
+@click.option("--s2y", type=float, default=None, help="sample variance  [default: 0.0]")
 @click.option("--mu0", type=float, default=0.0, show_default=True)
 @click.option("--y", "y_csv", type=str, default=None,
-              help="comma-separated data vector; enables the LOO formulas")
+              help="comma-separated data vector; sets ybar and s2y and enables the LOO formulas")
 @format_option
 @output_option
 @_handle_errors
 def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
     """Closed-form values for the unit-variance normal-mean family."""
     y = None
-    if y_csv is not None:
+    if y_csv is None:
+        ybar = 0.0 if ybar is None else ybar
+        s2y = 0.0 if s2y is None else s2y
+    else:
+        given = [opt for opt, v in (("--ybar", ybar), ("--s2y", s2y)) if v is not None]
+        if given:
+            raise ValueError(f"{' and '.join(given)} cannot be given with --y, "
+                             "which sets ybar and s2y from the data")
         y = np.array(_parse_list(y_csv, "--y"))
         if y.size != n:
             raise ValueError(f"--y has {y.size} values but --n is {n}")
@@ -355,56 +344,44 @@ def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
 @click.option("--n", type=int, default=None, help="data points per replicate")
 @click.option("--m", type=float, default=0.0, show_default=True)
 @click.option("--replicates", "-R", type=int, default=None,
-              help="replicate datasets [default: 100000, or 10000 per point with --curve]")
+              help="replicate datasets [default: 100000, or 10000 per point with --n-values]")
 @click.option("--estimator", "estimators", multiple=True,
-              type=click.Choice(ESTIMATOR_NAMES), help="repeatable; default all")
+              type=click.Choice(ESTIMATOR_NAMES), help="repeatable; default all that n allows")
 @click.option("--theta-source", type=click.Choice(["auto", "fixed", "from-prior"]),
               default="auto", show_default=True)
 @click.option("--theta0", type=float, default=0.0, show_default=True)
 @click.option("--mu0", type=float, default=0.0, show_default=True)
-@click.option("--curve", is_flag=True, help="sweep --n-values and emit a bias curve (CSV unless --format json)")
-@click.option("--n-values", type=str, default=None, help="comma-separated n sweep for --curve")
+@click.option("--n-values", type=str, default=None,
+              help="comma-separated n sweep; emits a bias curve (CSV unless --format json)")
 @seed_option
 @format_option
 @output_option
 @_handle_errors
-def expect(n, m, replicates, estimators, theta_source, theta0, mu0, curve, n_values, seed, fmt, output):
+def expect(n, m, replicates, estimators, theta_source, theta0, mu0, n_values, seed, fmt, output):
     """Monte Carlo validation of estimator expectations."""
+    if (n is None) == (n_values is None):
+        raise ValueError("give exactly one of --n and --n-values")
     if theta_source == "auto":
         source = "from_prior" if m > 0 else "fixed"
     else:
         source = theta_source.replace("-", "_")
     if replicates is None:
-        replicates = 10_000 if curve else 100_000
-
-    if curve:
-        if n is not None:
-            raise ValueError("--n is not used with --curve; give the sweep in --n-values")
-        ns = _parse_list(n_values or "", "--n-values", int)
-        if not ns:
-            raise ValueError("--curve requires --n-values")
-        if len(estimators) != 1:
-            raise ValueError("--curve requires exactly one --estimator")
-        n = ns[0]  # the plan is checked at the first point; bias_curve sets each point's n
-    elif n is None:
-        raise ValueError("--n is required unless --curve is given")
-    if estimators:
-        chosen = tuple(estimators)
-    elif n >= 2:
-        chosen = ESTIMATOR_NAMES
-    else:
-        chosen = tuple(e for e in ESTIMATOR_NAMES if e not in _LOO_NAMES)
+        replicates = 100_000 if n_values is None else 10_000
+    ns = [n] if n_values is None else _parse_list(n_values, "--n-values", int)
+    if not ns:
+        raise ValueError("--n-values must name at least one n")
+    # a sweep's plan is checked, and its default estimators chosen, at its smallest n
     plan = ReplicationPlan(
         R=replicates,
-        n=n,
+        n=min(ns),
         m=m,
         theta_source=source,
         theta0=theta0,
         mu0=mu0,
         seed=seed,
-        estimators=chosen,
+        estimators=estimators,
     )
-    if curve:
+    if n_values is not None:
         rows = bias_curve(plan, ns)
         columns = ("estimator", "mc_mean", "mc_se", "oracle")
         _emit(rows, [(str(r["n"]), [r[c] for c in columns]) for r in rows],

@@ -9,8 +9,8 @@ within-sample fit measure and subtract an effective-parameter correction:
 
 Deviance-scale values multiply by -2. Both WAIC penalty variants are
 always computed; the difference form (variant 1) mirrors the DIC
-construction, the pointwise-variance form (variant 2) is the default
-reported on the deviance scale.
+construction, and the pointwise-variance form (variant 2), the one the
+paper recommends, gives the deviance-scale `waic`.
 """
 from __future__ import annotations
 
@@ -95,19 +95,19 @@ class LpdPosteriorSummary:
     counts: np.ndarray
 
 
-def lpd_posterior_summary(row_totals, bins: int = 30) -> LpdPosteriorSummary:
+def lpd_posterior_summary(row_totals) -> LpdPosteriorSummary:
     """Mean, maximum, and gap of the per-draw total log density.
 
     The gap approaches k/2 for a k-parameter regular model at large n,
     which makes it a quick plausibility check on a fit. Also bins the
-    draws (equal width over [min, max]) for plotting.
+    draws (30 bins of equal width over [min, max]) for plotting.
     """
     tot = np.asarray(row_totals, dtype=float).reshape(-1)
     if tot.size < 1:
         raise ValueError("empty draw column")
     mean = float(tot.mean())
     mx = float(tot.max())
-    counts, edges = np.histogram(tot, bins=bins)
+    counts, edges = np.histogram(tot, bins=30)
     return LpdPosteriorSummary(
         mean=mean, max=mx, gap=mx - mean, bin_left=edges[:-1], counts=counts
     )
@@ -118,8 +118,8 @@ class CriterionReport:
     """Assembled estimates for one draw matrix, plus Monte Carlo errors.
 
     Optional fields stay None when their inputs were not supplied (no
-    point estimate) or cannot be computed (single draw). `waic` is on the
-    deviance scale for the selected variant.
+    point estimate) or cannot be computed (single draw). `waic` is
+    -2 `elppd_waic2`, so it needs at least two draws.
     """
 
     lppd: float
@@ -128,7 +128,6 @@ class CriterionReport:
     p_waic2: float | None = None
     elppd_waic2: float | None = None
     waic: float | None = None
-    waic_variant: int = 2
     lpd_at_mean: float | None = None
     lpd_at_mle: float | None = None
     k: int | None = None
@@ -159,7 +158,6 @@ def criterion_report(
     m: PointwiseLogLikMatrix,
     lpd_at_mean: float | None = None,
     mle: PointEstimateLogLik | None = None,
-    waic_variant: int = 2,
 ) -> CriterionReport:
     """Compute every criterion the inputs allow for one draw matrix.
 
@@ -167,21 +165,19 @@ def criterion_report(
     based quantities (p_waic2, p_dic_alt, all Monte Carlo errors) need at
     least two draws and are marked unavailable otherwise.
     """
-    if waic_variant not in (1, 2):
-        raise ValueError("WAIC variant must be 1 or 2")
     warnings: list[str] = []
     cp = _column_pass(m)
     report = CriterionReport(
         lppd=cp.lppd,
         p_waic1=cp.p_waic1,
         elppd_waic1=cp.lppd - cp.p_waic1,
-        waic_variant=waic_variant,
     )
 
     have_variance = cp.p_waic2 is not None
     if have_variance:
         report.p_waic2 = cp.p_waic2
         report.elppd_waic2 = cp.lppd - cp.p_waic2
+        report.waic = -2.0 * report.elppd_waic2
         report.p_dic_alt = p_dic_alt(cp.totals)
         # Each error is that of a mean over draws of a per-draw sum of
         # first-order influences; their per-point constants drop out.
@@ -192,17 +188,12 @@ def criterion_report(
         report.mc_se_p_dic_alt = 2.0 * se((T - T.mean()) ** 2)
         report.mc_se_p_waic1 = 2.0 * se(R - D)
         report.mc_se_p_waic2 = se(Q)
-        report.mc_se_waic = 2.0 * se(R - Q if waic_variant == 2 else 2.0 * D - R)
+        report.mc_se_waic = 2.0 * se(R - Q)
     else:
         warnings.append(
             "variance-based estimates (p_waic2, p_dic_alt, mc_se fields) "
             "require at least 2 draws and are unavailable"
         )
-
-    if waic_variant == 2 and have_variance:
-        report.waic = -2.0 * report.elppd_waic2
-    elif waic_variant == 1:
-        report.waic = -2.0 * report.elppd_waic1
 
     if lpd_at_mean is not None:
         if not math.isfinite(lpd_at_mean):

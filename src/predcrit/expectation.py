@@ -61,7 +61,8 @@ _LOO_NAMES = {"loo", "cloo", "p_loo", "p_cloo", "b"}
 
 @dataclass(frozen=True)
 class ReplicationPlan:
-    """What to replicate and which estimators to score."""
+    """What to replicate and which estimators to score: by default, every
+    estimator that `n` allows (those needing a held-out point want n >= 2)."""
 
     R: int
     n: int
@@ -70,13 +71,16 @@ class ReplicationPlan:
     theta0: float = 0.0
     mu0: float = 0.0
     seed: int = 12345
-    estimators: tuple = ESTIMATOR_NAMES
+    estimators: tuple = ()
 
     def __post_init__(self):
         if self.R < 10:
             raise ValueError("too few replicates for error bars")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
+        if not self.estimators:
+            allowed = tuple(e for e in ESTIMATOR_NAMES if self.n >= 2 or e not in _LOO_NAMES)
+            object.__setattr__(self, "estimators", allowed)
         if self.m < 0:
             raise ValueError("prior precision m must be nonnegative")
         if self.theta_source not in ("fixed", "from_prior"):

@@ -57,7 +57,6 @@ def schools_table_report(
     data: EightSchoolsData | None = None,
     draws: int = 100_000,
     seed: int = 12345,
-    waic_variant: int = 2,
 ) -> dict:
     """Deviance table for no pooling / complete pooling / hierarchical.
 
@@ -74,7 +73,7 @@ def schools_table_report(
         mat = fit.pointwise_loglik()
         pe = fit.point_estimates()
 
-        rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle, waic_variant=waic_variant)
+        rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
         if rep.k is None:
             for row in ("minus2_lpd_mle", "k", "aic"):
                 rows[row][mode] = UNDEFINED_AIC_HIERARCHICAL
@@ -102,7 +101,6 @@ def schools_table_report(
     return {
         "draws": draws,
         "seed": seed,
-        "waic_variant": waic_variant,
         "columns": columns,
         "rows": rows,
     }
@@ -112,9 +110,7 @@ def election_report(
     data: RegressionData | None = None,
     draws: int = 100_000,
     seed: int = 12345,
-    waic_variant: int = 2,
     dic_parameterization: str = "log_sigma",
-    bins: int = 30,
 ) -> dict:
     """Full regression summary: fit, criteria, exact LOO, and the posterior
     distribution of the total log density (histogram included)."""
@@ -123,14 +119,13 @@ def election_report(
     fit = model.fit(d, draws=draws, seed=derive_seed(seed, 0))
     pe = fit.point_estimates()
     mat = fit.pointwise_loglik()
-    rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle, waic_variant=waic_variant)
-    summary = lpd_posterior_summary(mat.row_totals(), bins=bins)
+    rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
+    summary = lpd_posterior_summary(mat.row_totals())
     loo = loo_report(model, d, rep.lppd, draws=draws, seed=derive_seed(seed, 1), bias_correction=True)
 
     return {
         "draws": draws,
         "seed": seed,
-        "waic_variant": waic_variant,
         "dic_parameterization": dic_parameterization,
         "n": len(d),
         **pe.summary,

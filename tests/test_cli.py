@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from predcrit.cli import main
 from predcrit.errors import MatrixFormatError
+from predcrit.expectation import ESTIMATOR_NAMES
 from predcrit.models import default_eight_schools, load_balanced_csv, load_election_csv, load_schools_csv
 from predcrit.models.schools import schools_mle
 from predcrit.reports import election_report
@@ -65,6 +66,13 @@ def test_exit_code_2_for_malformed_csv(runner, tmp_path):
     assert result.exit_code == 2
     path = _write(tmp_path, "ragged.csv", "1,2\n3\n")
     assert runner.invoke(main, ["criteria", "--input", path]).exit_code == 2
+
+
+def test_number_list_names_its_first_bad_value(runner, tmp_path):
+    path = _write(tmp_path, "y.txt", "0.5\n1.2,x\n")
+    result = runner.invoke(main, ["fit", "--model", "normal-mean", "--input", path, "--draws", "100"])
+    assert result.exit_code == 2
+    assert "input format error: value 3 of the data file is not a number: 'x'\n" in result.output
 
 
 def test_exit_code_3_for_non_finite(runner, tmp_path):
@@ -215,6 +223,14 @@ def test_oracle_command_with_data_vector(runner):
     assert bad.exit_code == 2
 
 
+@pytest.mark.parametrize("given", [["--ybar", "5"], ["--s2y", "9"], ["--ybar", "5", "--s2y", "9"]])
+def test_oracle_data_vector_refuses_summary_statistics(runner, given):
+    result = runner.invoke(main, ["oracle", "--n", "3", *given, "--y", "1,2,3"])
+    assert result.exit_code == 2
+    named = " and ".join(opt for opt in given if opt.startswith("--"))
+    assert f"error: {named} cannot be given with --y" in result.output
+
+
 def test_expect_command_and_replicate_guard(runner):
     result = runner.invoke(
         main,
@@ -253,8 +269,7 @@ def test_csv_format_outputs(runner, tmp_path):
 def test_expect_curve_csv(runner):
     result = runner.invoke(
         main,
-        ["expect", "--curve", "--n-values", "2,5", "--estimator", "cloo",
-         "--replicates", "2000"],
+        ["expect", "--n-values", "2,5", "--estimator", "cloo", "--replicates", "2000"],
     )
     assert result.exit_code == 0
     lines = result.output.strip().splitlines()
@@ -407,21 +422,44 @@ def test_fit_rows_carry_list_fields_one_per_entry(runner):
 def test_curve_runs_the_plan_of_its_options(runner):
     opts = ["--estimator", "aic", "-R", "2000", "--m", "1", "--theta-source", "fixed", "--theta0", "3",
             "--format", "json"]
-    curve = json.loads(runner.invoke(main, ["expect", "--curve", "--n-values", "2,3", *opts]).output)
+    curve = json.loads(runner.invoke(main, ["expect", "--n-values", "2,3", *opts]).output)
     single = json.loads(runner.invoke(main, ["expect", "--n", "3", *opts]).output)
     oracle_at_3 = single["estimators"]["aic"]["oracle_value"]
     assert oracle_at_3 == pytest.approx(-0.4347, abs=1e-4)
     assert [row["oracle"] for row in curve if row["n"] == 3] == [oracle_at_3]
-    bad = runner.invoke(main, ["expect", "--curve", "--n-values", "2,x", "--estimator", "aic"])
+    bad = runner.invoke(main, ["expect", "--n-values", "2,x", "--estimator", "aic"])
     assert bad.exit_code == 2
     assert "--n-values" in bad.output
 
 
 def test_curve_refuses_n(runner):
-    result = runner.invoke(main, ["expect", "--curve", "--n-values", "2", "--n", "7", "--estimator", "aic",
-                                  "-R", "100"])
-    assert result.exit_code == 2
-    assert "--n " in result.output and "--n-values" in result.output
+    # expect takes exactly one of --n and --n-values
+    for ns in (["--n-values", "2", "--n", "7"], []):
+        result = runner.invoke(main, ["expect", *ns, "--estimator", "aic", "-R", "100"])
+        assert result.exit_code == 2
+        assert "--n " in result.output and "--n-values" in result.output
+
+
+def test_curve_of_two_estimators_is_the_two_single_curves(runner):
+    argv = ["expect", "--n-values", "3,2", "-R", "500", "--seed", "5", "--format", "json"]
+    both = json.loads(runner.invoke(main, [*argv, "--estimator", "cloo", "--estimator", "aic"]).output)
+    for name in ("cloo", "aic"):
+        single = json.loads(runner.invoke(main, [*argv, "--estimator", name]).output)
+        assert [row for row in both if row["estimator"] == name] == single
+    assert [(row["n"], row["estimator"]) for row in both] == [(3, "cloo"), (3, "aic"), (2, "cloo"), (2, "aic")]
+
+
+def test_curve_default_estimators_follow_its_smallest_n(runner):
+    # the held-out estimators need n >= 2, so a sweep through n = 1 leaves them out at every n
+    names = {}
+    for sweep in ("1,3", "3,1"):
+        argv = ["expect", "--n-values", sweep, "-R", "100", "--format", "json"]
+        rows = json.loads(runner.invoke(main, argv).output)
+        names[sweep] = {n: [row["estimator"] for row in rows if row["n"] == n] for n in (1, 3)}
+    assert names["1,3"] == names["3,1"]
+    assert names["1,3"][3] == names["1,3"][1] and "loo" not in names["1,3"][3]
+    rows = json.loads(runner.invoke(main, ["expect", "--n-values", "2,3", "-R", "100", "--format", "json"]).output)
+    assert len(rows) == 2 * len(ESTIMATOR_NAMES)
 
 
 def _flat_field(payload, name, column):
@@ -470,7 +508,7 @@ EMITTED = {
     "election-single-draw": (["election", "--draws", "1"], None, _election_field),
     "oracle": (["oracle", "--n", "3", "--y", "0,2,1"], None, _flat_field),
     "expect": (["expect", "--n", "5", "-R", "2000"], None, _expect_field),
-    "expect-curve": (["expect", "--curve", "--n-values", "2,5", "--estimator", "aic", "-R", "2000"], None,
+    "expect-curve": (["expect", "--n-values", "2,5", "--estimator", "aic", "-R", "2000"], None,
                      lambda p, name, col: {str(row["n"]): row for row in p}[name][col]),
 }
 

@@ -78,17 +78,14 @@ def test_p_waic_nonnegative_random():
 def test_waic_identities_and_variants():
     rng = np.random.default_rng(4)
     m = _matrix(rng.normal(-2, 1, size=(60, 5)))
+    rep = criterion_report(m)
     for variant in (1, 2):
-        rep = criterion_report(m, waic_variant=variant)
-        elppd, w = getattr(rep, f"elppd_waic{variant}"), rep.waic
-        assert elppd == lppd(m) - getattr(rep, f"p_waic{variant}")
-        assert w == -2.0 * elppd
-    with pytest.raises(ValueError):
-        criterion_report(m, waic_variant=3)
+        assert getattr(rep, f"elppd_waic{variant}") == lppd(m) - getattr(rep, f"p_waic{variant}")
+    assert rep.waic == -2.0 * rep.elppd_waic2
 
 
 def test_waic_single_constant_column_matrix():
-    rep = criterion_report(_matrix([[-1.0], [-1.0]]), waic_variant=2)
+    rep = criterion_report(_matrix([[-1.0], [-1.0]]))
     elppd, w = rep.elppd_waic2, rep.waic
     assert elppd == -1.0
     assert w == 2.0
@@ -116,12 +113,11 @@ def test_report_deviance_identities_hold_exactly():
     rng = np.random.default_rng(33)
     m = _matrix(rng.normal(-3, 1.2, size=(80, 7)))
     mle = PointEstimateLogLik(-20.0, k=3)
-    rep = criterion_report(m, lpd_at_mean=-21.0, mle=mle, waic_variant=2)
+    rep = criterion_report(m, lpd_at_mean=-21.0, mle=mle)
     assert rep.waic == -2.0 * (rep.lppd - rep.p_waic2)
     assert rep.dic == -2.0 * rep.lpd_at_mean + 2.0 * rep.p_dic
     assert rep.aic == -2.0 * rep.lpd_at_mle + 2.0 * rep.k
-    rep1 = criterion_report(m, waic_variant=1)
-    assert rep1.waic == -2.0 * (rep1.lppd - rep1.p_waic1)
+    assert rep.elppd_waic1 == rep.lppd - rep.p_waic1
 
 
 def test_negative_p_dic_flagged_not_clamped():
@@ -138,7 +134,7 @@ def test_single_draw_report_marks_variance_fields_unavailable():
     assert rep.p_waic2 is None
     assert rep.p_dic_alt is None
     assert rep.mc_se_lppd is None
-    assert rep.waic is None  # default variant needs a variance
+    assert rep.waic is None  # variant 2 needs a variance
     assert any("at least 2 draws" in w for w in rep.warnings)
 
 
@@ -163,7 +159,7 @@ def test_mc_se_fields_shrink_with_draws():
     assert r_big.mc_se_p_waic2 < r_small.mc_se_p_waic2
 
 
-def _parent_report(vals, lpd_at_mean, mle, waic_variant):
+def _parent_report(vals, lpd_at_mean, mle):
     """The report's fields from the per-(s, i) influence formulas it used
     before the one-pass kernel, as a reference."""
 
@@ -189,14 +185,7 @@ def _parent_report(vals, lpd_at_mean, mle, waic_variant):
         ref["mc_se_p_dic_alt"] = 2.0 * se((row_totals - row_totals.mean()) ** 2)
         ref["mc_se_p_waic1"] = 2.0 * se(((ratio - 1.0) - dev).sum(axis=1))
         ref["mc_se_p_waic2"] = se((dev2 - var_cols).sum(axis=1))
-        if waic_variant == 2:
-            waic_influence = ((ratio - 1.0) - (dev2 - var_cols)).sum(axis=1)
-        else:
-            waic_influence = ((ratio - 1.0) - 2.0 * ((ratio - 1.0) - dev)).sum(axis=1)
-        ref["mc_se_waic"] = 2.0 * se(waic_influence)
-    if waic_variant == 1:
-        ref["waic"] = -2.0 * ref["elppd_waic1"]
-    elif "elppd_waic2" in ref:
+        ref["mc_se_waic"] = 2.0 * se(((ratio - 1.0) - (dev2 - var_cols)).sum(axis=1))
         ref["waic"] = -2.0 * ref["elppd_waic2"]
     if lpd_at_mean is not None:
         ref["lpd_at_mean"] = lpd_at_mean
@@ -230,22 +219,19 @@ def test_report_matches_per_draw_influence_reference():
     cases = 0
     for vals in _differential_corpus():
         m = _matrix(vals)
-        for variant in (1, 2):
-            for lpd_at_mean, fit in ((None, None), (float(vals.sum(axis=1).max()), mle)):
-                rep = criterion_report(m, lpd_at_mean=lpd_at_mean, mle=fit, waic_variant=variant)
-                ref = _parent_report(vals, lpd_at_mean, fit, variant)
-                for key, got in rep.to_dict().items():
-                    if key in ("warnings", "waic_variant", "k"):
-                        continue
-                    if key not in ref:
-                        assert got is None, (key, vals.shape)
-                        continue
-                    assert math.isclose(got, ref[key], rel_tol=1e-9, abs_tol=1e-12), (
-                        key, got, ref[key], vals.shape, variant
-                    )
-                assert rep.lppd == lppd(m)
-                cases += 1
-    assert cases == 2 * 3 * 6 * 2 * 2
+        for lpd_at_mean, fit in ((None, None), (float(vals.sum(axis=1).max()), mle)):
+            rep = criterion_report(m, lpd_at_mean=lpd_at_mean, mle=fit)
+            ref = _parent_report(vals, lpd_at_mean, fit)
+            for key, got in rep.to_dict().items():
+                if key in ("warnings", "k"):
+                    continue
+                if key not in ref:
+                    assert got is None, (key, vals.shape)
+                    continue
+                assert math.isclose(got, ref[key], rel_tol=1e-9, abs_tol=1e-12), (key, got, ref[key], vals.shape)
+            assert rep.lppd == lppd(m)
+            cases += 1
+    assert cases == 2 * 3 * 6 * 2
 
 
 def test_report_working_memory_is_about_one_matrix():

@@ -1,8 +1,12 @@
-"""The README's library quickstart runs as written."""
+"""The README's library quickstart runs as written, and its command lines
+name only commands and options the CLI has."""
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+
+from predcrit.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,3 +22,16 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(block, str(README), "exec"), {})
     assert '"p_waic2"' in capsys.readouterr().out
+
+
+def test_readme_command_lines_use_existing_options():
+    text = README.read_text(encoding="utf-8")
+    lines = [line.split("#")[0] for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+             for line in block.splitlines() if line.startswith("predcrit ")]
+    assert len(lines) >= 10
+    for line in lines:
+        _, command, *args = shlex.split(line)
+        assert command in main.commands, line
+        known = {opt for param in main.commands[command].params for opt in param.opts}
+        unknown = [a for a in args if a.startswith("--") and a not in known]
+        assert not unknown, (line, unknown)

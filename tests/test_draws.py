@@ -289,10 +289,10 @@ def test_plot_csv_writers_pin_bytes(tmp_path, monkeypatch):
         {"n": 2, "estimator": "cloo", "mc_mean": -0.125, "mc_se": 0.01, "oracle": 1 / 3},
         {"n": 5, "estimator": "cloo", "mc_mean": 1e-20, "mc_se": 0.0, "oracle": -2.5},
     ]
-    # the bias curve is written by `expect --curve`; pin its bytes on fixed rows
+    # the bias curve is written by `expect --n-values`; pin its bytes on fixed rows
     monkeypatch.setattr(cli, "bias_curve", lambda *args: rows)
     curve = tmp_path / "curve.csv"
-    argv = ["expect", "--curve", "--n-values", "2,5", "--estimator", "cloo", "--output", str(curve)]
+    argv = ["expect", "--n-values", "2,5", "--estimator", "cloo", "--output", str(curve)]
     assert CliRunner().invoke(cli.main, argv).exit_code == 0
     assert curve.read_bytes() == (
         b"n,estimator,mc_mean,mc_se,oracle\n"

@@ -49,14 +49,11 @@ def test_log_mean_exp_shift_invariance_to_1e5():
 def test_deviance_scale_identities():
     rng = np.random.default_rng(88)
     m = _random_matrix(rng, s=100, n=8)
-    rep = criterion_report(
-        m, lpd_at_mean=-11.0, mle=PointEstimateLogLik(-10.0, k=4), waic_variant=2
-    )
+    rep = criterion_report(m, lpd_at_mean=-11.0, mle=PointEstimateLogLik(-10.0, k=4))
     assert rep.waic == -2.0 * (rep.lppd - rep.p_waic2)
     assert rep.dic == -2.0 * rep.lpd_at_mean + 2.0 * rep.p_dic
     assert rep.aic == -2.0 * rep.lpd_at_mle + 2.0 * rep.k
-    rep1 = criterion_report(m, waic_variant=1)
-    assert rep1.waic == -2.0 * (rep1.lppd - rep1.p_waic1)
+    assert rep.elppd_waic1 == rep.lppd - rep.p_waic1
 
 
 def test_fold_parallelism_is_bit_reproducible():
