@@ -12,6 +12,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .criteria import PointEstimateLogLik, criterion_report
 from .draws import _require_finite, lppd, read_loglik_csv
@@ -38,7 +39,15 @@ EXIT_FORMAT = 2
 EXIT_NUMERIC = 3
 EXIT_REFUSAL = 4
 
-MODEL_CHOICES = ("normal-mean", "regression", "schools", "balanced")
+# The model options each --model reads; `fit` and `loo` refuse any other
+# model option given on the command line.
+MODEL_OPTIONS = {
+    "normal-mean": ("--m", "--mu0"),
+    "regression": ("--dic-parameterization",),
+    "schools": ("--mode", "--prediction-mode"),
+    "balanced": ("--mu", "--tau", "--counting"),
+}
+MODEL_CHOICES = tuple(MODEL_OPTIONS)
 
 
 def _handle_errors(fn):
@@ -181,7 +190,15 @@ def _read_values(path) -> np.ndarray:
 
 def _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
                  dic_parameterization="log-sigma"):
-    """(model object, data object) for a built-in family."""
+    """(model object, data object) for a built-in family. A model option
+    given on the command line that `model` does not read is refused."""
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        flag = param.opts[0]
+        if (ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE
+                and flag not in MODEL_OPTIONS[model]
+                and any(flag in flags for flags in MODEL_OPTIONS.values())):
+            raise ValueError(f"{flag} is not read by the {model} model")
     if model in ("normal-mean", "balanced") and input_path is None:
         raise ValueError(f"--input is required for the {model} model")
     if model == "normal-mean":
@@ -193,7 +210,7 @@ def _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, coun
         return RegressionModel(dic_parameterization.replace("-", "_")), data
     data = load_schools_csv(input_path) if input_path else default_eight_schools()
     pred = "new_groups" if prediction_mode == "new" else "existing_groups"
-    return SchoolsModel(), data.with_mode(mode, prediction_mode=pred)
+    return SchoolsModel(mode, pred), data
 
 
 model_options = [
@@ -231,11 +248,9 @@ def _with_options(options):
 @format_option
 @output_option
 @_handle_errors
-def fit(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
-        dic_parameterization, draws, seed, fmt, output):
+def fit(model, input_path, draws, seed, fmt, output, **options):
     """Fit a built-in model and report its criteria."""
-    model_obj, data = _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
-                                   dic_parameterization)
+    model_obj, data = _build_model(model, input_path, **options)
     f = model_obj.fit(data, draws=draws, seed=derive_seed(seed, 0))
     pe = f.point_estimates()
     rep = criterion_report(f.pointwise_loglik(), lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
@@ -251,9 +266,9 @@ def fit(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
 @format_option
 @output_option
 @_handle_errors
-def loo(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting, draws, seed, fmt, output):
+def loo(model, input_path, draws, seed, fmt, output, **options):
     """Exact leave-one-out cross-validation by refitting."""
-    model_obj, data = _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting)
+    model_obj, data = _build_model(model, input_path, **options)
     full_fit = model_obj.fit(data, draws=draws, seed=derive_seed(seed, 0))
     full_lppd = lppd(full_fit.pointwise_loglik())
     loo_rep = loo_report(model_obj, data, full_lppd, draws=draws, seed=derive_seed(seed, 1), bias_correction=True)
@@ -322,8 +337,8 @@ def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
     """Closed-form values for the unit-variance normal-mean family."""
     y = None
     if y_csv is None:
-        ybar = 0.0 if ybar is None else ybar
-        s2y = 0.0 if s2y is None else s2y
+        spec = NormalMeanSpec(n=n, ybar=0.0 if ybar is None else ybar, s2y=0.0 if s2y is None else s2y,
+                              m=m, mu0=mu0)
     else:
         given = [opt for opt, v in (("--ybar", ybar), ("--s2y", s2y)) if v is not None]
         if given:
@@ -332,9 +347,7 @@ def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
         y = np.array(_parse_list(y_csv, "--y"))
         if y.size != n:
             raise ValueError(f"--y has {y.size} values but --n is {n}")
-        ybar = float(y.mean())
-        s2y = float(y.var(ddof=1)) if n > 1 else 0.0
-    spec = NormalMeanSpec(n=n, ybar=ybar, s2y=s2y, m=m, mu0=mu0)
+        spec = NormalMeanSpec.from_data(y, m=m, mu0=mu0)
     table = oracle_mod.formula_table(spec, y=y)
     _emit(table, _numeric_rows(table), fmt, output)
 

@@ -32,7 +32,6 @@ __all__ = [
     "EightSchoolsData",
     "SchoolsModel",
     "schools_fit",
-    "schools_mle",
     "load_schools_csv",
     "default_eight_schools",
     "POOLING_MODES",
@@ -47,12 +46,10 @@ TAU_GRID_SIZE = 2000
 
 @dataclass(frozen=True)
 class EightSchoolsData:
-    """Estimated group effects and their standard errors, plus model mode."""
+    """Estimated group effects and their standard errors."""
 
     y: np.ndarray
     sigma: np.ndarray
-    mode: str = "hierarchical"
-    prediction_mode: str = "existing_groups"
 
     def __post_init__(self):
         y = _require_finite(np.asarray(self.y, dtype=float).reshape(-1), "y")
@@ -61,12 +58,6 @@ class EightSchoolsData:
             raise ValueError("y and sigma must be nonempty and the same length")
         if (sigma <= 0).any():
             raise ValueError("all standard errors must be positive")
-        if self.mode not in POOLING_MODES:
-            raise ValueError(f"mode must be one of {POOLING_MODES}")
-        if self.prediction_mode not in PREDICTION_MODES:
-            raise ValueError(f"prediction_mode must be one of {PREDICTION_MODES}")
-        if self.prediction_mode == "new_groups" and self.mode != "hierarchical":
-            raise ValueError("new_groups prediction needs the hierarchical mode")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sigma", sigma)
 
@@ -77,14 +68,6 @@ class EightSchoolsData:
     def __len__(self) -> int:
         return self.y.size
 
-    def with_mode(self, mode: str, prediction_mode: str | None = None) -> "EightSchoolsData":
-        return EightSchoolsData(
-            self.y,
-            self.sigma,
-            mode=mode,
-            prediction_mode=prediction_mode or self.prediction_mode,
-        )
-
 
 def load_schools_csv(source) -> EightSchoolsData:
     """Read `school,y,sigma` rows (header required; the school is not read)."""
@@ -92,12 +75,11 @@ def load_schools_csv(source) -> EightSchoolsData:
     return EightSchoolsData(y, sigma)
 
 
-def default_eight_schools(mode: str = "hierarchical") -> EightSchoolsData:
+def default_eight_schools() -> EightSchoolsData:
     """The bundled eight-schools coaching dataset."""
     ref = resources.files(__package__).joinpath("data/eight_schools.csv")
     with ref.open("r", encoding="utf-8") as fh:
-        data = load_schools_csv(fh)
-    return data.with_mode(mode)
+        return load_schools_csv(fh)
 
 
 def _tau_grid_posterior(y: np.ndarray, sigma: np.ndarray, grid: np.ndarray | None = None):
@@ -126,6 +108,28 @@ def _tau_grid_posterior(y: np.ndarray, sigma: np.ndarray, grid: np.ndarray | Non
     return grid, mass, mu_hat, v_mu
 
 
+class SchoolsModel:
+    """Refittable group-level model. `mode` picks the pooling,
+    `prediction_mode` whether replications are of the existing groups or of
+    new ones, and `tau_grid` overrides the hierarchical mode's default grid
+    (used, for instance, to pin tau at a single value)."""
+
+    def __init__(self, mode: str = "hierarchical", prediction_mode: str = "existing_groups",
+                 tau_grid: np.ndarray | None = None):
+        if mode not in POOLING_MODES:
+            raise ValueError(f"mode must be one of {POOLING_MODES}")
+        if prediction_mode not in PREDICTION_MODES:
+            raise ValueError(f"prediction_mode must be one of {PREDICTION_MODES}")
+        if prediction_mode == "new_groups" and mode != "hierarchical":
+            raise ValueError("new_groups prediction needs the hierarchical mode")
+        self.mode = mode
+        self.prediction_mode = prediction_mode
+        self.tau_grid = tau_grid
+
+    def fit(self, data: EightSchoolsData, exclude: int | None = None, *, draws: int, seed: int) -> _SchoolsFit:
+        return _SchoolsFit(self, data, exclude, draws, seed)
+
+
 class _SchoolsFit:
     """Cached posterior draws for every group, training or held out.
 
@@ -136,21 +140,15 @@ class _SchoolsFit:
     and mu, and the other groups' effects only when `theta` is first read.
     """
 
-    def __init__(
-        self,
-        data: EightSchoolsData,
-        exclude: int | None,
-        draws: int,
-        seed: int,
-        tau_grid: np.ndarray | None = None,
-    ):
+    def __init__(self, model: SchoolsModel, data: EightSchoolsData, exclude: int | None, draws: int, seed: int):
+        self._model = model
         self._data = data
         self._exclude = exclude
         y, sigma, J = data.y, data.sigma, data.J
         keep = np.arange(J) if exclude is None else np.delete(np.arange(J), exclude)
         if keep.size == 0:
             raise ValueError("training set must contain at least one group")
-        if data.mode == "no_pooling" and exclude is not None:
+        if model.mode == "no_pooling" and exclude is not None:
             raise ModelRefusalError(
                 "model cannot predict held-out point: the no-pooling fit has "
                 "no distribution for an unobserved group"
@@ -158,13 +156,13 @@ class _SchoolsFit:
         self._rng = rng = np.random.default_rng(seed)
         self._draws = draws
         self.tau = self.mu = self.tau_grid = self.tau_mass = self._heldout = None
-        if data.mode == "complete_pooling":
+        if model.mode == "complete_pooling":
             w = 1.0 / sigma[keep] ** 2
             v_post = 1.0 / w.sum()
             mean_post = v_post * (w * y[keep]).sum()
             self.mu = self._heldout = mean_post + np.sqrt(v_post) * rng.standard_normal(draws)
-        elif data.mode == "hierarchical":
-            grid, mass, mu_hat, v_mu = _tau_grid_posterior(y[keep], sigma[keep], tau_grid)
+        elif model.mode == "hierarchical":
+            grid, mass, mu_hat, v_mu = _tau_grid_posterior(y[keep], sigma[keep], model.tau_grid)
             self.tau_grid, self.tau_mass = grid, mass
             self._idx = idx = np.searchsorted(np.cumsum(mass), rng.random(draws))
             self.tau = grid[idx]
@@ -176,13 +174,13 @@ class _SchoolsFit:
 
     @cached_property
     def theta(self) -> np.ndarray:
-        d, rng, draws = self._data, self._rng, self._draws
-        if d.mode == "no_pooling":
+        d, rng, draws, model = self._data, self._rng, self._draws, self._model
+        if model.mode == "no_pooling":
             return d.y + d.sigma * rng.standard_normal((draws, d.J))
-        if d.mode == "complete_pooling":
+        if model.mode == "complete_pooling":
             return np.repeat(self.mu[:, None], d.J, axis=1)
         idx, mu = self._idx, self.mu
-        if d.prediction_mode == "new_groups":
+        if model.prediction_mode == "new_groups":
             theta = mu[:, None] + self.tau[:, None] * rng.standard_normal((draws, d.J))
         else:
             # theta_j | mu, tau ~ N((y t2 + mu s2) / den, s2 t2 / den) with
@@ -203,27 +201,27 @@ class _SchoolsFit:
             theta[:, self._exclude] = self._heldout
         return theta
 
-    @property
-    def theta_bayes(self) -> np.ndarray:
-        return self.theta.mean(axis=0)
-
-    def lpd_at_posterior_mean(self) -> float:
-        """Total log density at the posterior mean of the group effects."""
-        d = self._data
-        return float(normal_logpdf_inplace(d.y - self.theta_bayes, d.sigma**2).sum())
-
     def point_estimates(self) -> PointEstimates:
         """Log densities of all J groups at the posterior mean of the group
-        effects and, for the two flat-prior modes, at the training MLE."""
-        lpd_at_mean = self.lpd_at_posterior_mean()
+        effects and, for the two flat-prior modes, at the MLE of the training
+        groups: theta_j = y_j under no pooling, the precision-weighted mean
+        under complete pooling. The hierarchical model has no MLE."""
+        d, mode = self._data, self._model.mode
+        var = d.sigma**2
+        theta_bayes = self.theta.mean(axis=0)
         mle = None
-        if self._data.mode != "hierarchical":
-            lpd_mle, k = schools_mle(self._data, self._exclude)
-            mle = PointEstimateLogLik(lpd_mle, k)
+        if mode == "no_pooling":  # theta_j = y_j leaves no residual
+            mle = PointEstimateLogLik(float(normal_logpdf_inplace(np.zeros(d.J), var).sum()), d.J)
+        elif mode == "complete_pooling":
+            w = 1.0 / var
+            if self._exclude is not None:
+                w[self._exclude] = 0.0
+            mu_hat = float((w * d.y).sum() / w.sum())
+            mle = PointEstimateLogLik(float(normal_logpdf_inplace(d.y - mu_hat, var).sum()), 1)
         return PointEstimates(
-            lpd_at_mean=lpd_at_mean,
+            lpd_at_mean=float(normal_logpdf_inplace(d.y - theta_bayes, var).sum()),
             mle=mle,
-            summary={"theta_bayes": self.theta_bayes.tolist()},
+            summary={"theta_bayes": theta_bayes.tolist()},
         )
 
     def pointwise_loglik(self) -> PointwiseLogLikMatrix:
@@ -236,39 +234,6 @@ class _SchoolsFit:
         return normal_logpdf_inplace(d.y[i] - self._heldout, (d.sigma**2)[i])
 
 
-def schools_mle(data: EightSchoolsData, exclude: int | None = None) -> tuple[float, int]:
-    """(total log density of all J groups at the MLE, parameter count k).
-
-    `exclude` leaves one group out of the estimate, not out of the total.
-    Only the two flat-prior modes have a maximum likelihood estimate; the
-    hierarchical model has none, and no pooling has none for a left-out
-    group, so those raise.
-    """
-    y, var = data.y, data.sigma**2
-    if data.mode == "no_pooling":  # theta_j = y_j leaves no residual
-        if exclude is not None:
-            raise ModelRefusalError("model cannot predict held-out point")
-        return float(normal_logpdf_inplace(np.zeros(data.J), var).sum()), data.J
-    if data.mode == "complete_pooling":
-        w = 1.0 / var
-        if exclude is not None:
-            w[exclude] = 0.0
-        mu_hat = float((w * y).sum() / w.sum())
-        return float(normal_logpdf_inplace(y - mu_hat, var).sum()), 1
-    raise ValueError("the hierarchical model has no maximum likelihood estimate")
-
-
-class SchoolsModel:
-    def fit(self, data: EightSchoolsData, exclude: int | None = None, *, draws: int, seed: int) -> _SchoolsFit:
-        return _SchoolsFit(data, exclude, draws, seed)
-
-
-def schools_fit(
-    data: EightSchoolsData, draws: int, seed: int, tau_grid: np.ndarray | None = None
-) -> _SchoolsFit:
-    """Fit the requested pooling mode to the full dataset.
-
-    `tau_grid` overrides the hierarchical mode's default grid (used, for
-    instance, to pin tau at a single value).
-    """
-    return _SchoolsFit(data, None, draws, seed, tau_grid=tau_grid)
+def schools_fit(data: EightSchoolsData, draws: int, seed: int) -> _SchoolsFit:
+    """Fit the hierarchical model to the full dataset."""
+    return SchoolsModel().fit(data, draws=draws, seed=seed)

@@ -17,7 +17,6 @@ from .models import (
     SchoolsModel,
     default_eight_schools,
     default_election,
-    schools_fit,
 )
 from .models.schools import POOLING_MODES
 from .seeds import derive_seed
@@ -63,13 +62,13 @@ def schools_table_report(
     Cells that are undefined for a model carry an explicit
     "undefined: <reason>" string instead of a number.
     """
-    base = data if data is not None else default_eight_schools()
+    d = data if data is not None else default_eight_schools()
     columns = list(POOLING_MODES)
     rows = {name: {} for name in _TABLE_ROWS}
 
     for col_idx, mode in enumerate(columns):
-        d = base.with_mode(mode)
-        fit = schools_fit(d, draws, derive_seed(seed, col_idx))
+        model = SchoolsModel(mode)
+        fit = model.fit(d, draws=draws, seed=derive_seed(seed, col_idx))
         mat = fit.pointwise_loglik()
         pe = fit.point_estimates()
 
@@ -93,7 +92,7 @@ def schools_table_report(
             rows["p_loo"][mode] = UNDEFINED_LOO_NO_POOLING
             rows["minus2_lppd_loo"][mode] = UNDEFINED_LOO_NO_POOLING
         else:
-            loo = loo_report(SchoolsModel(), d, rep.lppd, draws=draws, seed=derive_seed(seed, 10 + col_idx),
+            loo = loo_report(model, d, rep.lppd, draws=draws, seed=derive_seed(seed, 10 + col_idx),
                              bias_correction=False)
             rows["p_loo"][mode] = loo.p_loo
             rows["minus2_lppd_loo"][mode] = -2.0 * loo.lppd_loo

@@ -303,7 +303,7 @@ def test_criterion_6_property_suite():
 
     refused = False
     try:
-        loo_report(SchoolsModel(), default_eight_schools(mode="no_pooling"), 0.0, draws=200, seed=1)
+        loo_report(SchoolsModel("no_pooling"), default_eight_schools(), 0.0, draws=200, seed=1)
     except ModelRefusalError as exc:
         refused = "model cannot predict held-out point" in str(exc)
     _check(failures, "no-pooling LOO refusal error", refused)

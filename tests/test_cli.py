@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from predcrit.cli import main
+from predcrit.cli import MODEL_OPTIONS, main
 from predcrit.errors import MatrixFormatError
 from predcrit.expectation import ESTIMATOR_NAMES
-from predcrit.models import default_eight_schools, load_balanced_csv, load_election_csv, load_schools_csv
-from predcrit.models.schools import schools_mle
+from predcrit.models import SchoolsModel, default_eight_schools, load_balanced_csv, load_election_csv, load_schools_csv
 from predcrit.reports import election_report
 
 
@@ -354,9 +353,28 @@ def test_fit_schools_reports_the_mle_of_flat_modes(runner, mode):
     if mode == "hierarchical":
         assert report["lpd_at_mle"] is None and report["aic"] is None
         return
-    lpd_mle, k = schools_mle(default_eight_schools(mode))
-    assert (report["lpd_at_mle"], report["k"]) == (lpd_mle, k)
-    assert report["aic"] == -2.0 * (lpd_mle - k)
+    mle = SchoolsModel(mode).fit(default_eight_schools(), draws=1, seed=0).point_estimates().mle
+    assert (report["lpd_at_mle"], report["k"]) == (mle.total_loglik, mle.k)
+    assert report["aic"] == -2.0 * (mle.total_loglik - mle.k)
+
+
+# a valid value of every model option
+_MODEL_OPTION_VALUES = {"--m": "5", "--mu0": "1", "--mode": "no_pooling", "--prediction-mode": "new",
+                        "--mu": "1", "--tau": "2", "--counting": "group", "--dic-parameterization": "sigma"}
+
+
+@pytest.mark.parametrize("command,model,option", [
+    (command, model, option)
+    for command in ("fit", "loo")
+    for model, reads in MODEL_OPTIONS.items()
+    for option in _MODEL_OPTION_VALUES
+    if option not in reads and (command, option) != ("loo", "--dic-parameterization")
+])
+def test_a_model_option_another_model_reads_is_refused(runner, command, model, option):
+    result = runner.invoke(main, [command, "--model", model, option, _MODEL_OPTION_VALUES[option],
+                                  "--draws", "10"])
+    assert result.exit_code == 2
+    assert result.output == f"error: {option} is not read by the {model} model\n"
 
 
 def test_fit_regression_matches_election_report(runner):

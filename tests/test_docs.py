@@ -1,12 +1,13 @@
 """The README's library quickstart runs as written, and its command lines
-name only commands and options the CLI has."""
+name only commands and options the CLI has, and only model options their
+--model reads."""
 import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 
-from predcrit.cli import main
+from predcrit.cli import MODEL_OPTIONS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +36,7 @@ def test_readme_command_lines_use_existing_options():
         known = {opt for param in main.commands[command].params for opt in param.opts}
         unknown = [a for a in args if a.startswith("--") and a not in known]
         assert not unknown, (line, unknown)
+        if command in ("fit", "loo"):
+            model = args[args.index("--model") + 1]
+            foreign = [a for a in args if a in set().union(*MODEL_OPTIONS.values()) - set(MODEL_OPTIONS[model])]
+            assert not foreign, (line, foreign)

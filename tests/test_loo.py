@@ -151,9 +151,8 @@ def test_derived_seeds_are_distinct_and_deterministic():
 
 
 def test_no_pooling_refusal_propagates_through_loo():
-    data = default_eight_schools(mode="no_pooling")
     with pytest.raises(ModelRefusalError, match="model cannot predict held-out point"):
-        loo_report(SchoolsModel(), data, 0.0, draws=500, seed=1)
+        loo_report(SchoolsModel("no_pooling"), default_eight_schools(), 0.0, draws=500, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +196,9 @@ def _hierarchical_reference(data):
 @pytest.mark.parametrize("seed", [3, 2024])
 @pytest.mark.parametrize("mode", ["complete_pooling", "hierarchical"])
 def test_schools_loo_matches_an_independent_reference(mode, seed):
-    data = default_eight_schools(mode)
+    data = default_eight_schools()
     draws = 40_000
-    rep = loo_report(SchoolsModel(), data, 0.0, draws=draws, seed=seed, bias_correction=False)
+    rep = loo_report(SchoolsModel(mode), data, 0.0, draws=draws, seed=seed, bias_correction=False)
     ref = (_complete_pooling_reference(data) if mode == "complete_pooling"
            else _hierarchical_reference(data))
     assert abs(rep.lppd_loo - ref) < 4 * rep.mc_se_lppd_loo

@@ -11,7 +11,6 @@ from predcrit.draws import lppd
 from predcrit.errors import MatrixFormatError, ModelRefusalError
 from predcrit.models import (
     BalancedModel,
-    EightSchoolsData,
     NormalMeanModel,
     NormalMeanSpec,
     RegressionData,
@@ -29,7 +28,6 @@ from predcrit.models import (
     schools_fit,
 )
 from predcrit.models.normal import normal_logpdf_inplace
-from predcrit.models.schools import _SchoolsFit, schools_mle
 
 S = 100_000
 SEED = 12345
@@ -137,8 +135,8 @@ def test_regression_posterior_moments_match_closed_forms():
 
 
 def test_complete_pooling_posterior_moments():
-    data = default_eight_schools(mode="complete_pooling")
-    fit = schools_fit(data, S, SEED)
+    data = default_eight_schools()
+    fit = SchoolsModel("complete_pooling").fit(data, draws=S, seed=SEED)
     w = 1.0 / data.sigma**2
     v = 1.0 / w.sum()
     mean = v * (w * data.y).sum()
@@ -200,27 +198,31 @@ def test_default_dataset_is_the_coaching_table():
     assert data.J == 8 and len(data) == 8
 
 
-def test_schools_mle_values():
-    lpd_np, k_np = schools_mle(default_eight_schools(mode="no_pooling"))
-    assert -2 * lpd_np == pytest.approx(54.641, abs=0.001)
-    assert k_np == 8
-    lpd_cp, k_cp = schools_mle(default_eight_schools(mode="complete_pooling"))
-    assert -2 * lpd_cp == pytest.approx(59.348, abs=0.001)
-    assert k_cp == 1
-    with pytest.raises(ValueError, match="no maximum likelihood"):
-        schools_mle(default_eight_schools())
+def _flat_mode_mle(mode):
+    return SchoolsModel(mode).fit(default_eight_schools(), draws=10, seed=0).point_estimates().mle
+
+
+def test_schools_flat_mode_mle_values():
+    mle_np = _flat_mode_mle("no_pooling")
+    assert -2 * mle_np.total_loglik == pytest.approx(54.641, abs=0.001)
+    assert mle_np.k == 8
+    mle_cp = _flat_mode_mle("complete_pooling")
+    assert -2 * mle_cp.total_loglik == pytest.approx(59.348, abs=0.001)
+    assert mle_cp.k == 1
+    assert _flat_mode_mle("hierarchical") is None  # no maximum likelihood estimate
 
 
 def test_complete_pooling_lpd_at_posterior_mean():
-    fit = schools_fit(default_eight_schools(mode="complete_pooling"), S, SEED)
-    assert -2 * fit.lpd_at_posterior_mean() == pytest.approx(59.4, abs=0.1)
+    fit = SchoolsModel("complete_pooling").fit(default_eight_schools(), draws=S, seed=SEED)
+    lpd_at_mean = fit.point_estimates().lpd_at_mean
+    assert -2 * lpd_at_mean == pytest.approx(59.4, abs=0.1)
     mat = fit.pointwise_loglik()
-    assert criterion_report(mat, lpd_at_mean=fit.lpd_at_posterior_mean()).p_dic == pytest.approx(1.0, abs=0.05)
+    assert criterion_report(mat, lpd_at_mean=lpd_at_mean).p_dic == pytest.approx(1.0, abs=0.05)
 
 
 def test_hierarchical_p_dic_near_published_value():
     fit = schools_fit(default_eight_schools(), S, SEED)
-    pd = criterion_report(fit.pointwise_loglik(), lpd_at_mean=fit.lpd_at_posterior_mean()).p_dic
+    pd = criterion_report(fit.pointwise_loglik(), lpd_at_mean=fit.point_estimates().lpd_at_mean).p_dic
     assert pd == pytest.approx(2.8, abs=0.3)
 
 
@@ -235,8 +237,8 @@ def test_tau_posterior_mass_concentrated_near_zero():
 
 def test_degenerate_grid_at_zero_reproduces_complete_pooling():
     data = default_eight_schools()
-    hier = schools_fit(data, S, 101, tau_grid=np.array([0.0]))
-    cp = schools_fit(data.with_mode("complete_pooling"), S, 202)
+    hier = SchoolsModel(tau_grid=np.array([0.0])).fit(data, draws=S, seed=101)
+    cp = SchoolsModel("complete_pooling").fit(data, draws=S, seed=202)
     # all groups share one effect; compare the shared-effect samples
     np.testing.assert_allclose(hier.theta, hier.theta[:, [0]] * np.ones(8), atol=1e-12)
     ks = stats.ks_2samp(hier.theta[:, 0], cp.theta[:, 0])
@@ -245,21 +247,29 @@ def test_degenerate_grid_at_zero_reproduces_complete_pooling():
 
 
 def test_new_groups_prediction_mode():
-    data = default_eight_schools().with_mode("hierarchical", prediction_mode="new_groups")
-    fit = schools_fit(data, 20_000, 7)
+    data = default_eight_schools()
+    fit = SchoolsModel(prediction_mode="new_groups").fit(data, draws=20_000, seed=7)
     mat = fit.pointwise_loglik()
     assert mat.n_points == 8
     # new-group spread exceeds the shrunken existing-group spread
-    existing = schools_fit(default_eight_schools(), 20_000, 7)
+    existing = schools_fit(data, 20_000, 7)
     assert fit.theta.var() > existing.theta.var()
-    with pytest.raises(ValueError, match="hierarchical"):
-        EightSchoolsData([1.0], [1.0], mode="no_pooling", prediction_mode="new_groups")
+
+
+def test_schools_model_refuses_unknown_or_inconsistent_settings():
+    # refused when the model is built, before it can fit, score or run LOO
+    with pytest.raises(ValueError, match="mode must be one of"):
+        SchoolsModel("partial_pooling")
+    with pytest.raises(ValueError, match="prediction_mode must be one of"):
+        SchoolsModel(prediction_mode="new")
+    for mode in ("no_pooling", "complete_pooling"):
+        with pytest.raises(ValueError, match="new_groups prediction needs the hierarchical mode"):
+            SchoolsModel(mode, "new_groups")
 
 
 def test_no_pooling_heldout_refusal_direct():
-    data = default_eight_schools(mode="no_pooling")
     with pytest.raises(ModelRefusalError, match="no distribution for an unobserved group"):
-        SchoolsModel().fit(data, exclude=2, draws=100, seed=0)
+        SchoolsModel("no_pooling").fit(default_eight_schools(), exclude=2, draws=100, seed=0)
 
 
 def test_schools_row_sum_consistency():
@@ -387,12 +397,11 @@ def test_regression_refit_scores_all_points_at_the_training_estimates():
 
 
 def test_schools_refits_follow_pointwise_loglik():
+    data = default_eight_schools()
     with pytest.raises(ModelRefusalError):
-        SchoolsModel().fit(default_eight_schools(mode="no_pooling"), exclude=2, draws=100, seed=0).point_estimates()
-    with pytest.raises(ModelRefusalError):
-        schools_mle(default_eight_schools(mode="no_pooling"), exclude=2)
-    data = default_eight_schools(mode="complete_pooling")
-    pe = SchoolsModel().fit(data, exclude=2, draws=100, seed=0).point_estimates()
+        SchoolsModel("no_pooling").fit(data, exclude=2, draws=100, seed=0).point_estimates()
+    assert SchoolsModel().fit(data, exclude=2, draws=100, seed=0).point_estimates().mle is None
+    pe = SchoolsModel("complete_pooling").fit(data, exclude=2, draws=100, seed=0).point_estimates()
     w = np.delete(1 / data.sigma**2, 2)
     mu_hat = float((w * np.delete(data.y, 2)).sum() / w.sum())
     assert pe.mle.total_loglik == pytest.approx(_normal_total(data.y, mu_hat, data.sigma**2), rel=1e-12)
@@ -441,7 +450,7 @@ SCORED_FITS = {
     "regression": (lambda: regression_fit(default_election(), _LAYOUT_S, 1), _row_major_regression),
     "regression-refit": (lambda: RegressionModel().fit(default_election(), exclude=4, draws=_LAYOUT_S, seed=1),
                          _row_major_regression),
-    **{f"schools-{mode}": (lambda mode=mode: schools_fit(default_eight_schools(mode), _LAYOUT_S, 1),
+    **{f"schools-{mode}": (lambda mode=mode: SchoolsModel(mode).fit(default_eight_schools(), draws=_LAYOUT_S, seed=1),
                            _row_major_schools)
        for mode in ("no_pooling", "complete_pooling", "hierarchical")},
     **{f"balanced-{counting}": (lambda counting=counting: BalancedModel(0.0, 1.0, counting).fit(
@@ -463,10 +472,11 @@ def test_every_model_writes_a_column_major_matrix_equal_to_the_row_major_formula
 _SCHOOLS = default_eight_schools()
 HIERARCHICAL_FITS = {
     "default-grid": lambda draws, seed: schools_fit(_SCHOOLS, draws, seed),
-    "pinned-0": lambda draws, seed: schools_fit(_SCHOOLS, draws, seed, tau_grid=np.array([0.0])),
-    "pinned-5": lambda draws, seed: schools_fit(_SCHOOLS, draws, seed, tau_grid=np.array([5.0])),
+    "pinned-0": lambda draws, seed: SchoolsModel(tau_grid=np.array([0.0])).fit(_SCHOOLS, draws=draws, seed=seed),
+    "pinned-5": lambda draws, seed: SchoolsModel(tau_grid=np.array([5.0])).fit(_SCHOOLS, draws=draws, seed=seed),
     "exclude-3": lambda draws, seed: SchoolsModel().fit(_SCHOOLS, exclude=3, draws=draws, seed=seed),
-    "new-groups": lambda draws, seed: schools_fit(_SCHOOLS.with_mode("hierarchical", "new_groups"), draws, seed),
+    "new-groups": lambda draws, seed: SchoolsModel(prediction_mode="new_groups").fit(
+        _SCHOOLS, draws=draws, seed=seed),
 }
 
 
@@ -502,7 +512,7 @@ def test_hierarchical_theta_equals_the_per_draw_conditional_formula(case):
 # a refit's held-out column: bitwise the full matrix's, at its cost alone
 # ---------------------------------------------------------------------------
 
-_NEW_GROUPS = _SCHOOLS.with_mode("hierarchical", "new_groups")
+_NEW_GROUPS = SchoolsModel(prediction_mode="new_groups")
 REFITS = {
     "normal-mean-flat": (_LAYOUT_Y, lambda i, draws, seed: NormalMeanModel().fit(
         _LAYOUT_Y, exclude=i, draws=draws, seed=seed)),
@@ -510,14 +520,14 @@ REFITS = {
         _LAYOUT_Y, exclude=i, draws=draws, seed=seed)),
     "regression": (default_election().x, lambda i, draws, seed: RegressionModel().fit(
         default_election(), exclude=i, draws=draws, seed=seed)),
-    "schools-complete-pooling": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel().fit(
-        _SCHOOLS.with_mode("complete_pooling"), exclude=i, draws=draws, seed=seed)),
+    "schools-complete-pooling": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel("complete_pooling").fit(
+        _SCHOOLS, exclude=i, draws=draws, seed=seed)),
     "schools-existing-groups": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel().fit(
         _SCHOOLS, exclude=i, draws=draws, seed=seed)),
-    "schools-new-groups": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel().fit(
-        _NEW_GROUPS, exclude=i, draws=draws, seed=seed)),
-    "schools-pinned-tau": (_SCHOOLS.y, lambda i, draws, seed: _SchoolsFit(
-        _SCHOOLS, i, draws, seed, tau_grid=np.array([5.0]))),
+    "schools-new-groups": (_SCHOOLS.y, lambda i, draws, seed: _NEW_GROUPS.fit(
+        _SCHOOLS, exclude=i, draws=draws, seed=seed)),
+    "schools-pinned-tau": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel(tau_grid=np.array([5.0])).fit(
+        _SCHOOLS, exclude=i, draws=draws, seed=seed)),
 }
 
 
@@ -532,11 +542,11 @@ def test_heldout_column_is_bitwise_the_full_matrix_column(name):
         assert np.array_equal(heldout, refit(i, 2_000, 40 + i).heldout_loglik())
 
 
-@pytest.mark.parametrize("data", [_SCHOOLS, _NEW_GROUPS, _SCHOOLS.with_mode("complete_pooling")],
+@pytest.mark.parametrize("model", [SchoolsModel(), _NEW_GROUPS, SchoolsModel("complete_pooling")],
                          ids=["existing-groups", "new-groups", "complete-pooling"])
-def test_a_schools_refit_draws_the_other_effects_only_when_theta_is_read(data):
+def test_a_schools_refit_draws_the_other_effects_only_when_theta_is_read(model):
     draws, seed = 1_000, 9
-    fit = SchoolsModel().fit(data, exclude=2, draws=draws, seed=seed)
+    fit = model.fit(_SCHOOLS, exclude=2, draws=draws, seed=seed)
     heldout = fit.heldout_loglik()
     assert "theta" not in vars(fit)
     if fit.tau is not None:  # the held-out effect is the third draw: after tau and mu

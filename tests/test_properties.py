@@ -82,9 +82,8 @@ def test_replicate_parallelism_is_bit_reproducible():
 
 
 def test_no_pooling_loo_refusal_is_the_designated_error():
-    data = default_eight_schools(mode="no_pooling")
     with pytest.raises(ModelRefusalError, match="model cannot predict held-out point"):
-        loo_report(SchoolsModel(), data, lppd_full=-30.0, draws=200, seed=1)
+        loo_report(SchoolsModel("no_pooling"), default_eight_schools(), lppd_full=-30.0, draws=200, seed=1)
 
 
 def test_loo_report_internal_identities():
