@@ -34,27 +34,14 @@ __all__ = [
 
 CHUNK = 8192
 
-# name -> expectation of its per-replicate quantity, from (n, m, prior_dev2).
 # Gap quantities are estimator-vs-target (elppd) errors, paired per
 # replicate; penalty quantities are the raw effective-parameter counts.
-# Each entry looks `oracle.*` up when called, not when this module loads.
-_EXPECTATIONS = {
-    "aic": lambda n, m, pd2: oracle.expected_aic_gap(n, m, pd2),
-    "dic": lambda n, m, pd2: oracle.expected_dic_gap(n, m, pd2),
-    "waic1": lambda n, m, pd2: oracle.expected_waic1_gap(n, m, pd2),
-    "waic2": lambda n, m, pd2: oracle.expected_waic2_gap(n, m, pd2),
-    "loo": lambda n, m, pd2: oracle.expected_loo_gap(n, m, pd2),
-    "cloo": lambda n, m, pd2: oracle.expected_cloo_gap(n, m, pd2),
-    "lppd": lambda n, m, pd2: oracle.true_p(n, m),
-    "elppd": lambda n, m, pd2: oracle.expected_elppd(n, m, pd2),
-    "p_dic": lambda n, m, pd2: oracle.p_dic(oracle.NormalMeanSpec(n=n, m=m)),
-    "p_waic1": lambda n, m, pd2: oracle.expected_p_waic1(n, m, pd2),
-    "p_waic2": lambda n, m, pd2: oracle.expected_p_waic2(n, m, pd2),
-    "p_loo": lambda n, m, pd2: oracle.expected_lppd(n, m, pd2) - oracle.expected_lppd_loo(n, m, pd2),
-    "p_cloo": lambda n, m, pd2: oracle.expected_p_cloo(n, m, pd2),
-    "b": lambda n, m, pd2: oracle.expected_b(n, m, pd2),
-}
-ESTIMATOR_NAMES = tuple(_EXPECTATIONS)
+# `oracle.dataset_values` gives each per replicate, `oracle.expectations`
+# its exact expectation.
+ESTIMATOR_NAMES = (
+    "aic", "dic", "waic1", "waic2", "loo", "cloo", "lppd",
+    "elppd", "p_dic", "p_waic1", "p_waic2", "p_loo", "p_cloo", "b",
+)
 
 _LOO_NAMES = {"loo", "cloo", "p_loo", "p_cloo", "b"}
 
@@ -156,32 +143,10 @@ def _replicate_chunk(plan: ReplicationPlan, chunk_index: int, size: int) -> dict
 
     s2y = y.var(axis=1, ddof=1) if n > 1 else np.zeros(size)
     spec = oracle.NormalMeanSpec(n=n, ybar=y.mean(axis=1), s2y=s2y, m=m, mu0=mu0)
-    lppd = oracle.lppd(spec)
-    elppd = n * oracle.elppd_given_posterior(theta, spec.posterior_mean, spec.posterior_var)
-    p_w1 = oracle.p_waic1(spec)
-    p_w2 = oracle.p_waic2(spec)
-
-    values = {
-        "lppd": lppd - elppd,
-        "elppd": elppd,
-        "aic": elppd - oracle.elpd_aic(spec),
-        "dic": elppd - (oracle.lpd_at_posterior_mean(spec) - oracle.p_dic(spec)),
-        "waic1": elppd - (lppd - p_w1),
-        "waic2": elppd - (lppd - p_w2),
-        "p_dic": np.full(size, oracle.p_dic(spec)),
-        "p_waic1": p_w1,
-        "p_waic2": p_w2,
-    }
-
+    sum_dev2 = None
     if set(plan.estimators) & _LOO_NAMES:
-        lppd_loo, lppd_bar = oracle.loo_quantities(y, m, mu0)
-        b = lppd - lppd_bar
-        values["loo"] = elppd - lppd_loo
-        values["cloo"] = elppd - (lppd_loo + b)
-        values["p_loo"] = lppd - lppd_loo
-        values["p_cloo"] = lppd_bar - lppd_loo
-        values["b"] = b
-
+        sum_dev2 = ((y - spec.ybar[:, None]) ** 2).sum(axis=1)
+    values = oracle.dataset_values(spec, (theta - spec.posterior_mean) ** 2, sum_dev2)
     return {name: values[name] for name in plan.estimators}
 
 
@@ -197,6 +162,7 @@ def run_expectation_study(plan: ReplicationPlan) -> ExpectationResult:
         _replicate_chunk(plan, c, size)
         for c, size in enumerate(_chunk_sizes(plan.R))
     ]
+    exact = oracle.expectations(plan.n, plan.m, plan.prior_dev2)
     result = ExpectationResult(plan=plan)
     for name in plan.estimators:
         vals = np.concatenate([c[name] for c in chunks])
@@ -204,7 +170,7 @@ def run_expectation_study(plan: ReplicationPlan) -> ExpectationResult:
         # a constant estimator has no Monte Carlo error; its rounding-level
         # sample variance would turn an exact match into a huge z-score
         mc_se = 0.0 if (vals == vals[0]).all() else float(math.sqrt(vals.var(ddof=1) / plan.R))
-        oracle_value = float(_EXPECTATIONS[name](plan.n, plan.m, plan.prior_dev2))
+        oracle_value = exact[name]
         if mc_se > 0:
             z = (mc_mean - oracle_value) / mc_se
         elif math.isclose(mc_mean, oracle_value, rel_tol=1e-9, abs_tol=1e-12):

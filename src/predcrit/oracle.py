@@ -10,12 +10,15 @@ special case of every formula. A spec whose ybar and s2y are arrays gets
 one value per entry, which is how replication studies evaluate a whole
 chunk of replicate datasets at once.
 
-Expectation quantities average over replicate datasets y ~ N(theta, 1)^n
-and future data from the same source. They take the scalar
-`prior_dev2 = E (theta - mu0)^2` describing how theta is generated:
-1/m when theta is drawn from the prior, (theta0 - mu0)^2 when fixed.
-By default it is resolved that way automatically (from_prior for m > 0,
-irrelevant for m = 0 where every m^2-weighted term vanishes).
+Expectations average over replicate datasets y ~ N(theta, 1)^n and
+future data from the same source. Every value `dataset_values` gives is
+affine in four statistics of a dataset: s2y, (ybar - mu0)^2,
+sum_dev2 = sum_i (y_i - ybar)^2 and err2 = (theta - posterior mean)^2.
+So its expectation is the same formula at the expected statistics:
+E s2y = 1, E (ybar - mu0)^2 = prior_dev2 + 1/n, E sum_dev2 = n - 1 and
+E err2 = (m^2 prior_dev2 + n) / (m + n)^2, where the scalar
+`prior_dev2 = E (theta - mu0)^2` describes how theta is generated: 1/m
+when theta is drawn from the prior, (theta0 - mu0)^2 when fixed.
 """
 from __future__ import annotations
 
@@ -37,24 +40,9 @@ __all__ = [
     "p_waic2",
     "loo_quantities",
     "elppd_given_posterior",
+    "dataset_values",
     "true_p",
-    "expected_lppd",
-    "expected_elppd",
-    "expected_elpd_aic",
-    "expected_lpd_at_mean",
-    "expected_elpd_dic",
-    "expected_p_waic1",
-    "expected_p_waic2",
-    "expected_lppd_loo",
-    "expected_lppd_bar",
-    "expected_b",
-    "expected_p_cloo",
-    "expected_aic_gap",
-    "expected_dic_gap",
-    "expected_waic1_gap",
-    "expected_waic2_gap",
-    "expected_loo_gap",
-    "expected_cloo_gap",
+    "expectations",
     "formula_table",
 ]
 
@@ -124,6 +112,21 @@ def p_waic2(spec: NormalMeanSpec) -> float:
     )
 
 
+def _loo(spec: NormalMeanSpec, sum_dev2):
+    """(lppd_loo, lppd_bar) from the spec and sum_i (y_i - ybar)^2."""
+    n, m = spec.n, spec.m
+    w = 1.0 / (m + n - 1)
+    shift2 = n * m**2 * (spec.ybar - spec.mu0) ** 2
+    const = -(n / 2) * math.log(2 * math.pi * (1 + w))
+    # With d_i = y_i - ybar: y_i - c_i = ((m+n) d_i + m (ybar - mu0)) w, and
+    # fold i scores the full data with sum_j (y_j - c_i)^2
+    # = sum_dev2 + n (ybar - c_i)^2, where ybar - c_i = (m (ybar - mu0) + d_i) w.
+    # Summing over i (sum_i d_i = 0) leaves only sufficient statistics.
+    lppd_loo = const - ((m + n) ** 2 * sum_dev2 + shift2) * w**2 / (2 * (1 + w))
+    lppd_bar = const - (sum_dev2 * (1 + w**2) + shift2 * w**2) / (2 * (1 + w))
+    return lppd_loo, lppd_bar
+
+
 def loo_quantities(y, m: float = 0.0, mu0: float = 0.0):
     """(lppd_loo, lppd_bar): exact leave-one-out predictive summaries.
 
@@ -137,20 +140,13 @@ def loo_quantities(y, m: float = 0.0, mu0: float = 0.0):
     n = y.shape[-1]
     if n < 2:
         raise ValueError("leave-one-out requires at least 2 data points")
-    if m < 0:
-        raise ValueError("prior precision m must be nonnegative")
-    w = 1.0 / (m + n - 1)
     ybar = y.mean(axis=-1)
     sum_dev2 = ((y - ybar[..., None]) ** 2).sum(axis=-1)
-    shift2 = n * m**2 * (ybar - mu0) ** 2
-    const = -(n / 2) * math.log(2 * math.pi * (1 + w))
-    # With d_i = y_i - ybar: y_i - c_i = ((m+n) d_i + m (ybar - mu0)) w, and
-    # fold i scores the full data with sum_j (y_j - c_i)^2
-    # = sum_dev2 + n (ybar - c_i)^2, where ybar - c_i = (m (ybar - mu0) + d_i) w.
-    # Summing over i (sum_i d_i = 0) leaves only sufficient statistics.
-    lppd_loo = const - ((m + n) ** 2 * sum_dev2 + shift2) * w**2 / (2 * (1 + w))
-    lppd_bar = const - (sum_dev2 * (1 + w**2) + shift2 * w**2) / (2 * (1 + w))
-    return lppd_loo, lppd_bar
+    return _loo(NormalMeanSpec(n=n, ybar=ybar, m=m, mu0=mu0), sum_dev2)
+
+
+def _elppd_point(err2, post_var: float):
+    return -0.5 * math.log(2 * math.pi * (1 + post_var)) - (err2 + 1.0) / (2 * (1 + post_var))
 
 
 def elppd_given_posterior(theta0: float, post_mean: float, post_var: float) -> float:
@@ -162,147 +158,91 @@ def elppd_given_posterior(theta0: float, post_mean: float, post_var: float) -> f
     """
     if post_var < 0:
         raise ValueError("posterior variance must be nonnegative")
-    return -0.5 * math.log(2 * math.pi * (1 + post_var)) - (
-        (theta0 - post_mean) ** 2 + 1.0
-    ) / (2 * (1 + post_var))
+    return _elppd_point((theta0 - post_mean) ** 2, post_var)
+
+
+def dataset_values(spec: NormalMeanSpec, err2, sum_dev2=None) -> dict:
+    """Every base quantity and estimator value of a dataset whose true
+    mean theta sits at err2 = (theta - posterior mean)^2.
+
+    Base quantities: `elppd` (the target, n times `elppd_given_posterior`),
+    `lppd_within` (the within-sample `lppd`) and, when
+    `sum_dev2 = sum_i (y_i - ybar)^2` is given, `lppd_loo` and `lppd_bar`
+    (needs n >= 2). Estimator values, one per name of the expectation
+    study: the criterion names (aic, dic, waic1, waic2, loo, cloo) are the
+    gap elppd - estimate (positive = estimator pessimistic); `lppd` is the
+    optimism lppd_within - elppd; the p_* names are the penalties; `elppd`
+    and `b` are themselves. The leave-one-out names come with `sum_dev2`.
+
+    Array statistics in `spec`, `err2` and `sum_dev2` give one value per
+    entry.
+    """
+    n = spec.n
+    elppd = n * _elppd_point(err2, spec.posterior_var)
+    lppd_within = lppd(spec)
+    p_w1 = p_waic1(spec)
+    p_w2 = p_waic2(spec)
+    out = {
+        "elppd": elppd,
+        "lppd_within": lppd_within,
+        "lppd": lppd_within - elppd,
+        "aic": elppd - elpd_aic(spec),
+        "dic": elppd - (lpd_at_posterior_mean(spec) - p_dic(spec)),
+        "waic1": elppd - (lppd_within - p_w1),
+        "waic2": elppd - (lppd_within - p_w2),
+        "p_dic": np.full(np.shape(err2), p_dic(spec)),
+        "p_waic1": p_w1,
+        "p_waic2": p_w2,
+    }
+    if sum_dev2 is not None:
+        if n < 2:
+            raise ValueError("leave-one-out requires at least 2 data points")
+        lppd_loo, lppd_bar = _loo(spec, sum_dev2)
+        b = lppd_within - lppd_bar
+        out.update(
+            lppd_loo=lppd_loo,
+            lppd_bar=lppd_bar,
+            loo=elppd - lppd_loo,
+            cloo=elppd - (lppd_loo + b),
+            p_loo=lppd_within - lppd_loo,
+            p_cloo=lppd_bar - lppd_loo,
+            b=b,
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
 # expectations over replicate datasets
 # ---------------------------------------------------------------------------
 
-def _pd2(m: float, prior_dev2: float | None) -> float:
-    if prior_dev2 is not None:
-        if prior_dev2 < 0:
-            raise ValueError("prior_dev2 must be nonnegative")
-        return prior_dev2
-    return 0.0 if m == 0 else 1.0 / m
-
-
-def expected_elppd(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    """Target: expected log pointwise predictive density for new data."""
-    pd2 = _pd2(m, prior_dev2)
-    v = 1.0 / (m + n)
-    post_sq = (m**2 * pd2 + n) / (m + n) ** 2
-    return -(n / 2) * math.log(2 * math.pi * (1 + v)) - n * (1 + post_sq) / (2 * (1 + v))
-
-
-def expected_lppd(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    """E over replicate datasets of the within-sample lppd."""
-    pd2 = _pd2(m, prior_dev2)
-    v = 1.0 / (m + n)
-    dev2 = pd2 + 1.0 / n
-    quad = (n - 1) + n * m**2 * dev2 / (m + n) ** 2
-    return -(n / 2) * math.log(2 * math.pi * (1 + v)) - quad / (2 * (1 + v))
-
-
 def true_p(n: int, m: float = 0.0) -> float:
     """The correct effective-parameter count E(lppd) - elppd = n/(m+n+1)."""
     return n / (m + n + 1)
 
 
-def expected_elpd_aic(n: int) -> float:
-    """Prior-free: the MLE and s^2 distributions do not involve the prior."""
-    return -(n / 2) * _LOG_2PI - (n + 1) / 2
+def expectations(n: int, m: float = 0.0, prior_dev2: float | None = None) -> dict:
+    """`dataset_values` at the expected statistics: the exact expectation
+    of every entry over replicate datasets, as floats. Leave-one-out entries
+    need n >= 2.
 
+    `prior_dev2` defaults to 1/m (theta drawn from the prior) when m > 0;
+    under the flat prior every term it enters carries m^2 and vanishes.
 
-def expected_lpd_at_mean(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    pd2 = _pd2(m, prior_dev2)
-    dev2 = pd2 + 1.0 / n
-    return -(n / 2) * _LOG_2PI - 0.5 * ((n - 1) + n * (m / (m + n)) ** 2 * dev2)
-
-
-def expected_elpd_dic(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    return expected_lpd_at_mean(n, m, prior_dev2) - n / (m + n)
-
-
-def expected_p_waic1(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    pd2 = _pd2(m, prior_dev2)
-    dev2 = pd2 + 1.0 / n
-    return (
-        (n - 1) / (m + n + 1)
-        + n * m**2 * dev2 / ((m + n) ** 2 * (m + n + 1))
-        + n / (m + n)
-        - n * math.log1p(1.0 / (m + n))
-    )
-
-
-def expected_p_waic2(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    """Flat prior: exactly 1 - 1/(2n)."""
-    pd2 = _pd2(m, prior_dev2)
-    dev2 = pd2 + 1.0 / n
-    return (n - 1) / (m + n) + n * m**2 * dev2 / (m + n) ** 3 + n / (2 * (m + n) ** 2)
-
-
-def _loo_pieces(n: int, m: float, prior_dev2: float | None) -> tuple[float, float]:
-    if n < 2:
-        raise ValueError("leave-one-out expectations require n >= 2")
-    pd2 = _pd2(m, prior_dev2)
-    q = 1.0 / (m + n - 1)
-    held = 1.0 + (m**2 * pd2 + (n - 1)) * q**2
-    const = -(n / 2) * math.log(2 * math.pi * (1 + q))
-    e_loo = const - n * held / (2 * (1 + q))
-    e_bar = const - (n * held - 2 * (n - 1) * q) / (2 * (1 + q))
-    return e_loo, e_bar
-
-
-def expected_lppd_loo(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    return _loo_pieces(n, m, prior_dev2)[0]
-
-
-def expected_lppd_bar(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    return _loo_pieces(n, m, prior_dev2)[1]
-
-
-def expected_b(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    """E of the first-order bias correction, E(lppd) - E(lppd_bar)."""
-    return expected_lppd(n, m, prior_dev2) - expected_lppd_bar(n, m, prior_dev2)
-
-
-def expected_p_cloo(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    """Flat prior: exactly (n-1)/n."""
-    e_loo, e_bar = _loo_pieces(n, m, prior_dev2)
-    return e_bar - e_loo
-
-
-# ---- estimator-vs-target gaps (positive = estimator pessimistic) ----------
-
-def expected_aic_gap(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    """elppd - E(elpd_aic); flat prior: 1/2 - (n/2) log(1 + 1/n) ~ 1/(4n)."""
-    return expected_elppd(n, m, prior_dev2) - expected_elpd_aic(n)
-
-
-def expected_dic_gap(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    return expected_elppd(n, m, prior_dev2) - expected_elpd_dic(n, m, prior_dev2)
-
-
-def expected_waic1_gap(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    return (
-        expected_elppd(n, m, prior_dev2)
-        - expected_lppd(n, m, prior_dev2)
-        + expected_p_waic1(n, m, prior_dev2)
-    )
-
-
-def expected_waic2_gap(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    """Flat prior: exactly (n-1)/(2n(n+1)), opposite in sign to the
-    variant-1 gap for every n >= 2."""
-    return (
-        expected_elppd(n, m, prior_dev2)
-        - expected_lppd(n, m, prior_dev2)
-        + expected_p_waic2(n, m, prior_dev2)
-    )
-
-
-def expected_loo_gap(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    """elppd - E(lppd_loo) = -(n/2) log(1 - 1/(m+n)^2); conditioning on
-    n-1 points makes LOO pessimistic."""
-    return expected_elppd(n, m, prior_dev2) - expected_lppd_loo(n, m, prior_dev2)
-
-
-def expected_cloo_gap(n: int, m: float = 0.0, prior_dev2: float | None = None) -> float:
-    """Flat prior: exactly -1/(n^2 + n)."""
-    return expected_loo_gap(n, m, prior_dev2) - expected_b(n, m, prior_dev2)
+    Flat-prior exact forms: the AIC gap is 1/2 - (n/2) log(1 + 1/n), about
+    1/(4n); the WAIC-2 gap is (n-1)/(2n(n+1)), opposite in sign to the
+    WAIC-1 gap for every n >= 2; the LOO gap is -(n/2) log(1 - 1/n^2),
+    since conditioning on n-1 points makes LOO pessimistic; the corrected
+    LOO gap is -1/(n^2+n); p_cloo is (n-1)/n and p_waic2 is 1 - 1/(2n).
+    """
+    if prior_dev2 is None:
+        prior_dev2 = 0.0 if m == 0 else 1.0 / m
+    elif prior_dev2 < 0:
+        raise ValueError("prior_dev2 must be nonnegative")
+    # with mu0 = 0, (ybar - mu0)^2 = ybar^2 takes its expected value
+    spec = NormalMeanSpec(n=n, ybar=math.sqrt(prior_dev2 + 1.0 / n), s2y=1.0, m=m)
+    err2 = (m**2 * prior_dev2 + n) / (m + n) ** 2
+    values = dataset_values(spec, err2, sum_dev2=n - 1 if n >= 2 else None)
+    return {name: float(v) for name, v in values.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +250,11 @@ def expected_cloo_gap(n: int, m: float = 0.0, prior_dev2: float | None = None) -
 def formula_table(spec: NormalMeanSpec, y=None) -> dict:
     """Every formula evaluated for one input, as a flat dict (CLI payload).
 
-    Leave-one-out entries need the raw data vector and are included only
-    when `y` is given.
+    Leave-one-out entries need at least 2 points: the expected ones n >= 2,
+    the observed ones a data vector `y` of that length.
     """
     n, m = spec.n, spec.m
+    e = expectations(n, m)
     out = {
         "n": n,
         "m": m,
@@ -329,24 +270,24 @@ def formula_table(spec: NormalMeanSpec, y=None) -> dict:
         "p_waic1": p_waic1(spec),
         "p_waic2": p_waic2(spec),
         "true_p": true_p(n, m),
-        "expected_lppd": expected_lppd(n, m),
-        "expected_elppd": expected_elppd(n, m),
-        "expected_p_waic1": expected_p_waic1(n, m),
-        "expected_p_waic2": expected_p_waic2(n, m),
-        "expected_aic_gap": expected_aic_gap(n, m),
-        "expected_waic1_gap": expected_waic1_gap(n, m),
-        "expected_waic2_gap": expected_waic2_gap(n, m),
+        "expected_lppd": e["lppd_within"],
+        "expected_elppd": e["elppd"],
+        "expected_p_waic1": e["p_waic1"],
+        "expected_p_waic2": e["p_waic2"],
+        "expected_aic_gap": e["aic"],
+        "expected_waic1_gap": e["waic1"],
+        "expected_waic2_gap": e["waic2"],
     }
     if n >= 2:
         out.update(
-            expected_lppd_loo=expected_lppd_loo(n, m),
-            expected_lppd_bar=expected_lppd_bar(n, m),
-            expected_b=expected_b(n, m),
-            expected_p_cloo=expected_p_cloo(n, m),
-            expected_loo_gap=expected_loo_gap(n, m),
-            expected_cloo_gap=expected_cloo_gap(n, m),
+            expected_lppd_loo=e["lppd_loo"],
+            expected_lppd_bar=e["lppd_bar"],
+            expected_b=e["b"],
+            expected_p_cloo=e["p_cloo"],
+            expected_loo_gap=e["loo"],
+            expected_cloo_gap=e["cloo"],
         )
-    if y is not None:
+    if y is not None and np.size(y) >= 2:
         lo, bar = loo_quantities(y, m=m, mu0=spec.mu0)
         out.update(lppd_loo=lo, lppd_bar_minus_i=bar)
     return out

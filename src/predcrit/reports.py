@@ -27,6 +27,7 @@ __all__ = [
     "write_histogram_csv",
     "UNDEFINED_AIC_HIERARCHICAL",
     "UNDEFINED_LOO_NO_POOLING",
+    "UNDEFINED_LOO_ONE_GROUP",
 ]
 
 UNDEFINED_AIC_HIERARCHICAL = (
@@ -35,6 +36,7 @@ UNDEFINED_AIC_HIERARCHICAL = (
 UNDEFINED_LOO_NO_POOLING = (
     "undefined: prediction for a held-out school is impossible without pooling"
 )
+UNDEFINED_LOO_ONE_GROUP = "undefined: leave-one-out needs at least 2 schools"
 
 _TABLE_ROWS = (
     "minus2_lpd_mle",
@@ -88,9 +90,10 @@ def schools_table_report(
         rows["p_waic2"][mode] = rep.p_waic2
         rows["waic"][mode] = rep.waic
 
-        if mode == "no_pooling":
-            rows["p_loo"][mode] = UNDEFINED_LOO_NO_POOLING
-            rows["minus2_lppd_loo"][mode] = UNDEFINED_LOO_NO_POOLING
+        if mode == "no_pooling" or d.J < 2:
+            undefined = UNDEFINED_LOO_NO_POOLING if mode == "no_pooling" else UNDEFINED_LOO_ONE_GROUP
+            rows["p_loo"][mode] = undefined
+            rows["minus2_lppd_loo"][mode] = undefined
         else:
             loo = loo_report(model, d, rep.lppd, draws=draws, seed=derive_seed(seed, 10 + col_idx),
                              bias_correction=False)

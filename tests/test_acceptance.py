@@ -161,9 +161,9 @@ def test_criterion_3_exact_oracle_identities():
             math.isclose(oracle.true_p(n), n / (n + 1), rel_tol=rtol), oracle.true_p(n),
         )
     for n in range(2, 51):
-        got = oracle.expected_p_cloo(n)
+        got = oracle.expectations(n)["p_cloo"]
         _check(
-            failures, f"expected_p_cloo({n})",
+            failures, f"expectations({n})[p_cloo]",
             math.isclose(got, (n - 1) / n, rel_tol=1e-11), got,
         )
 

@@ -9,7 +9,12 @@ from predcrit.cli import MODEL_OPTIONS, main
 from predcrit.errors import MatrixFormatError
 from predcrit.expectation import ESTIMATOR_NAMES
 from predcrit.models import SchoolsModel, default_eight_schools, load_balanced_csv, load_election_csv, load_schools_csv
-from predcrit.reports import election_report
+from predcrit.reports import (
+    UNDEFINED_AIC_HIERARCHICAL,
+    UNDEFINED_LOO_NO_POOLING,
+    UNDEFINED_LOO_ONE_GROUP,
+    election_report,
+)
 
 
 @pytest.fixture
@@ -172,6 +177,22 @@ def test_schools_table_undefined_cells(runner):
     assert table["seed"] == 7 and table["draws"] == 4000
 
 
+def test_schools_table_on_one_school_leaves_only_loo_undefined(runner, tmp_path):
+    path = _write(tmp_path, "one.csv", "school,y,sigma\nA,28,15\n")
+    result = runner.invoke(main, ["schools-table", "--input", path, "--draws", "200", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    rows = json.loads(result.output)["rows"]
+    for row, cells in rows.items():
+        for mode, cell in cells.items():
+            if row in ("p_loo", "minus2_lppd_loo"):
+                want = UNDEFINED_LOO_NO_POOLING if mode == "no_pooling" else UNDEFINED_LOO_ONE_GROUP
+                assert cell == want, (row, mode)
+            elif mode == "hierarchical" and row in ("minus2_lpd_mle", "k", "aic"):
+                assert cell == UNDEFINED_AIC_HIERARCHICAL, (row, mode)
+            else:
+                assert isinstance(cell, float), (row, mode)
+
+
 def test_election_json_and_histogram(runner, tmp_path):
     hist = tmp_path / "hist.csv"
     result = runner.invoke(
@@ -220,6 +241,14 @@ def test_oracle_command_with_data_vector(runner):
     assert table["lppd_loo"] == pytest.approx(-np.log(4 * np.pi) - 2, rel=1e-12)
     bad = runner.invoke(main, ["oracle", "--n", "3", "--y", "0,2"])
     assert bad.exit_code == 2
+
+
+def test_oracle_command_with_one_data_point_has_no_loo_entries(runner):
+    result = runner.invoke(main, ["oracle", "--n", "1", "--y", "0.5", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    table = json.loads(result.output)
+    assert table["ybar"] == 0.5
+    assert "lppd_loo" not in table and "lppd_bar_minus_i" not in table
 
 
 @pytest.mark.parametrize("given", [["--ybar", "5"], ["--s2y", "9"], ["--ybar", "5", "--s2y", "9"]])

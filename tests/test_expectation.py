@@ -152,9 +152,8 @@ def test_loo_penalty_expectations():
 def test_expected_b_matches_exact_formula():
     plan = ReplicationPlan(R=60_000, n=10, seed=31, estimators=("b",))
     s = run_expectation_study(plan).stats["b"]
-    assert s.oracle_value == pytest.approx(
-        oracle.expected_lppd(10) - oracle.expected_lppd_bar(10), rel=1e-12
-    )
+    e = oracle.expectations(10)
+    assert s.oracle_value == pytest.approx(e["lppd_within"] - e["lppd_bar"], rel=1e-12)
     assert abs(s.z_score) < 4
 
 
@@ -169,7 +168,8 @@ def test_bias_curve_rows_and_cloo_oracle():
 
 def test_bias_curve_waic_gap_signs():
     for n in (2, 5, 10):
-        assert oracle.expected_waic1_gap(n) < 0 < oracle.expected_waic2_gap(n)
+        e = oracle.expectations(n)
+        assert e["waic1"] < 0 < e["waic2"]
     rows1 = bias_curve(ReplicationPlan(R=40_000, n=2, seed=19, estimators=("waic1",)), [2, 10])
     rows2 = bias_curve(ReplicationPlan(R=40_000, n=2, seed=19, estimators=("waic2",)), [2, 10])
     for r1, r2 in zip(rows1, rows2):

@@ -6,8 +6,10 @@ import pytest
 from predcrit import oracle
 from predcrit.models import NormalMeanModel, NormalMeanSpec
 from predcrit.criteria import criterion_report
-from predcrit.draws import lppd
+from predcrit.draws import PointwiseLogLikMatrix, lppd
+from predcrit.loo import loo_report
 from predcrit.models import normal_pointwise_loglik, normal_posterior_draws
+from predcrit.seeds import derive_seed
 
 RTOL = 1e-12
 
@@ -63,53 +65,62 @@ def test_fully_informative_prior_kills_the_penalties():
 def test_true_p_identity():
     for n in range(1, 51):
         assert oracle.true_p(n) == pytest.approx(n / (n + 1), rel=RTOL)
-        gap = oracle.expected_lppd(n) - oracle.expected_elppd(n)
+        e = oracle.expectations(n)
+        gap = e["lppd_within"] - e["elppd"]
         assert gap == pytest.approx(n / (n + 1), rel=RTOL)
     assert oracle.true_p(1) == 0.5
     assert oracle.true_p(10**9) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_true_p_is_the_expected_lppd_optimism():
+    for n in range(1, 51):
+        for m in (0.0, 0.5, float(n), 10.0 * n):
+            assert oracle.expectations(n, m)["lppd"] == pytest.approx(oracle.true_p(n, m), rel=1e-12)
+
+
 def test_expected_waic_penalties_flat():
     for n in range(1, 40):
-        assert oracle.expected_p_waic2(n) == pytest.approx(1 - 1 / (2 * n), rel=RTOL)
+        e = oracle.expectations(n)
+        assert e["p_waic2"] == pytest.approx(1 - 1 / (2 * n), rel=RTOL)
         ref = (n - 1) / (n + 1) + 1 - n * math.log(1 + 1 / n)
-        assert oracle.expected_p_waic1(n) == pytest.approx(ref, rel=RTOL)
-    assert oracle.expected_p_waic2(1) == 0.5
+        assert e["p_waic1"] == pytest.approx(ref, rel=RTOL)
+    assert oracle.expectations(1)["p_waic2"] == 0.5
 
 
 def test_expected_p_cloo_flat():
     for n in range(2, 51):
-        assert oracle.expected_p_cloo(n) == pytest.approx((n - 1) / n, rel=1e-11)
-    assert oracle.expected_p_cloo(4) == pytest.approx(0.75, rel=1e-11)
+        assert oracle.expectations(n)["p_cloo"] == pytest.approx((n - 1) / n, rel=1e-11)
+    assert oracle.expectations(4)["p_cloo"] == pytest.approx(0.75, rel=1e-11)
 
 
 def test_expected_loo_gap():
-    assert oracle.expected_loo_gap(2) == pytest.approx(-math.log(0.75), rel=RTOL)
+    assert oracle.expectations(2)["loo"] == pytest.approx(-math.log(0.75), rel=RTOL)
     for n in (2, 3, 10, 40):
         ref = -(n / 2) * math.log(1 - 1 / n**2)
-        assert oracle.expected_loo_gap(n) == pytest.approx(ref, rel=1e-11)
-        assert oracle.expected_loo_gap(n) > 0
+        assert oracle.expectations(n)["loo"] == pytest.approx(ref, rel=1e-11)
+        assert oracle.expectations(n)["loo"] > 0
 
 
 def test_expected_cloo_gap_flat():
     for n in range(2, 51):
-        assert oracle.expected_cloo_gap(n) == pytest.approx(-1 / (n**2 + n), rel=1e-9)
+        assert oracle.expectations(n)["cloo"] == pytest.approx(-1 / (n**2 + n), rel=1e-9)
 
 
 def test_loo_underestimates_within_sample_fit_in_expectation():
     for n in range(2, 41):
         for m in (0.0, 1.0, float(n)):
             pd2 = None if m == 0 else 1.0 / m
-            assert oracle.expected_lppd_loo(n, m, pd2) < oracle.expected_lppd(n, m, pd2)
+            e = oracle.expectations(n, m, pd2)
+            assert e["lppd_loo"] < e["lppd_within"]
 
 
 def test_aic_gap_positive_and_quarter_n_asymptotics():
     for n in (1, 2, 5, 10):
         exact = 0.5 - (n / 2) * math.log(1 + 1 / n)
-        assert oracle.expected_aic_gap(n) == pytest.approx(exact, rel=1e-11)
-        assert oracle.expected_aic_gap(n) > 0
+        assert oracle.expectations(n)["aic"] == pytest.approx(exact, rel=1e-11)
+        assert oracle.expectations(n)["aic"] > 0
     for n in (20, 40, 100):
-        ratio = oracle.expected_aic_gap(n) / (1 / (4 * n))
+        ratio = oracle.expectations(n)["aic"] / (1 / (4 * n))
         assert 0.8 < ratio < 1.2
 
 
@@ -117,20 +128,20 @@ def test_waic_gap_signs_are_opposite_for_all_n():
     # variant-1 estimates overshoot the target, variant-2 undershoot: the
     # exact gaps are -,+ with common magnitude ~ 1/(2n+2)
     for n in range(2, 61):
-        g1 = oracle.expected_waic1_gap(n)
-        g2 = oracle.expected_waic2_gap(n)
+        e = oracle.expectations(n)
+        g1, g2 = e["waic1"], e["waic2"]
         assert g1 < 0 < g2
         assert g2 == pytest.approx((n - 1) / (2 * n * (n + 1)), rel=1e-10)
     for n in (20, 40, 100):
-        assert 0.8 < abs(oracle.expected_waic1_gap(n)) * (2 * n + 2) < 1.2
-        assert 0.8 < oracle.expected_waic2_gap(n) * (2 * n + 2) < 1.2
+        e = oracle.expectations(n)
+        assert 0.8 < abs(e["waic1"]) * (2 * n + 2) < 1.2
+        assert 0.8 < e["waic2"] * (2 * n + 2) < 1.2
 
 
 def test_dic_gap_equals_aic_gap_under_flat_prior():
     for n in (1, 2, 5, 20):
-        assert oracle.expected_dic_gap(n) == pytest.approx(
-            oracle.expected_aic_gap(n), rel=1e-12
-        )
+        e = oracle.expectations(n)
+        assert e["dic"] == pytest.approx(e["aic"], rel=1e-12)
 
 
 def test_loo_quantities_closed_cases():
@@ -229,7 +240,7 @@ def test_elppd_given_posterior_recovers_expected_elppd():
     ) - ((theta0 - ybar) ** 2 + 1) / (2 * (1 + 1 / n))
     mc = n * vals.mean()
     se = n * vals.std(ddof=1) / math.sqrt(R)
-    assert abs(mc - oracle.expected_elppd(n)) < 3 * se
+    assert abs(mc - oracle.expectations(n)["elppd"]) < 3 * se
 
 
 def test_informative_lppd_cross_checked_by_concentrated_draws():
@@ -279,3 +290,88 @@ def test_formula_table_contents():
     assert "lppd_loo" not in table
     table2 = oracle.formula_table(NormalMeanSpec(n=2, ybar=1.0, s2y=2.0), y=[0.0, 2.0])
     assert table2["lppd_loo"] == pytest.approx(-math.log(4 * math.pi) - 2, rel=1e-12)
+
+
+def _second_order(a):
+    """sum_i Var_s(p_si / mean_s p_si) / S: the O(1/S) error of
+    log(mean_s p_si) that a delta-method MC-SE leaves out, the term that
+    perfbench's CriteriaCheck adds to it."""
+    lme = np.logaddexp.reduce(a, axis=0) - math.log(a.shape[0])
+    return float((np.exp(a - lme).var(axis=0, ddof=1) / a.shape[0]).sum())
+
+
+def test_observed_formulas_match_draws_at_an_informative_prior():
+    # The expectations are these formulas at the expected statistics, so
+    # this is their independent check for m > 0. ybar = 2.72 sits far from
+    # mu0, so the prior's pull enters every formula.
+    m, mu0, S, seed = 2.5, -1.0, 200_000, 606
+    y = np.array([2.1, 3.4, 2.8, 1.6, 3.9, 2.5])
+    spec = NormalMeanSpec.from_data(y, m=m, mu0=mu0)
+    model = NormalMeanModel(m=m, mu0=mu0)
+    mat = model.fit(y, draws=S, seed=seed).pointwise_loglik()
+    rep = criterion_report(mat, lpd_at_mean=oracle.lpd_at_posterior_mean(spec))
+    second = _second_order(mat.values)
+    for name, factor in (("lppd", 1.0), ("p_waic1", 2.0), ("p_waic2", 0.0), ("p_dic", 0.0)):
+        allowed = 4 * (getattr(rep, f"mc_se_{name}") + factor * second)
+        assert abs(getattr(rep, name) - getattr(oracle, name)(spec)) <= allowed, name
+
+    loo = loo_report(model, y, rep.lppd, draws=S, seed=seed)
+    want_loo, want_bar = oracle.loo_quantities(y, m=m, mu0=mu0)
+    held_second = bar_se_sq = bar_second = 0.0
+    for i in range(y.size):  # the folds loo_report ran, each with its own MC-SE
+        fold = model.fit(y, exclude=i, draws=S, seed=derive_seed(seed, i)).pointwise_loglik().values
+        held_second += _second_order(fold[:, [i]])
+        bar_se_sq += criterion_report(PointwiseLogLikMatrix(fold)).mc_se_lppd ** 2
+        bar_second += _second_order(fold)
+    assert abs(loo.lppd_loo - want_loo) <= 4 * (loo.mc_se_lppd_loo + held_second)
+    bar_allowed = 4 * (math.sqrt(bar_se_sq) + bar_second) / y.size
+    assert abs(loo.lppd_bar_minus_i - want_bar) <= bar_allowed
+
+
+# Values of the hand-written expectation functions this module had before
+# `expectations` derived them, at informative priors: (n, m, prior_dev2).
+_PINNED_EXPECTATIONS = {
+    (5, 2.5, None): {
+        "lppd_within": -6.819365229290732, "elppd": -7.407600523408378,
+        "elpd_aic": -7.594692666023363, "lpd_at_posterior_mean": -6.761359332690029,
+        "elpd_dic": -7.428025999356696, "p_waic1": 0.5506548734652639,
+        "p_waic2": 0.6222222222222221, "lppd_loo": -7.452444775125047,
+        "lppd_bar": -6.9191114417917134, "b": 0.09974621250098181,
+        "p_cloo": 0.5333333333333332, "aic": 0.18709214261498452,
+        "dic": 0.020425475948317562, "waic1": -0.03758042065238287,
+        "waic2": 0.033986928104575376, "loo": 0.04484425171666828,
+        "cloo": -0.05490196078431353,
+    },
+    (12, 0.7, 3.0): {
+        "lppd_within": -16.63266627610094, "elppd": -17.50857868486007,
+        "elpd_aic": -17.527262398456074, "lpd_at_posterior_mean": -16.583465510862297,
+        "elpd_dic": -17.528347400626075, "p_waic1": 0.8464803592864891,
+        "p_waic2": 0.9121926905271134, "lppd_loo": -17.550433575733823,
+        "lppd_bar": -16.68429184345036, "b": 0.05162556734941859,
+        "p_cloo": 0.866141732283463, "aic": 0.018683713596004736,
+        "dic": 0.019768715766005585, "waic1": -0.029432049472638333,
+        "waic2": 0.03628028176798592, "loo": 0.04185489087375416,
+        "cloo": -0.00977067647566443,
+    },
+    (3, 10.0, 0.0): {
+        "lppd_within": -4.071274261141304, "elppd": -4.285559975427018,
+        "elpd_aic": -4.7568155996140185, "lpd_at_posterior_mean": -4.052673587779698,
+        "elpd_dic": -4.283442818548929, "p_waic1": 0.1935678840460195,
+        "p_waic2": 0.2082385070550751, "lppd_loo": -4.280725814970476,
+        "lppd_bar": -4.126879661124322, "b": 0.05560539998301817,
+        "p_cloo": 0.1538461538461542, "aic": 0.47125562418700007,
+        "dic": -0.0021171568780893324, "waic1": -0.020717830239694923,
+        "waic2": -0.006047207230639312, "loo": -0.004834160456542058,
+        "cloo": -0.060439560439560225,
+    },
+}
+
+
+@pytest.mark.parametrize("point", list(_PINNED_EXPECTATIONS))
+def test_expectations_keep_their_values_at_informative_priors(point):
+    e = oracle.expectations(*point)
+    e["elpd_aic"] = e["elppd"] - e["aic"]
+    e["elpd_dic"] = e["elppd"] - e["dic"]
+    e["lpd_at_posterior_mean"] = e["elpd_dic"] + e["p_dic"]
+    for name, want in _PINNED_EXPECTATIONS[point].items():
+        assert e[name] == pytest.approx(want, rel=1e-12), name
