@@ -289,7 +289,9 @@ def schools_table(input_path, draws, seed, fmt, output):
     data = load_schools_csv(input_path) if input_path else None
     table = schools_table_report(data, draws=draws, seed=seed)
     cols = table["columns"]
-    rows = [(name, [per_col[c] for c in cols]) for name, per_col in table["rows"].items()]
+    # a row one draw cannot give (p_waic2, waic) is null in every column
+    rows = [(name, [per_col[c] for c in cols]) for name, per_col in table["rows"].items()
+            if any(v is not None for v in per_col.values())]
     _emit(table, rows, fmt, output, columns=cols, label="row", decimals=2)
 
 
@@ -329,13 +331,12 @@ def election(input_path, hist_out, dic_parameterization, draws, seed, fmt, outpu
 @click.option("--s2y", type=float, default=None, help="sample variance  [default: 0.0]")
 @click.option("--mu0", type=float, default=0.0, show_default=True)
 @click.option("--y", "y_csv", type=str, default=None,
-              help="comma-separated data vector; sets ybar and s2y and enables the LOO formulas")
+              help="comma-separated data vector; sets ybar and s2y")
 @format_option
 @output_option
 @_handle_errors
 def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
     """Closed-form values for the unit-variance normal-mean family."""
-    y = None
     if y_csv is None:
         spec = NormalMeanSpec(n=n, ybar=0.0 if ybar is None else ybar, s2y=0.0 if s2y is None else s2y,
                               m=m, mu0=mu0)
@@ -348,7 +349,7 @@ def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
         if y.size != n:
             raise ValueError(f"--y has {y.size} values but --n is {n}")
         spec = NormalMeanSpec.from_data(y, m=m, mu0=mu0)
-    table = oracle_mod.formula_table(spec, y=y)
+    table = oracle_mod.formula_table(spec)
     _emit(table, _numeric_rows(table), fmt, output)
 
 
@@ -362,15 +363,14 @@ def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
               type=click.Choice(ESTIMATOR_NAMES), help="repeatable; default all that n allows")
 @click.option("--theta-source", type=click.Choice(["auto", "fixed", "from-prior"]),
               default="auto", show_default=True)
-@click.option("--theta0", type=float, default=0.0, show_default=True)
-@click.option("--mu0", type=float, default=0.0, show_default=True)
+@click.option("--theta0", type=float, default=0.0, show_default=True, help="fixed true mean; the prior mean is 0")
 @click.option("--n-values", type=str, default=None,
               help="comma-separated n sweep; emits a bias curve (CSV unless --format json)")
 @seed_option
 @format_option
 @output_option
 @_handle_errors
-def expect(n, m, replicates, estimators, theta_source, theta0, mu0, n_values, seed, fmt, output):
+def expect(n, m, replicates, estimators, theta_source, theta0, n_values, seed, fmt, output):
     """Monte Carlo validation of estimator expectations."""
     if (n is None) == (n_values is None):
         raise ValueError("give exactly one of --n and --n-values")
@@ -390,7 +390,6 @@ def expect(n, m, replicates, estimators, theta_source, theta0, mu0, n_values, se
         m=m,
         theta_source=source,
         theta0=theta0,
-        mu0=mu0,
         seed=seed,
         estimators=estimators,
     )

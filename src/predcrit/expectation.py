@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracle
+from .models.normal import _check_settings
 from .seeds import derive_seed
 
 __all__ = [
@@ -49,14 +50,14 @@ _LOO_NAMES = {"loo", "cloo", "p_loo", "p_cloo", "b"}
 @dataclass(frozen=True)
 class ReplicationPlan:
     """What to replicate and which estimators to score: by default, every
-    estimator that `n` allows (those needing a held-out point want n >= 2)."""
+    estimator that `n` allows (those needing a held-out point want n >= 2).
+    The prior mean is 0, so a fixed true mean `theta0` is its offset from it."""
 
     R: int
     n: int
     m: float = 0.0
     theta_source: str = "fixed"
     theta0: float = 0.0
-    mu0: float = 0.0
     seed: int = 12345
     estimators: tuple = ()
 
@@ -68,8 +69,7 @@ class ReplicationPlan:
         if not self.estimators:
             allowed = tuple(e for e in ESTIMATOR_NAMES if self.n >= 2 or e not in _LOO_NAMES)
             object.__setattr__(self, "estimators", allowed)
-        if self.m < 0:
-            raise ValueError("prior precision m must be nonnegative")
+        _check_settings(m=self.m, theta0=self.theta0)
         if self.theta_source not in ("fixed", "from_prior"):
             raise ValueError("theta_source must be 'fixed' or 'from_prior'")
         if self.theta_source == "from_prior" and self.m <= 0:
@@ -88,7 +88,7 @@ class ReplicationPlan:
     def prior_dev2(self) -> float:
         if self.theta_source == "from_prior":
             return 1.0 / self.m
-        return (self.theta0 - self.mu0) ** 2
+        return self.theta0**2
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,7 @@ class ExpectationResult:
             "n": self.plan.n,
             "m": self.plan.m,
             "theta_source": self.plan.theta_source,
+            "theta0": self.plan.theta0,
             "seed": self.plan.seed,
             "estimators": {
                 name: {
@@ -134,19 +135,13 @@ def _chunk_sizes(R: int) -> list[int]:
 def _replicate_chunk(plan: ReplicationPlan, chunk_index: int, size: int) -> dict:
     """Per-replicate estimator values for one chunk (own derived seed)."""
     rng = np.random.default_rng(derive_seed(plan.seed, chunk_index))
-    n, m, mu0 = plan.n, plan.m, plan.mu0
     if plan.theta_source == "from_prior":
-        theta = mu0 + math.sqrt(1.0 / m) * rng.standard_normal(size)
+        theta = math.sqrt(1.0 / plan.m) * rng.standard_normal(size)
     else:
         theta = np.full(size, plan.theta0)
-    y = theta[:, None] + rng.standard_normal((size, n))
-
-    s2y = y.var(axis=1, ddof=1) if n > 1 else np.zeros(size)
-    spec = oracle.NormalMeanSpec(n=n, ybar=y.mean(axis=1), s2y=s2y, m=m, mu0=mu0)
-    sum_dev2 = None
-    if set(plan.estimators) & _LOO_NAMES:
-        sum_dev2 = ((y - spec.ybar[:, None]) ** 2).sum(axis=1)
-    values = oracle.dataset_values(spec, (theta - spec.posterior_mean) ** 2, sum_dev2)
+    y = theta[:, None] + rng.standard_normal((size, plan.n))
+    spec = oracle.NormalMeanSpec.from_data(y, m=plan.m)
+    values = oracle.dataset_values(spec, (theta - spec.posterior_mean) ** 2)
     return {name: values[name] for name in plan.estimators}
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from ..criteria import PointEstimates
 from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
 from ..errors import ModelRefusalError
-from .normal import NormalMeanSpec, normal_logpdf_inplace, normal_posterior_draws
+from .normal import NormalMeanSpec, _check_settings, normal_logpdf_inplace, normal_posterior_draws
 from ..seeds import derive_seed
 
 __all__ = [
@@ -38,8 +38,7 @@ def balanced_group_posterior_draws(y: np.ndarray, mu: float, tau: float, draws: 
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         raise ValueError("y must be an n x J array of observations")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_settings(mu=mu, tau=tau)
     n, J = y.shape
     theta = np.empty((draws, J))
     for j in range(J):
@@ -89,6 +88,7 @@ class BalancedModel:
     fitted; a leave-one-out refit is refused."""
 
     def __init__(self, mu: float, tau: float, counting: str):
+        _check_settings(mu=mu, tau=tau)
         self.mu = mu
         self.tau = tau
         self.counting = counting

@@ -35,6 +35,19 @@ def normal_logpdf_inplace(resid: np.ndarray, var) -> np.ndarray:
     return resid
 
 
+def _check_settings(**settings) -> None:
+    """Raise a ValueError naming the first setting with a NaN or infinite
+    entry, a negative prior precision `m` or a prior sd `tau` not above 0."""
+    for name, value in settings.items():
+        bad = np.asarray(value)[~np.isfinite(value)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {bad[0]}")
+    if settings.get("m", 0.0) < 0:
+        raise ValueError("prior precision m must be nonnegative")
+    if settings.get("tau", 1.0) <= 0:
+        raise ValueError("tau must be positive")
+
+
 @dataclass(frozen=True)
 class NormalMeanSpec:
     """Sufficient statistics plus prior for the normal-mean family.
@@ -52,16 +65,19 @@ class NormalMeanSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
+        _check_settings(m=self.m, mu0=self.mu0, ybar=self.ybar, s2y=self.s2y)
         if np.any(np.asarray(self.s2y) < 0):
             raise ValueError("sample variance must be nonnegative")
-        if self.m < 0:
-            raise ValueError("prior precision m must be nonnegative")
 
     @classmethod
     def from_data(cls, y, m: float = 0.0, mu0: float = 0.0) -> "NormalMeanSpec":
+        """The statistics of the datasets along the last axis of `y`: floats
+        for one dataset, one array entry per dataset for a stack."""
         y = np.asarray(y, dtype=float)
-        s2 = float(y.var(ddof=1)) if y.size >= 2 else 0.0
-        return cls(n=y.size, ybar=float(y.mean()), s2y=s2, m=m, mu0=mu0)
+        n = y.shape[-1]
+        # a single point's spread is 0: ddof 0 gives that, not 0/0
+        s2y = y.var(axis=-1, ddof=1 if n >= 2 else 0)
+        return cls(n=n, ybar=y.mean(axis=-1), s2y=s2y, m=m, mu0=mu0)
 
     @property
     def posterior_mean(self) -> float:
@@ -121,8 +137,7 @@ class NormalMeanModel:
     """
 
     def __init__(self, m: float = 0.0, mu0: float = 0.0):
-        if m < 0:
-            raise ValueError("prior precision m must be nonnegative")
+        _check_settings(m=m, mu0=mu0)
         self.m = m
         self.mu0 = mu0
 

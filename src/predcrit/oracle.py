@@ -12,11 +12,10 @@ chunk of replicate datasets at once.
 
 Expectations average over replicate datasets y ~ N(theta, 1)^n and
 future data from the same source. Every value `dataset_values` gives is
-affine in four statistics of a dataset: s2y, (ybar - mu0)^2,
-sum_dev2 = sum_i (y_i - ybar)^2 and err2 = (theta - posterior mean)^2.
-So its expectation is the same formula at the expected statistics:
-E s2y = 1, E (ybar - mu0)^2 = prior_dev2 + 1/n, E sum_dev2 = n - 1 and
-E err2 = (m^2 prior_dev2 + n) / (m + n)^2, where the scalar
+affine in three statistics of a dataset: s2y, (ybar - mu0)^2 and
+err2 = (theta - posterior mean)^2. So its expectation is the same formula
+at the expected statistics: E s2y = 1, E (ybar - mu0)^2 = prior_dev2 + 1/n
+and E err2 = (m^2 prior_dev2 + n) / (m + n)^2, where the scalar
 `prior_dev2 = E (theta - mu0)^2` describes how theta is generated: 1/m
 when theta is drawn from the prior, (theta0 - mu0)^2 when fixed.
 """
@@ -112,18 +111,21 @@ def p_waic2(spec: NormalMeanSpec) -> float:
     )
 
 
-def _loo(spec: NormalMeanSpec, sum_dev2):
-    """(lppd_loo, lppd_bar) from the spec and sum_i (y_i - ybar)^2."""
+def _loo(spec: NormalMeanSpec):
+    """(lppd_loo, lppd_bar) from the sufficient statistics."""
     n, m = spec.n, spec.m
+    if n < 2:
+        raise ValueError("leave-one-out requires at least 2 data points")
+    sq_dev = (n - 1) * spec.s2y  # sum_i (y_i - ybar)^2
     w = 1.0 / (m + n - 1)
     shift2 = n * m**2 * (spec.ybar - spec.mu0) ** 2
     const = -(n / 2) * math.log(2 * math.pi * (1 + w))
     # With d_i = y_i - ybar: y_i - c_i = ((m+n) d_i + m (ybar - mu0)) w, and
     # fold i scores the full data with sum_j (y_j - c_i)^2
-    # = sum_dev2 + n (ybar - c_i)^2, where ybar - c_i = (m (ybar - mu0) + d_i) w.
+    # = sq_dev + n (ybar - c_i)^2, where ybar - c_i = (m (ybar - mu0) + d_i) w.
     # Summing over i (sum_i d_i = 0) leaves only sufficient statistics.
-    lppd_loo = const - ((m + n) ** 2 * sum_dev2 + shift2) * w**2 / (2 * (1 + w))
-    lppd_bar = const - (sum_dev2 * (1 + w**2) + shift2 * w**2) / (2 * (1 + w))
+    lppd_loo = const - ((m + n) ** 2 * sq_dev + shift2) * w**2 / (2 * (1 + w))
+    lppd_bar = const - (sq_dev * (1 + w**2) + shift2 * w**2) / (2 * (1 + w))
     return lppd_loo, lppd_bar
 
 
@@ -136,13 +138,7 @@ def loo_quantities(y, m: float = 0.0, mu0: float = 0.0):
     Works along the last axis of `y`, so a stack of datasets gives one pair
     of values per dataset.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.shape[-1]
-    if n < 2:
-        raise ValueError("leave-one-out requires at least 2 data points")
-    ybar = y.mean(axis=-1)
-    sum_dev2 = ((y - ybar[..., None]) ** 2).sum(axis=-1)
-    return _loo(NormalMeanSpec(n=n, ybar=ybar, m=m, mu0=mu0), sum_dev2)
+    return _loo(NormalMeanSpec.from_data(y, m=m, mu0=mu0))
 
 
 def _elppd_point(err2, post_var: float):
@@ -161,21 +157,19 @@ def elppd_given_posterior(theta0: float, post_mean: float, post_var: float) -> f
     return _elppd_point((theta0 - post_mean) ** 2, post_var)
 
 
-def dataset_values(spec: NormalMeanSpec, err2, sum_dev2=None) -> dict:
+def dataset_values(spec: NormalMeanSpec, err2) -> dict:
     """Every base quantity and estimator value of a dataset whose true
     mean theta sits at err2 = (theta - posterior mean)^2.
 
     Base quantities: `elppd` (the target, n times `elppd_given_posterior`),
-    `lppd_within` (the within-sample `lppd`) and, when
-    `sum_dev2 = sum_i (y_i - ybar)^2` is given, `lppd_loo` and `lppd_bar`
-    (needs n >= 2). Estimator values, one per name of the expectation
+    `lppd_within` (the within-sample `lppd`) and, when n >= 2, `lppd_loo`
+    and `lppd_bar`. Estimator values, one per name of the expectation
     study: the criterion names (aic, dic, waic1, waic2, loo, cloo) are the
     gap elppd - estimate (positive = estimator pessimistic); `lppd` is the
     optimism lppd_within - elppd; the p_* names are the penalties; `elppd`
-    and `b` are themselves. The leave-one-out names come with `sum_dev2`.
+    and `b` are themselves. The leave-one-out names need n >= 2.
 
-    Array statistics in `spec`, `err2` and `sum_dev2` give one value per
-    entry.
+    Array statistics in `spec` and `err2` give one value per entry.
     """
     n = spec.n
     elppd = n * _elppd_point(err2, spec.posterior_var)
@@ -194,10 +188,8 @@ def dataset_values(spec: NormalMeanSpec, err2, sum_dev2=None) -> dict:
         "p_waic1": p_w1,
         "p_waic2": p_w2,
     }
-    if sum_dev2 is not None:
-        if n < 2:
-            raise ValueError("leave-one-out requires at least 2 data points")
-        lppd_loo, lppd_bar = _loo(spec, sum_dev2)
+    if n >= 2:
+        lppd_loo, lppd_bar = _loo(spec)
         b = lppd_within - lppd_bar
         out.update(
             lppd_loo=lppd_loo,
@@ -241,18 +233,15 @@ def expectations(n: int, m: float = 0.0, prior_dev2: float | None = None) -> dic
     # with mu0 = 0, (ybar - mu0)^2 = ybar^2 takes its expected value
     spec = NormalMeanSpec(n=n, ybar=math.sqrt(prior_dev2 + 1.0 / n), s2y=1.0, m=m)
     err2 = (m**2 * prior_dev2 + n) / (m + n) ** 2
-    values = dataset_values(spec, err2, sum_dev2=n - 1 if n >= 2 else None)
+    values = dataset_values(spec, err2)
     return {name: float(v) for name, v in values.items()}
 
 
 # ---------------------------------------------------------------------------
 
-def formula_table(spec: NormalMeanSpec, y=None) -> dict:
+def formula_table(spec: NormalMeanSpec) -> dict:
     """Every formula evaluated for one input, as a flat dict (CLI payload).
-
-    Leave-one-out entries need at least 2 points: the expected ones n >= 2,
-    the observed ones a data vector `y` of that length.
-    """
+    The observed and expected leave-one-out entries need n >= 2."""
     n, m = spec.n, spec.m
     e = expectations(n, m)
     out = {
@@ -279,6 +268,7 @@ def formula_table(spec: NormalMeanSpec, y=None) -> dict:
         "expected_waic2_gap": e["waic2"],
     }
     if n >= 2:
+        lo, bar = _loo(spec)
         out.update(
             expected_lppd_loo=e["lppd_loo"],
             expected_lppd_bar=e["lppd_bar"],
@@ -286,8 +276,7 @@ def formula_table(spec: NormalMeanSpec, y=None) -> dict:
             expected_p_cloo=e["p_cloo"],
             expected_loo_gap=e["loo"],
             expected_cloo_gap=e["cloo"],
+            lppd_loo=lo,
+            lppd_bar_minus_i=bar,
         )
-    if y is not None and np.size(y) >= 2:
-        lo, bar = loo_quantities(y, m=m, mu0=spec.mu0)
-        out.update(lppd_loo=lo, lppd_bar_minus_i=bar)
     return out

@@ -193,6 +193,16 @@ def test_schools_table_on_one_school_leaves_only_loo_undefined(runner, tmp_path)
                 assert isinstance(cell, float), (row, mode)
 
 
+def test_schools_table_single_draw_leaves_out_the_rows_one_draw_cannot_give(runner):
+    rows = json.loads(runner.invoke(main, ["schools-table", "--draws", "1", "--format", "json"]).output)["rows"]
+    assert all(cell is None for row in ("p_waic2", "waic") for cell in rows[row].values())
+    for fmt in ("table", "csv"):
+        result = runner.invoke(main, ["schools-table", "--draws", "1", "--format", fmt])
+        assert result.exit_code == 0, result.output
+        names = {line.replace(",", " ").split()[0] for line in result.output.splitlines() if line}
+        assert "p_waic1" in names and not names & {"p_waic2", "waic"}
+
+
 def test_election_json_and_histogram(runner, tmp_path):
     hist = tmp_path / "hist.csv"
     result = runner.invoke(
@@ -249,6 +259,18 @@ def test_oracle_command_with_one_data_point_has_no_loo_entries(runner):
     table = json.loads(result.output)
     assert table["ybar"] == 0.5
     assert "lppd_loo" not in table and "lppd_bar_minus_i" not in table
+
+
+def test_oracle_loo_entries_from_statistics_match_those_from_data(runner):
+    y = np.array([0.3, -1.2, 2.05, 0.7])
+    prior = ["--n", "4", "--m", "1.5", "--mu0", "0.4", "--format", "json"]
+    from_y = runner.invoke(main, ["oracle", *prior, "--y", ",".join(map(repr, y.tolist()))])
+    from_stats = runner.invoke(main, ["oracle", *prior, "--ybar", repr(float(y.mean())),
+                                      "--s2y", repr(float(y.var(ddof=1)))])
+    assert from_y.exit_code == from_stats.exit_code == 0
+    by_y, by_stats = json.loads(from_y.output), json.loads(from_stats.output)
+    for key in ("lppd_loo", "lppd_bar_minus_i"):
+        assert by_stats[key] == pytest.approx(by_y[key], rel=1e-12)
 
 
 @pytest.mark.parametrize("given", [["--ybar", "5"], ["--s2y", "9"], ["--ybar", "5", "--s2y", "9"]])
@@ -406,6 +428,34 @@ def test_a_model_option_another_model_reads_is_refused(runner, command, model, o
     assert result.output == f"error: {option} is not read by the {model} model\n"
 
 
+# A model, oracle or study setting that is NaN or infinite (or a tau not
+# above 0) exits 2 with a message naming it, before anything is computed.
+BAD_SETTINGS = [
+    (["fit", "--model", "normal-mean", "--m", "nan"], "m must be finite"),
+    (["fit", "--model", "normal-mean", "--m", "1", "--mu0", "inf"], "mu0 must be finite"),
+    (["loo", "--model", "normal-mean", "--m", "inf"], "m must be finite"),
+    (["fit", "--model", "balanced", "--mu", "nan"], "mu must be finite"),
+    (["fit", "--model", "balanced", "--tau", "inf"], "tau must be finite"),
+    (["fit", "--model", "balanced", "--tau", "0"], "tau must be positive"),
+    (["oracle", "--n", "3", "--m", "nan"], "m must be finite"),
+    (["oracle", "--n", "3", "--ybar", "nan"], "ybar must be finite"),
+    (["oracle", "--n", "3", "--s2y", "inf"], "s2y must be finite"),
+    (["oracle", "--n", "3", "--mu0", "-inf"], "mu0 must be finite"),
+    (["expect", "--n", "3", "-R", "10", "--m", "nan"], "m must be finite"),
+    (["expect", "--n", "3", "-R", "10", "--theta0", "nan"], "theta0 must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_SETTINGS, ids=lambda v: "_".join(v) if isinstance(v, list) else None)
+def test_a_non_finite_setting_exits_2_naming_it(runner, tmp_path, argv, message):
+    if "--model" in argv:
+        data = {"normal-mean": _Y, "balanced": _GROUPS}[argv[argv.index("--model") + 1]]
+        argv = [*argv, "--input", _write(tmp_path, "in.csv", data), "--draws", "100"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert f"error: {message}" in result.output
+
+
 def test_fit_regression_matches_election_report(runner):
     result = runner.invoke(
         main, ["fit", "--model", "regression", "--draws", "2000", "--seed", "12", "--format", "json"]
@@ -551,6 +601,7 @@ EMITTED = {
                                      _flat_field),
     "loo-schools-hierarchical": (["loo", "--model", "schools", *_D], None, _flat_field),
     "schools-table": (["schools-table", *_D], None, lambda p, name, col: p["rows"][name][col]),
+    "schools-table-single-draw": (["schools-table", "--draws", "1"], None, lambda p, name, col: p["rows"][name][col]),
     "election": (["election", *_D], None, _election_field),
     "election-single-draw": (["election", "--draws", "1"], None, _election_field),
     "oracle": (["oracle", "--n", "3", "--y", "0,2,1"], None, _flat_field),

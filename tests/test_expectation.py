@@ -114,10 +114,9 @@ def test_equally_informative_prior_halves_the_penalties():
 
 
 def test_fixed_theta_with_informative_prior_matches_unified_oracle():
-    # the prior_dev2 = (theta0 - mu0)^2 branch of every expectation formula
-    plan = ReplicationPlan(
-        R=80_000, n=3, m=1.7, theta_source="fixed", theta0=1.2, mu0=0.4, seed=21,
-    )
+    # the prior_dev2 = theta0^2 branch of every expectation formula
+    plan = ReplicationPlan(R=80_000, n=3, m=1.7, theta_source="fixed", theta0=0.8, seed=21)
+    assert plan.prior_dev2 == pytest.approx(0.64, rel=1e-15)
     result = run_expectation_study(plan)
     for name, s in result.stats.items():
         assert abs(s.z_score) < 4, (name, s)
@@ -194,3 +193,10 @@ def test_result_json_round_trip():
     decoded = json.loads(result.to_json())
     assert decoded["R"] == 2_000
     assert decoded["estimators"]["aic"]["mc_mean"] == result.stats["aic"].mc_mean
+
+
+def test_result_json_carries_every_setting_of_its_study():
+    plan = ReplicationPlan(R=2_000, n=3, m=1.5, theta_source="fixed", theta0=0.8, seed=4, estimators=("aic", "loo"))
+    decoded = json.loads(run_expectation_study(plan).to_json())
+    settings = {k: decoded[k] for k in ("R", "n", "m", "theta_source", "theta0", "seed")}
+    assert ReplicationPlan(**settings, estimators=tuple(decoded["estimators"])) == plan

@@ -185,6 +185,31 @@ def test_loo_quantities_match_brute_force():
             assert bar == pytest.approx(ref_bar, rel=1e-12)
 
 
+def test_dataset_values_loo_entries_match_loo_quantities_and_brute_force():
+    rng = np.random.default_rng(318)
+    for n in (2, 3, 9, 40):
+        for m in (0.0, 1.3):
+            y = rng.normal(0.8, 1.5, size=n)
+            values = oracle.dataset_values(NormalMeanSpec.from_data(y, m=m, mu0=-0.7), 0.25)
+            for name, want in zip(("lppd_loo", "lppd_bar"), oracle.loo_quantities(y, m=m, mu0=-0.7)):
+                assert values[name] == pytest.approx(want, rel=1e-12)
+            for name, want in zip(("lppd_loo", "lppd_bar"), _loo_brute_force(y, m, -0.7)):
+                assert values[name] == pytest.approx(want, rel=1e-12)
+    assert "lppd_loo" not in oracle.dataset_values(NormalMeanSpec.from_data([0.4]), 0.25)
+
+
+def test_from_data_on_a_stack_matches_per_row_calls_bitwise():
+    rng = np.random.default_rng(317)
+    for n in (1, 2, 7):
+        stack = rng.normal(0.4, 1.3, size=(6, n))
+        spec = NormalMeanSpec.from_data(stack, m=0.9, mu0=-0.3)
+        assert spec.n == n and spec.ybar.shape == spec.s2y.shape == (6,)
+        for r, row in enumerate(stack):
+            one = NormalMeanSpec.from_data(row, m=0.9, mu0=-0.3)
+            assert (spec.ybar[r], spec.s2y[r]) == (one.ybar, one.s2y)
+            assert (one.ybar, one.s2y) == (row.mean(), row.var(ddof=1) if n >= 2 else 0.0)
+
+
 def test_loo_quantities_work_along_the_last_axis():
     rng = np.random.default_rng(315)
     stack = rng.normal(-1.0, 1.0, size=(5, 6))
@@ -288,7 +313,7 @@ def test_formula_table_contents():
     assert table["p_waic1"] == pytest.approx(0.3069, abs=5e-5)
     assert table["p_waic2"] == 0.5
     assert "lppd_loo" not in table
-    table2 = oracle.formula_table(NormalMeanSpec(n=2, ybar=1.0, s2y=2.0), y=[0.0, 2.0])
+    table2 = oracle.formula_table(NormalMeanSpec(n=2, ybar=1.0, s2y=2.0))
     assert table2["lppd_loo"] == pytest.approx(-math.log(4 * math.pi) - 2, rel=1e-12)
 
 
