@@ -42,13 +42,11 @@ class PointwiseLogLikMatrix:
     comparison -inf, so it is rejected here with the offending index
     rather than propagated.
 
-    The values keep the layout they are given. Every reduction runs over
-    axis 0, the draws, and on a tall, narrow matrix that runs several
-    times faster per cell when each point's draws sit next to each other
-    in memory, so the models write their matrices column-major (Fortran
-    order) and callers with a row-major one may pass
-    `np.asfortranarray(values)`. No copy is made here: it would double
-    the memory a large matrix needs.
+    The values keep the layout they are given, and no copy is made here.
+    Validation and the criteria read the matrix in blocks of consecutive
+    draws and allocate nothing of its size, so a row-major matrix needs
+    no `np.asfortranarray`. The models write theirs column-major (Fortran
+    order), as an exact-LOO fold reads one point's column of it.
     """
 
     values: np.ndarray
@@ -82,12 +80,58 @@ class PointwiseLogLikMatrix:
         return self.values.sum(axis=1)
 
 
+# Bytes of log densities in one block of draws. A block's ratios, deviations
+# and squares then stay in a core's cache between the passes over them.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _row_blocks(values: np.ndarray):
+    """(first draw, block) for runs of consecutive draws of `values`, each
+    at most _BLOCK_BYTES and at least one draw."""
+    rows = max(1, _BLOCK_BYTES // values[:1].nbytes)
+    for start in range(0, values.shape[0], rows):
+        yield start, values[start:start + rows]
+
+
+def _column_sums(values: np.ndarray, fill) -> np.ndarray:
+    """Sum over all draws of what fill(first draw, block, out) writes into
+    `out`, an array the shape of `block`.
+
+    Every block is written below row 0 of one reused (rows + 1) x n buffer,
+    and row 0 carries the running sum into the block's own reduction. A
+    sum over axis 0 of a row-major buffer adds its rows in order, so on a
+    row-major matrix each column is summed in draw order, bit for bit as
+    one reduction over the whole matrix. The buffer takes the layout of
+    `values`; on a column-major matrix each block's column is summed
+    pairwise, which differs from a whole-column sum at the ulp level
+    unless the matrix is one block: the first block is summed alone.
+    """
+    buf = None
+    for start, block in _row_blocks(values):
+        k = len(block)
+        if buf is None:
+            buf = np.empty_like(values, shape=(k + 1, values.shape[1]))
+        fill(start, block, buf[1:k + 1])
+        buf[0] = buf[1 if start == 0 else 0:k + 1].sum(axis=0)
+    return buf[0].copy()
+
+
 def _require_finite_loglik(values: np.ndarray, first_point: int = 0) -> None:
-    """Refuse S x k log densities of points `first_point`.. holding NaN or inf."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        s, i = np.argwhere(bad)[0]
-        raise NonFiniteLogLikError(f"non-finite log density at draw {s}, point {i + first_point}: {values[s, i]}")
+    """Refuse S x k log densities of points `first_point`.. holding NaN or
+    inf, naming the first bad cell in draw-then-point order."""
+    # NaN and inf carry into a sum, so a finite total clears the matrix
+    # without a temporary; any other total (or an overflow) is settled by
+    # the blocks
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(values.sum()):
+            return
+    for start, block in _row_blocks(values):
+        finite = np.isfinite(block)
+        if not finite.all():
+            s, i = np.argwhere(~finite)[0]
+            raise NonFiniteLogLikError(
+                f"non-finite log density at draw {start + s}, point {i + first_point}: {block[s, i]}"
+            )
 
 
 def _as_column(column) -> np.ndarray:
@@ -101,19 +145,6 @@ def _as_column(column) -> np.ndarray:
     return col
 
 
-def _log_mean_exp(vals: np.ndarray, out: np.ndarray | None = None):
-    """Log mean exp along axis 0, each column shifted by its maximum.
-
-    Returns (lme, w, w_bar): w = exp(vals - max), written into `out` when
-    one is given, and w_bar its column mean, so lme = max + log(w_bar).
-    """
-    shift = vals.max(axis=0)
-    w = np.subtract(vals, shift, out=out)
-    np.exp(w, out=w)
-    w_bar = w.mean(axis=0)
-    return shift + np.log(w_bar), w, w_bar
-
-
 def log_mean_exp(column) -> float:
     """log( (1/S) sum_s exp(a_s) ), shifted by the column maximum.
 
@@ -121,7 +152,9 @@ def log_mean_exp(column) -> float:
     overflow for entries up to around 700 + log(max magnitude headroom);
     inputs with |a_s| up to 1e6 are safe.
     """
-    return float(_log_mean_exp(_as_column(column))[0])
+    col = _as_column(column)
+    shift = col.max()
+    return float(shift + np.log(np.exp(col - shift).mean()))
 
 
 def sample_variance(column) -> float:
@@ -140,12 +173,27 @@ def mc_standard_error(column) -> float:
     return float(math.sqrt(col.var(ddof=1) / col.size))
 
 
+def _shifted_exp(block: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(block - shift), written into `out`."""
+    np.subtract(block, shift, out=out)
+    return np.exp(out, out=out)
+
+
+def _log_mean_exp_columns(vals: np.ndarray):
+    """(lme, shift, w_bar) per column: lme = shift + log(w_bar), where shift
+    is the column maximum and w_bar the column mean of exp(vals - shift)."""
+    shift = vals.max(axis=0)
+    w_bar = _column_sums(vals, lambda start, block, out: _shifted_exp(block, shift, out))
+    w_bar /= vals.shape[0]
+    return shift + np.log(w_bar), shift, w_bar
+
+
 def lppd(m: PointwiseLogLikMatrix) -> float:
     """Log pointwise predictive density: sum over points of log_mean_exp.
 
     Deterministic given the matrix; columns are reduced in index order.
     """
-    return float(_log_mean_exp(m.values)[0].sum())
+    return float(_log_mean_exp_columns(m.values)[0].sum())
 
 
 class _ColumnPass(NamedTuple):
@@ -163,29 +211,39 @@ class _ColumnPass(NamedTuple):
 
 
 def _column_pass(m: PointwiseLogLikMatrix) -> _ColumnPass:
-    """Every column reduction of the criteria in one pass over the matrix.
+    """Every column reduction of the criteria, in two passes over blocks
+    of draws and no buffer larger than a block.
 
-    One S x n working buffer holds first the ratios, then the deviations,
-    then their squares. The deviations are centred per column rather than
-    taken from the totals, so D and Q stay accurate at any magnitude of
-    the log densities.
+    The first pass sums the shifted exponentials. The second recomputes
+    them as ratios, then takes the deviations and their squares, block by
+    block, for the per-draw sums and the column sums of squares. The
+    deviations are centred per column rather than taken from the totals,
+    so D and Q stay accurate at any magnitude of the log densities.
     """
     vals = m.values
-    lme, buf, w_bar = _log_mean_exp(vals, out=np.empty_like(vals))
-    buf /= w_bar
-    ratio_sums = buf.sum(axis=1)
-    mean = vals.mean(axis=0)
-    np.subtract(vals, mean, out=buf)
-    dev_sums = buf.sum(axis=1)
-    np.square(buf, out=buf)
     s = m.n_draws
+    lme, shift, w_bar = _log_mean_exp_columns(vals)
+    mean = vals.mean(axis=0)
+    ratio_sums, dev_sums, dev2_sums = np.empty((3, s))
+
+    def per_draw(start, block, out):
+        draws = slice(start, start + len(block))
+        _shifted_exp(block, shift, out)
+        out /= w_bar
+        out.sum(axis=1, out=ratio_sums[draws])
+        np.subtract(block, mean, out=out)
+        out.sum(axis=1, out=dev_sums[draws])
+        np.square(out, out=out)
+        out.sum(axis=1, out=dev2_sums[draws])
+
+    dev2_columns = _column_sums(vals, per_draw)
     return _ColumnPass(
         lppd=float(lme.sum()),
         p_waic1=float(2.0 * (lme - mean).sum()),
-        p_waic2=float((buf.sum(axis=0) / (s - 1)).sum()) if s > 1 else None,
+        p_waic2=float((dev2_columns / (s - 1)).sum()) if s > 1 else None,
         ratio_sums=ratio_sums,
         dev_sums=dev_sums,
-        dev2_sums=buf.sum(axis=1),
+        dev2_sums=dev2_sums,
         totals=m.row_totals(),
     )
 

@@ -34,7 +34,7 @@ class PosteriorFit(Protocol):
         """Log densities of all of the fitted dataset's points under this
         posterior. For a fit made with `exclude=i`, column i must use only
         the training posterior. The matrix should be column-major (each
-        point's draws contiguous): every fold reduces it over the draws.
+        point's draws contiguous): every fold reads its held-out column.
         """
 
     def heldout_loglik(self) -> np.ndarray:
@@ -89,8 +89,9 @@ def loo_report(
         fit = model.fit(data, exclude=i, draws=draws, seed=derive_seed(seed, i))
         if bias_correction:
             mat = fit.pointwise_loglik()
-            col = mat.column(i)  # a view: rebinding it first frees the last fold's matrix
             fold_full.append(lppd_of(mat))
+            col = mat.column(i).copy()
+            del mat  # freed before the next fold scores its own
         else:
             col = fit.heldout_loglik()
             _require_finite_loglik(col[:, None], first_point=i)

@@ -88,10 +88,13 @@ class NormalMeanSpec:
         return 1.0 / (self.m + self.n)
 
 
+def _normal_draws(mean: float, var: float, draws: int, seed: int) -> np.ndarray:
+    return mean + np.sqrt(var) * np.random.default_rng(seed).standard_normal(draws)
+
+
 def normal_posterior_draws(spec: NormalMeanSpec, draws: int, seed: int) -> np.ndarray:
     """S independent draws from the conjugate posterior for theta."""
-    rng = np.random.default_rng(seed)
-    return spec.posterior_mean + np.sqrt(spec.posterior_var) * rng.standard_normal(draws)
+    return _normal_draws(spec.posterior_mean, spec.posterior_var, draws, seed)
 
 
 def normal_pointwise_loglik(y, theta) -> PointwiseLogLikMatrix:
@@ -102,9 +105,11 @@ def normal_pointwise_loglik(y, theta) -> PointwiseLogLikMatrix:
 
 
 class _NormalMeanFit:
-    def __init__(self, y_full: np.ndarray, spec: NormalMeanSpec, theta: np.ndarray, exclude: int | None):
+    def __init__(self, y_full: np.ndarray, center: float, mle: float | None, theta: np.ndarray,
+                 exclude: int | None):
         self._y = y_full
-        self._spec = spec
+        self._center = center  # the posterior mean
+        self._mle = mle  # the training ybar, None without training points
         self._exclude = exclude
         self.theta = theta
 
@@ -116,14 +121,14 @@ class _NormalMeanFit:
 
     def point_estimates(self) -> PointEstimates:
         """Total log density of all n points, the ones `pointwise_loglik`
-        scores, at the training ybar (the MLE) and at the training
-        posterior mean."""
+        scores, at the training ybar (the MLE, None without training
+        points) and at the training posterior mean."""
         def lpd_at(center: float) -> float:
             return float(normal_logpdf_inplace(self._y - center, 1.0).sum())
 
         return PointEstimates(
-            lpd_at_mean=lpd_at(self._spec.posterior_mean),
-            mle=PointEstimateLogLik(lpd_at(self._spec.ybar), k=1),
+            lpd_at_mean=lpd_at(self._center),
+            mle=None if self._mle is None else PointEstimateLogLik(lpd_at(self._mle), k=1),
             summary={"posterior_mean_theta": float(self.theta.mean())},
         )
 
@@ -144,8 +149,12 @@ class NormalMeanModel:
     def fit(self, data, exclude: int | None = None, *, draws: int, seed: int) -> _NormalMeanFit:
         y = np.asarray(data, dtype=float).reshape(-1)
         train = y if exclude is None else np.delete(y, exclude)
-        if train.size == 0 and self.m == 0:
+        if train.size:
+            spec = NormalMeanSpec.from_data(train, m=self.m, mu0=self.mu0)
+            center, var, mle = spec.posterior_mean, spec.posterior_var, spec.ybar
+        elif self.m > 0:  # nothing to update on: the posterior is the prior
+            center, var, mle = self.mu0, 1.0 / self.m, None
+        else:
             raise ValueError("flat-prior fit needs at least one training point")
-        spec = NormalMeanSpec.from_data(train, m=self.m, mu0=self.mu0)
-        theta = normal_posterior_draws(spec, draws, seed)
-        return _NormalMeanFit(y, spec, theta, exclude)
+        theta = _normal_draws(center, var, draws, seed)
+        return _NormalMeanFit(y, center, mle, theta, exclude)

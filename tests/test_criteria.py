@@ -13,7 +13,7 @@ from predcrit.criteria import (
     lpd_posterior_summary,
     p_dic_alt,
 )
-from predcrit.draws import PointwiseLogLikMatrix, lppd
+from predcrit.draws import _BLOCK_BYTES, PointwiseLogLikMatrix, lppd
 
 
 def _matrix(vals):
@@ -234,12 +234,14 @@ def test_report_matches_per_draw_influence_reference():
     assert cases == 2 * 3 * 6 * 2
 
 
-def test_report_working_memory_is_about_one_matrix():
-    m = _matrix(np.random.default_rng(6).normal(-2.0, 1.0, size=(4000, 250)))
+def test_report_working_memory_is_two_blocks_and_a_few_vectors():
+    vals = np.random.default_rng(6).normal(-2.0, 1.0, size=(4000, 250))
+    s, n = vals.shape
     tracemalloc.start()
     try:
-        criterion_report(m, lpd_at_mean=-500.0)
+        criterion_report(PointwiseLogLikMatrix(vals), lpd_at_mean=-500.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * m.values.nbytes
+    # validation included, and nothing S x n: about a tenth of the matrix here
+    assert peak <= 2 * _BLOCK_BYTES + 8 * 8 * (s + n)

@@ -1,14 +1,20 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from predcrit import cli
+from predcrit.criteria import criterion_report
 from predcrit.draws import (
+    _BLOCK_BYTES,
     PointwiseLogLikMatrix,
+    _ColumnPass,
+    _column_pass,
+    _require_finite_loglik,
     log_mean_exp,
     lppd,
     mc_standard_error,
@@ -299,3 +305,117 @@ def test_plot_csv_writers_pin_bytes(tmp_path, monkeypatch):
         b"2,cloo,-0.125,0.01,0.3333333333333333\n"
         b"5,cloo,1e-20,0.0,-2.5\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# row-block criteria kernel
+# ---------------------------------------------------------------------------
+
+def _whole_matrix_pass(vals):
+    """The column pass as one S x n buffer computes it, field by field."""
+    shift = vals.max(axis=0)
+    buf = np.exp(vals - shift)
+    w_bar = buf.mean(axis=0)
+    lme = shift + np.log(w_bar)
+    buf /= w_bar
+    ratio_sums = buf.sum(axis=1)
+    mean = vals.mean(axis=0)
+    np.subtract(vals, mean, out=buf)
+    dev_sums = buf.sum(axis=1)
+    np.square(buf, out=buf)
+    s = vals.shape[0]
+    return _ColumnPass(
+        lppd=float(lme.sum()),
+        p_waic1=float(2.0 * (lme - mean).sum()),
+        p_waic2=float((buf.sum(axis=0) / (s - 1)).sum()) if s > 1 else None,
+        ratio_sums=ratio_sums,
+        dev_sums=dev_sums,
+        dev2_sums=buf.sum(axis=1),
+        totals=vals.sum(axis=1),
+    )
+
+
+def _block_rows(n):
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
+# (S, n): one draw; two; S not a multiple of the block rows; S under one
+# block; n wider than the budget, so one draw per block; one point
+KERNEL_SHAPES = [
+    (1, 6),
+    (2, 6),
+    (3 * _block_rows(300) + 7, 300),
+    (_block_rows(40) // 3, 40),
+    (5, _BLOCK_BYTES // 8 + 11),
+    (500, 1),
+]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_row_blocked_pass_is_bitwise_the_whole_matrix_pass_on_row_major_input(shape):
+    vals = np.random.default_rng(sum(shape)).normal(-2.0, 1.3, size=shape)
+    m = PointwiseLogLikMatrix(vals)
+    got, want = _column_pass(m), _whole_matrix_pass(vals)
+    for field, expected in want._asdict().items():
+        actual = getattr(got, field)
+        if expected is None:
+            assert actual is None, field
+        else:
+            assert np.asarray(actual).tobytes() == np.asarray(expected).tobytes(), field
+    assert lppd(m) == want.lppd
+    assert criterion_report(m).lppd == lppd(m)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_row_blocked_pass_matches_the_whole_matrix_pass_on_column_major_input(shape):
+    vals = np.asfortranarray(np.random.default_rng(sum(shape)).normal(-2.0, 1.3, size=shape))
+    m = PointwiseLogLikMatrix(vals)
+    got, want = _column_pass(m), _whole_matrix_pass(vals)
+    for field, expected in want._asdict().items():
+        actual = getattr(got, field)
+        if expected is None:
+            assert actual is None, field
+        else:
+            np.testing.assert_allclose(actual, expected, rtol=1e-13, err_msg=field)
+    assert lppd(m) == got.lppd
+    assert criterion_report(m).lppd == lppd(m)
+
+
+def test_validation_names_a_bad_cell_in_the_last_block():
+    n = 300
+    s = 2 * _block_rows(n) + 5
+    vals = np.zeros((s, n))
+    vals[s - 2, 17] = np.nan
+    with pytest.raises(NonFiniteLogLikError, match=f"at draw {s - 2}, point 17: nan"):
+        PointwiseLogLikMatrix(vals)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_validation_names_the_first_bad_cell_in_draw_then_point_order(order):
+    n = 300
+    vals = np.zeros((3 * _block_rows(n), n), order=order)
+    vals[_block_rows(n) + 4, 250] = -np.inf  # the first bad draw, its first bad point
+    vals[_block_rows(n) + 4, 251] = np.nan
+    vals[_block_rows(n) + 5, 3] = np.inf  # an earlier point, in a later draw
+    vals[2 * _block_rows(n), 0] = np.nan  # a later block
+    with pytest.raises(NonFiniteLogLikError, match=f"at draw {_block_rows(n) + 4}, point 250: -inf"):
+        PointwiseLogLikMatrix(vals)
+
+
+def test_validation_counts_held_out_points_from_first_point():
+    col = np.zeros((_block_rows(1) + 3, 1))
+    col[-1, 0] = np.inf
+    with pytest.raises(NonFiniteLogLikError, match=f"at draw {len(col) - 1}, point 6: inf"):
+        _require_finite_loglik(col, first_point=6)
+
+
+def test_validation_accepts_finite_cells_whose_total_overflows():
+    vals = np.full((3, 4), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert PointwiseLogLikMatrix(vals).n_draws == 3
+        vals[2, 3] = np.nan
+        with pytest.raises(NonFiniteLogLikError, match="at draw 2, point 3: nan"):
+            PointwiseLogLikMatrix(vals)
+        with pytest.raises(NonFiniteLogLikError, match="at draw 0, point 1: -inf"):
+            PointwiseLogLikMatrix(np.array([[1.0, -np.inf, np.inf]]))

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -380,6 +381,20 @@ def test_normal_mean_refit_scores_all_points_at_the_training_estimates():
     post_mean = (1.5 * 0.4 + train.sum()) / (1.5 + train.size)
     assert pe.mle.total_loglik == pytest.approx(_normal_total(y, train.mean(), 1.0), rel=1e-12)
     assert pe.lpd_at_mean == pytest.approx(_normal_total(y, post_mean, 1.0), rel=1e-12)
+
+
+def test_normal_mean_fit_without_training_points_draws_from_the_prior():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = NormalMeanModel(m=4.0, mu0=0.7).fit([0.5], exclude=0, draws=40_000, seed=1)
+        pe = fit.point_estimates()
+    assert fit.theta.mean() == pytest.approx(0.7, abs=4 * 0.5 / math.sqrt(40_000))
+    assert fit.theta.var() == pytest.approx(0.25, rel=0.05)
+    assert pe.mle is None
+    assert pe.lpd_at_mean == pytest.approx(_normal_total(np.array([0.5]), 0.7, 1.0), rel=1e-12)
+    assert fit.pointwise_loglik().n_points == 1
+    with pytest.raises(ValueError, match="flat-prior fit needs at least one training point"):
+        NormalMeanModel(m=0.0).fit([0.5], exclude=0, draws=10, seed=1)
 
 
 def test_regression_refit_scores_all_points_at_the_training_estimates():
