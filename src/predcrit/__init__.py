@@ -11,7 +11,6 @@ from .draws import (
     lppd,
     mc_standard_error,
     read_loglik_csv,
-    sample_variance,
 )
 from .criteria import (
     CriterionReport,
@@ -20,7 +19,6 @@ from .criteria import (
     bic,
     criterion_report,
     lpd_posterior_summary,
-    p_dic_alt,
 )
 from .errors import MatrixFormatError, ModelRefusalError, NonFiniteLogLikError
 from .expectation import ReplicationPlan, bias_curve, run_expectation_study
@@ -32,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PointwiseLogLikMatrix",
     "log_mean_exp",
-    "sample_variance",
     "mc_standard_error",
     "lppd",
     "read_loglik_csv",
@@ -40,7 +37,6 @@ __all__ = [
     "CriterionReport",
     "aic",
     "bic",
-    "p_dic_alt",
     "lpd_posterior_summary",
     "criterion_report",
     "LooReport",

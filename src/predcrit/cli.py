@@ -185,7 +185,7 @@ def _read_values(path) -> np.ndarray:
             values.append(float(t))
         except ValueError:
             raise MatrixFormatError(f"value {j} of the data file is not a number: {t!r}") from None
-    return _require_finite(np.array(values), "data file")
+    return _require_finite(np.array(values), "data file values")
 
 
 def _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,

@@ -24,7 +24,6 @@ from .draws import (
     PointwiseLogLikMatrix,
     _column_pass,
     mc_standard_error,
-    sample_variance,
 )
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "LpdPosteriorSummary",
     "aic",
     "bic",
-    "p_dic_alt",
     "lpd_posterior_summary",
     "criterion_report",
 ]
@@ -77,11 +75,6 @@ def bic(pe: PointEstimateLogLik, n: int) -> float:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be an integer >= 1")
     return -2.0 * pe.total_loglik + pe.k * math.log(n)
-
-
-def p_dic_alt(row_totals) -> float:
-    """Variance form: 2 Var_post of the per-draw total log likelihood."""
-    return 2.0 * sample_variance(row_totals)
 
 
 @dataclass(frozen=True)
@@ -178,11 +171,12 @@ def criterion_report(
         report.p_waic2 = cp.p_waic2
         report.elppd_waic2 = cp.lppd - cp.p_waic2
         report.waic = -2.0 * report.elppd_waic2
-        report.p_dic_alt = p_dic_alt(cp.totals)
+        R, D, Q, T = cp.ratio_sums, cp.dev_sums, cp.dev2_sums, cp.totals
+        # the variance form: 2 Var_post of the per-draw total log density
+        report.p_dic_alt = 2.0 * float(T.var(ddof=1))
         # Each error is that of a mean over draws of a per-draw sum of
         # first-order influences; their per-point constants drop out.
         se = mc_standard_error
-        R, D, Q, T = cp.ratio_sums, cp.dev_sums, cp.dev2_sums, cp.totals
         report.mc_se_lppd = se(R)
         report.mc_se_mean_loglik = se(T)
         report.mc_se_p_dic_alt = 2.0 * se((T - T.mean()) ** 2)

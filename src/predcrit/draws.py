@@ -25,7 +25,6 @@ from .errors import MatrixFormatError, NonFiniteLogLikError
 __all__ = [
     "PointwiseLogLikMatrix",
     "log_mean_exp",
-    "sample_variance",
     "mc_standard_error",
     "lppd",
     "read_loglik_csv",
@@ -157,14 +156,6 @@ def log_mean_exp(column) -> float:
     return float(shift + np.log(np.exp(col - shift).mean()))
 
 
-def sample_variance(column) -> float:
-    """Unbiased sample variance with divisor S - 1."""
-    col = _as_column(column)
-    if col.size < 2:
-        raise ValueError("variance requires at least 2 draws")
-    return float(col.var(ddof=1))
-
-
 def mc_standard_error(column) -> float:
     """Monte Carlo standard error of the column mean, sqrt(var / S)."""
     col = _as_column(column)
@@ -270,7 +261,7 @@ def _require_finite(values: np.ndarray, name: str) -> np.ndarray:
     """`values`, unless one is NaN or infinite: then a ValueError naming it."""
     bad = values[~np.isfinite(values)]
     if bad.size:
-        raise ValueError(f"{name} values must be finite, got {bad[0]}")
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
     return values
 
 
@@ -294,13 +285,15 @@ def _is_numeric_row(cells: list[str]) -> bool:
 def _load_fast(fh, start) -> np.ndarray | None:
     """The matrix from numpy's C parser, streamed from fh, or None when the
     input needs the row-by-row `_read_table`: a first line that is neither
-    numbers nor point_1..point_n (blank, quoted, a bad header), or anything
+    numbers nor point_1..point_n (blank, a bad header), or anything
     numpy refuses.
 
     Numpy converts each cell with the same routine as Python's float(), so
     every matrix it accepts is the one `_read_table` would build.
     """
-    cells = [c.strip() for c in fh.readline().split(",")]
+    cells = [c.strip() for c in next(csv.reader([fh.readline()]), [])]
+    if not cells:  # a blank first line
+        return None
     if _is_numeric_row(cells):
         fh.seek(start)
     elif cells != _header(len(cells)):

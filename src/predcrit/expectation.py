@@ -74,6 +74,9 @@ class ReplicationPlan:
             raise ValueError("theta_source must be 'fixed' or 'from_prior'")
         if self.theta_source == "from_prior" and self.m <= 0:
             raise ValueError("from_prior requires a proper prior (m > 0)")
+        if self.theta_source == "from_prior" and self.theta0 != 0:
+            raise ValueError("theta0 is not read when theta is drawn from the prior; "
+                             "use --theta-source fixed to set it")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 from ..draws import _read_table
-from .balanced import BalancedModel, balanced_group_posterior_draws, balanced_hierarchical_loglik, load_balanced_csv
-from .normal import NormalMeanModel, NormalMeanSpec, normal_pointwise_loglik, normal_posterior_draws
+from .balanced import BalancedModel, load_balanced_csv
+from .normal import NormalMeanModel, NormalMeanSpec
 from .regression import DIC_PARAMETERIZATIONS, RegressionData, RegressionModel, regression_fit
 from .schools import (
     EightSchoolsData,
@@ -16,8 +16,6 @@ from .schools import (
 __all__ = [
     "NormalMeanModel",
     "NormalMeanSpec",
-    "normal_posterior_draws",
-    "normal_pointwise_loglik",
     "RegressionData",
     "RegressionModel",
     "regression_fit",
@@ -28,8 +26,6 @@ __all__ = [
     "default_eight_schools",
     "load_schools_csv",
     "BalancedModel",
-    "balanced_hierarchical_loglik",
-    "balanced_group_posterior_draws",
     "load_balanced_csv",
     "load_election_csv",
     "default_election",

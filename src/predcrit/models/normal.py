@@ -12,12 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..criteria import PointEstimateLogLik, PointEstimates
-from ..draws import PointwiseLogLikMatrix
+from ..draws import PointwiseLogLikMatrix, _require_finite
 
 __all__ = [
     "NormalMeanSpec",
-    "normal_posterior_draws",
-    "normal_pointwise_loglik",
     "normal_logpdf_inplace",
     "NormalMeanModel",
 ]
@@ -39,9 +37,7 @@ def _check_settings(**settings) -> None:
     """Raise a ValueError naming the first setting with a NaN or infinite
     entry, a negative prior precision `m` or a prior sd `tau` not above 0."""
     for name, value in settings.items():
-        bad = np.asarray(value)[~np.isfinite(value)]
-        if bad.size:
-            raise ValueError(f"{name} must be finite, got {bad[0]}")
+        _require_finite(np.asarray(value), name)
     if settings.get("m", 0.0) < 0:
         raise ValueError("prior precision m must be nonnegative")
     if settings.get("tau", 1.0) <= 0:
@@ -92,18 +88,6 @@ def _normal_draws(mean: float, var: float, draws: int, seed: int) -> np.ndarray:
     return mean + np.sqrt(var) * np.random.default_rng(seed).standard_normal(draws)
 
 
-def normal_posterior_draws(spec: NormalMeanSpec, draws: int, seed: int) -> np.ndarray:
-    """S independent draws from the conjugate posterior for theta."""
-    return _normal_draws(spec.posterior_mean, spec.posterior_var, draws, seed)
-
-
-def normal_pointwise_loglik(y, theta) -> PointwiseLogLikMatrix:
-    """Entry (s, i) = log N(y_i | theta^s, 1), as a column-major S x n matrix."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    return PointwiseLogLikMatrix(normal_logpdf_inplace(np.subtract.outer(y, theta).T, 1.0))
-
-
 class _NormalMeanFit:
     def __init__(self, y_full: np.ndarray, center: float, mle: float | None, theta: np.ndarray,
                  exclude: int | None):
@@ -114,7 +98,8 @@ class _NormalMeanFit:
         self.theta = theta
 
     def pointwise_loglik(self) -> PointwiseLogLikMatrix:
-        return normal_pointwise_loglik(self._y, self.theta)
+        """Entry (s, i) = log N(y_i | theta^s, 1), as a column-major S x n matrix."""
+        return PointwiseLogLikMatrix(normal_logpdf_inplace(np.subtract.outer(self._y, self.theta).T, 1.0))
 
     def heldout_loglik(self) -> np.ndarray:
         return normal_logpdf_inplace(self._y[self._exclude] - self.theta, 1.0)

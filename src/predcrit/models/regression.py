@@ -31,8 +31,8 @@ class RegressionData:
     y: np.ndarray
 
     def __post_init__(self):
-        x = _require_finite(np.asarray(self.x, dtype=float).reshape(-1), "x")
-        y = _require_finite(np.asarray(self.y, dtype=float).reshape(-1), "y")
+        x = _require_finite(np.asarray(self.x, dtype=float).reshape(-1), "x values")
+        y = _require_finite(np.asarray(self.y, dtype=float).reshape(-1), "y values")
         if x.size != y.size:
             raise ValueError("x and y must have the same length")
         # proper sigma^2 posterior needs n - k >= 1 with k = 3; keep a margin

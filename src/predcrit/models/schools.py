@@ -52,8 +52,8 @@ class EightSchoolsData:
     sigma: np.ndarray
 
     def __post_init__(self):
-        y = _require_finite(np.asarray(self.y, dtype=float).reshape(-1), "y")
-        sigma = _require_finite(np.asarray(self.sigma, dtype=float).reshape(-1), "sigma")
+        y = _require_finite(np.asarray(self.y, dtype=float).reshape(-1), "y values")
+        sigma = _require_finite(np.asarray(self.sigma, dtype=float).reshape(-1), "sigma values")
         if y.size != sigma.size or y.size < 1:
             raise ValueError("y and sigma must be nonempty and the same length")
         if (sigma <= 0).any():

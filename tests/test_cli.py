@@ -529,6 +529,17 @@ def test_curve_runs_the_plan_of_its_options(runner):
     assert "--n-values" in bad.output
 
 
+def test_expect_refuses_a_theta0_it_would_not_read(runner):
+    # with --m > 0, --theta-source auto draws theta from the prior
+    opts = ["--n", "5", "--m", "1", "-R", "2000", "--estimator", "aic", "--format", "json"]
+    for source in (["--theta-source", "auto"], ["--theta-source", "from-prior"]):
+        result = runner.invoke(main, ["expect", *opts, *source, "--theta0", "3"])
+        assert result.exit_code == 2, result.output
+        assert "use --theta-source fixed" in result.output
+    fixed = json.loads(runner.invoke(main, ["expect", *opts, "--theta-source", "fixed", "--theta0", "3"]).output)
+    assert fixed["theta_source"] == "fixed" and fixed["theta0"] == 3.0
+
+
 def test_curve_refuses_n(runner):
     # expect takes exactly one of --n and --n-values
     for ns in (["--n-values", "2", "--n", "7"], []):

@@ -11,7 +11,6 @@ from predcrit.criteria import (
     bic,
     criterion_report,
     lpd_posterior_summary,
-    p_dic_alt,
 )
 from predcrit.draws import _BLOCK_BYTES, PointwiseLogLikMatrix, lppd
 
@@ -55,10 +54,12 @@ def test_p_dic_matches_hand_arithmetic():
 
 
 def test_p_dic_alt_examples():
+    def p_dic_alt(totals):  # one point per draw: each row total is its entry
+        return criterion_report(_matrix(np.reshape(totals, (-1, 1)))).p_dic_alt
+
     assert p_dic_alt([-1.0, -1.0, -1.0]) == 0.0
     assert p_dic_alt([-1.0, -3.0]) == pytest.approx(4.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        p_dic_alt([-1.0])
+    assert p_dic_alt([-1.0]) is None  # a variance needs two draws
 
 
 def test_p_waic_zero_for_constant_columns():

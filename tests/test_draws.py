@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from predcrit import cli
+from predcrit import cli, draws
 from predcrit.criteria import criterion_report
 from predcrit.draws import (
     _BLOCK_BYTES,
@@ -19,7 +19,6 @@ from predcrit.draws import (
     lppd,
     mc_standard_error,
     read_loglik_csv,
-    sample_variance,
     write_loglik_csv,
 )
 from predcrit.errors import MatrixFormatError, NonFiniteLogLikError
@@ -49,17 +48,6 @@ def test_log_mean_exp_errors():
         log_mean_exp([0.0, math.nan])
     with pytest.raises(NonFiniteLogLikError):
         log_mean_exp([0.0, -math.inf])
-
-
-def test_sample_variance_examples():
-    assert sample_variance([0.0, 0.0, 0.0]) == 0.0
-    assert sample_variance([1.0, 3.0]) == pytest.approx(2.0, rel=1e-15)
-    assert sample_variance([2.0, 4.0, 6.0]) == pytest.approx(4.0, rel=1e-15)
-
-
-def test_sample_variance_needs_two_draws():
-    with pytest.raises(ValueError, match="variance requires at least 2 draws"):
-        sample_variance([1.0])
 
 
 def test_mc_standard_error_examples():
@@ -108,12 +96,12 @@ def test_row_duplication_invariances():
 
 def test_row_duplication_variance_divisor_relation():
     # exact rational inputs: sums of squared deviations double exactly,
-    # and the S-1 divisor accounts for the entire change
+    # and the S-1 divisor of p_dic_alt = 2 Var(T) accounts for the entire change
     col = np.array([1.0, 3.0, 5.0, 7.0])
     s = col.size
     ss = ((col - col.mean()) ** 2).sum()
-    var = sample_variance(col)
-    var_dup = sample_variance(np.concatenate([col, col]))
+    var = criterion_report(PointwiseLogLikMatrix(col[:, None])).p_dic_alt / 2
+    var_dup = criterion_report(PointwiseLogLikMatrix(np.concatenate([col, col])[:, None])).p_dic_alt / 2
     assert var * (s - 1) == ss
     assert var_dup * (2 * s - 1) == 2 * ss
 
@@ -161,6 +149,20 @@ def test_csv_headerless_and_header_forms():
     assert read_loglik_csv(io.StringIO("-2.3\n")).values.tolist() == [[-2.3]]
     m = read_loglik_csv(io.StringIO("point_1,point_2\n-1,-2\n-3,-4\n"))
     assert m.n_draws == 2 and m.n_points == 2
+
+
+def test_quoted_first_row_is_read_by_numpys_parser(monkeypatch):
+    # R's write.csv quotes every header cell; the file must not go row by row
+    expected = read_loglik_csv(io.StringIO("point_1,point_2\n-1.5,-2\n-3,-4.25\n")).values
+
+    def row_by_row(*args, **kwargs):
+        raise AssertionError("the file was read row by row")
+
+    monkeypatch.setattr(draws, "_read_table", row_by_row)
+    for text in ('"point_1","point_2"\n-1.5,-2\n-3,-4.25\n',
+                 '"point_1","point_2"\n"-1.5","-2"\n"-3","-4.25"\n',
+                 '"-1.5","-2"\n"-3","-4.25"\n'):
+        assert read_loglik_csv(io.StringIO(text)).values.tobytes() == expected.tobytes()
 
 
 def test_csv_format_errors():

@@ -14,7 +14,7 @@ from predcrit.expectation import (
     bias_curve,
     run_expectation_study,
 )
-from predcrit.models import NormalMeanSpec, normal_pointwise_loglik, normal_posterior_draws
+from predcrit.models import NormalMeanModel, NormalMeanSpec
 
 
 def test_plan_validation():
@@ -28,6 +28,13 @@ def test_plan_validation():
         ReplicationPlan(R=100, n=1, estimators=("loo",))
     with pytest.raises(ValueError):
         ReplicationPlan(R=100, n=0)
+
+
+def test_a_fixed_true_mean_is_refused_when_theta_is_drawn_from_the_prior():
+    with pytest.raises(ValueError, match="use --theta-source fixed"):
+        ReplicationPlan(R=100, n=5, m=1.0, theta_source="from_prior", theta0=3.0)
+    assert ReplicationPlan(R=100, n=5, m=1.0, theta_source="from_prior").prior_dev2 == 1.0
+    assert ReplicationPlan(R=100, n=5, m=1.0, theta0=3.0).prior_dev2 == 9.0
 
 
 def test_study_is_bit_reproducible():
@@ -182,8 +189,7 @@ def test_oracle_path_agrees_with_simulation_path():
         y = rng.normal(0.0, 1.0, size=8)
         spec = NormalMeanSpec.from_data(y)
         closed = oracle.p_waic2(spec)
-        theta = normal_posterior_draws(spec, 100_000, seed=1000 + rep)
-        report = criterion_report(normal_pointwise_loglik(y, theta))
+        report = criterion_report(NormalMeanModel().fit(y, draws=100_000, seed=1000 + rep).pointwise_loglik())
         assert abs(report.p_waic2 - closed) < 3 * report.mc_se_p_waic2 + 1e-4
 
 

@@ -8,7 +8,7 @@ from scipy import stats
 
 from predcrit import oracle
 from predcrit.criteria import criterion_report
-from predcrit.draws import lppd
+from predcrit.draws import PointwiseLogLikMatrix, lppd
 from predcrit.errors import MatrixFormatError, ModelRefusalError
 from predcrit.models import (
     BalancedModel,
@@ -17,14 +17,10 @@ from predcrit.models import (
     RegressionData,
     RegressionModel,
     SchoolsModel,
-    balanced_group_posterior_draws,
-    balanced_hierarchical_loglik,
     default_eight_schools,
     default_election,
     load_election_csv,
     load_schools_csv,
-    normal_pointwise_loglik,
-    normal_posterior_draws,
     regression_fit,
     schools_fit,
 )
@@ -47,8 +43,7 @@ def test_spec_posterior_algebra():
 
 
 def test_flat_prior_draw_mean_is_centred():
-    spec = NormalMeanSpec(n=100, ybar=0.0)
-    theta = normal_posterior_draws(spec, S, seed=11)
+    theta = NormalMeanModel().fit(np.zeros(100), draws=S, seed=11).theta
     assert abs(theta.mean()) < 3 * 0.1 / math.sqrt(S)
     assert theta.std(ddof=1) == pytest.approx(0.1, rel=0.02)
 
@@ -62,7 +57,8 @@ def test_conjugate_moments_match_closed_forms():
             m=float(rng.uniform(0, 5)),
             mu0=float(rng.normal(0, 2)),
         )
-        theta = normal_posterior_draws(spec, S, seed=int(rng.integers(1 << 30)))
+        theta = NormalMeanModel(spec.m, spec.mu0).fit(np.full(spec.n, spec.ybar), draws=S,
+                                                      seed=int(rng.integers(1 << 30))).theta
         sd = math.sqrt(spec.posterior_var)
         assert abs(theta.mean() - spec.posterior_mean) < 4 * sd / math.sqrt(S)
         var = theta.var(ddof=1)
@@ -71,26 +67,25 @@ def test_conjugate_moments_match_closed_forms():
 
 
 def test_informative_prior_dominates_in_the_limit():
-    spec = NormalMeanSpec(n=5, ybar=10.0, m=1e9, mu0=-1.0)
-    theta = normal_posterior_draws(spec, 5_000, seed=3)
-    assert abs(theta.mean() + 1.0) < 1e-3
-    mat = normal_pointwise_loglik(np.full(5, -1.0), theta)
-    assert criterion_report(mat).p_waic2 < 1e-4  # the data provide no information
+    fit = NormalMeanModel(m=1e9, mu0=-1.0).fit(np.full(5, 10.0), draws=5_000, seed=3)
+    assert abs(fit.theta.mean() + 1.0) < 1e-3
+    assert criterion_report(fit.pointwise_loglik()).p_waic2 < 1e-4  # the data provide no information
 
 
 def test_pointwise_entries():
-    mat = normal_pointwise_loglik([1.5], [1.5])
-    assert mat.values[0, 0] == pytest.approx(-0.918939, abs=1e-6)
-    mat = normal_pointwise_loglik([1.5], [3.5])
-    assert mat.values[0, 0] == pytest.approx(-0.918939 - 2.0, abs=1e-6)
+    # a prior precision of 1e300 pins the draw at mu0, up to rounding
+    def entry(y, theta):
+        return NormalMeanModel(m=1e300, mu0=theta).fit([y], draws=1, seed=0).pointwise_loglik().values[0, 0]
+
+    assert entry(1.5, 1.5) == pytest.approx(-0.918939, abs=1e-6)
+    assert entry(1.5, 3.5) == pytest.approx(-0.918939 - 2.0, abs=1e-6)
 
 
 def test_draw_based_lppd_matches_oracle_within_mc_error():
     rng = np.random.default_rng(42)
     y = rng.normal(1.0, 1.0, size=12)
     spec = NormalMeanSpec.from_data(y)
-    theta = normal_posterior_draws(spec, S, seed=77)
-    mat = normal_pointwise_loglik(y, theta)
+    mat = NormalMeanModel().fit(y, draws=S, seed=77).pointwise_loglik()
     se = criterion_report(mat).mc_se_lppd
     assert abs(lppd(mat) - oracle.lppd(spec)) < 3 * se + 1e-4
 
@@ -314,21 +309,17 @@ def _balanced_fixture(n=5, J=3, tau=1.0, seed=99):
 
 def test_group_counting_with_single_group_equals_row_totals():
     y = _balanced_fixture(n=4, J=1)
-    theta = balanced_group_posterior_draws(y, mu=0.0, tau=1.0, draws=200, seed=5)
-    obs = balanced_hierarchical_loglik(theta, y, "observation")
-    grp = balanced_hierarchical_loglik(theta, y, "group")
+    obs, grp = (BalancedModel(0.0, 1.0, counting).fit(y, draws=200, seed=5).pointwise_loglik()
+                for counting in ("observation", "group"))
     np.testing.assert_allclose(grp.values[:, 0], obs.row_totals(), rtol=1e-13)
 
 
 def test_observation_counting_decomposes_into_group_copies():
     y = _balanced_fixture(n=6, J=4)
-    theta = balanced_group_posterior_draws(y, mu=0.0, tau=1.0, draws=40_000, seed=31)
-    obs = balanced_hierarchical_loglik(theta, y, "observation")
+    obs = BalancedModel(0.0, 1.0, "observation").fit(y, draws=40_000, seed=31).pointwise_loglik()
     total = criterion_report(obs).p_waic2
-    per_group = []
-    for j in range(4):
-        sub = balanced_hierarchical_loglik(theta[:, [j]], y[:, [j]], "observation")
-        per_group.append(criterion_report(sub).p_waic2)
+    # column i * J + j holds y_ij, so group j's columns are j, j + J, ...
+    per_group = [criterion_report(PointwiseLogLikMatrix(obs.values[:, j::4])).p_waic2 for j in range(4)]
     assert total == pytest.approx(sum(per_group), rel=1e-12)
     # each group's penalty sits near the known-hyperparameter closed form
     spec_like = [
@@ -339,9 +330,8 @@ def test_observation_counting_decomposes_into_group_copies():
 
 def test_group_counting_changes_p_waic_strictly():
     y = _balanced_fixture(n=5, J=3, tau=1.0)
-    theta = balanced_group_posterior_draws(y, mu=0.0, tau=1.0, draws=20_000, seed=13)
-    obs = balanced_hierarchical_loglik(theta, y, "observation")
-    grp = balanced_hierarchical_loglik(theta, y, "group")
+    obs, grp = (BalancedModel(0.0, 1.0, counting).fit(y, draws=20_000, seed=13).pointwise_loglik()
+                for counting in ("observation", "group"))
     assert obs.n_points == 15 and grp.n_points == 3
     p_obs, p_grp = criterion_report(obs).p_waic2, criterion_report(grp).p_waic2
     assert p_obs != p_grp
@@ -349,13 +339,12 @@ def test_group_counting_changes_p_waic_strictly():
 
 
 def test_balanced_input_validation():
-    y = _balanced_fixture()
-    with pytest.raises(ValueError, match="counting"):
-        balanced_hierarchical_loglik(np.zeros((10, 3)), y, "rows")
-    with pytest.raises(ValueError):
-        balanced_group_posterior_draws(y, mu=0.0, tau=0.0, draws=10, seed=1)
-    with pytest.raises(ValueError):
-        balanced_hierarchical_loglik(np.zeros((10, 2)), y, "group")
+    with pytest.raises(ValueError, match="counting must be one of"):
+        BalancedModel(0.0, 1.0, "rows")  # at construction, before any draw
+    with pytest.raises(ValueError, match="tau must be positive"):
+        BalancedModel(0.0, 0.0, "group")
+    with pytest.raises(ValueError, match="n x J"):
+        BalancedModel(0.0, 1.0, "group").fit(_balanced_fixture()[:, 0], draws=10, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +440,7 @@ def _row_major_schools(fit):
 def _row_major_balanced(counting):
     def formula(fit):
         y = _balanced_fixture(n=4, J=3)
-        theta = balanced_group_posterior_draws(y, mu=0.0, tau=1.0, draws=_LAYOUT_S, seed=2)
-        ll = normal_logpdf_inplace(y[None, :, :] - theta[:, None, :], 1.0)
+        ll = normal_logpdf_inplace(y[None, :, :] - fit.theta[:, None, :], 1.0)
         return ll.reshape(_LAYOUT_S, -1) if counting == "observation" else ll.sum(axis=1)
     return formula
 

@@ -8,7 +8,7 @@ from predcrit.models import NormalMeanModel, NormalMeanSpec
 from predcrit.criteria import criterion_report
 from predcrit.draws import PointwiseLogLikMatrix, lppd
 from predcrit.loo import loo_report
-from predcrit.models import normal_pointwise_loglik, normal_posterior_draws
+from predcrit.models import NormalMeanModel
 from predcrit.seeds import derive_seed
 
 RTOL = 1e-12
@@ -274,8 +274,7 @@ def test_informative_lppd_cross_checked_by_concentrated_draws():
     rng = np.random.default_rng(10)
     y = rng.normal(0.7, 1.0, size=8)
     spec = NormalMeanSpec.from_data(y, m=1e8, mu0=0.7)
-    theta = normal_posterior_draws(spec, 50_000, seed=4)
-    mat = normal_pointwise_loglik(y, theta)
+    mat = NormalMeanModel(m=1e8, mu0=0.7).fit(y, draws=50_000, seed=4).pointwise_loglik()
     assert lppd(mat) == pytest.approx(oracle.lppd(spec), abs=3 * criterion_report(mat).mc_se_lppd + 1e-5)
 
 
