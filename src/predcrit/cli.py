@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 malformed input, 3 non-finite log densities,
-4 model refusal (e.g. LOO under no pooling). All randomness in a run
-derives from the single --seed flag; reports echo seed and draw count.
+Exit codes: 0 success, 2 malformed input or an output path that cannot
+be written, 3 non-finite log densities, 4 model refusal (e.g. LOO under
+no pooling). All randomness in a run derives from the single --seed flag;
+reports echo seed and draw count.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ def _handle_errors(fn):
         except ModelRefusalError as exc:
             click.echo(f"model refusal: {exc}", err=True)
             sys.exit(EXIT_REFUSAL)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_FORMAT)
 

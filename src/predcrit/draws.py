@@ -247,14 +247,12 @@ def _is_path(source) -> bool:
     return isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
 
 
-def _csv_rows(source) -> list[list[str]]:
-    """Rows of a CSV path or text stream, every cell stripped of surrounding
-    whitespace, rows whose cells are all blank dropped."""
-    if _is_path(source):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _csv_rows(fh)
-    rows = ([cell.strip() for cell in row] for row in csv.reader(source))
-    return [row for row in rows if any(row)]
+def _csv_rows(stream):
+    """The rows of a CSV text stream, read a line at a time, so the stream
+    stops at the end of the last row taken: every cell stripped of
+    surrounding whitespace, rows whose cells are all blank dropped."""
+    rows = ([cell.strip() for cell in row] for row in csv.reader(iter(stream.readline, "")))
+    return (row for row in rows if any(row))
 
 
 def _require_finite(values: np.ndarray, name: str) -> np.ndarray:
@@ -282,70 +280,68 @@ def _is_numeric_row(cells: list[str]) -> bool:
     return True
 
 
-def _load_fast(fh, start) -> np.ndarray | None:
-    """The matrix from numpy's C parser, streamed from fh, or None when the
-    input needs the row-by-row `_read_table`: a first line that is neither
-    numbers nor point_1..point_n (blank, a bad header), or anything
-    numpy refuses.
-
-    Numpy converts each cell with the same routine as Python's float(), so
-    every matrix it accepts is the one `_read_table` would build.
-    """
-    cells = [c.strip() for c in next(csv.reader([fh.readline()]), [])]
-    if not cells:  # a blank first line
-        return None
-    if _is_numeric_row(cells):
-        fh.seek(start)
-    elif cells != _header(len(cells)):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
-                              ndmin=2, dtype=float)
-    except ValueError:
-        return None
-    if data.shape[0] == 0 or data.shape[1] != len(cells):
-        return None
-    return data
-
-
 def _read_table(source, header, what: str, rows: str, *, labels: int = 0,
                 optional: bool = False) -> np.ndarray:
     """The numbers of a CSV table: one array row per body row, one column
     per column after the first `labels`, which hold labels and are not read.
 
-    `header` is the list of column names, or a prefix p naming the columns
-    p1, p2, ... of whatever width the first row has. The header row is
-    required unless `optional`, when a first row that reads as numbers is
-    the first body row instead. Every row must be as wide as the first.
-    The first bad row or cell is named, rows counted from 0 with the header,
-    blank rows not counted (they are dropped, see _csv_rows). The messages
-    call the file `what` and its body rows `rows`.
+    `source` is a path or a text stream. `header` is the list of column
+    names, or a prefix p naming the columns p1, p2, ... of whatever width
+    the first row has. The header row is required unless `optional`, when a
+    first row that reads as numbers is the first body row instead. Every
+    row must be as wide as the first. The first bad row or cell is named,
+    rows counted from 0 with the header, blank rows not counted (they are
+    dropped, see _csv_rows). The messages call the file `what` and its body
+    rows `rows`.
+
+    The body is streamed through numpy's parser, which converts every cell
+    it accepts as Python's float() does. A body numpy refuses, or reads with
+    no rows or the wrong width, is read again row by row, which accepts the
+    rest of the format and words every error.
     """
-    table = _csv_rows(source)
-    if not table:
+    if _is_path(source):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return _read_table(fh, header, what, rows, labels=labels, optional=optional)
+    if not source.seekable():
+        source = io.StringIO(source.read())
+    top = source.tell()
+    first = next(_csv_rows(source), None)
+    if first is None:
         raise MatrixFormatError(f"empty {what} file")
-    first = table[0]
-    start = 0 if optional and _is_numeric_row(first) else 1
+    numeric = optional and _is_numeric_row(first)
     expected = _header(len(first), header) if isinstance(header, str) else list(header)
-    if start and first != expected:
+    if not numeric and first != expected:
         raise MatrixFormatError(
             f"header row must be {','.join(expected)}, got {','.join(first)}"
         )
-    body = table[start:]
-    if not body:
-        raise MatrixFormatError(f"{what} file has a header but no {rows}")
-
+    if numeric:
+        source.seek(top)
+    body = source.tell()
     width = len(first)
-    data = np.empty((len(body), width - labels), dtype=float)
-    for r, row in enumerate(body, start=start):
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(source, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float,
+                              converters=dict.fromkeys(range(labels), lambda cell: 0.0))
+    except ValueError:
+        pass
+    else:
+        if len(data) and data.shape[1] == width:
+            return data[:, labels:]
+
+    source.seek(body)
+    table = list(_csv_rows(source))
+    if not table:
+        raise MatrixFormatError(f"{what} file has a header but no {rows}")
+    offset = 0 if numeric else 1
+    data = np.empty((len(table), width - labels), dtype=float)
+    for r, row in enumerate(table, start=offset):
         if len(row) != width:
             raise MatrixFormatError(f"row {r} has {len(row)} cells, expected {width}")
         for c in range(labels, width):
             if not row[c]:
                 raise MatrixFormatError(f"missing cell at row {r}, column {c}")
-            data[r - start, c - labels] = _parse_cell(row[c], r, c)
+            data[r - offset, c - labels] = _parse_cell(row[c], r, c)
     return data
 
 
@@ -357,23 +353,13 @@ def read_loglik_csv(source) -> PointwiseLogLikMatrix:
     skipped and cells may be quoted or padded with whitespace. Rows must be
     rectangular with no missing cells. Structural problems raise
     MatrixFormatError naming the first bad row and column; non-finite
-    entries raise NonFiniteLogLikError.
-
-    The file is streamed through numpy's parser, so memory stays about the
-    size of the matrix; input numpy refuses is read again row by row, which
-    accepts the rest of the format and words every error.
+    entries raise NonFiniteLogLikError. See _read_table for how the file is
+    parsed.
     """
     if _is_path(source):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_loglik_csv(fh)
-    if not source.seekable():
-        source = io.StringIO(source.read())
-    start = source.tell()
-    data = _load_fast(source, start)
-    if data is None:
-        source.seek(start)
-        data = _read_table(source, "point_", "draw-matrix", "draws", optional=True)
-    return PointwiseLogLikMatrix(data)
+    return PointwiseLogLikMatrix(_read_table(source, "point_", "draw-matrix", "draws", optional=True))
 
 
 def _write_csv(target, header, rows) -> None:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import oracle
+from .draws import mc_standard_error
 from .models.normal import _check_settings
 from .seeds import derive_seed
 
@@ -108,23 +109,7 @@ class ExpectationResult:
     stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "R": self.plan.R,
-            "n": self.plan.n,
-            "m": self.plan.m,
-            "theta_source": self.plan.theta_source,
-            "theta0": self.plan.theta0,
-            "seed": self.plan.seed,
-            "estimators": {
-                name: {
-                    "mc_mean": s.mc_mean,
-                    "mc_se": s.mc_se,
-                    "oracle_value": s.oracle_value,
-                    "z_score": s.z_score,
-                }
-                for name, s in self.stats.items()
-            },
-        }
+        return asdict(self.plan) | {"estimators": {name: asdict(s) for name, s in self.stats.items()}}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -167,7 +152,7 @@ def run_expectation_study(plan: ReplicationPlan) -> ExpectationResult:
         mc_mean = float(vals.mean())
         # a constant estimator has no Monte Carlo error; its rounding-level
         # sample variance would turn an exact match into a huge z-score
-        mc_se = 0.0 if (vals == vals[0]).all() else float(math.sqrt(vals.var(ddof=1) / plan.R))
+        mc_se = 0.0 if (vals == vals[0]).all() else mc_standard_error(vals)
         oracle_value = exact[name]
         if mc_se > 0:
             z = (mc_mean - oracle_value) / mc_se

@@ -8,7 +8,8 @@ parallel, and still aggregate to bit-identical results.
 The first-order bias correction compensates LOO for conditioning on n-1
 rather than n points: b = lppd - mean over folds of the full-data lppd
 under the fold posterior, and the corrected estimate is lppd_loo + b.
-Without it a fold scores only its held-out point, `heldout_loglik()`.
+Every fold scores its held-out point with `heldout_loglik()`; only the
+correction scores the fold's full matrix.
 """
 from __future__ import annotations
 
@@ -33,9 +34,7 @@ class PosteriorFit(Protocol):
     def pointwise_loglik(self) -> PointwiseLogLikMatrix:
         """Log densities of all of the fitted dataset's points under this
         posterior. For a fit made with `exclude=i`, column i must use only
-        the training posterior. The matrix should be column-major (each
-        point's draws contiguous): every fold reads its held-out column.
-        """
+        the training posterior."""
 
     def heldout_loglik(self) -> np.ndarray:
         """For a fit made with `exclude=i`: the length-S column of point i,
@@ -71,8 +70,9 @@ def loo_report(
     """Run all n folds once and assemble the LOO estimates.
 
     Fold i refits with the seed derived from (seed, i); `lppd_loo` and
-    `lppd_bar_minus_i` are fields of this report. Without `bias_correction`
-    a fold scores only its held-out column, refused if it holds NaN or inf.
+    `lppd_bar_minus_i` are fields of this report. Each fold scores its
+    held-out column, refused if it holds NaN or inf; only `bias_correction`
+    scores the fold's full matrix too.
     With a single draw the Monte Carlo error is unavailable and
     `mc_se_lppd_loo` is None. A non-finite `lppd_full` is refused before
     the first refit.
@@ -87,14 +87,10 @@ def loo_report(
     se_sq = 0.0
     for i in range(n):
         fit = model.fit(data, exclude=i, draws=draws, seed=derive_seed(seed, i))
+        col = fit.heldout_loglik()
+        _require_finite_loglik(col[:, None], first_point=i)
         if bias_correction:
-            mat = fit.pointwise_loglik()
-            fold_full.append(lppd_of(mat))
-            col = mat.column(i).copy()
-            del mat  # freed before the next fold scores its own
-        else:
-            col = fit.heldout_loglik()
-            _require_finite_loglik(col[:, None], first_point=i)
+            fold_full.append(lppd_of(fit.pointwise_loglik()))
         lme = log_mean_exp(col)
         per_point.append(lme)
         if draws > 1:  # delta-method error of log_mean_exp(col)

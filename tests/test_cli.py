@@ -651,3 +651,12 @@ def test_every_command_renders_one_report_in_every_format(runner, tmp_path, comm
     report = payload.get("report") or payload.get("criteria") or {}
     warnings = [f"warning: {w}" for w in report.get("warnings", [])]
     assert lines[len(lines) - len(warnings):] == warnings
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--n", "3", "--output"],
+                                  ["election", "--draws", "200", "--hist-out"]])
+def test_an_unwritable_output_path_exits_2_with_one_error_line(argv, runner, tmp_path):
+    target = tmp_path / "no-such-dir" / "out"
+    result = runner.invoke(main, argv + [str(target)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: [Errno 2] No such file or directory: '{target}'\n"

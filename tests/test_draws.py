@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from predcrit.draws import (
     write_loglik_csv,
 )
 from predcrit.errors import MatrixFormatError, NonFiniteLogLikError
+from predcrit.models import load_balanced_csv, load_election_csv, load_schools_csv
 from predcrit.reports import write_histogram_csv
 
 
@@ -151,18 +153,68 @@ def test_csv_headerless_and_header_forms():
     assert m.n_draws == 2 and m.n_points == 2
 
 
+def _rows_taken_by_csv(monkeypatch):
+    """A list of the rows `_csv_rows` yields, appended as they are taken.
+    A table read on numpy's parser takes only its first row from it; the
+    row-by-row pass takes every body row too."""
+    taken = []
+    rows_of = draws._csv_rows
+
+    def spy(stream):
+        for row in rows_of(stream):
+            taken.append(row)
+            yield row
+
+    monkeypatch.setattr(draws, "_csv_rows", spy)
+    return taken
+
+
 def test_quoted_first_row_is_read_by_numpys_parser(monkeypatch):
     # R's write.csv quotes every header cell; the file must not go row by row
     expected = read_loglik_csv(io.StringIO("point_1,point_2\n-1.5,-2\n-3,-4.25\n")).values
-
-    def row_by_row(*args, **kwargs):
-        raise AssertionError("the file was read row by row")
-
-    monkeypatch.setattr(draws, "_read_table", row_by_row)
-    for text in ('"point_1","point_2"\n-1.5,-2\n-3,-4.25\n',
-                 '"point_1","point_2"\n"-1.5","-2"\n"-3","-4.25"\n',
-                 '"-1.5","-2"\n"-3","-4.25"\n'):
+    taken = _rows_taken_by_csv(monkeypatch)
+    for text, first in (('"point_1","point_2"\n-1.5,-2\n-3,-4.25\n', ["point_1", "point_2"]),
+                        ('"point_1","point_2"\n"-1.5","-2"\n"-3","-4.25"\n', ["point_1", "point_2"]),
+                        ('"-1.5","-2"\n"-3","-4.25"\n', ["-1.5", "-2"])):
+        taken.clear()
         assert read_loglik_csv(io.StringIO(text)).values.tobytes() == expected.tobytes()
+        assert taken == [first], text
+
+
+_ELECTION_CSV = resources.files("predcrit.models").joinpath("data/election.csv").read_text(encoding="utf-8")
+
+# (loader, text, its first row): tables whose body numpy's parser reads
+_NUMPY_TABLES = {
+    "schools, quoted label with a comma, blank line": (
+        load_schools_csv, 'school,y,sigma\n"A, coached",28,15\n\nB,-3.5,10\n"C",1e-3,16.25\n',
+        ["school", "y", "sigma"]),
+    "election": (load_election_csv, _ELECTION_CSV, ["year", "growth", "vote"]),
+    "balanced": (load_balanced_csv, "group_1,group_2,group_3\n0.5,-1.25,2\n1e-3,3,-0.75\n",
+                 ["group_1", "group_2", "group_3"]),
+    "draw matrix after blank lines": (read_loglik_csv, "\n\n-1.5,-2\n-3,-4.25e-7\n", ["-1.5", "-2"]),
+    "draw matrix with a header after blank lines": (
+        read_loglik_csv, "\n\npoint_1,point_2\n-1.5,-2\n-3,-4.25e-7\n", ["point_1", "point_2"]),
+}
+
+
+def _arrays(loaded):
+    return [loaded] if isinstance(loaded, np.ndarray) else list(vars(loaded).values())
+
+
+@pytest.mark.parametrize("case", sorted(_NUMPY_TABLES))
+def test_model_tables_and_leading_blank_lines_stay_on_numpys_parser(case, monkeypatch):
+    load, text, first = _NUMPY_TABLES[case]
+    taken = _rows_taken_by_csv(monkeypatch)
+    got = load(io.StringIO(text))
+    assert taken == [first]
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused, so the body goes row by row")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    want = load(io.StringIO(text))
+    assert len(taken) > 2  # the reference read its body row by row
+    assert [a.tobytes() for a in _arrays(got)] == [a.tobytes() for a in _arrays(want)]
 
 
 def test_csv_format_errors():

@@ -97,6 +97,25 @@ def test_a_non_finite_heldout_column_is_refused_naming_draw_and_point():
         loo_report(model, np.zeros(3), -3.0, draws=10, seed=1, bias_correction=False)
 
 
+class _HeldOutRecordingModel(_FixedPosteriorModel):
+    """A fixed posterior that records the point of each `heldout_loglik` call."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.heldout = []
+
+    def heldout_loglik(self):
+        self.heldout.append(self.exclude)
+        return super().heldout_loglik()
+
+
+@pytest.mark.parametrize("bias_correction", [True, False])
+def test_every_fold_scores_its_point_with_heldout_loglik_once(bias_correction):
+    model = _HeldOutRecordingModel(PointwiseLogLikMatrix(np.full((10, 4), -1.0)))
+    loo_report(model, np.zeros(4), -4.0, draws=10, seed=1, bias_correction=bias_correction)
+    assert model.heldout == [0, 1, 2, 3]
+
+
 def test_without_bias_correction_loo_fields_match_and_the_corrected_ones_are_none():
     rng = np.random.default_rng(4)
     mat = PointwiseLogLikMatrix(rng.normal(-2, 1, size=(64, 5)))
