@@ -21,13 +21,14 @@ from .errors import MatrixFormatError, ModelRefusalError, NonFiniteLogLikError
 from .expectation import ESTIMATOR_NAMES, ReplicationPlan, bias_curve, run_expectation_study
 from .loo import loo_report
 from .models import (
+    COUNTINGS,
+    DIC_PARAMETERIZATIONS,
+    POOLING_MODES,
     BalancedModel,
     NormalMeanModel,
     NormalMeanSpec,
     RegressionModel,
     SchoolsModel,
-    default_eight_schools,
-    default_election,
     load_balanced_csv,
     load_election_csv,
     load_schools_csv,
@@ -145,6 +146,10 @@ format_option = click.option(
     show_default=True,
 )
 output_option = click.option("--output", type=click.Path(), default=None, help="write to file instead of stdout")
+dic_parameterization_option = click.option(
+    "--dic-parameterization", type=click.Choice([p.replace("_", "-") for p in DIC_PARAMETERIZATIONS]),
+    default="log-sigma", show_default=True, help="scale point estimate for DIC (regression)"
+)
 
 
 @click.group()
@@ -176,7 +181,7 @@ def criteria(input_path, lpd_at_mean, mle_loglik, k, fmt, output):
 
 # ---------------------------------------------------------------------------
 def _read_values(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         tokens = fh.read().replace(",", "\n").split()
     if not tokens:
         raise MatrixFormatError("empty data file")
@@ -207,11 +212,9 @@ def _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, coun
     if model == "balanced":
         return BalancedModel(mu, tau, counting), load_balanced_csv(input_path)
     if model == "regression":
-        data = load_election_csv(input_path) if input_path else default_election()
-        return RegressionModel(dic_parameterization.replace("-", "_")), data
-    data = load_schools_csv(input_path) if input_path else default_eight_schools()
+        return RegressionModel(dic_parameterization.replace("-", "_")), load_election_csv(input_path)
     pred = "new_groups" if prediction_mode == "new" else "existing_groups"
-    return SchoolsModel(mode, pred), data
+    return SchoolsModel(mode, pred), load_schools_csv(input_path)
 
 
 model_options = [
@@ -219,7 +222,7 @@ model_options = [
     click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), default=None),
     click.option("--m", type=float, default=0.0, show_default=True, help="prior precision (normal-mean)"),
     click.option("--mu0", type=float, default=0.0, show_default=True, help="prior mean (normal-mean)"),
-    click.option("--mode", type=click.Choice(["no_pooling", "complete_pooling", "hierarchical"]),
+    click.option("--mode", type=click.Choice(POOLING_MODES),
                  default="hierarchical", show_default=True, help="pooling mode (schools)"),
     click.option("--prediction-mode", type=click.Choice(["existing", "new"]), default="existing",
                  show_default=True, help="replication target (schools)"),
@@ -227,7 +230,7 @@ model_options = [
                  help="known population mean (balanced)"),
     click.option("--tau", type=float, default=1.0, show_default=True,
                  help="known population sd (balanced)"),
-    click.option("--counting", type=click.Choice(["observation", "group"]), default="observation",
+    click.option("--counting", type=click.Choice(COUNTINGS), default="observation",
                  show_default=True, help="what counts as one data point (balanced)"),
 ]
 
@@ -242,8 +245,7 @@ def _with_options(options):
 
 @main.command()
 @_with_options(model_options)
-@click.option("--dic-parameterization", type=click.Choice(["sigma", "sigma2", "log-sigma"]),
-              default="log-sigma", show_default=True, help="scale point estimate for DIC (regression)")
+@dic_parameterization_option
 @draws_option
 @seed_option
 @format_option
@@ -287,8 +289,7 @@ def loo(model, input_path, draws, seed, fmt, output, **options):
 @_handle_errors
 def schools_table(input_path, draws, seed, fmt, output):
     """Deviance table across no pooling / complete pooling / hierarchical."""
-    data = load_schools_csv(input_path) if input_path else None
-    table = schools_table_report(data, draws=draws, seed=seed)
+    table = schools_table_report(load_schools_csv(input_path), draws=draws, seed=seed)
     cols = table["columns"]
     # a row one draw cannot give (p_waic2, waic) is null in every column
     rows = [(name, [per_col[c] for c in cols]) for name, per_col in table["rows"].items()
@@ -299,8 +300,7 @@ def schools_table(input_path, draws, seed, fmt, output):
 @main.command()
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--hist-out", type=click.Path(), default=None, help="write the lpd histogram CSV here")
-@click.option("--dic-parameterization", type=click.Choice(["sigma", "sigma2", "log-sigma"]),
-              default="log-sigma", show_default=True)
+@dic_parameterization_option
 @draws_option
 @seed_option
 @format_option
@@ -308,8 +308,7 @@ def schools_table(input_path, draws, seed, fmt, output):
 @_handle_errors
 def election(input_path, hist_out, dic_parameterization, draws, seed, fmt, output):
     """Regression example: fit, criteria, exact LOO, lpd posterior summary."""
-    data = load_election_csv(input_path) if input_path else None
-    rep = election_report(data, draws=draws, seed=seed,
+    rep = election_report(load_election_csv(input_path), draws=draws, seed=seed,
                           dic_parameterization=dic_parameterization.replace("-", "_"))
     if hist_out:
         write_histogram_csv(rep["lpd_posterior"]["bin_left"], rep["lpd_posterior"]["counts"], hist_out)

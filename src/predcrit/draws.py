@@ -305,6 +305,9 @@ def _read_table(source, header, what: str, rows: str, *, labels: int = 0,
     if not source.seekable():
         source = io.StringIO(source.read())
     top = source.tell()
+    if source.read(1) != "\ufeff":  # a leading UTF-8 byte-order mark is skipped
+        source.seek(top)
+    top = source.tell()
     first = next(_csv_rows(source), None)
     if first is None:
         raise MatrixFormatError(f"empty {what} file")

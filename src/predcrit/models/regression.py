@@ -11,14 +11,15 @@ three usual choices and its fits report DIC under it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
 from ..criteria import PointEstimateLogLik, PointEstimates
-from ..draws import PointwiseLogLikMatrix, _require_finite
+from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
 from .normal import normal_logpdf_inplace
 
-__all__ = ["RegressionData", "RegressionModel", "regression_fit", "DIC_PARAMETERIZATIONS"]
+__all__ = ["RegressionData", "RegressionModel", "regression_fit", "load_election_csv", "DIC_PARAMETERIZATIONS"]
 
 DIC_PARAMETERIZATIONS = ("sigma", "sigma2", "log_sigma")
 
@@ -43,6 +44,17 @@ class RegressionData:
 
     def __len__(self) -> int:
         return self.x.size
+
+
+def load_election_csv(source=None) -> RegressionData:
+    """Read `year,growth,vote` rows (header required; the year is not read)
+    into regression data; with no source, the bundled income-growth vs.
+    vote-share dataset (15 elections)."""
+    if source is None:
+        with resources.files(__package__).joinpath("data/election.csv").open("r", encoding="utf-8") as fh:
+            return load_election_csv(fh)
+    growth, vote = _read_table(source, ("year", "growth", "vote"), "election data", "elections", labels=1).T
+    return RegressionData(growth, vote)
 
 
 def _design(x: np.ndarray) -> np.ndarray:

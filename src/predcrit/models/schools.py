@@ -33,7 +33,6 @@ __all__ = [
     "SchoolsModel",
     "schools_fit",
     "load_schools_csv",
-    "default_eight_schools",
     "POOLING_MODES",
     "PREDICTION_MODES",
 ]
@@ -61,25 +60,18 @@ class EightSchoolsData:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sigma", sigma)
 
-    @property
-    def J(self) -> int:
-        return self.y.size
-
     def __len__(self) -> int:
         return self.y.size
 
 
-def load_schools_csv(source) -> EightSchoolsData:
-    """Read `school,y,sigma` rows (header required; the school is not read)."""
+def load_schools_csv(source=None) -> EightSchoolsData:
+    """Read `school,y,sigma` rows (header required; the school is not read);
+    with no source, the bundled eight-schools coaching dataset."""
+    if source is None:
+        with resources.files(__package__).joinpath("data/eight_schools.csv").open("r", encoding="utf-8") as fh:
+            return load_schools_csv(fh)
     y, sigma = _read_table(source, ("school", "y", "sigma"), "schools data", "groups", labels=1).T
     return EightSchoolsData(y, sigma)
-
-
-def default_eight_schools() -> EightSchoolsData:
-    """The bundled eight-schools coaching dataset."""
-    ref = resources.files(__package__).joinpath("data/eight_schools.csv")
-    with ref.open("r", encoding="utf-8") as fh:
-        return load_schools_csv(fh)
 
 
 def _tau_grid_posterior(y: np.ndarray, sigma: np.ndarray, grid: np.ndarray | None = None):
@@ -144,7 +136,7 @@ class _SchoolsFit:
         self._model = model
         self._data = data
         self._exclude = exclude
-        y, sigma, J = data.y, data.sigma, data.J
+        y, sigma, J = data.y, data.sigma, len(data)
         keep = np.arange(J) if exclude is None else np.delete(np.arange(J), exclude)
         if keep.size == 0:
             raise ValueError("training set must contain at least one group")
@@ -176,12 +168,12 @@ class _SchoolsFit:
     def theta(self) -> np.ndarray:
         d, rng, draws, model = self._data, self._rng, self._draws, self._model
         if model.mode == "no_pooling":
-            return d.y + d.sigma * rng.standard_normal((draws, d.J))
+            return d.y + d.sigma * rng.standard_normal((draws, len(d)))
         if model.mode == "complete_pooling":
-            return np.repeat(self.mu[:, None], d.J, axis=1)
+            return np.repeat(self.mu[:, None], len(d), axis=1)
         idx, mu = self._idx, self.mu
         if model.prediction_mode == "new_groups":
-            theta = mu[:, None] + self.tau[:, None] * rng.standard_normal((draws, d.J))
+            theta = mu[:, None] + self.tau[:, None] * rng.standard_normal((draws, len(d)))
         else:
             # theta_j | mu, tau ~ N((y t2 + mu s2) / den, s2 t2 / den) with
             # t2 = tau^2 and den = t2 + s2, so tau = 0 needs no special case;
@@ -211,7 +203,7 @@ class _SchoolsFit:
         theta_bayes = self.theta.mean(axis=0)
         mle = None
         if mode == "no_pooling":  # theta_j = y_j leaves no residual
-            mle = PointEstimateLogLik(float(normal_logpdf_inplace(np.zeros(d.J), var).sum()), d.J)
+            mle = PointEstimateLogLik(float(normal_logpdf_inplace(np.zeros(len(d)), var).sum()), len(d))
         elif mode == "complete_pooling":
             w = 1.0 / var
             if self._exclude is not None:

@@ -7,18 +7,18 @@ seed via fixed stream indices.
 """
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .criteria import criterion_report, lpd_posterior_summary
 from .draws import _write_csv
 from .loo import loo_report
 from .models import (
+    POOLING_MODES,
     EightSchoolsData,
     RegressionData,
     RegressionModel,
     SchoolsModel,
-    default_eight_schools,
-    default_election,
 )
-from .models.schools import POOLING_MODES
 from .seeds import derive_seed
 
 __all__ = [
@@ -38,39 +38,24 @@ UNDEFINED_LOO_NO_POOLING = (
 )
 UNDEFINED_LOO_ONE_GROUP = "undefined: leave-one-out needs at least 2 schools"
 
-_TABLE_ROWS = (
-    "minus2_lpd_mle",
-    "k",
-    "aic",
-    "minus2_lpd_mean",
-    "p_dic",
-    "dic",
-    "minus2_lppd",
-    "p_waic1",
-    "p_waic2",
-    "waic",
-    "p_loo",
-    "minus2_lppd_loo",
-)
-
 
 def schools_table_report(
-    data: EightSchoolsData | None = None,
-    draws: int = 100_000,
-    seed: int = 12345,
+    data: EightSchoolsData,
+    *,
+    draws: int,
+    seed: int,
 ) -> dict:
     """Deviance table for no pooling / complete pooling / hierarchical.
 
     Cells that are undefined for a model carry an explicit
     "undefined: <reason>" string instead of a number.
     """
-    d = data if data is not None else default_eight_schools()
     columns = list(POOLING_MODES)
-    rows = {name: {} for name in _TABLE_ROWS}
+    rows = defaultdict(dict)
 
     for col_idx, mode in enumerate(columns):
         model = SchoolsModel(mode)
-        fit = model.fit(d, draws=draws, seed=derive_seed(seed, col_idx))
+        fit = model.fit(data, draws=draws, seed=derive_seed(seed, col_idx))
         mat = fit.pointwise_loglik()
         pe = fit.point_estimates()
 
@@ -90,12 +75,12 @@ def schools_table_report(
         rows["p_waic2"][mode] = rep.p_waic2
         rows["waic"][mode] = rep.waic
 
-        if mode == "no_pooling" or d.J < 2:
+        if mode == "no_pooling" or len(data) < 2:
             undefined = UNDEFINED_LOO_NO_POOLING if mode == "no_pooling" else UNDEFINED_LOO_ONE_GROUP
             rows["p_loo"][mode] = undefined
             rows["minus2_lppd_loo"][mode] = undefined
         else:
-            loo = loo_report(model, d, rep.lppd, draws=draws, seed=derive_seed(seed, 10 + col_idx),
+            loo = loo_report(model, data, rep.lppd, draws=draws, seed=derive_seed(seed, 10 + col_idx),
                              bias_correction=False)
             rows["p_loo"][mode] = loo.p_loo
             rows["minus2_lppd_loo"][mode] = -2.0 * loo.lppd_loo
@@ -104,32 +89,32 @@ def schools_table_report(
         "draws": draws,
         "seed": seed,
         "columns": columns,
-        "rows": rows,
+        "rows": dict(rows),
     }
 
 
 def election_report(
-    data: RegressionData | None = None,
-    draws: int = 100_000,
-    seed: int = 12345,
-    dic_parameterization: str = "log_sigma",
+    data: RegressionData,
+    *,
+    draws: int,
+    seed: int,
+    dic_parameterization: str,
 ) -> dict:
     """Full regression summary: fit, criteria, exact LOO, and the posterior
     distribution of the total log density (histogram included)."""
-    d = data if data is not None else default_election()
     model = RegressionModel(dic_parameterization)
-    fit = model.fit(d, draws=draws, seed=derive_seed(seed, 0))
+    fit = model.fit(data, draws=draws, seed=derive_seed(seed, 0))
     pe = fit.point_estimates()
     mat = fit.pointwise_loglik()
     rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
     summary = lpd_posterior_summary(mat.row_totals())
-    loo = loo_report(model, d, rep.lppd, draws=draws, seed=derive_seed(seed, 1), bias_correction=True)
+    loo = loo_report(model, data, rep.lppd, draws=draws, seed=derive_seed(seed, 1), bias_correction=True)
 
     return {
         "draws": draws,
         "seed": seed,
         "dic_parameterization": dic_parameterization,
-        "n": len(d),
+        "n": len(data),
         **pe.summary,
         "criteria": rep.to_dict(),
         "loo": loo.to_dict(),

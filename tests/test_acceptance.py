@@ -13,7 +13,7 @@ import numpy as np
 from predcrit import oracle
 from predcrit.expectation import ReplicationPlan, run_expectation_study
 from predcrit.loo import loo_report
-from predcrit.models import NormalMeanModel, NormalMeanSpec
+from predcrit.models import NormalMeanModel, NormalMeanSpec, load_election_csv, load_schools_csv
 from predcrit.reports import election_report, schools_table_report
 
 SEED = 12345
@@ -42,7 +42,7 @@ def _finish(num, desc, failures):
 def test_criterion_1_schools_table():
     failures = []
     start = time.perf_counter()
-    table = schools_table_report(draws=DRAWS, seed=SEED)
+    table = schools_table_report(load_schools_csv(), draws=DRAWS, seed=SEED)
     elapsed = time.perf_counter() - start
     rows = table["rows"]
     np_, cp, hi = "no_pooling", "complete_pooling", "hierarchical"
@@ -85,7 +85,7 @@ def test_criterion_1_schools_table():
 # ---------------------------------------------------------------------------
 def test_criterion_2_election_example():
     failures = []
-    rep = election_report(draws=DRAWS, seed=SEED)
+    rep = election_report(load_election_csv(), draws=DRAWS, seed=SEED, dic_parameterization="log_sigma")
     c = rep["criteria"]
 
     mle = rep["mle"]
@@ -249,7 +249,7 @@ def test_criterion_6_property_suite():
     from predcrit.draws import PointwiseLogLikMatrix, log_mean_exp
     from predcrit.errors import ModelRefusalError
     from predcrit.expectation import _chunk_sizes, _replicate_chunk
-    from predcrit.models import SchoolsModel, default_eight_schools
+    from predcrit.models import SchoolsModel, load_schools_csv
     from predcrit.seeds import derive_seed
     from predcrit.loo import loo_report
 
@@ -303,7 +303,7 @@ def test_criterion_6_property_suite():
 
     refused = False
     try:
-        loo_report(SchoolsModel("no_pooling"), default_eight_schools(), 0.0, draws=200, seed=1)
+        loo_report(SchoolsModel("no_pooling"), load_schools_csv(), 0.0, draws=200, seed=1)
     except ModelRefusalError as exc:
         refused = "model cannot predict held-out point" in str(exc)
     _check(failures, "no-pooling LOO refusal error", refused)

@@ -8,7 +8,15 @@ from click.testing import CliRunner
 from predcrit.cli import MODEL_OPTIONS, main
 from predcrit.errors import MatrixFormatError
 from predcrit.expectation import ESTIMATOR_NAMES
-from predcrit.models import SchoolsModel, default_eight_schools, load_balanced_csv, load_election_csv, load_schools_csv
+from predcrit.models import (
+    COUNTINGS,
+    DIC_PARAMETERIZATIONS,
+    POOLING_MODES,
+    SchoolsModel,
+    load_balanced_csv,
+    load_election_csv,
+    load_schools_csv,
+)
 from predcrit.reports import (
     UNDEFINED_AIC_HIERARCHICAL,
     UNDEFINED_LOO_NO_POOLING,
@@ -77,6 +85,14 @@ def test_number_list_names_its_first_bad_value(runner, tmp_path):
     result = runner.invoke(main, ["fit", "--model", "normal-mean", "--input", path, "--draws", "100"])
     assert result.exit_code == 2
     assert "input format error: value 3 of the data file is not a number: 'x'\n" in result.output
+
+
+def test_number_list_skips_a_leading_byte_order_mark(runner, tmp_path):
+    argv = ["fit", "--model", "normal-mean", "--draws", "100", "--format", "json", "--input"]
+    plain = runner.invoke(main, argv + [_write(tmp_path, "y.txt", "0.5, -1.25\n3e-3\n")])
+    marked = runner.invoke(main, argv + [_write(tmp_path, "y-bom.txt", "\ufeff0.5, -1.25\n3e-3\n")])
+    assert plain.exit_code == marked.exit_code == 0
+    assert marked.output == plain.output
 
 
 def test_exit_code_3_for_non_finite(runner, tmp_path):
@@ -404,7 +420,7 @@ def test_fit_schools_reports_the_mle_of_flat_modes(runner, mode):
     if mode == "hierarchical":
         assert report["lpd_at_mle"] is None and report["aic"] is None
         return
-    mle = SchoolsModel(mode).fit(default_eight_schools(), draws=1, seed=0).point_estimates().mle
+    mle = SchoolsModel(mode).fit(load_schools_csv(), draws=1, seed=0).point_estimates().mle
     assert (report["lpd_at_mle"], report["k"]) == (mle.total_loglik, mle.k)
     assert report["aic"] == -2.0 * (mle.total_loglik - mle.k)
 
@@ -456,12 +472,29 @@ def test_a_non_finite_setting_exits_2_naming_it(runner, tmp_path, argv, message)
     assert f"error: {message}" in result.output
 
 
+_DIC_CHOICES = tuple(p.replace("_", "-") for p in DIC_PARAMETERIZATIONS)
+
+
+@pytest.mark.parametrize("command, option, choices", [
+    ("fit", "--mode", POOLING_MODES),
+    ("loo", "--mode", POOLING_MODES),
+    ("fit", "--counting", COUNTINGS),
+    ("loo", "--counting", COUNTINGS),
+    ("fit", "--dic-parameterization", _DIC_CHOICES),
+    ("election", "--dic-parameterization", _DIC_CHOICES),
+])
+def test_a_model_options_choices_are_the_models_own(command, option, choices):
+    param = next(p for p in main.commands[command].params if option in p.opts)
+    assert tuple(param.type.choices) == choices
+
+
 def test_fit_regression_matches_election_report(runner):
     result = runner.invoke(
         main, ["fit", "--model", "regression", "--draws", "2000", "--seed", "12", "--format", "json"]
     )
     assert result.exit_code == 0
-    assert json.loads(result.output)["report"] == election_report(draws=2000, seed=12)["criteria"]
+    report = election_report(load_election_csv(), draws=2000, seed=12, dic_parameterization="log_sigma")
+    assert json.loads(result.output)["report"] == report["criteria"]
 
 
 def test_fit_single_draw_table_prints_warnings(runner, tmp_path):

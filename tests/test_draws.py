@@ -217,6 +217,33 @@ def test_model_tables_and_leading_blank_lines_stay_on_numpys_parser(case, monkey
     assert [a.tobytes() for a in _arrays(got)] == [a.tobytes() for a in _arrays(want)]
 
 
+_BOM_TABLES = {
+    **_NUMPY_TABLES,
+    "draw matrix": (read_loglik_csv, "-1.5,-2\n-3,-4.25e-7\n", ["-1.5", "-2"]),
+    "draw matrix with a header": (read_loglik_csv, "point_1,point_2\n-1.5,-2\n-3,-4.25e-7\n",
+                                  ["point_1", "point_2"]),
+}
+
+
+@pytest.mark.parametrize("as_path", [False, True], ids=["stream", "path"])
+@pytest.mark.parametrize("case", sorted(_BOM_TABLES))
+def test_a_leading_byte_order_mark_is_skipped_on_numpys_parser(case, as_path, tmp_path, monkeypatch):
+    load, text, first = _BOM_TABLES[case]
+
+    def read(body):
+        if not as_path:
+            return load(io.StringIO(body))
+        path = tmp_path / "table.csv"
+        path.write_text(body, encoding="utf-8")
+        return load(path)
+
+    want = read(text)
+    taken = _rows_taken_by_csv(monkeypatch)
+    got = read("\ufeff" + text)
+    assert taken == [first]
+    assert [a.tobytes() for a in _arrays(got)] == [a.tobytes() for a in _arrays(want)]
+
+
 def test_csv_format_errors():
     with pytest.raises(MatrixFormatError, match="header row must be"):
         read_loglik_csv(io.StringIO("a,b\n1,2\n"))

@@ -6,7 +6,7 @@ import pytest
 from predcrit.draws import PointwiseLogLikMatrix, log_mean_exp, lppd
 from predcrit.errors import ModelRefusalError, NonFiniteLogLikError
 from predcrit.loo import loo_report
-from predcrit.models import NormalMeanModel, SchoolsModel, default_eight_schools
+from predcrit.models import NormalMeanModel, SchoolsModel, load_schools_csv
 from predcrit.models.schools import _SchoolsFit
 from predcrit.reports import schools_table_report
 from predcrit.seeds import derive_seed
@@ -171,7 +171,7 @@ def test_derived_seeds_are_distinct_and_deterministic():
 
 def test_no_pooling_refusal_propagates_through_loo():
     with pytest.raises(ModelRefusalError, match="model cannot predict held-out point"):
-        loo_report(SchoolsModel("no_pooling"), default_eight_schools(), 0.0, draws=500, seed=1)
+        loo_report(SchoolsModel("no_pooling"), load_schools_csv(), 0.0, draws=500, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def _normal_logpdf(x, mean, var):
 def _complete_pooling_reference(data):
     """sum_i log N(y_i | mean_post(-i), v_post(-i) + sigma_i^2)."""
     total = 0.0
-    for i in range(data.J):
+    for i in range(len(data)):
         y, sigma = np.delete(data.y, i), np.delete(data.sigma, i)
         v_post = 1.0 / (1.0 / sigma**2).sum()
         mean_post = v_post * (y / sigma**2).sum()
@@ -197,7 +197,7 @@ def _hierarchical_reference(data):
     """sum_i log sum_g p(tau_g | y(-i)) N(y_i | mu_hat(tau_g), V_mu(tau_g) + tau_g^2 + sigma_i^2)
     over the fold sampler's own tau grid, with the grid posterior recomputed here."""
     total = 0.0
-    for i in range(data.J):
+    for i in range(len(data)):
         grid = SchoolsModel().fit(data, exclude=i, draws=1, seed=0).tau_grid
         y, sigma = np.delete(data.y, i), np.delete(data.sigma, i)
         var = sigma[None, :] ** 2 + grid[:, None] ** 2
@@ -215,7 +215,7 @@ def _hierarchical_reference(data):
 @pytest.mark.parametrize("seed", [3, 2024])
 @pytest.mark.parametrize("mode", ["complete_pooling", "hierarchical"])
 def test_schools_loo_matches_an_independent_reference(mode, seed):
-    data = default_eight_schools()
+    data = load_schools_csv()
     draws = 40_000
     rep = loo_report(SchoolsModel(mode), data, 0.0, draws=draws, seed=seed, bias_correction=False)
     ref = (_complete_pooling_reference(data) if mode == "complete_pooling"
@@ -232,5 +232,5 @@ def test_schools_table_scores_only_its_three_full_data_fits(monkeypatch):
         return original(fit)
 
     monkeypatch.setattr(_SchoolsFit, "pointwise_loglik", counting)
-    schools_table_report(draws=500, seed=5)
+    schools_table_report(load_schools_csv(), draws=500, seed=5)
     assert calls == [None, None, None]

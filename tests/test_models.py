@@ -1,12 +1,13 @@
 import io
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from predcrit import oracle
+from predcrit import models, oracle
 from predcrit.criteria import criterion_report
 from predcrit.draws import PointwiseLogLikMatrix, lppd
 from predcrit.errors import MatrixFormatError, ModelRefusalError
@@ -17,8 +18,6 @@ from predcrit.models import (
     RegressionData,
     RegressionModel,
     SchoolsModel,
-    default_eight_schools,
-    default_election,
     load_election_csv,
     load_schools_csv,
     regression_fit,
@@ -104,7 +103,7 @@ def test_row_sums_equal_total_loglik_normal():
 # ---------------------------------------------------------------------------
 
 def test_election_fit_reproduces_published_point_estimates():
-    fit = regression_fit(default_election(), S, SEED)
+    fit = regression_fit(load_election_csv(), S, SEED)
     a, b, sig = fit.mle
     assert round(a, 1) == 45.9
     assert round(b, 1) == 3.2
@@ -116,7 +115,7 @@ def test_election_fit_reproduces_published_point_estimates():
 
 
 def test_regression_posterior_moments_match_closed_forms():
-    data = default_election()
+    data = load_election_csv()
     fit = regression_fit(data, S, SEED)
     # sigma^2 | y is scaled-inverse-chi^2(nu, s^2): mean nu s^2/(nu - 2)
     nu = len(data) - 2
@@ -131,7 +130,7 @@ def test_regression_posterior_moments_match_closed_forms():
 
 
 def test_complete_pooling_posterior_moments():
-    data = default_eight_schools()
+    data = load_schools_csv()
     fit = SchoolsModel("complete_pooling").fit(data, draws=S, seed=SEED)
     w = 1.0 / data.sigma**2
     v = 1.0 / w.sum()
@@ -143,7 +142,7 @@ def test_complete_pooling_posterior_moments():
 
 
 def test_regression_line_passes_through_means():
-    data = default_election()
+    data = load_election_csv()
     fit = regression_fit(data, S, SEED)
     xbar, ybar = data.x.mean(), data.y.mean()
     centre = fit.a + fit.b * xbar
@@ -152,7 +151,7 @@ def test_regression_line_passes_through_means():
 
 
 def test_regression_row_sum_consistency():
-    data = default_election()
+    data = load_election_csv()
     fit = regression_fit(data, 400, 9)
     mat = fit.pointwise_loglik()
     mu = fit.a[:, None] + fit.b[:, None] * data.x[None, :]
@@ -171,7 +170,7 @@ def test_regression_rejects_degenerate_inputs():
 
 
 def test_dic_parameterization_choices_are_distinct():
-    data = default_election()
+    data = load_election_csv()
     vals = {p: RegressionModel(p).fit(data, draws=50_000, seed=SEED).point_estimates().lpd_at_mean
             for p in ("sigma", "sigma2", "log_sigma")}
     assert vals["log_sigma"] > vals["sigma"] > vals["sigma2"]
@@ -188,14 +187,20 @@ def test_regression_model_rejects_unknown_parameterization():
 # ---------------------------------------------------------------------------
 
 def test_default_dataset_is_the_coaching_table():
-    data = default_eight_schools()
+    data = load_schools_csv()
     np.testing.assert_array_equal(data.y, [28, 8, -3, 7, -1, 1, 18, 12])
     np.testing.assert_array_equal(data.sigma, [15, 10, 16, 11, 9, 11, 10, 18])
-    assert data.J == 8 and len(data) == 8
+    assert len(data) == 8
+
+
+@pytest.mark.parametrize("load, name", [(load_schools_csv, "eight_schools.csv"), (load_election_csv, "election.csv")])
+def test_a_loader_without_a_source_reads_its_packaged_table(load, name):
+    bundled, from_path = load(), load(Path(models.__file__).parent / "data" / name)
+    assert [a.tobytes() for a in vars(bundled).values()] == [a.tobytes() for a in vars(from_path).values()]
 
 
 def _flat_mode_mle(mode):
-    return SchoolsModel(mode).fit(default_eight_schools(), draws=10, seed=0).point_estimates().mle
+    return SchoolsModel(mode).fit(load_schools_csv(), draws=10, seed=0).point_estimates().mle
 
 
 def test_schools_flat_mode_mle_values():
@@ -209,7 +214,7 @@ def test_schools_flat_mode_mle_values():
 
 
 def test_complete_pooling_lpd_at_posterior_mean():
-    fit = SchoolsModel("complete_pooling").fit(default_eight_schools(), draws=S, seed=SEED)
+    fit = SchoolsModel("complete_pooling").fit(load_schools_csv(), draws=S, seed=SEED)
     lpd_at_mean = fit.point_estimates().lpd_at_mean
     assert -2 * lpd_at_mean == pytest.approx(59.4, abs=0.1)
     mat = fit.pointwise_loglik()
@@ -217,13 +222,13 @@ def test_complete_pooling_lpd_at_posterior_mean():
 
 
 def test_hierarchical_p_dic_near_published_value():
-    fit = schools_fit(default_eight_schools(), S, SEED)
+    fit = schools_fit(load_schools_csv(), S, SEED)
     pd = criterion_report(fit.pointwise_loglik(), lpd_at_mean=fit.point_estimates().lpd_at_mean).p_dic
     assert pd == pytest.approx(2.8, abs=0.3)
 
 
 def test_tau_posterior_mass_concentrated_near_zero():
-    fit = schools_fit(default_eight_schools(), 1_000, 1)
+    fit = schools_fit(load_schools_csv(), 1_000, 1)
     grid, mass = fit.tau_grid, fit.tau_mass
     cdf = np.cumsum(mass)
     assert cdf[np.searchsorted(grid, 10.0)] > 0.6
@@ -232,7 +237,7 @@ def test_tau_posterior_mass_concentrated_near_zero():
 
 
 def test_degenerate_grid_at_zero_reproduces_complete_pooling():
-    data = default_eight_schools()
+    data = load_schools_csv()
     hier = SchoolsModel(tau_grid=np.array([0.0])).fit(data, draws=S, seed=101)
     cp = SchoolsModel("complete_pooling").fit(data, draws=S, seed=202)
     # all groups share one effect; compare the shared-effect samples
@@ -243,7 +248,7 @@ def test_degenerate_grid_at_zero_reproduces_complete_pooling():
 
 
 def test_new_groups_prediction_mode():
-    data = default_eight_schools()
+    data = load_schools_csv()
     fit = SchoolsModel(prediction_mode="new_groups").fit(data, draws=20_000, seed=7)
     mat = fit.pointwise_loglik()
     assert mat.n_points == 8
@@ -265,11 +270,11 @@ def test_schools_model_refuses_unknown_or_inconsistent_settings():
 
 def test_no_pooling_heldout_refusal_direct():
     with pytest.raises(ModelRefusalError, match="no distribution for an unobserved group"):
-        SchoolsModel("no_pooling").fit(default_eight_schools(), exclude=2, draws=100, seed=0)
+        SchoolsModel("no_pooling").fit(load_schools_csv(), exclude=2, draws=100, seed=0)
 
 
 def test_schools_row_sum_consistency():
-    data = default_eight_schools()
+    data = load_schools_csv()
     fit = schools_fit(data, 300, 8)
     mat = fit.pointwise_loglik()
     direct = (
@@ -292,7 +297,7 @@ def test_schools_csv_loader_errors():
 def test_election_csv_loader():
     with pytest.raises(MatrixFormatError, match="header"):
         load_election_csv(io.StringIO("growth,vote\n1,50\n"))
-    data = default_election()
+    data = load_election_csv()
     assert len(data) == 15
 
 
@@ -387,7 +392,7 @@ def test_normal_mean_fit_without_training_points_draws_from_the_prior():
 
 
 def test_regression_refit_scores_all_points_at_the_training_estimates():
-    data = default_election()
+    data = load_election_csv()
     fit = RegressionModel().fit(data, exclude=3, draws=2_000, seed=5)
     pe = fit.point_estimates()
     x, y = np.delete(data.x, 3), np.delete(data.y, 3)
@@ -401,7 +406,7 @@ def test_regression_refit_scores_all_points_at_the_training_estimates():
 
 
 def test_schools_refits_follow_pointwise_loglik():
-    data = default_eight_schools()
+    data = load_schools_csv()
     with pytest.raises(ModelRefusalError):
         SchoolsModel("no_pooling").fit(data, exclude=2, draws=100, seed=0).point_estimates()
     assert SchoolsModel().fit(data, exclude=2, draws=100, seed=0).point_estimates().mle is None
@@ -450,10 +455,10 @@ SCORED_FITS = {
                     _row_major_normal_mean),
     "normal-mean-refit": (lambda: NormalMeanModel().fit(_LAYOUT_Y, exclude=1, draws=_LAYOUT_S, seed=1),
                           _row_major_normal_mean),
-    "regression": (lambda: regression_fit(default_election(), _LAYOUT_S, 1), _row_major_regression),
-    "regression-refit": (lambda: RegressionModel().fit(default_election(), exclude=4, draws=_LAYOUT_S, seed=1),
+    "regression": (lambda: regression_fit(load_election_csv(), _LAYOUT_S, 1), _row_major_regression),
+    "regression-refit": (lambda: RegressionModel().fit(load_election_csv(), exclude=4, draws=_LAYOUT_S, seed=1),
                          _row_major_regression),
-    **{f"schools-{mode}": (lambda mode=mode: SchoolsModel(mode).fit(default_eight_schools(), draws=_LAYOUT_S, seed=1),
+    **{f"schools-{mode}": (lambda mode=mode: SchoolsModel(mode).fit(load_schools_csv(), draws=_LAYOUT_S, seed=1),
                            _row_major_schools)
        for mode in ("no_pooling", "complete_pooling", "hierarchical")},
     **{f"balanced-{counting}": (lambda counting=counting: BalancedModel(0.0, 1.0, counting).fit(
@@ -472,7 +477,7 @@ def test_every_model_writes_a_column_major_matrix_equal_to_the_row_major_formula
     assert np.array_equal(values, formula(fit))
 
 
-_SCHOOLS = default_eight_schools()
+_SCHOOLS = load_schools_csv()
 HIERARCHICAL_FITS = {
     "default-grid": lambda draws, seed: schools_fit(_SCHOOLS, draws, seed),
     "pinned-0": lambda draws, seed: SchoolsModel(tau_grid=np.array([0.0])).fit(_SCHOOLS, draws=draws, seed=seed),
@@ -487,7 +492,7 @@ HIERARCHICAL_FITS = {
 def test_hierarchical_theta_equals_the_per_draw_conditional_formula(case):
     draws, seed = 5_000, 17
     fit = HIERARCHICAL_FITS[case](draws, seed)
-    y, sigma, J = _SCHOOLS.y, _SCHOOLS.sigma, _SCHOOLS.J
+    y, sigma, J = _SCHOOLS.y, _SCHOOLS.sigma, len(_SCHOOLS)
     # replay the fit's stream: tau by inverse CDF, then mu's normals, then a
     # refit's held-out effect, then theta's: the conditional effects, or
     # under new-groups prediction the population draws alone
@@ -521,8 +526,8 @@ REFITS = {
         _LAYOUT_Y, exclude=i, draws=draws, seed=seed)),
     "normal-mean-m1": (_LAYOUT_Y, lambda i, draws, seed: NormalMeanModel(m=1.0, mu0=0.3).fit(
         _LAYOUT_Y, exclude=i, draws=draws, seed=seed)),
-    "regression": (default_election().x, lambda i, draws, seed: RegressionModel().fit(
-        default_election(), exclude=i, draws=draws, seed=seed)),
+    "regression": (load_election_csv().x, lambda i, draws, seed: RegressionModel().fit(
+        load_election_csv(), exclude=i, draws=draws, seed=seed)),
     "schools-complete-pooling": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel("complete_pooling").fit(
         _SCHOOLS, exclude=i, draws=draws, seed=seed)),
     "schools-existing-groups": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel().fit(

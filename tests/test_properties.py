@@ -10,7 +10,7 @@ from predcrit.draws import PointwiseLogLikMatrix, log_mean_exp, lppd
 from predcrit.errors import ModelRefusalError
 from predcrit.expectation import ReplicationPlan, _chunk_sizes, _replicate_chunk, run_expectation_study
 from predcrit.loo import loo_report
-from predcrit.models import NormalMeanModel, SchoolsModel, default_eight_schools
+from predcrit.models import NormalMeanModel, SchoolsModel, load_schools_csv
 from predcrit.seeds import derive_seed
 
 
@@ -83,7 +83,7 @@ def test_replicate_parallelism_is_bit_reproducible():
 
 def test_no_pooling_loo_refusal_is_the_designated_error():
     with pytest.raises(ModelRefusalError, match="model cannot predict held-out point"):
-        loo_report(SchoolsModel("no_pooling"), default_eight_schools(), lppd_full=-30.0, draws=200, seed=1)
+        loo_report(SchoolsModel("no_pooling"), load_schools_csv(), lppd_full=-30.0, draws=200, seed=1)
 
 
 def test_loo_report_internal_identities():
