@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .draws import (
-    PointwiseLogLikMatrix,
-    _column_pass,
-    mc_standard_error,
-)
+from .draws import PointwiseLogLikMatrix, _column_pass
 
 __all__ = [
     "PointEstimateLogLik",
@@ -171,18 +167,22 @@ def criterion_report(
         report.p_waic2 = cp.p_waic2
         report.elppd_waic2 = cp.lppd - cp.p_waic2
         report.waic = -2.0 * report.elppd_waic2
-        R, D, Q, T = cp.ratio_sums, cp.dev_sums, cp.dev2_sums, cp.totals
+        var = cp.variances
+
+        def se(variance):
+            return math.sqrt(variance / m.n_draws)
+
         # the variance form: 2 Var_post of the per-draw total log density
-        report.p_dic_alt = 2.0 * float(T.var(ddof=1))
+        report.p_dic_alt = 2.0 * var.d
         # Each error is that of a mean over draws of a per-draw sum of
-        # first-order influences; their per-point constants drop out.
-        se = mc_standard_error
-        report.mc_se_lppd = se(R)
-        report.mc_se_mean_loglik = se(T)
-        report.mc_se_p_dic_alt = 2.0 * se((T - T.mean()) ** 2)
-        report.mc_se_p_waic1 = 2.0 * se(R - D)
-        report.mc_se_p_waic2 = se(Q)
-        report.mc_se_waic = 2.0 * se(R - Q)
+        # first-order influences; their per-point constants drop out, and
+        # the centred total D stands for the total (its mean is zero).
+        report.mc_se_lppd = se(var.r)
+        report.mc_se_mean_loglik = se(var.d)
+        report.mc_se_p_dic_alt = 2.0 * se(var.d2)
+        report.mc_se_p_waic1 = 2.0 * se(var.r_minus_d)
+        report.mc_se_p_waic2 = se(var.q)
+        report.mc_se_waic = 2.0 * se(var.r_minus_q)
     else:
         warnings.append(
             "variance-based estimates (p_waic2, p_dic_alt, mc_se fields) "
@@ -195,7 +195,7 @@ def criterion_report(
         report.lpd_at_mean = float(lpd_at_mean)
         # 2 (log p(y|theta_mean) - E_post log p(y|theta)); negative when the
         # posterior mean is far from the mode, which is warned of, not clamped
-        pd = 2.0 * (lpd_at_mean - float(cp.totals.mean()))
+        pd = 2.0 * (lpd_at_mean - cp.mean_loglik)
         report.p_dic = pd
         report.elpd_dic = lpd_at_mean - pd
         report.dic = -2.0 * report.elpd_dic

@@ -187,18 +187,43 @@ def lppd(m: PointwiseLogLikMatrix) -> float:
     return float(_log_mean_exp_columns(m.values)[0].sum())
 
 
+class _DrawVariances(NamedTuple):
+    """Variances over draws (ddof=1) of the per-draw sums every Monte Carlo
+    error is taken from: R_s = sum_i exp(a_si - lme_i), the centred total
+    D_s = sum_i (a_si - mean_i) and Q_s = sum_i (a_si - mean_i)^2."""
+
+    r: float
+    d: float
+    d2: float  # of D_s^2
+    r_minus_d: float
+    q: float
+    r_minus_q: float
+
+
 class _ColumnPass(NamedTuple):
-    """The column-sum criteria of one matrix, and the per-draw sums every
-    Monte Carlo error of them is a variance of (ratio_i = exp(a_i - lme_i),
-    dev_i = a_i - mean_i)."""
+    """The column-sum criteria of one matrix and the variances of its
+    per-draw sums."""
 
     lppd: float
     p_waic1: float
     p_waic2: float | None  # None for a single draw
-    ratio_sums: np.ndarray  # R_s = sum_i ratio_si
-    dev_sums: np.ndarray  # D_s = sum_i dev_si
-    dev2_sums: np.ndarray  # Q_s = sum_i dev_si^2
-    totals: np.ndarray  # T_s = sum_i a_si
+    mean_loglik: float  # E_post log p(y | theta), the mean of the per-draw totals
+    variances: _DrawVariances | None  # None for a single draw
+
+
+def _merge_moments(moments: np.ndarray, count: int, block: np.ndarray) -> None:
+    """Fold the columns of `block` (one row per series) into the running
+    mean and sum of squared deviations, moments[0] and moments[1], of the
+    `count` values of each series merged so far (Chan, Golub & LeVeque,
+    1979). `block` is overwritten."""
+    k = block.shape[1]
+    total = count + k
+    block_mean = block.sum(axis=1) / k
+    block -= block_mean[:, None]
+    block *= block
+    delta = block_mean - moments[0]
+    moments[0] += delta * (k / total)
+    moments[1] += block.sum(axis=1) + delta * delta * (count * k / total)
 
 
 def _column_pass(m: PointwiseLogLikMatrix) -> _ColumnPass:
@@ -207,35 +232,48 @@ def _column_pass(m: PointwiseLogLikMatrix) -> _ColumnPass:
 
     The first pass sums the shifted exponentials. The second recomputes
     them as ratios, then takes the deviations and their squares, block by
-    block, for the per-draw sums and the column sums of squares. The
-    deviations are centred per column rather than taken from the totals,
-    so D and Q stay accurate at any magnitude of the log densities.
+    block, for the column sums of squares and the per-draw sums R, D and Q
+    of the block's draws. The six series the errors need (R, D, D^2, R - D,
+    Q, R - Q) are merged into running moments as each block is done, so no
+    array has a length of S. The deviations are centred per column: D is
+    the per-draw total less sum_i mean_i, and D and Q stay accurate at any
+    magnitude of the log densities.
     """
     vals = m.values
     s = m.n_draws
     lme, shift, w_bar = _log_mean_exp_columns(vals)
     mean = vals.mean(axis=0)
-    ratio_sums, dev_sums, dev2_sums = np.empty((3, s))
+    # running mean and sum of squared deviations of R, D, D^2, R - D, Q, R - Q
+    moments = np.zeros((2, len(_DrawVariances._fields)))
+    series = None  # one row per series, one column per draw of a block
 
     def per_draw(start, block, out):
-        draws = slice(start, start + len(block))
+        nonlocal series
+        if series is None:
+            series = np.empty((len(moments[0]), len(block)))
+        r, d, d2, r_minus_d, q, r_minus_q = block_series = series[:, :len(block)]
         _shifted_exp(block, shift, out)
         out /= w_bar
-        out.sum(axis=1, out=ratio_sums[draws])
+        out.sum(axis=1, out=r)
         np.subtract(block, mean, out=out)
-        out.sum(axis=1, out=dev_sums[draws])
+        out.sum(axis=1, out=d)
         np.square(out, out=out)
-        out.sum(axis=1, out=dev2_sums[draws])
+        out.sum(axis=1, out=q)
+        np.square(d, out=d2)
+        np.subtract(r, d, out=r_minus_d)
+        np.subtract(r, q, out=r_minus_q)
+        _merge_moments(moments, start, block_series)
 
     dev2_columns = _column_sums(vals, per_draw)
+    means, sums_of_squares = moments
+    have_variance = s > 1
     return _ColumnPass(
         lppd=float(lme.sum()),
         p_waic1=float(2.0 * (lme - mean).sum()),
-        p_waic2=float((dev2_columns / (s - 1)).sum()) if s > 1 else None,
-        ratio_sums=ratio_sums,
-        dev_sums=dev_sums,
-        dev2_sums=dev2_sums,
-        totals=m.row_totals(),
+        p_waic2=float((dev2_columns / (s - 1)).sum()) if have_variance else None,
+        # the mean of D corrects sum_i mean_i for the rounding of the means
+        mean_loglik=float(mean.sum() + means[1]),
+        variances=_DrawVariances(*(sums_of_squares / (s - 1)).tolist()) if have_variance else None,
     )
 
 
@@ -247,12 +285,24 @@ def _is_path(source) -> bool:
     return isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
 
 
-def _csv_rows(stream):
+def _csv_rows(stream, first: int = 0):
     """The rows of a CSV text stream, read a line at a time, so the stream
     stops at the end of the last row taken: every cell stripped of
-    surrounding whitespace, rows whose cells are all blank dropped."""
-    rows = ([cell.strip() for cell in row] for row in csv.reader(iter(stream.readline, "")))
-    return (row for row in rows if any(row))
+    surrounding whitespace, rows whose cells are all blank dropped.
+
+    A row the csv module cannot split (a cell over its field-size limit, a
+    bare CR line end in a stream not opened with newline="") raises a
+    MatrixFormatError naming it, rows numbered from `first`, blank rows
+    not counted."""
+    number = first
+    try:
+        for row in csv.reader(iter(stream.readline, "")):
+            row = [cell.strip() for cell in row]
+            if any(row):
+                yield row
+                number += 1
+    except csv.Error as err:
+        raise MatrixFormatError(f"row {number} is not valid CSV: {err}") from None
 
 
 def _require_finite(values: np.ndarray, name: str) -> np.ndarray:
@@ -333,10 +383,10 @@ def _read_table(source, header, what: str, rows: str, *, labels: int = 0,
             return data[:, labels:]
 
     source.seek(body)
-    table = list(_csv_rows(source))
+    offset = 0 if numeric else 1
+    table = list(_csv_rows(source, offset))
     if not table:
         raise MatrixFormatError(f"{what} file has a header but no {rows}")
-    offset = 0 if numeric else 1
     data = np.empty((len(table), width - labels), dtype=float)
     for r, row in enumerate(table, start=offset):
         if len(row) != width:

@@ -80,6 +80,17 @@ def test_exit_code_2_for_malformed_csv(runner, tmp_path):
     assert runner.invoke(main, ["criteria", "--input", path]).exit_code == 2
 
 
+@pytest.mark.parametrize("command, text", [
+    ("criteria", "point_1," + "a" * 200_000 + "\n-1,-2\n"),
+    ("criteria", "point_1,point_2\n-1,-2\n" + "a" * 200_000 + ",-3\n"),
+    ("schools-table", "school,y," + "a" * 200_000 + "\nA,28,15\nB,8,10\n"),
+], ids=["header", "body", "schools header"])
+def test_exit_code_2_for_a_cell_over_the_csv_field_limit(runner, tmp_path, command, text):
+    result = runner.invoke(main, [command, "--input", _write(tmp_path, "huge.csv", text)])
+    assert result.exit_code == 2
+    assert "is not valid CSV: field larger than field limit" in result.output
+
+
 def test_number_list_names_its_first_bad_value(runner, tmp_path):
     path = _write(tmp_path, "y.txt", "0.5\n1.2,x\n")
     result = runner.invoke(main, ["fit", "--model", "normal-mean", "--input", path, "--draws", "100"])

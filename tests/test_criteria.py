@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from predcrit import draws
 from predcrit.criteria import (
     PointEstimateLogLik,
     aic,
@@ -160,37 +161,40 @@ def test_mc_se_fields_shrink_with_draws():
     assert r_big.mc_se_p_waic2 < r_small.mc_se_p_waic2
 
 
-def _parent_report(vals, lpd_at_mean, mle):
-    """The report's fields from the per-(s, i) influence formulas it used
-    before the one-pass kernel, as a reference."""
+def _reference_report(vals, lpd_at_mean, mle):
+    """The report's fields from the per-(s, i) influence formulas, in long
+    double, as a reference. Each point's draws are centred at the column
+    mean the report takes, so the centred total D_s = sum_i (a_si - mean_i)
+    is the same series on both sides; E_post log p(y | theta) is exact."""
 
     def se(per_draw):
-        return math.sqrt(per_draw.var(ddof=1) / per_draw.size)
+        return np.sqrt(per_draw.var(ddof=1) / per_draw.size)
 
-    shift = vals.max(axis=0)
-    lme = shift + np.log(np.exp(vals - shift).mean(axis=0))
-    mean_cols = vals.mean(axis=0)
-    row_totals = vals.sum(axis=1)
+    a = vals.astype(np.longdouble)
+    shift = a.max(axis=0)
+    lme = shift + np.log(np.exp(a - shift).mean(axis=0))
+    mean_cols = vals.mean(axis=0).astype(np.longdouble)
     ref = {"lppd": lme.sum(), "p_waic1": 2.0 * (lme - mean_cols).sum()}
     ref["elppd_waic1"] = ref["lppd"] - ref["p_waic1"]
     if vals.shape[0] >= 2:
-        var_cols = vals.var(axis=0, ddof=1)
-        ratio = np.exp(vals - lme)
-        dev = vals - mean_cols
+        ratio = np.exp(a - lme)
+        dev = a - mean_cols
         dev2 = dev**2
+        var_cols = dev2.sum(axis=0) / (vals.shape[0] - 1)
+        centred_totals = dev.sum(axis=1)
         ref["p_waic2"] = var_cols.sum()
         ref["elppd_waic2"] = ref["lppd"] - ref["p_waic2"]
-        ref["p_dic_alt"] = 2.0 * row_totals.var(ddof=1)
+        ref["p_dic_alt"] = 2.0 * centred_totals.var(ddof=1)
         ref["mc_se_lppd"] = se((ratio - 1.0).sum(axis=1))
-        ref["mc_se_mean_loglik"] = se(row_totals)
-        ref["mc_se_p_dic_alt"] = 2.0 * se((row_totals - row_totals.mean()) ** 2)
+        ref["mc_se_mean_loglik"] = se(centred_totals)
+        ref["mc_se_p_dic_alt"] = 2.0 * se(centred_totals**2)
         ref["mc_se_p_waic1"] = 2.0 * se(((ratio - 1.0) - dev).sum(axis=1))
         ref["mc_se_p_waic2"] = se((dev2 - var_cols).sum(axis=1))
         ref["mc_se_waic"] = 2.0 * se(((ratio - 1.0) - (dev2 - var_cols)).sum(axis=1))
         ref["waic"] = -2.0 * ref["elppd_waic2"]
     if lpd_at_mean is not None:
         ref["lpd_at_mean"] = lpd_at_mean
-        ref["p_dic"] = 2.0 * (lpd_at_mean - row_totals.mean())
+        ref["p_dic"] = 2.0 * (lpd_at_mean - a.mean(axis=0).sum())
         ref["elpd_dic"] = lpd_at_mean - ref["p_dic"]
         ref["dic"] = -2.0 * ref["elpd_dic"]
         if "mc_se_mean_loglik" in ref:
@@ -200,7 +204,7 @@ def _parent_report(vals, lpd_at_mean, mle):
         ref["elpd_aic"] = mle.total_loglik - mle.k
         ref["aic"] = -2.0 * ref["elpd_aic"]
         ref["bic"] = -2.0 * mle.total_loglik + mle.k * math.log(vals.shape[1])
-    return ref
+    return {key: float(value) for key, value in ref.items()}
 
 
 def _differential_corpus():
@@ -222,7 +226,7 @@ def test_report_matches_per_draw_influence_reference():
         m = _matrix(vals)
         for lpd_at_mean, fit in ((None, None), (float(vals.sum(axis=1).max()), mle)):
             rep = criterion_report(m, lpd_at_mean=lpd_at_mean, mle=fit)
-            ref = _parent_report(vals, lpd_at_mean, fit)
+            ref = _reference_report(vals, lpd_at_mean, fit)
             for key, got in rep.to_dict().items():
                 if key in ("warnings", "k"):
                     continue
@@ -235,14 +239,51 @@ def test_report_matches_per_draw_influence_reference():
     assert cases == 2 * 3 * 6 * 2
 
 
-def test_report_working_memory_is_two_blocks_and_a_few_vectors():
-    vals = np.random.default_rng(6).normal(-2.0, 1.0, size=(4000, 250))
-    s, n = vals.shape
+def _traced_peak(vals, **kwargs):
     tracemalloc.start()
     try:
-        criterion_report(PointwiseLogLikMatrix(vals), lpd_at_mean=-500.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        criterion_report(PointwiseLogLikMatrix(vals), **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # validation included, and nothing S x n: about a tenth of the matrix here
-    assert peak <= 2 * _BLOCK_BYTES + 8 * 8 * (s + n)
+
+
+def test_report_working_memory_is_two_blocks_and_a_few_vectors():
+    vals = np.random.default_rng(6).normal(-2.0, 1.0, size=(4000, 250))
+    n = vals.shape[1]
+    peak = _traced_peak(vals, lpd_at_mean=-500.0)
+    # validation included, and nothing S x n or of length S: under a tenth of
+    # the matrix here
+    assert peak <= 2 * _BLOCK_BYTES + 8 * 8 * n
+
+
+def _sliding_rows(s, n, seed):
+    """An S x n matrix of distinct draws held in S + n floats: draw s is
+    x[s:s + n], a read-only view, so S can be large without the memory."""
+    x = np.random.default_rng(seed).normal(-2.0, 1.0, size=s + n)
+    return np.lib.stride_tricks.as_strided(x, shape=(s, n), strides=(8, 8), writeable=False)
+
+
+@pytest.mark.parametrize("n", [1, 10, 250])
+def test_report_working_memory_does_not_grow_with_the_draws(n):
+    few, many = (_traced_peak(_sliding_rows(s, n, seed=n), lpd_at_mean=-5.0) for s in (40_000, 400_000))
+    assert many <= few + 64 * 1024
+    if n >= 10:
+        assert many < 1024 * 1024
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_report_does_not_depend_on_the_block_size(order, monkeypatch):
+    vals = np.asarray(np.random.default_rng(8).normal(-2.0, 1.3, size=(3000, 40)), order=order)
+    m = PointwiseLogLikMatrix(vals)
+    fit = {"lpd_at_mean": -70.0, "mle": PointEstimateLogLik(-60.0, k=3)}
+    want = criterion_report(m, **fit).to_dict()
+    for block_bytes in (vals[:1].nbytes, vals.nbytes):  # one draw; the whole matrix
+        monkeypatch.setattr(draws, "_BLOCK_BYTES", block_bytes)
+        got = criterion_report(m, **fit).to_dict()
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert math.isclose(got[key], value, rel_tol=1e-12), (key, block_bytes, got[key], value)
+            else:
+                assert got[key] == value, key

@@ -14,6 +14,7 @@ from predcrit.draws import (
     _BLOCK_BYTES,
     PointwiseLogLikMatrix,
     _ColumnPass,
+    _DrawVariances,
     _column_pass,
     _require_finite_loglik,
     log_mean_exp,
@@ -160,8 +161,8 @@ def _rows_taken_by_csv(monkeypatch):
     taken = []
     rows_of = draws._csv_rows
 
-    def spy(stream):
-        for row in rows_of(stream):
+    def spy(stream, *first):
+        for row in rows_of(stream, *first):
             taken.append(row)
             yield row
 
@@ -257,6 +258,37 @@ def test_csv_format_errors():
         read_loglik_csv(io.StringIO("point_1,point_2\n"))
     with pytest.raises(NonFiniteLogLikError):
         read_loglik_csv(io.StringIO("1,2\ninf,4\n"))
+
+
+_HUGE_CELL = "a" * 200_000  # over the csv module's 131072-character field limit
+_FIELD_LIMIT = "row {} is not valid CSV: field larger than field limit (131072)"
+
+# (loader, text, the message of the error it raises)
+_ROWS_THE_CSV_MODULE_REFUSES = {
+    "draw matrix, huge header cell": (
+        read_loglik_csv, f"point_1,{_HUGE_CELL}\n-1,-2\n", _FIELD_LIMIT.format(0)),
+    "draw matrix, huge cell in a body numpy refuses": (
+        read_loglik_csv, f"point_1,point_2\n-1,-2\n{_HUGE_CELL},-3\n", _FIELD_LIMIT.format(2)),
+    "draw matrix, bare CR line ends": (
+        read_loglik_csv, "point_1,point_2\r-1,-2\r-3,-4\r",
+        "row 0 is not valid CSV: new-line character seen in unquoted field"),
+    "schools, huge header cell": (
+        load_schools_csv, f"school,y,{_HUGE_CELL}\nA,28,15\n", _FIELD_LIMIT.format(0)),
+    "schools, huge cell in a body numpy refuses": (
+        load_schools_csv, f"school,y,sigma\nA,28,15\n\nB,{_HUGE_CELL},10\n", _FIELD_LIMIT.format(2)),
+    "schools, bare CR line ends": (
+        load_schools_csv, "school,y,sigma\rA,28,15\rB,8,10\r",
+        "row 0 is not valid CSV: new-line character seen in unquoted field"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROWS_THE_CSV_MODULE_REFUSES))
+def test_a_row_the_csv_module_refuses_is_a_format_error_naming_it(case):
+    load, text, message = _ROWS_THE_CSV_MODULE_REFUSES[case]
+    with pytest.raises(MatrixFormatError) as info:
+        load(io.StringIO(text))
+    assert str(info.value).startswith(message)
+    assert info.value.__cause__ is None
 
 
 def test_csv_write_reads_back_bit_identical_via_stringio():
@@ -393,26 +425,29 @@ def test_plot_csv_writers_pin_bytes(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _whole_matrix_pass(vals):
-    """The column pass as one S x n buffer computes it, field by field."""
+    """The column pass as one S x n buffer computes it, field by field,
+    with each variance taken by np.var over the whole per-draw series."""
     shift = vals.max(axis=0)
     buf = np.exp(vals - shift)
     w_bar = buf.mean(axis=0)
     lme = shift + np.log(w_bar)
     buf /= w_bar
-    ratio_sums = buf.sum(axis=1)
+    r = buf.sum(axis=1)
     mean = vals.mean(axis=0)
     np.subtract(vals, mean, out=buf)
-    dev_sums = buf.sum(axis=1)
+    d = buf.sum(axis=1)
     np.square(buf, out=buf)
+    q = buf.sum(axis=1)
     s = vals.shape[0]
+    variances = None
+    if s > 1:
+        variances = _DrawVariances(*(float(np.var(x, ddof=1)) for x in (r, d, d**2, r - d, q, r - q)))
     return _ColumnPass(
         lppd=float(lme.sum()),
         p_waic1=float(2.0 * (lme - mean).sum()),
         p_waic2=float((buf.sum(axis=0) / (s - 1)).sum()) if s > 1 else None,
-        ratio_sums=ratio_sums,
-        dev_sums=dev_sums,
-        dev2_sums=buf.sum(axis=1),
-        totals=vals.sum(axis=1),
+        mean_loglik=float(mean.sum() + d.mean()),
+        variances=variances,
     )
 
 
@@ -432,17 +467,25 @@ KERNEL_SHAPES = [
 ]
 
 
+def _assert_merged_fields_match(got, want):
+    """The fields merged block by block agree within 1e-12."""
+    assert math.isclose(got.mean_loglik, want.mean_loglik, rel_tol=1e-12)
+    if want.variances is None:
+        assert got.variances is None
+        return
+    for field, expected in want.variances._asdict().items():
+        actual = getattr(got.variances, field)
+        assert math.isclose(actual, expected, rel_tol=1e-12), (field, actual, expected)
+
+
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
 def test_row_blocked_pass_is_bitwise_the_whole_matrix_pass_on_row_major_input(shape):
     vals = np.random.default_rng(sum(shape)).normal(-2.0, 1.3, size=shape)
     m = PointwiseLogLikMatrix(vals)
     got, want = _column_pass(m), _whole_matrix_pass(vals)
-    for field, expected in want._asdict().items():
-        actual = getattr(got, field)
-        if expected is None:
-            assert actual is None, field
-        else:
-            assert np.asarray(actual).tobytes() == np.asarray(expected).tobytes(), field
+    for field in ("lppd", "p_waic1", "p_waic2"):
+        assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes(), field
+    _assert_merged_fields_match(got, want)
     assert lppd(m) == want.lppd
     assert criterion_report(m).lppd == lppd(m)
 
@@ -452,12 +495,16 @@ def test_row_blocked_pass_matches_the_whole_matrix_pass_on_column_major_input(sh
     vals = np.asfortranarray(np.random.default_rng(sum(shape)).normal(-2.0, 1.3, size=shape))
     m = PointwiseLogLikMatrix(vals)
     got, want = _column_pass(m), _whole_matrix_pass(vals)
-    for field, expected in want._asdict().items():
-        actual = getattr(got, field)
+    for field in ("lppd", "p_waic1", "p_waic2"):
+        expected = getattr(want, field)
         if expected is None:
-            assert actual is None, field
+            assert getattr(got, field) is None, field
         else:
-            np.testing.assert_allclose(actual, expected, rtol=1e-13, err_msg=field)
+            assert math.isclose(getattr(got, field), expected, rel_tol=1e-13), field
+    # numpy sums a row of a column-major buffer in order, so the per-draw
+    # series of the whole column-major buffer carry an error of about n ulps
+    # (2e-12 of a variance at n = 32779); a row-major buffer sums pairwise
+    _assert_merged_fields_match(got, _whole_matrix_pass(np.ascontiguousarray(vals)))
     assert lppd(m) == got.lppd
     assert criterion_report(m).lppd == lppd(m)
 
