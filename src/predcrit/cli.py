@@ -272,8 +272,7 @@ def fit(model, input_path, draws, seed, fmt, output, **options):
 def loo(model, input_path, draws, seed, fmt, output, **options):
     """Exact leave-one-out cross-validation by refitting."""
     model_obj, data = _build_model(model, input_path, **options)
-    full_fit = model_obj.fit(data, draws=draws, seed=derive_seed(seed, 0))
-    full_lppd = lppd(full_fit.pointwise_loglik())
+    full_lppd = lppd(model_obj.fit(data, draws=draws, seed=derive_seed(seed, 0)).pointwise_loglik())
     loo_rep = loo_report(model_obj, data, full_lppd, draws=draws, seed=derive_seed(seed, 1), bias_correction=True)
     payload = {"draws": draws, "seed": seed, "model": model, "lppd": full_lppd, "loo": loo_rep.to_dict()}
     _emit(payload, [("lppd", (full_lppd,))] + _numeric_rows(payload["loo"]), fmt, output)

@@ -3,23 +3,29 @@
 Each of the n folds refits the model without point i and scores the held
 out point under the training posterior. Fold i always draws from a child
 seed derived from (master seed, i), so folds can run in any order, or in
-parallel, and still aggregate to bit-identical results.
+parallel, and still aggregate to bit-identical results. `loo_report` runs
+them on a thread pool, one worker per CPU the process may use; numpy
+releases the GIL in its loops over the draws, so the folds overlap.
 
 The first-order bias correction compensates LOO for conditioning on n-1
 rather than n points: b = lppd - mean over folds of the full-data lppd
 under the fold posterior, and the corrected estimate is lppd_loo + b.
-Every fold scores its held-out point with `heldout_loglik()`; only the
-correction scores the fold's full matrix.
+Every fold scores its held-out point with `loglik(i)`; only the correction
+scores the fold's other points, one column at a time, so no fold holds an
+S x n matrix.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
-from .draws import PointwiseLogLikMatrix, _require_finite_loglik, log_mean_exp, lppd as lppd_of, mc_standard_error
+from .draws import PointwiseLogLikMatrix, _require_finite_loglik, log_mean_exp, mc_standard_error
+from .draws import lppd as lppd_of  # noqa: F401  (unused here; perfbench's tracer wraps this binding)
 from .seeds import derive_seed
 
 __all__ = [
@@ -36,10 +42,9 @@ class PosteriorFit(Protocol):
         posterior. For a fit made with `exclude=i`, column i must use only
         the training posterior."""
 
-    def heldout_loglik(self) -> np.ndarray:
-        """For a fit made with `exclude=i`: the length-S column of point i,
-        bitwise equal to `pointwise_loglik().column(i)`, at the cost of that
-        column alone."""
+    def loglik(self, j: int) -> np.ndarray:
+        """The length-S column of point j, bitwise equal to
+        `pointwise_loglik().column(j)`, at the cost of that column alone."""
 
 
 class FittableModel(Protocol):
@@ -63,6 +68,21 @@ class LooReport:
         return dict(self.__dict__)
 
 
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _scored_lme(fit: PosteriorFit, j: int) -> tuple[np.ndarray, float]:
+    """(column j of the fit, its log_mean_exp), refusing NaN or inf."""
+    col = fit.loglik(j)
+    _require_finite_loglik(col[:, None], first_point=j)
+    return col, log_mean_exp(col)
+
+
 def loo_report(
     model: FittableModel, data, lppd_full: float, *, draws: int, seed: int,
     bias_correction: bool = True,
@@ -72,7 +92,10 @@ def loo_report(
     Fold i refits with the seed derived from (seed, i); `lppd_loo` and
     `lppd_bar_minus_i` are fields of this report. Each fold scores its
     held-out column, refused if it holds NaN or inf; only `bias_correction`
-    scores the fold's full matrix too.
+    scores the fold's other columns too. The folds run concurrently and
+    their results are added in fold order, so every field is bitwise
+    independent of the worker count; if several folds raise, the error of
+    the lowest-numbered one propagates.
     With a single draw the Monte Carlo error is unavailable and
     `mc_se_lppd_loo` is None. A non-finite `lppd_full` is refused before
     the first refit.
@@ -82,19 +105,23 @@ def loo_report(
         raise ValueError("leave-one-out requires at least 2 data points")
     if not math.isfinite(lppd_full):
         raise ValueError("the full-data lppd must be finite")
-    per_point = []
-    fold_full = []
-    se_sq = 0.0
-    for i in range(n):
+
+    def fold(i: int) -> tuple[float, float, float | None]:
+        """(log_mean_exp of the held-out column, its squared Monte Carlo
+        error, the fold's full-data lppd or None)."""
         fit = model.fit(data, exclude=i, draws=draws, seed=derive_seed(seed, i))
-        col = fit.heldout_loglik()
-        _require_finite_loglik(col[:, None], first_point=i)
+        col, lme = _scored_lme(fit, i)
+        se_sq = mc_standard_error(np.exp(col - lme)) ** 2 if draws > 1 else 0.0  # delta method
+        del col
+        full = None
         if bias_correction:
-            fold_full.append(lppd_of(fit.pointwise_loglik()))
-        lme = log_mean_exp(col)
-        per_point.append(lme)
-        if draws > 1:  # delta-method error of log_mean_exp(col)
-            se_sq += mc_standard_error(np.exp(col - lme)) ** 2
+            full = float(np.sum([lme if j == i else _scored_lme(fit, j)[1] for j in range(n)]))
+        return lme, se_sq, full
+
+    with ThreadPoolExecutor(min(_available_cpus(), n)) as pool:
+        # map yields in fold order and cancels the folds not yet started
+        # once one raises
+        per_point, se_sq, fold_full = (list(t) for t in zip(*pool.map(fold, range(n))))
     loo_total = float(sum(per_point))
     bar = float(np.mean(fold_full)) if bias_correction else None
     b = lppd_full - bar if bias_correction else None
@@ -106,5 +133,5 @@ def loo_report(
         p_loo=lppd_full - loo_total,
         p_cloo=bar - loo_total if bias_correction else None,
         per_point=per_point,
-        mc_se_lppd_loo=math.sqrt(se_sq) if draws > 1 else None,
+        mc_se_lppd_loo=math.sqrt(sum(se_sq)) if draws > 1 else None,
     )

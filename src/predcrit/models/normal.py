@@ -17,19 +17,29 @@ from ..draws import PointwiseLogLikMatrix, _require_finite
 __all__ = [
     "NormalMeanSpec",
     "normal_logpdf_inplace",
+    "normal_terms",
     "NormalMeanModel",
 ]
 
 
-def normal_logpdf_inplace(resid: np.ndarray, var) -> np.ndarray:
+def normal_terms(var) -> tuple:
+    """(-2 var, 0.5 log(2 pi var)): the terms of log N(r | 0, var) that do
+    not involve the residual r."""
+    return -2.0 * var, 0.5 * np.log(2.0 * np.pi * var)
+
+
+def normal_logpdf_inplace(resid: np.ndarray, var, terms: tuple | None = None) -> np.ndarray:
     """Overwrite `resid` with log N(resid | 0, var) and return it.
 
-    `var` broadcasts against `resid`. Every model scores its data here, so
-    the caller owns the only S x n buffer the density needs.
+    `var` broadcasts against `resid`. A caller that scores many residuals
+    under one array `var` passes `terms=normal_terms(var)`, taken once.
+    Every model scores its data here, so the caller owns the only S x n
+    buffer the density needs.
     """
+    minus_2var, half_log = normal_terms(var) if terms is None else terms
     np.square(resid, out=resid)
-    resid /= -2.0 * var
-    resid -= 0.5 * np.log(2.0 * np.pi * var)
+    resid /= minus_2var
+    resid -= half_log
     return resid
 
 
@@ -101,8 +111,9 @@ class _NormalMeanFit:
         """Entry (s, i) = log N(y_i | theta^s, 1), as a column-major S x n matrix."""
         return PointwiseLogLikMatrix(normal_logpdf_inplace(np.subtract.outer(self._y, self.theta).T, 1.0))
 
-    def heldout_loglik(self) -> np.ndarray:
-        return normal_logpdf_inplace(self._y[self._exclude] - self.theta, 1.0)
+    def loglik(self, j: int) -> np.ndarray:
+        """Column j of `pointwise_loglik()`, scored alone."""
+        return normal_logpdf_inplace(self._y[j] - self.theta, 1.0)
 
     def point_estimates(self) -> PointEstimates:
         """Total log density of all n points, the ones `pointwise_loglik`

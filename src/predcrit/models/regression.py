@@ -17,7 +17,7 @@ import numpy as np
 
 from ..criteria import PointEstimateLogLik, PointEstimates
 from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
-from .normal import normal_logpdf_inplace
+from .normal import normal_logpdf_inplace, normal_terms
 
 __all__ = ["RegressionData", "RegressionModel", "regression_fit", "load_election_csv", "DIC_PARAMETERIZATIONS"]
 
@@ -88,14 +88,23 @@ class _RegressionFit:
 
         rng = np.random.default_rng(seed)
         sigma2 = nu * s2 / rng.chisquare(nu, draws)
+        sigma = np.sqrt(sigma2)
+        # (a, b) = beta_hat + sigma L z with L lower triangular, one
+        # length-S column per coefficient (an S x 2 matmul is several times
+        # slower); z keeps the stream's order, row s holding (z_a, z_b)
         chol = np.linalg.cholesky(xtx_inv)
         z = rng.standard_normal((draws, 2))
-        betas = beta_hat + (z @ chol.T) * np.sqrt(sigma2)[:, None]
+        a = z[:, 0] * chol[0, 0]
+        b = z[:, 0] * chol[1, 0]
+        b += z[:, 1] * chol[1, 1]
+        a *= sigma
+        b *= sigma
 
-        self.a = betas[:, 0]
-        self.b = betas[:, 1]
+        self.a = np.add(beta_hat[0], a, out=a)
+        self.b = np.add(beta_hat[1], b, out=b)
         self.sigma2 = sigma2
-        self.sigma = np.sqrt(sigma2)
+        self.sigma = sigma
+        self._terms = None  # normal_terms(sigma2), taken by the first `loglik`
         self.mle = (float(beta_hat[0]), float(beta_hat[1]), float(np.sqrt(rss / n_train)))
         self.rss = rss
         self.nu = nu
@@ -137,9 +146,15 @@ class _RegressionFit:
         np.subtract(y[None, :], resid, out=resid)
         return PointwiseLogLikMatrix(normal_logpdf_inplace(resid, self.sigma2[:, None]))
 
-    def heldout_loglik(self) -> np.ndarray:
-        x, y = self._data.x[self._exclude], self._data.y[self._exclude]
-        return normal_logpdf_inplace(y - (x * self.b + self.a), self.sigma2)
+    def loglik(self, j: int) -> np.ndarray:
+        """Column j of `pointwise_loglik()`, scored alone; the per-draw
+        terms of the density are taken once per fit."""
+        if self._terms is None:
+            self._terms = normal_terms(self.sigma2)
+        resid = self.b * self._data.x[j]
+        resid += self.a
+        np.subtract(self._data.y[j], resid, out=resid)
+        return normal_logpdf_inplace(resid, self.sigma2, self._terms)
 
 
 class RegressionModel:

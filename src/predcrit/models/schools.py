@@ -18,7 +18,6 @@ refit is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -147,7 +146,7 @@ class _SchoolsFit:
             )
         self._rng = rng = np.random.default_rng(seed)
         self._draws = draws
-        self.tau = self.mu = self.tau_grid = self.tau_mass = self._heldout = None
+        self.tau = self.mu = self.tau_grid = self.tau_mass = self._heldout = self._theta = None
         if model.mode == "complete_pooling":
             w = 1.0 / sigma[keep] ** 2
             v_post = 1.0 / w.sum()
@@ -164,8 +163,16 @@ class _SchoolsFit:
         if exclude is None:  # a full-data fit draws every effect when built
             self.theta
 
-    @cached_property
+    @property
     def theta(self) -> np.ndarray:
+        # set by hand, not by functools.cached_property: before Python 3.12
+        # that takes one lock for the whole class, so concurrent LOO folds
+        # would draw their effects one at a time
+        if self._theta is None:
+            self._theta = self._draw_theta()
+        return self._theta
+
+    def _draw_theta(self) -> np.ndarray:
         d, rng, draws, model = self._data, self._rng, self._draws, self._model
         if model.mode == "no_pooling":
             return d.y + d.sigma * rng.standard_normal((draws, len(d)))
@@ -221,9 +228,16 @@ class _SchoolsFit:
         resid = np.subtract(d.y, self.theta, order="F")  # S x J, column-major
         return PointwiseLogLikMatrix(normal_logpdf_inplace(resid, d.sigma**2))
 
-    def heldout_loglik(self) -> np.ndarray:
-        d, i = self._data, self._exclude
-        return normal_logpdf_inplace(d.y[i] - self._heldout, (d.sigma**2)[i])
+    def loglik(self, j: int) -> np.ndarray:
+        """Column j of `pointwise_loglik()`, scored alone. A refit's
+        held-out group is scored without drawing the other effects, and
+        complete pooling's shared effect without repeating it per group."""
+        d = self._data
+        if j == self._exclude:
+            effect = self._heldout
+        else:
+            effect = self.mu if self._model.mode == "complete_pooling" else self.theta[:, j]
+        return normal_logpdf_inplace(d.y[j] - effect, (d.sigma**2)[j])
 
 
 def schools_fit(data: EightSchoolsData, draws: int, seed: int) -> _SchoolsFit:

@@ -60,6 +60,7 @@ def schools_table_report(
         pe = fit.point_estimates()
 
         rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
+        del fit, mat  # the folds below run concurrently; free the full-data draws first
         if rep.k is None:
             for row in ("minus2_lpd_mle", "k", "aic"):
                 rows[row][mode] = UNDEFINED_AIC_HIERARCHICAL
@@ -108,6 +109,7 @@ def election_report(
     mat = fit.pointwise_loglik()
     rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
     summary = lpd_posterior_summary(mat.row_totals())
+    del fit, mat  # the folds below run concurrently; free the full-data draws first
     loo = loo_report(model, data, rep.lppd, draws=draws, seed=derive_seed(seed, 1), bias_correction=True)
 
     return {

@@ -1,12 +1,24 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_models import REFITS
 
+from predcrit import loo
 from predcrit.draws import PointwiseLogLikMatrix, log_mean_exp, lppd
 from predcrit.errors import ModelRefusalError, NonFiniteLogLikError
 from predcrit.loo import loo_report
-from predcrit.models import NormalMeanModel, SchoolsModel, load_schools_csv
+from predcrit.models import (
+    NormalMeanModel,
+    RegressionData,
+    RegressionModel,
+    SchoolsModel,
+    load_election_csv,
+    load_schools_csv,
+)
 from predcrit.models.schools import _SchoolsFit
 from predcrit.reports import schools_table_report
 from predcrit.seeds import derive_seed
@@ -52,21 +64,30 @@ def test_loo_needs_two_points():
 
 class _FixedPosteriorModel:
     """Every fold returns the same posterior; lppd_bar must equal the
-    common full-data lppd."""
+    common full-data lppd. Each fit is its own object, as folds run
+    concurrently."""
 
     def __init__(self, matrix):
         self.matrix = matrix
-        self.exclude = None
 
     def fit(self, data, exclude=None, *, draws, seed):
+        return _FixedPosterior(self, exclude)
+
+    def column(self, exclude, j):
+        """Column j of the fit made with `exclude`."""
+        return self.matrix.column(j)
+
+
+class _FixedPosterior:
+    def __init__(self, model, exclude):
+        self.model = model
         self.exclude = exclude
-        return self
 
     def pointwise_loglik(self):
-        return self.matrix
+        return self.model.matrix
 
-    def heldout_loglik(self):
-        return self.matrix.column(self.exclude)
+    def loglik(self, j):
+        return self.model.column(self.exclude, j)
 
 
 class _RecordingModel(_FixedPosteriorModel):
@@ -84,9 +105,9 @@ class _RecordingModel(_FixedPosteriorModel):
 class _NaNHeldOutModel(_FixedPosteriorModel):
     """A fixed posterior whose held-out column of point 1 has a NaN at draw 3."""
 
-    def heldout_loglik(self):
-        col = super().heldout_loglik().copy()
-        if self.exclude == 1:
+    def column(self, exclude, j):
+        col = super().column(exclude, j).copy()
+        if exclude == j == 1:
             col[3] = np.nan
         return col
 
@@ -98,22 +119,128 @@ def test_a_non_finite_heldout_column_is_refused_naming_draw_and_point():
 
 
 class _HeldOutRecordingModel(_FixedPosteriorModel):
-    """A fixed posterior that records the point of each `heldout_loglik` call."""
+    """A fixed posterior that records (left-out point, scored point) of
+    each `loglik` call."""
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        self.heldout = []
+        self.scored = []
 
-    def heldout_loglik(self):
-        self.heldout.append(self.exclude)
-        return super().heldout_loglik()
+    def column(self, exclude, j):
+        self.scored.append((exclude, j))
+        return super().column(exclude, j)
 
 
 @pytest.mark.parametrize("bias_correction", [True, False])
 def test_every_fold_scores_its_point_with_heldout_loglik_once(bias_correction):
     model = _HeldOutRecordingModel(PointwiseLogLikMatrix(np.full((10, 4), -1.0)))
     loo_report(model, np.zeros(4), -4.0, draws=10, seed=1, bias_correction=bias_correction)
-    assert model.heldout == [0, 1, 2, 3]
+    # folds run concurrently, so the calls come in no fixed order
+    assert sorted(i for i, j in model.scored if i == j) == [0, 1, 2, 3]
+    # the correction scores every other point once, reusing the held-out column
+    others = sorted((i, j) for i, j in model.scored if i != j)
+    assert others == ([(i, j) for i in range(4) for j in range(4) if i != j] if bias_correction else [])
+
+
+class _NaNOtherPointModel(_FixedPosteriorModel):
+    """A fixed posterior whose column of point 2, scored by fold 0's bias
+    correction, has a NaN at draw 5."""
+
+    def column(self, exclude, j):
+        col = super().column(exclude, j).copy()
+        if (exclude, j) == (0, 2):
+            col[5] = np.nan
+        return col
+
+
+def test_a_non_finite_column_of_the_correction_is_refused_naming_draw_and_point():
+    model = _NaNOtherPointModel(PointwiseLogLikMatrix(np.full((10, 3), -1.0)))
+    with pytest.raises(NonFiniteLogLikError, match="at draw 5, point 2: nan"):
+        loo_report(model, np.zeros(3), -3.0, draws=10, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# concurrent folds: the worker count changes nothing
+# ---------------------------------------------------------------------------
+
+def _workers(monkeypatch, count):
+    monkeypatch.setattr(loo, "_available_cpus", lambda: count)
+
+
+class _Refits:
+    """The model behind one of test_models' REFITS cases."""
+
+    def __init__(self, refit):
+        self.refit = refit
+
+    def fit(self, data, exclude=None, *, draws, seed):
+        return self.refit(exclude, draws, seed)
+
+
+@pytest.mark.parametrize("bias_correction", [True, False])
+@pytest.mark.parametrize("name", list(REFITS))
+def test_loo_report_is_bitwise_the_same_with_one_worker_and_with_n(monkeypatch, name, bias_correction):
+    """One worker against n, the threads switching every 10 us."""
+    points, refit = REFITS[name]
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for count in (1, points.size):
+            _workers(monkeypatch, count)
+            rep = loo_report(_Refits(refit), points, -10.0, draws=2_000, seed=8, bias_correction=bias_correction)
+            reports.append(repr(rep.to_dict()))  # a float's repr round-trips its bits
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1]
+
+
+class _TwoFailingFoldsModel(_FixedPosteriorModel):
+    """Folds 2 and 4 raise different errors; with `wait`, fold 2 raises
+    only after fold 4 has."""
+
+    def __init__(self, matrix, wait):
+        super().__init__(matrix)
+        self.wait = wait
+        self.fold_4_raised = threading.Event()
+
+    def fit(self, data, exclude=None, *, draws, seed):
+        if exclude == 4:
+            self.fold_4_raised.set()
+            raise ModelRefusalError("fold 4 cannot be fitted")
+        if exclude == 2:
+            if self.wait:
+                assert self.fold_4_raised.wait(timeout=30)
+            raise ValueError("fold 2 cannot be fitted")
+        return super().fit(data, exclude, draws=draws, seed=seed)
+
+
+@pytest.mark.parametrize("count", [1, 6])
+def test_the_lowest_numbered_failing_fold_raises_whichever_fails_first(monkeypatch, count):
+    _workers(monkeypatch, count)
+    model = _TwoFailingFoldsModel(PointwiseLogLikMatrix(np.full((10, 6), -1.0)), wait=count > 1)
+    with pytest.raises(ValueError, match="fold 2 cannot be fitted"):
+        loo_report(model, np.zeros(6), -6.0, draws=10, seed=1)
+
+
+def test_no_fold_holds_an_s_by_n_matrix(monkeypatch):
+    """The tracemalloc peak of a bias-corrected LOO does not grow with n:
+    at S = 100000 an S x 45 matrix is 24 MB more than an S x 15 one. One
+    worker, so that concurrent folds cannot overlap their peaks by chance."""
+    _workers(monkeypatch, 1)
+    base = load_election_csv()
+
+    def peak(copies):
+        data = RegressionData(np.tile(base.x, copies), np.tile(base.y, copies))
+        tracemalloc.start()
+        try:
+            loo_report(RegressionModel(), data, -40.0 * copies, draws=100_000, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the first call also allocates what the process keeps after it
+    assert abs(peak(3) - peak(1)) < 1 << 20
 
 
 def test_without_bias_correction_loo_fields_match_and_the_corrected_ones_are_none():

@@ -517,7 +517,8 @@ def test_hierarchical_theta_equals_the_per_draw_conditional_formula(case):
 
 
 # ---------------------------------------------------------------------------
-# a refit's held-out column: bitwise the full matrix's, at its cost alone
+# a refit's columns, held out or not: bitwise the full matrix's, each at its
+# cost alone
 # ---------------------------------------------------------------------------
 
 _NEW_GROUPS = SchoolsModel(prediction_mode="new_groups")
@@ -541,13 +542,18 @@ REFITS = {
 
 @pytest.mark.parametrize("name", list(REFITS))
 def test_heldout_column_is_bitwise_the_full_matrix_column(name):
+    """`loglik(j)` of every refit is column j of its `pointwise_loglik()`,
+    for the held-out point and every other, and the held-out column is the
+    same when scored first on a fresh refit."""
     points, refit = REFITS[name]
     for i in range(points.size):
         fit = refit(i, 2_000, 40 + i)
-        heldout = fit.heldout_loglik()
+        heldout = fit.loglik(i)
         assert heldout.shape == (2_000,)
-        assert np.array_equal(heldout, fit.pointwise_loglik().column(i))
-        assert np.array_equal(heldout, refit(i, 2_000, 40 + i).heldout_loglik())
+        assert np.array_equal(heldout, refit(i, 2_000, 40 + i).loglik(i))
+        matrix = fit.pointwise_loglik()
+        for j in range(points.size):
+            assert np.array_equal(fit.loglik(j), matrix.column(j)), j
 
 
 @pytest.mark.parametrize("model", [SchoolsModel(), _NEW_GROUPS, SchoolsModel("complete_pooling")],
@@ -555,8 +561,8 @@ def test_heldout_column_is_bitwise_the_full_matrix_column(name):
 def test_a_schools_refit_draws_the_other_effects_only_when_theta_is_read(model):
     draws, seed = 1_000, 9
     fit = model.fit(_SCHOOLS, exclude=2, draws=draws, seed=seed)
-    heldout = fit.heldout_loglik()
-    assert "theta" not in vars(fit)
+    heldout = fit.loglik(2)
+    assert fit._theta is None
     if fit.tau is not None:  # the held-out effect is the third draw: after tau and mu
         rng = np.random.default_rng(seed)
         rng.random(draws)
@@ -564,4 +570,4 @@ def test_a_schools_refit_draws_the_other_effects_only_when_theta_is_read(model):
         assert np.array_equal(fit.theta[:, 2], fit.mu + fit.tau * rng.standard_normal(draws))
     else:
         assert np.array_equal(fit.theta[:, 2], fit.mu)
-    assert np.array_equal(fit.heldout_loglik(), heldout)
+    assert np.array_equal(fit.loglik(2), heldout)
