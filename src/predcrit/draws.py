@@ -45,7 +45,7 @@ class PointwiseLogLikMatrix:
     Validation and the criteria read the matrix in blocks of consecutive
     draws and allocate nothing of its size, so a row-major matrix needs
     no `np.asfortranarray`. The models write theirs column-major (Fortran
-    order), as an exact-LOO fold reads one point's column of it.
+    order), as their matrices are tall and narrow.
     """
 
     values: np.ndarray

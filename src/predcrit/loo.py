@@ -24,8 +24,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .draws import PointwiseLogLikMatrix, _require_finite_loglik, log_mean_exp, mc_standard_error
+from .draws import _require_finite_loglik, log_mean_exp, mc_standard_error
 from .draws import lppd as lppd_of  # noqa: F401  (unused here; perfbench's tracer wraps this binding)
+from .errors import NonFiniteLogLikError
 from .seeds import derive_seed
 
 __all__ = [
@@ -37,14 +38,11 @@ __all__ = [
 
 
 class PosteriorFit(Protocol):
-    def pointwise_loglik(self) -> PointwiseLogLikMatrix:
-        """Log densities of all of the fitted dataset's points under this
-        posterior. For a fit made with `exclude=i`, column i must use only
-        the training posterior."""
-
-    def loglik(self, j: int) -> np.ndarray:
-        """The length-S column of point j, bitwise equal to
-        `pointwise_loglik().column(j)`, at the cost of that column alone."""
+    def loglik(self, idx) -> np.ndarray:
+        """Log densities of the points `idx` of the fitted dataset under this
+        posterior: the length-S column of an int, an S x len(idx) array of
+        an index array, at the cost of those points alone. For a fit made
+        with `exclude=i`, point i must use only the training posterior."""
 
 
 class FittableModel(Protocol):
@@ -79,8 +77,11 @@ def _available_cpus() -> int:
 def _scored_lme(fit: PosteriorFit, j: int) -> tuple[np.ndarray, float]:
     """(column j of the fit, its log_mean_exp), refusing NaN or inf."""
     col = fit.loglik(j)
-    _require_finite_loglik(col[:, None], first_point=j)
-    return col, log_mean_exp(col)
+    try:
+        return col, log_mean_exp(col)
+    except NonFiniteLogLikError:
+        _require_finite_loglik(col[:, None], first_point=j)
+        raise
 
 
 def loo_report(

@@ -99,21 +99,20 @@ def _normal_draws(mean: float, var: float, draws: int, seed: int) -> np.ndarray:
 
 
 class _NormalMeanFit:
-    def __init__(self, y_full: np.ndarray, center: float, mle: float | None, theta: np.ndarray,
-                 exclude: int | None):
+    def __init__(self, y_full: np.ndarray, center: float, mle: float | None, theta: np.ndarray):
         self._y = y_full
         self._center = center  # the posterior mean
         self._mle = mle  # the training ybar, None without training points
-        self._exclude = exclude
         self.theta = theta
 
     def pointwise_loglik(self) -> PointwiseLogLikMatrix:
-        """Entry (s, i) = log N(y_i | theta^s, 1), as a column-major S x n matrix."""
-        return PointwiseLogLikMatrix(normal_logpdf_inplace(np.subtract.outer(self._y, self.theta).T, 1.0))
+        return PointwiseLogLikMatrix(self.loglik(np.arange(self._y.size)))
 
-    def loglik(self, j: int) -> np.ndarray:
-        """Column j of `pointwise_loglik()`, scored alone."""
-        return normal_logpdf_inplace(self._y[j] - self.theta, 1.0)
+    def loglik(self, idx) -> np.ndarray:
+        """Entry (s, i) = log N(y_i | theta^s, 1) of the points `idx`: the
+        length-S column of an int, a column-major S x len(idx) array of an
+        index array."""
+        return normal_logpdf_inplace(np.subtract.outer(self._y[idx], self.theta).T, 1.0)
 
     def point_estimates(self) -> PointEstimates:
         """Total log density of all n points, the ones `pointwise_loglik`
@@ -153,4 +152,4 @@ class NormalMeanModel:
         else:
             raise ValueError("flat-prior fit needs at least one training point")
         theta = _normal_draws(center, var, draws, seed)
-        return _NormalMeanFit(y, center, mle, theta, exclude)
+        return _NormalMeanFit(y, center, mle, theta)

@@ -104,10 +104,11 @@ class _RegressionFit:
         self.b = np.add(beta_hat[1], b, out=b)
         self.sigma2 = sigma2
         self.sigma = sigma
-        self._terms = None  # normal_terms(sigma2), taken by the first `loglik`
+        # a refit's LOO fold scores its points one at a time: take the
+        # density's per-draw terms once
+        self._terms = None if exclude is None else normal_terms(sigma2)
         self.mle = (float(beta_hat[0]), float(beta_hat[1]), float(np.sqrt(rss / n_train)))
         self.rss = rss
-        self.nu = nu
 
     # ---- point summaries -------------------------------------------------
     @property
@@ -140,21 +141,17 @@ class _RegressionFit:
 
     # ---- draw-level evaluation -------------------------------------------
     def pointwise_loglik(self) -> PointwiseLogLikMatrix:
-        x, y = self._data.x, self._data.y
-        resid = np.multiply.outer(x, self.b).T  # S x n, column-major
-        resid += self.a[:, None]
-        np.subtract(y[None, :], resid, out=resid)
-        return PointwiseLogLikMatrix(normal_logpdf_inplace(resid, self.sigma2[:, None]))
+        return PointwiseLogLikMatrix(self.loglik(np.arange(len(self._data))))
 
-    def loglik(self, j: int) -> np.ndarray:
-        """Column j of `pointwise_loglik()`, scored alone; the per-draw
-        terms of the density are taken once per fit."""
-        if self._terms is None:
-            self._terms = normal_terms(self.sigma2)
-        resid = self.b * self._data.x[j]
+    def loglik(self, idx) -> np.ndarray:
+        """log N(y_i | a + b x_i, sigma^2) per draw of the points `idx`: the
+        length-S column of an int, a column-major S x len(idx) array of an
+        index array."""
+        # built len(idx) x S, so the transpose is column-major
+        resid = np.multiply.outer(self._data.x[idx], self.b)
         resid += self.a
-        np.subtract(self._data.y[j], resid, out=resid)
-        return normal_logpdf_inplace(resid, self.sigma2, self._terms)
+        np.subtract(self._data.y[idx][..., None], resid, out=resid)
+        return normal_logpdf_inplace(resid, self.sigma2, self._terms).T
 
 
 class RegressionModel:

@@ -10,10 +10,10 @@ hierarchical      theta_j ~ N(mu, tau^2), uniform hyperprior on (mu, tau)
 
 The hierarchical posterior is sampled without MCMC: tau from its gridded
 marginal (inverse CDF on a dense uniform grid), then mu | tau, y normal,
-then each theta_j | mu, tau, y normal. A held-out group has no data in
-the training fit, so its effect is drawn from the population N(mu, tau^2);
-under no pooling that distribution does not exist and a leave-one-out
-refit is refused.
+then each theta_j | mu, tau, y normal. A group without data in the fit
+(held out, or new) is scored with its effect integrated out: y_j | mu,
+tau ~ N(mu, tau^2 + sigma_j^2). Under no pooling that distribution does
+not exist and a leave-one-out refit is refused.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 from ..criteria import PointEstimateLogLik, PointEstimates
 from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
 from ..errors import ModelRefusalError
-from .normal import normal_logpdf_inplace
+from .normal import normal_logpdf_inplace, normal_terms
 
 __all__ = [
     "EightSchoolsData",
@@ -122,14 +122,10 @@ class SchoolsModel:
 
 
 class _SchoolsFit:
-    """Cached posterior draws for every group, training or held out.
-
-    theta has shape (S, J) over the *full* group list; a held-out group's
-    column is drawn from the training posterior (the shared effect, or
-    the hierarchical population). No pooling has none, so its refit raises.
-    A refit draws its held-out effect (`_heldout`) when built, after tau
-    and mu, and the other groups' effects only when `theta` is first read.
-    """
+    """Posterior draws of the pooling mode's parameters. `theta` (S x J,
+    over the *full* group list) is drawn when first read; a held-out
+    group's column is the shared effect or mu, never conditioned on its
+    own y. `loglik` says how a group without data in the fit is scored."""
 
     def __init__(self, model: SchoolsModel, data: EightSchoolsData, exclude: int | None, draws: int, seed: int):
         self._model = model
@@ -144,24 +140,21 @@ class _SchoolsFit:
                 "model cannot predict held-out point: the no-pooling fit has "
                 "no distribution for an unobserved group"
             )
+        self._unseen = np.isin(np.arange(J), keep, invert=True) | (model.prediction_mode == "new_groups")
         self._rng = rng = np.random.default_rng(seed)
         self._draws = draws
-        self.tau = self.mu = self.tau_grid = self.tau_mass = self._heldout = self._theta = None
+        self.tau = self.mu = self.tau_grid = self.tau_mass = self._theta = None
         if model.mode == "complete_pooling":
             w = 1.0 / sigma[keep] ** 2
             v_post = 1.0 / w.sum()
             mean_post = v_post * (w * y[keep]).sum()
-            self.mu = self._heldout = mean_post + np.sqrt(v_post) * rng.standard_normal(draws)
+            self.mu = mean_post + np.sqrt(v_post) * rng.standard_normal(draws)
         elif model.mode == "hierarchical":
             grid, mass, mu_hat, v_mu = _tau_grid_posterior(y[keep], sigma[keep], model.tau_grid)
             self.tau_grid, self.tau_mass = grid, mass
             self._idx = idx = np.searchsorted(np.cumsum(mass), rng.random(draws))
             self.tau = grid[idx]
             self.mu = mu_hat[idx] + np.sqrt(v_mu[idx]) * rng.standard_normal(draws)
-            if exclude is not None:
-                self._heldout = self.mu + self.tau * rng.standard_normal(draws)
-        if exclude is None:  # a full-data fit draws every effect when built
-            self.theta
 
     @property
     def theta(self) -> np.ndarray:
@@ -173,71 +166,79 @@ class _SchoolsFit:
         return self._theta
 
     def _draw_theta(self) -> np.ndarray:
-        d, rng, draws, model = self._data, self._rng, self._draws, self._model
-        if model.mode == "no_pooling":
+        d, rng, draws, mode = self._data, self._rng, self._draws, self._model.mode
+        if mode == "no_pooling":
             return d.y + d.sigma * rng.standard_normal((draws, len(d)))
-        if model.mode == "complete_pooling":
+        if mode == "complete_pooling":
             return np.repeat(self.mu[:, None], len(d), axis=1)
+        # theta_j | mu, tau ~ N((y t2 + mu s2) / den, s2 t2 / den) with
+        # t2 = tau^2 and den = t2 + s2, so tau = 0 needs no special case;
+        # the tau-only factors are tabulated on the grid, then gathered
         idx, mu = self._idx, self.mu
-        if model.prediction_mode == "new_groups":
-            theta = mu[:, None] + self.tau[:, None] * rng.standard_normal((draws, len(d)))
-        else:
-            # theta_j | mu, tau ~ N((y t2 + mu s2) / den, s2 t2 / den) with
-            # t2 = tau^2 and den = t2 + s2, so tau = 0 needs no special case;
-            # the tau-only factors are tabulated on the grid, then gathered
-            g2 = self.tau_grid[:, None] ** 2
-            s2 = d.sigma**2
-            den = g2 + s2
-            sd = np.sqrt(s2 * g2 / den)
-            theta = np.take(d.y * g2, idx, axis=0)
-            buf = np.multiply(mu[:, None], s2)
-            theta += buf
-            theta /= np.take(den, idx, axis=0, out=buf)
-            rng.standard_normal(out=buf)
-            buf *= np.take(sd, idx, axis=0)
-            theta += buf
+        g2 = self.tau_grid[:, None] ** 2
+        s2 = d.sigma**2
+        den = g2 + s2
+        sd = np.sqrt(s2 * g2 / den)
+        theta = np.take(d.y * g2, idx, axis=0)
+        buf = np.multiply(mu[:, None], s2)
+        theta += buf
+        theta /= np.take(den, idx, axis=0, out=buf)
+        rng.standard_normal(out=buf)
+        buf *= np.take(sd, idx, axis=0)
+        theta += buf
         if self._exclude is not None:
-            theta[:, self._exclude] = self._heldout
+            theta[:, self._exclude] = mu
         return theta
 
     def point_estimates(self) -> PointEstimates:
-        """Log densities of all J groups at the posterior mean of the group
-        effects and, for the two flat-prior modes, at the MLE of the training
-        groups: theta_j = y_j under no pooling, the precision-weighted mean
-        under complete pooling. The hierarchical model has no MLE."""
+        """Log densities of all J groups, each scored as `loglik` scores
+        it, at posterior means: of the group effects or, for a hierarchical
+        group without data, of mu and tau. A new-groups fit reports those
+        two means in place of `theta_bayes`. The two flat-prior modes also
+        report their MLE of the training groups: theta_j = y_j under no
+        pooling, the precision-weighted mean under complete pooling. The
+        hierarchical model has no MLE."""
         d, mode = self._data, self._model.mode
-        var = d.sigma**2
-        theta_bayes = self.theta.mean(axis=0)
-        mle = None
+        var, mle = d.sigma**2, None
         if mode == "no_pooling":  # theta_j = y_j leaves no residual
             mle = PointEstimateLogLik(float(normal_logpdf_inplace(np.zeros(len(d)), var).sum()), len(d))
         elif mode == "complete_pooling":
-            w = 1.0 / var
-            if self._exclude is not None:
-                w[self._exclude] = 0.0
+            w = np.where(self._unseen, 0.0, 1.0 / var)
             mu_hat = float((w * d.y).sum() / w.sum())
             mle = PointEstimateLogLik(float(normal_logpdf_inplace(d.y - mu_hat, var).sum()), 1)
-        return PointEstimates(
-            lpd_at_mean=float(normal_logpdf_inplace(d.y - theta_bayes, var).sum()),
-            mle=mle,
-            summary={"theta_bayes": theta_bayes.tolist()},
-        )
+        else:
+            means = {"mu": float(self.mu.mean()), "tau": float(self.tau.mean())}
+            var = var + self._unseen * means["tau"] ** 2
+        if self._model.prediction_mode == "new_groups":
+            center, summary = means["mu"], {"posterior_means": means}
+        else:
+            center = self.theta.mean(axis=0)
+            summary = {"theta_bayes": center.tolist()}
+        return PointEstimates(float(normal_logpdf_inplace(d.y - center, var).sum()), mle, summary)
 
     def pointwise_loglik(self) -> PointwiseLogLikMatrix:
-        d = self._data
-        resid = np.subtract(d.y, self.theta, order="F")  # S x J, column-major
-        return PointwiseLogLikMatrix(normal_logpdf_inplace(resid, d.sigma**2))
+        return PointwiseLogLikMatrix(self.loglik(np.arange(len(self._data))))
 
-    def loglik(self, j: int) -> np.ndarray:
-        """Column j of `pointwise_loglik()`, scored alone. A refit's
-        held-out group is scored without drawing the other effects, and
-        complete pooling's shared effect without repeating it per group."""
+    def loglik(self, idx) -> np.ndarray:
+        """log N(y_j | theta_j, sigma_j^2) per draw of the groups `idx`: the
+        length-S column of an int, a column-major S x len(idx) array of an
+        index array. Complete pooling scores every group at the shared
+        effect mu. A hierarchical group without data in the fit is scored
+        as log N(y_j | mu, tau^2 + sigma_j^2), its density terms tabulated
+        on the tau grid and gathered by the draws' tau index; scoring only
+        such groups draws no effects."""
         d = self._data
-        if j == self._exclude:
-            effect = self._heldout
+        y, s2, unseen = d.y[idx], d.sigma[idx] ** 2, self._unseen[idx]
+        if self._model.mode == "complete_pooling" or unseen.all():
+            resid = np.subtract.outer(y, self.mu).T
         else:
-            effect = self.mu if self._model.mode == "complete_pooling" else self.theta[:, j]
-        return normal_logpdf_inplace(d.y[j] - effect, (d.sigma**2)[j])
+            resid = np.subtract(y, self.theta[:, idx], order="F")
+        if not unseen.any() or self._model.mode != "hierarchical":
+            return normal_logpdf_inplace(resid, s2)
+        # a group with data keeps s2 + 0 = s2, so its bits are unchanged
+        var = s2[..., None] + unseen[..., None] * self.tau_grid**2
+        terms = tuple(np.take(t, self._idx, axis=-1).T for t in normal_terms(var))
+        return normal_logpdf_inplace(resid, None, terms)
 
 
 def schools_fit(data: EightSchoolsData, draws: int, seed: int) -> _SchoolsFit:

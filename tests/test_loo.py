@@ -159,6 +159,15 @@ def test_a_non_finite_column_of_the_correction_is_refused_naming_draw_and_point(
         loo_report(model, np.zeros(3), -3.0, draws=10, seed=1)
 
 
+def test_a_finite_column_is_scanned_for_nan_and_inf_once(monkeypatch):
+    """`log_mean_exp` refuses a non-finite column itself, so the blockwise
+    scan that names the draw and the point runs only after it has."""
+    scans = []
+    monkeypatch.setattr(loo, "_require_finite_loglik", lambda *args, **kwargs: scans.append(args))
+    loo_report(NormalMeanModel(), np.array([0.0, 2.0, 1.0]), -4.0, draws=100, seed=1)
+    assert scans == []
+
+
 # ---------------------------------------------------------------------------
 # concurrent folds: the worker count changes nothing
 # ---------------------------------------------------------------------------

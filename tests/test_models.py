@@ -252,9 +252,50 @@ def test_new_groups_prediction_mode():
     fit = SchoolsModel(prediction_mode="new_groups").fit(data, draws=20_000, seed=7)
     mat = fit.pointwise_loglik()
     assert mat.n_points == 8
-    # new-group spread exceeds the shrunken existing-group spread
-    existing = schools_fit(data, 20_000, 7)
-    assert fit.theta.var() > existing.theta.var()
+    # each new group's effect is integrated out: y_j | mu, tau ~ N(mu, tau^2 + sigma_j^2)
+    var = fit.tau[:, None] ** 2 + data.sigma[None, :] ** 2
+    direct = -0.5 * np.log(2 * np.pi * var) - (data.y[None, :] - fit.mu[:, None]) ** 2 / (2 * var)
+    np.testing.assert_allclose(mat.values, direct, rtol=1e-12)
+    # DIC is taken at the posterior means of mu and tau, which the summary
+    # reports in place of the effects; no effect is drawn
+    pe = fit.point_estimates()
+    means = {"mu": fit.mu.mean(), "tau": fit.tau.mean()}
+    assert pe.summary == {"posterior_means": means}
+    at_means = stats.norm.logpdf(data.y, means["mu"], np.sqrt(means["tau"] ** 2 + data.sigma**2)).sum()
+    assert pe.lpd_at_mean == pytest.approx(at_means, rel=1e-12)
+    assert fit._theta is None
+
+
+def _new_group_grid(fit, data):
+    """Per group, over the tau grid with mu | tau ~ N(mu_hat_g, V_mu,g):
+    the exact lppd_j and the exact mean and variance of the integrated log
+    density d_j = log N(y_j | mu, tau^2 + sigma_j^2)."""
+    grid, mass = fit.tau_grid[:, None], fit.tau_mass[:, None]
+    y, s2 = data.y[None, :], data.sigma[None, :] ** 2
+    w = 1.0 / (s2 + grid**2)
+    v_mu = 1.0 / w.sum(axis=1, keepdims=True)
+    mu_hat = v_mu * (w * y).sum(axis=1, keepdims=True)
+    lppd_j = np.log((mass * stats.norm.pdf(y, mu_hat, np.sqrt(grid**2 + s2 + v_mu))).sum(axis=0))
+    # d = c - r^2 / (2v) with r = y - mu ~ N(e, V): E r^2 = e^2 + V, E r^4 = e^4 + 6 e^2 V + 3 V^2
+    v, e2, c = grid**2 + s2, (y - mu_hat) ** 2, -0.5 * np.log(2 * np.pi * (grid**2 + s2))
+    r2, r4 = e2 + v_mu, e2**2 + 6 * e2 * v_mu + 3 * v_mu**2
+    mean_d = (mass * (c - r2 / (2 * v))).sum(axis=0)
+    mean_d2 = (mass * (c**2 - c * r2 / v + r4 / (4 * v**2))).sum(axis=0)
+    return lppd_j, mean_d, mean_d2 - mean_d**2
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_new_groups_lppd_and_p_waic2_match_the_tau_grid_sums(seed):
+    data = load_schools_csv()
+    fit = SchoolsModel(prediction_mode="new_groups").fit(data, draws=S, seed=seed)
+    mat = fit.pointwise_loglik()
+    rep = criterion_report(mat)
+    lppd_j, mean_d, var_d = _new_group_grid(fit, data)
+    assert lppd_j.sum() == pytest.approx(-30.62694, abs=1e-5)
+    assert abs(rep.lppd - lppd_j.sum()) < 4 * rep.mc_se_lppd
+    assert abs(mat.row_totals().mean() - mean_d.sum()) < 4 * rep.mc_se_mean_loglik
+    assert abs(rep.p_waic2 - var_d.sum()) < 4 * rep.mc_se_p_waic2
+    assert rep.p_waic2 < 1.0  # was 18.5 while each new group's effect was drawn
 
 
 def test_schools_model_refuses_unknown_or_inconsistent_settings():
@@ -493,26 +534,21 @@ def test_hierarchical_theta_equals_the_per_draw_conditional_formula(case):
     draws, seed = 5_000, 17
     fit = HIERARCHICAL_FITS[case](draws, seed)
     y, sigma, J = _SCHOOLS.y, _SCHOOLS.sigma, len(_SCHOOLS)
-    # replay the fit's stream: tau by inverse CDF, then mu's normals, then a
-    # refit's held-out effect, then theta's: the conditional effects, or
-    # under new-groups prediction the population draws alone
+    # replay the fit's stream: tau by inverse CDF, then mu's normals, then
+    # theta's, the conditional effects whatever the prediction mode; a
+    # held-out group's column is mu, which its own y never enters
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(np.cumsum(fit.tau_mass), rng.random(draws))
     assert np.array_equal(fit.tau, fit.tau_grid[idx])
     rng.standard_normal(draws)
     tau, mu = fit.tau, fit.mu
+    t2 = tau[:, None] ** 2
+    s2 = sigma[None, :] ** 2
+    cond_mean = (y[None, :] * t2 + mu[:, None] * s2) / (t2 + s2)
+    cond_var = s2 * t2 / (t2 + s2)
+    theta = cond_mean + np.sqrt(cond_var) * rng.standard_normal((draws, J))
     if case == "exclude-3":
-        heldout = mu + tau * rng.standard_normal(draws)
-    if case == "new-groups":
-        theta = mu[:, None] + tau[:, None] * rng.standard_normal((draws, J))
-    else:
-        t2 = tau[:, None] ** 2
-        s2 = sigma[None, :] ** 2
-        cond_mean = (y[None, :] * t2 + mu[:, None] * s2) / (t2 + s2)
-        cond_var = s2 * t2 / (t2 + s2)
-        theta = cond_mean + np.sqrt(cond_var) * rng.standard_normal((draws, J))
-    if case == "exclude-3":
-        theta[:, 3] = heldout
+        theta[:, 3] = mu
     assert np.array_equal(fit.theta, theta)
 
 
@@ -542,32 +578,38 @@ REFITS = {
 
 @pytest.mark.parametrize("name", list(REFITS))
 def test_heldout_column_is_bitwise_the_full_matrix_column(name):
-    """`loglik(j)` of every refit is column j of its `pointwise_loglik()`,
-    for the held-out point and every other, and the held-out column is the
-    same when scored first on a fresh refit."""
+    """`loglik(idx)` of every refit is those columns of its
+    `pointwise_loglik()`, column-major, for single points and random index
+    arrays with and without the held-out point, and the held-out column is
+    the same when scored first on a fresh refit."""
     points, refit = REFITS[name]
+    rng = np.random.default_rng(3)
     for i in range(points.size):
         fit = refit(i, 2_000, 40 + i)
         heldout = fit.loglik(i)
         assert heldout.shape == (2_000,)
         assert np.array_equal(heldout, refit(i, 2_000, 40 + i).loglik(i))
-        matrix = fit.pointwise_loglik()
+        values = fit.pointwise_loglik().values
         for j in range(points.size):
-            assert np.array_equal(fit.loglik(j), matrix.column(j)), j
+            assert np.array_equal(fit.loglik(j), values[:, j]), j
+        others = np.delete(np.arange(points.size), i)
+        for idx in (rng.permutation(points.size)[:rng.integers(1, points.size + 1)],
+                    rng.permutation(np.append(rng.choice(others, 2), i)),
+                    rng.choice(others, 3)):
+            scored = fit.loglik(idx)
+            assert scored.flags.f_contiguous
+            assert np.array_equal(scored, values[:, idx]), idx
 
 
 @pytest.mark.parametrize("model", [SchoolsModel(), _NEW_GROUPS, SchoolsModel("complete_pooling")],
                          ids=["existing-groups", "new-groups", "complete-pooling"])
 def test_a_schools_refit_draws_the_other_effects_only_when_theta_is_read(model):
-    draws, seed = 1_000, 9
-    fit = model.fit(_SCHOOLS, exclude=2, draws=draws, seed=seed)
+    fit = model.fit(_SCHOOLS, exclude=2, draws=1_000, seed=9)
     heldout = fit.loglik(2)
     assert fit._theta is None
-    if fit.tau is not None:  # the held-out effect is the third draw: after tau and mu
-        rng = np.random.default_rng(seed)
-        rng.random(draws)
-        rng.standard_normal(draws)
-        assert np.array_equal(fit.theta[:, 2], fit.mu + fit.tau * rng.standard_normal(draws))
-    else:
-        assert np.array_equal(fit.theta[:, 2], fit.mu)
+    if fit.tau is not None:  # the held-out effect is integrated out
+        var = fit.tau**2 + _SCHOOLS.sigma[2] ** 2
+        direct = -0.5 * np.log(2 * np.pi * var) - (_SCHOOLS.y[2] - fit.mu) ** 2 / (2 * var)
+        np.testing.assert_allclose(heldout, direct, rtol=1e-12)
+    assert np.array_equal(fit.theta[:, 2], fit.mu)
     assert np.array_equal(fit.loglik(2), heldout)
