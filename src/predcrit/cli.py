@@ -360,23 +360,18 @@ def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
               help="replicate datasets [default: 100000, or 10000 per point with --n-values]")
 @click.option("--estimator", "estimators", multiple=True,
               type=click.Choice(ESTIMATOR_NAMES), help="repeatable; default all that n allows")
-@click.option("--theta-source", type=click.Choice(["auto", "fixed", "from-prior"]),
-              default="auto", show_default=True)
-@click.option("--theta0", type=float, default=0.0, show_default=True, help="fixed true mean; the prior mean is 0")
+@click.option("--theta0", type=float, default=None,
+              help="fixed true mean; the prior mean is 0 [default: drawn from the prior when --m > 0, else 0]")
 @click.option("--n-values", type=str, default=None,
               help="comma-separated n sweep; emits a bias curve (CSV unless --format json)")
 @seed_option
 @format_option
 @output_option
 @_handle_errors
-def expect(n, m, replicates, estimators, theta_source, theta0, n_values, seed, fmt, output):
+def expect(n, m, replicates, estimators, theta0, n_values, seed, fmt, output):
     """Monte Carlo validation of estimator expectations."""
     if (n is None) == (n_values is None):
         raise ValueError("give exactly one of --n and --n-values")
-    if theta_source == "auto":
-        source = "from_prior" if m > 0 else "fixed"
-    else:
-        source = theta_source.replace("-", "_")
     if replicates is None:
         replicates = 100_000 if n_values is None else 10_000
     ns = [n] if n_values is None else _parse_list(n_values, "--n-values", int)
@@ -387,7 +382,6 @@ def expect(n, m, replicates, estimators, theta_source, theta0, n_values, seed, f
         R=replicates,
         n=min(ns),
         m=m,
-        theta_source=source,
         theta0=theta0,
         seed=seed,
         estimators=estimators,

@@ -52,13 +52,14 @@ _LOO_NAMES = {"loo", "cloo", "p_loo", "p_cloo", "b"}
 class ReplicationPlan:
     """What to replicate and which estimators to score: by default, every
     estimator that `n` allows (those needing a held-out point want n >= 2).
-    The prior mean is 0, so a fixed true mean `theta0` is its offset from it."""
+    The prior mean is 0, so a fixed true mean `theta0` is its offset from it;
+    `theta0=None` draws the true mean from the prior N(0, 1/m). Under the
+    flat prior (m = 0) no value depends on the true mean, and None becomes 0."""
 
     R: int
     n: int
     m: float = 0.0
-    theta_source: str = "fixed"
-    theta0: float = 0.0
+    theta0: float | None = None
     seed: int = 12345
     estimators: tuple = ()
 
@@ -70,14 +71,9 @@ class ReplicationPlan:
         if not self.estimators:
             allowed = tuple(e for e in ESTIMATOR_NAMES if self.n >= 2 or e not in _LOO_NAMES)
             object.__setattr__(self, "estimators", allowed)
-        _check_settings(m=self.m, theta0=self.theta0)
-        if self.theta_source not in ("fixed", "from_prior"):
-            raise ValueError("theta_source must be 'fixed' or 'from_prior'")
-        if self.theta_source == "from_prior" and self.m <= 0:
-            raise ValueError("from_prior requires a proper prior (m > 0)")
-        if self.theta_source == "from_prior" and self.theta0 != 0:
-            raise ValueError("theta0 is not read when theta is drawn from the prior; "
-                             "use --theta-source fixed to set it")
+        if self.theta0 is None and self.m == 0:
+            object.__setattr__(self, "theta0", 0.0)
+        _check_settings(m=self.m, theta0=0.0 if self.theta0 is None else self.theta0)
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
@@ -87,12 +83,6 @@ class ReplicationPlan:
                 f"estimators {sorted(loo_requested)} require n >= 2"
             )
         object.__setattr__(self, "estimators", tuple(self.estimators))
-
-    @property
-    def prior_dev2(self) -> float:
-        if self.theta_source == "from_prior":
-            return 1.0 / self.m
-        return self.theta0**2
 
 
 @dataclass(frozen=True)
@@ -123,7 +113,7 @@ def _chunk_sizes(R: int) -> list[int]:
 def _replicate_chunk(plan: ReplicationPlan, chunk_index: int, size: int) -> dict:
     """Per-replicate estimator values for one chunk (own derived seed)."""
     rng = np.random.default_rng(derive_seed(plan.seed, chunk_index))
-    if plan.theta_source == "from_prior":
+    if plan.theta0 is None:
         theta = math.sqrt(1.0 / plan.m) * rng.standard_normal(size)
     else:
         theta = np.full(size, plan.theta0)
@@ -145,7 +135,7 @@ def run_expectation_study(plan: ReplicationPlan) -> ExpectationResult:
         _replicate_chunk(plan, c, size)
         for c, size in enumerate(_chunk_sizes(plan.R))
     ]
-    exact = oracle.expectations(plan.n, plan.m, plan.prior_dev2)
+    exact = oracle.expectations(plan.n, plan.m, None if plan.theta0 is None else plan.theta0**2)
     result = ExpectationResult(plan=plan)
     for name in plan.estimators:
         vals = np.concatenate([c[name] for c in chunks])

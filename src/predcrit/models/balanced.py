@@ -14,7 +14,7 @@ import numpy as np
 from ..criteria import PointEstimates
 from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
 from ..errors import ModelRefusalError
-from .normal import NormalMeanSpec, _check_settings, _normal_draws, normal_logpdf_inplace
+from .normal import NormalMeanModel, _check_settings, normal_logpdf_inplace
 from ..seeds import derive_seed
 
 __all__ = [
@@ -71,9 +71,9 @@ class BalancedModel:
             raise ValueError("y must be an n x J array of observations")
         n, J = y.shape
         theta = np.empty((draws, J))
+        group = NormalMeanModel(m=1.0 / self.tau**2, mu0=self.mu)
         for j in range(J):
-            spec = NormalMeanSpec.from_data(y[:, j], m=1.0 / self.tau**2, mu0=self.mu)
-            theta[:, j] = _normal_draws(spec.posterior_mean, spec.posterior_var, draws, derive_seed(seed, j))
+            theta[:, j] = group.fit(y[:, j], draws=draws, seed=derive_seed(seed, j)).theta
         # n x J x S, then flatten or sum over i; the transpose is column-major S x n
         ll = normal_logpdf_inplace(np.subtract(y[:, :, None], theta.T, order="C"), 1.0)
         values = ll.reshape(n * J, draws).T if self.counting == "observation" else ll.sum(axis=0).T

@@ -94,10 +94,6 @@ class NormalMeanSpec:
         return 1.0 / (self.m + self.n)
 
 
-def _normal_draws(mean: float, var: float, draws: int, seed: int) -> np.ndarray:
-    return mean + np.sqrt(var) * np.random.default_rng(seed).standard_normal(draws)
-
-
 class _NormalMeanFit:
     def __init__(self, y_full: np.ndarray, center: float, mle: float | None, theta: np.ndarray):
         self._y = y_full
@@ -151,5 +147,5 @@ class NormalMeanModel:
             center, var, mle = self.mu0, 1.0 / self.m, None
         else:
             raise ValueError("flat-prior fit needs at least one training point")
-        theta = _normal_draws(center, var, draws, seed)
+        theta = center + np.sqrt(var) * np.random.default_rng(seed).standard_normal(draws)
         return _NormalMeanFit(y, center, mle, theta)

@@ -67,7 +67,6 @@ class _RegressionFit:
     def __init__(self, data: RegressionData, exclude: int | None, draws: int, seed: int,
                  dic_parameterization: str):
         self._data = data
-        self._exclude = exclude
         train_idx = np.arange(len(data)) if exclude is None else np.delete(np.arange(len(data)), exclude)
         self._dic_parameterization = dic_parameterization
         x = data.x[train_idx]

@@ -123,9 +123,10 @@ class SchoolsModel:
 
 class _SchoolsFit:
     """Posterior draws of the pooling mode's parameters. `theta` (S x J,
-    over the *full* group list) is drawn when first read; a held-out
-    group's column is the shared effect or mu, never conditioned on its
-    own y. `loglik` says how a group without data in the fit is scored."""
+    over the *full* group list; under complete pooling a read-only view of
+    mu) is drawn when first read; a held-out group's column is the shared
+    effect or mu, never conditioned on its own y. `loglik` says how a
+    group without data in the fit is scored."""
 
     def __init__(self, model: SchoolsModel, data: EightSchoolsData, exclude: int | None, draws: int, seed: int):
         self._model = model
@@ -170,7 +171,7 @@ class _SchoolsFit:
         if mode == "no_pooling":
             return d.y + d.sigma * rng.standard_normal((draws, len(d)))
         if mode == "complete_pooling":
-            return np.repeat(self.mu[:, None], len(d), axis=1)
+            return np.broadcast_to(self.mu[:, None], (draws, len(d)))
         # theta_j | mu, tau ~ N((y t2 + mu s2) / den, s2 t2 / den) with
         # t2 = tau^2 and den = t2 + s2, so tau = 0 needs no special case;
         # the tau-only factors are tabulated on the grid, then gathered

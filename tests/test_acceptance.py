@@ -182,11 +182,9 @@ def test_criterion_4_expectation_suite():
     start = time.perf_counter()
     z_checked = ("p_waic1", "p_waic2", "lppd", "aic", "loo", "cloo")
     for n in (1, 2, 5, 10, 25):
-        for m, source in ((0.0, "fixed"), (float(n), "from_prior")):
+        for m in (0.0, float(n)):
             names = tuple(e for e in ("p_waic1", "p_waic2", "lppd", "aic", "loo", "cloo", "waic1", "waic2") if n >= 2 or e not in ("loo", "cloo"))
-            plan = ReplicationPlan(
-                R=R, n=n, m=m, theta_source=source, seed=SEED, estimators=names
-            )
+            plan = ReplicationPlan(R=R, n=n, m=m, seed=SEED, estimators=names)
             result = run_expectation_study(plan)
             for name in names:
                 if name not in z_checked:

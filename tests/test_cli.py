@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from predcrit import oracle
 from predcrit.cli import MODEL_OPTIONS, main
 from predcrit.errors import MatrixFormatError
 from predcrit.expectation import ESTIMATOR_NAMES
@@ -561,8 +562,7 @@ def test_fit_rows_carry_list_fields_one_per_entry(runner):
 
 
 def test_curve_runs_the_plan_of_its_options(runner):
-    opts = ["--estimator", "aic", "-R", "2000", "--m", "1", "--theta-source", "fixed", "--theta0", "3",
-            "--format", "json"]
+    opts = ["--estimator", "aic", "-R", "2000", "--m", "1", "--theta0", "3", "--format", "json"]
     curve = json.loads(runner.invoke(main, ["expect", "--n-values", "2,3", *opts]).output)
     single = json.loads(runner.invoke(main, ["expect", "--n", "3", *opts]).output)
     oracle_at_3 = single["estimators"]["aic"]["oracle_value"]
@@ -573,15 +573,15 @@ def test_curve_runs_the_plan_of_its_options(runner):
     assert "--n-values" in bad.output
 
 
-def test_expect_refuses_a_theta0_it_would_not_read(runner):
-    # with --m > 0, --theta-source auto draws theta from the prior
+def test_expect_theta0_fixes_the_true_mean_under_a_proper_prior(runner):
+    # a given --theta0 fixes the true mean whatever --m is
     opts = ["--n", "5", "--m", "1", "-R", "2000", "--estimator", "aic", "--format", "json"]
-    for source in (["--theta-source", "auto"], ["--theta-source", "from-prior"]):
-        result = runner.invoke(main, ["expect", *opts, *source, "--theta0", "3"])
-        assert result.exit_code == 2, result.output
-        assert "use --theta-source fixed" in result.output
-    fixed = json.loads(runner.invoke(main, ["expect", *opts, "--theta-source", "fixed", "--theta0", "3"]).output)
-    assert fixed["theta_source"] == "fixed" and fixed["theta0"] == 3.0
+    fixed = json.loads(runner.invoke(main, ["expect", *opts, "--theta0", "3"]).output)
+    assert fixed["theta0"] == 3.0 and "theta_source" not in fixed
+    assert fixed["estimators"]["aic"]["oracle_value"] == oracle.expectations(5, 1.0, 9.0)["aic"]
+    result = runner.invoke(main, ["expect", *opts, "--theta-source", "fixed"])
+    assert result.exit_code == 2
+    assert "--theta-source" in result.output
 
 
 def test_curve_refuses_n(runner):

@@ -1,10 +1,13 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from predcrit import oracle
+from predcrit.cli import main
 from predcrit.criteria import criterion_report
 from predcrit.expectation import (
     ESTIMATOR_NAMES,
@@ -20,8 +23,6 @@ from predcrit.models import NormalMeanModel, NormalMeanSpec
 def test_plan_validation():
     with pytest.raises(ValueError, match="too few replicates for error bars"):
         ReplicationPlan(R=5, n=3)
-    with pytest.raises(ValueError, match="from_prior requires a proper prior"):
-        ReplicationPlan(R=100, n=3, m=0.0, theta_source="from_prior")
     with pytest.raises(ValueError, match="unknown estimators"):
         ReplicationPlan(R=100, n=3, estimators=("waic9",))
     with pytest.raises(ValueError, match="require n >= 2"):
@@ -30,11 +31,19 @@ def test_plan_validation():
         ReplicationPlan(R=100, n=0)
 
 
-def test_a_fixed_true_mean_is_refused_when_theta_is_drawn_from_the_prior():
-    with pytest.raises(ValueError, match="use --theta-source fixed"):
-        ReplicationPlan(R=100, n=5, m=1.0, theta_source="from_prior", theta0=3.0)
-    assert ReplicationPlan(R=100, n=5, m=1.0, theta_source="from_prior").prior_dev2 == 1.0
-    assert ReplicationPlan(R=100, n=5, m=1.0, theta0=3.0).prior_dev2 == 9.0
+def test_a_plan_without_theta0_runs_the_study_expect_runs():
+    # the true mean is drawn from a proper prior unless it is given; the
+    # flat prior has nothing to draw from, and its studies fix it at 0
+    plan = ReplicationPlan(R=2_000, n=5, m=1.0, seed=7)
+    assert plan.theta0 is None and ReplicationPlan(R=2_000, n=5).theta0 == 0.0
+    stats = run_expectation_study(plan).stats
+    argv = ["expect", "--n", "5", "--m", "1", "-R", "2000", "--seed", "7", "--format", "json"]
+    cli = json.loads(CliRunner().invoke(main, argv).output)
+    assert cli["theta0"] is None
+    assert cli["estimators"] == {name: asdict(s) for name, s in stats.items()}
+    exact = oracle.expectations(5, 1.0)
+    for name, s in stats.items():
+        assert s.oracle_value == exact[name]
 
 
 def test_study_is_bit_reproducible():
@@ -79,8 +88,7 @@ def test_flat_prior_p_dic_is_exactly_one_on_every_replicate():
 def test_constant_estimator_has_zero_error_and_zero_z(n, m, name):
     # p_dic = n/(m+n) on every replicate, as is p_waic1 at n = 1 under the
     # flat prior; summation rounding must not become a Monte Carlo error
-    source = "from_prior" if m > 0 else "fixed"
-    plan = ReplicationPlan(R=20_000, n=n, m=m, theta_source=source, estimators=(name,))
+    plan = ReplicationPlan(R=20_000, n=n, m=m, estimators=(name,))
     s = run_expectation_study(plan).stats[name]
     assert s.mc_se == 0.0
     assert s.z_score == 0.0
@@ -110,7 +118,7 @@ def test_published_small_sample_expectations():
 
 def test_equally_informative_prior_halves_the_penalties():
     plan = ReplicationPlan(
-        R=60_000, n=10, m=10.0, theta_source="from_prior", seed=13,
+        R=60_000, n=10, m=10.0, seed=13,
         estimators=("p_waic1", "p_waic2"),
     )
     result = run_expectation_study(plan)
@@ -122,10 +130,11 @@ def test_equally_informative_prior_halves_the_penalties():
 
 def test_fixed_theta_with_informative_prior_matches_unified_oracle():
     # the prior_dev2 = theta0^2 branch of every expectation formula
-    plan = ReplicationPlan(R=80_000, n=3, m=1.7, theta_source="fixed", theta0=0.8, seed=21)
-    assert plan.prior_dev2 == pytest.approx(0.64, rel=1e-15)
+    plan = ReplicationPlan(R=80_000, n=3, m=1.7, theta0=0.8, seed=21)
+    exact = oracle.expectations(3, 1.7, 0.8**2)
     result = run_expectation_study(plan)
     for name, s in result.stats.items():
+        assert s.oracle_value == exact[name]
         assert abs(s.z_score) < 4, (name, s)
 
 
@@ -202,7 +211,9 @@ def test_result_json_round_trip():
 
 
 def test_result_json_carries_every_setting_of_its_study():
-    plan = ReplicationPlan(R=2_000, n=3, m=1.5, theta_source="fixed", theta0=0.8, seed=4, estimators=("aic", "loo"))
-    decoded = json.loads(run_expectation_study(plan).to_json())
-    settings = {k: decoded[k] for k in ("R", "n", "m", "theta_source", "theta0", "seed")}
-    assert ReplicationPlan(**settings, estimators=tuple(decoded["estimators"])) == plan
+    # a drawn true mean is echoed as null
+    for theta0 in (0.8, None):
+        plan = ReplicationPlan(R=2_000, n=3, m=1.5, theta0=theta0, seed=4, estimators=("aic", "loo"))
+        decoded = json.loads(run_expectation_study(plan).to_json())
+        settings = {k: decoded[k] for k in ("R", "n", "m", "theta0", "seed")}
+        assert ReplicationPlan(**settings, estimators=tuple(decoded["estimators"])) == plan
