@@ -26,7 +26,6 @@ __all__ = [
     "PointEstimateLogLik",
     "PointEstimates",
     "CriterionReport",
-    "LpdPosteriorSummary",
     "aic",
     "bic",
     "lpd_posterior_summary",
@@ -73,23 +72,13 @@ def bic(pe: PointEstimateLogLik, n: int) -> float:
     return -2.0 * pe.total_loglik + pe.k * math.log(n)
 
 
-@dataclass(frozen=True)
-class LpdPosteriorSummary:
-    """Summary of the posterior distribution of the total log density."""
-
-    mean: float
-    max: float
-    gap: float
-    bin_left: np.ndarray
-    counts: np.ndarray
-
-
-def lpd_posterior_summary(row_totals) -> LpdPosteriorSummary:
+def lpd_posterior_summary(row_totals) -> dict:
     """Mean, maximum, and gap of the per-draw total log density.
 
     The gap approaches k/2 for a k-parameter regular model at large n,
     which makes it a quick plausibility check on a fit. Also bins the
-    draws (30 bins of equal width over [min, max]) for plotting.
+    draws (30 bins of equal width over [min, max]) for plotting: `bin_left`
+    holds the left bin edges and `counts` the draws per bin, as lists.
     """
     tot = np.asarray(row_totals, dtype=float).reshape(-1)
     if tot.size < 1:
@@ -97,9 +86,8 @@ def lpd_posterior_summary(row_totals) -> LpdPosteriorSummary:
     mean = float(tot.mean())
     mx = float(tot.max())
     counts, edges = np.histogram(tot, bins=30)
-    return LpdPosteriorSummary(
-        mean=mean, max=mx, gap=mx - mean, bin_left=edges[:-1], counts=counts
-    )
+    return {"mean": mean, "max": mx, "gap": mx - mean,
+            "bin_left": edges[:-1].tolist(), "counts": counts.tolist()}
 
 
 @dataclass

@@ -133,32 +133,30 @@ def _require_finite_loglik(values: np.ndarray, first_point: int = 0) -> None:
             )
 
 
-def _as_column(column) -> np.ndarray:
+def log_mean_exp(column) -> float:
+    """log( (1/S) sum_s exp(a_s) ) of a 1-dimensional column of S draws:
+    lppd of the one-column matrix, bit for bit.
+
+    The shift by the column maximum makes constant columns exact at any
+    magnitude and keeps every exponential at most 1, so no finite input
+    overflows.
+    """
     col = np.asarray(column, dtype=float)
     if col.ndim != 1:
-        col = col.reshape(-1)
+        raise ValueError(f"draw column must be 1-dimensional, got shape {col.shape}")
     if col.size == 0:
         raise ValueError("empty draw column")
-    if not np.isfinite(col).all():
-        raise NonFiniteLogLikError("non-finite log density in draw column")
-    return col
-
-
-def log_mean_exp(column) -> float:
-    """log( (1/S) sum_s exp(a_s) ), shifted by the column maximum.
-
-    The shift makes constant columns exact at any magnitude and prevents
-    overflow for entries up to around 700 + log(max magnitude headroom);
-    inputs with |a_s| up to 1e6 are safe.
-    """
-    col = _as_column(column)
-    shift = col.max()
-    return float(shift + np.log(np.exp(col - shift).mean()))
+    _require_finite_loglik(col[:, None])
+    return float(_log_mean_exp_columns(col[:, None])[0][0])
 
 
 def mc_standard_error(column) -> float:
-    """Monte Carlo standard error of the column mean, sqrt(var / S)."""
-    col = _as_column(column)
+    """Monte Carlo standard error of the mean of a 1-dimensional column,
+    sqrt(var / S)."""
+    col = np.asarray(column, dtype=float)
+    if col.ndim != 1:
+        raise ValueError(f"draw column must be 1-dimensional, got shape {col.shape}")
+    _require_finite_loglik(col[:, None])
     if col.size < 2:
         raise ValueError("variance requires at least 2 draws")
     return float(math.sqrt(col.var(ddof=1) / col.size))

@@ -24,7 +24,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .draws import _require_finite_loglik, log_mean_exp, mc_standard_error
+from .draws import _require_finite_loglik, log_mean_exp
 from .draws import lppd as lppd_of  # noqa: F401  (unused here; perfbench's tracer wraps this binding)
 from .errors import NonFiniteLogLikError
 from .seeds import derive_seed
@@ -112,7 +112,7 @@ def loo_report(
         error, the fold's full-data lppd or None)."""
         fit = model.fit(data, exclude=i, draws=draws, seed=derive_seed(seed, i))
         col, lme = _scored_lme(fit, i)
-        se_sq = mc_standard_error(np.exp(col - lme)) ** 2 if draws > 1 else 0.0  # delta method
+        se_sq = np.exp(col - lme).var(ddof=1) / draws if draws > 1 else 0.0  # delta method
         del col
         full = None
         if bias_correction:

@@ -108,7 +108,7 @@ def election_report(
     pe = fit.point_estimates()
     mat = fit.pointwise_loglik()
     rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
-    summary = lpd_posterior_summary(mat.row_totals())
+    lpd_posterior = lpd_posterior_summary(mat.row_totals())
     del fit, mat  # the folds below run concurrently; free the full-data draws first
     loo = loo_report(model, data, rep.lppd, draws=draws, seed=derive_seed(seed, 1), bias_correction=True)
 
@@ -120,13 +120,7 @@ def election_report(
         **pe.summary,
         "criteria": rep.to_dict(),
         "loo": loo.to_dict(),
-        "lpd_posterior": {
-            "mean": summary.mean,
-            "max": summary.max,
-            "gap": summary.gap,
-            "bin_left": summary.bin_left.tolist(),
-            "counts": summary.counts.tolist(),
-        },
+        "lpd_posterior": lpd_posterior,
     }
 
 

@@ -104,11 +104,11 @@ def test_adding_constant_column_shifts_lppd_only():
 
 def test_lpd_posterior_summary_examples():
     s = lpd_posterior_summary([-5.0, -5.0])
-    assert (s.mean, s.max, s.gap) == (-5.0, -5.0, 0.0)
+    assert (s["mean"], s["max"], s["gap"]) == (-5.0, -5.0, 0.0)
     s = lpd_posterior_summary([-1.0, -2.0, -3.0])
-    assert (s.mean, s.max, s.gap) == (-2.0, -1.0, 1.0)
-    assert len(s.bin_left) == 30
-    assert s.counts.sum() == 3
+    assert (s["mean"], s["max"], s["gap"]) == (-2.0, -1.0, 1.0)
+    assert len(s["bin_left"]) == 30
+    assert sum(s["counts"]) == 3
 
 
 def test_report_deviance_identities_hold_exactly():

@@ -49,8 +49,20 @@ def test_log_mean_exp_errors():
         log_mean_exp([])
     with pytest.raises(NonFiniteLogLikError, match="non-finite log density"):
         log_mean_exp([0.0, math.nan])
-    with pytest.raises(NonFiniteLogLikError):
+    with pytest.raises(NonFiniteLogLikError, match="at draw 1, point 0: -inf"):
         log_mean_exp([0.0, -math.inf])
+    with pytest.raises(ValueError, match=r"1-dimensional, got shape \(2, 3\)"):
+        log_mean_exp(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"1-dimensional, got shape \(\)"):
+        log_mean_exp(0.0)
+
+
+@pytest.mark.parametrize("draws", [1, 2, 32_768, 32_769, 100_000])
+def test_log_mean_exp_is_lppd_of_the_one_column_matrix_bitwise(draws):
+    rng = np.random.default_rng(draws)
+    for _ in range(20):
+        col = rng.normal(-2.0, 1.5, size=draws)
+        assert log_mean_exp(col) == lppd(PointwiseLogLikMatrix(col[:, None]))
 
 
 def test_mc_standard_error_examples():
@@ -59,6 +71,10 @@ def test_mc_standard_error_examples():
     assert mc_standard_error([0.0, 2.0, 4.0, 6.0]) == pytest.approx(
         math.sqrt(20.0 / 3.0 / 4.0), rel=1e-14
     )
+    with pytest.raises(ValueError, match=r"1-dimensional, got shape \(2, 2\)"):
+        mc_standard_error(np.zeros((2, 2)))
+    with pytest.raises(NonFiniteLogLikError, match="at draw 1, point 0: nan"):
+        mc_standard_error([0.0, math.nan])
 
 
 def test_lppd_single_cell():

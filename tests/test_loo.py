@@ -296,6 +296,14 @@ def test_fold_order_independence_bitwise():
     assert total2 == total
 
 
+@pytest.mark.parametrize("name", ["regression", "schools-existing-groups"])
+def test_a_fold_scores_each_point_as_lppd_of_its_one_column_matrix_bitwise(name):
+    points, refit = REFITS[name]
+    fit = refit(1, 100_000, 9)
+    for i in range(points.size):
+        assert log_mean_exp(fit.loglik(i)) == lppd(PointwiseLogLikMatrix(fit.loglik(np.array([i])))), i
+
+
 def test_derived_seeds_are_distinct_and_deterministic():
     seeds = [derive_seed(12345, i) for i in range(200)]
     assert len(set(seeds)) == 200
