@@ -73,14 +73,17 @@ def bic(pe: PointEstimateLogLik, n: int) -> float:
 
 
 def lpd_posterior_summary(row_totals) -> dict:
-    """Mean, maximum, and gap of the per-draw total log density.
+    """Mean, maximum, and gap of the per-draw total log density, a
+    1-dimensional column with one total per draw.
 
     The gap approaches k/2 for a k-parameter regular model at large n,
     which makes it a quick plausibility check on a fit. Also bins the
     draws (30 bins of equal width over [min, max]) for plotting: `bin_left`
     holds the left bin edges and `counts` the draws per bin, as lists.
     """
-    tot = np.asarray(row_totals, dtype=float).reshape(-1)
+    tot = np.asarray(row_totals, dtype=float)
+    if tot.ndim != 1:
+        raise ValueError(f"draw column must be 1-dimensional, got shape {tot.shape}")
     if tot.size < 1:
         raise ValueError("empty draw column")
     mean = float(tot.mean())

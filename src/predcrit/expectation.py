@@ -1,12 +1,17 @@
 """Replication studies validating estimator expectations against closed forms.
 
 Each replicate draws a true mean (fixed, or from the prior when the prior
-is proper), draws a dataset y_1..y_n ~ N(theta, 1), and evaluates every
-requested estimator with the oracle module's closed forms, applied to
-the whole chunk of replicates at once; the per-point target elppd is also
-evaluated analytically, so no second Monte Carlo layer is needed. Averages
-over replicates then get z-scored against the exact expectations from the
-oracle module.
+is proper), then the two statistics of a dataset y_1..y_n ~ N(theta, 1):
+its mean ybar and its sample variance s2y. By Cochran's theorem they are
+independent, with ybar ~ N(theta, 1/n) and (n - 1) s2y ~ chi^2_{n-1}, and
+every estimator of this family depends on a dataset only through them; so
+drawing the pair gives each replicate's estimator values their exact law
+without drawing the n points, and a study costs the same at any n.
+Every requested estimator is evaluated with the oracle module's closed
+forms, applied to the whole chunk of replicates at once; the per-point
+target elppd is also evaluated analytically, so no second Monte Carlo
+layer is needed. Averages over replicates then get z-scored against the
+exact expectations from the oracle module.
 
 Replicates are generated in fixed-size chunks, each chunk from its own
 derived seed, so chunks can be computed in any order (or in parallel) and
@@ -111,14 +116,24 @@ def _chunk_sizes(R: int) -> list[int]:
 
 
 def _replicate_chunk(plan: ReplicationPlan, chunk_index: int, size: int) -> dict:
-    """Per-replicate estimator values for one chunk (own derived seed)."""
+    """Per-replicate estimator values for one chunk (own derived seed).
+
+    Draws each replicate's (ybar, s2y), not its n points, from their exact
+    joint law: ybar ~ N(theta, 1/n) and, independently, (n - 1) s2y ~
+    chi^2_{n-1} (Cochran's theorem). `oracle.dataset_values` reads a
+    dataset only through the pair, so its values have the law of a
+    point-by-point draw at a cost that does not depend on n. At n = 1 the
+    spread is 0, as `NormalMeanSpec.from_data` gives it.
+    """
     rng = np.random.default_rng(derive_seed(plan.seed, chunk_index))
+    n = plan.n
     if plan.theta0 is None:
         theta = math.sqrt(1.0 / plan.m) * rng.standard_normal(size)
     else:
         theta = np.full(size, plan.theta0)
-    y = theta[:, None] + rng.standard_normal((size, plan.n))
-    spec = oracle.NormalMeanSpec.from_data(y, m=plan.m)
+    ybar = theta + rng.standard_normal(size) / math.sqrt(n)
+    s2y = rng.chisquare(n - 1, size) / (n - 1) if n >= 2 else np.zeros(size)
+    spec = oracle.NormalMeanSpec(n=n, ybar=ybar, s2y=s2y, m=plan.m)
     values = oracle.dataset_values(spec, (theta - spec.posterior_mean) ** 2)
     return {name: values[name] for name in plan.estimators}
 

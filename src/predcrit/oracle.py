@@ -141,6 +141,20 @@ def loo_quantities(y, m: float = 0.0, mu0: float = 0.0):
     return _loo(NormalMeanSpec.from_data(y, m=m, mu0=mu0))
 
 
+def _b(spec: NormalMeanSpec):
+    """lppd - lppd_bar without subtracting the two: each is a sum of size
+    about 1.4 n and their gap about 1/(2n), so the difference keeps only
+    about four correct digits at n = 1e6. With v = 1/(m+n) and
+    w = 1/(m+n-1), w - v = w v, and every term below is positive."""
+    n, m = spec.n, spec.m
+    v = 1.0 / (m + n)
+    w = 1.0 / (m + n - 1)
+    wv = w * v
+    d2 = (spec.ybar - spec.mu0) ** 2
+    spread = (n - 1) * spec.s2y * w + n * m**2 * d2 * (w + v + wv) / 2
+    return (n / 2) * math.log1p(wv / (1 + v)) + wv / ((1 + w) * (1 + v)) * spread
+
+
 def _elppd_point(err2, post_var: float):
     return -0.5 * math.log(2 * math.pi * (1 + post_var)) - (err2 + 1.0) / (2 * (1 + post_var))
 
@@ -190,7 +204,7 @@ def dataset_values(spec: NormalMeanSpec, err2) -> dict:
     }
     if n >= 2:
         lppd_loo, lppd_bar = _loo(spec)
-        b = lppd_within - lppd_bar
+        b = _b(spec)
         out.update(
             lppd_loo=lppd_loo,
             lppd_bar=lppd_bar,

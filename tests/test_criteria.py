@@ -109,6 +109,9 @@ def test_lpd_posterior_summary_examples():
     assert (s["mean"], s["max"], s["gap"]) == (-2.0, -1.0, 1.0)
     assert len(s["bin_left"]) == 30
     assert sum(s["counts"]) == 3
+    # a matrix is not a column of draw totals: refused, not flattened
+    with pytest.raises(ValueError, match=r"1-dimensional, got shape \(2, 3\)"):
+        lpd_posterior_summary(np.zeros((2, 3)))
 
 
 def test_report_deviance_identities_hold_exactly():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -10,6 +11,7 @@ from predcrit import oracle
 from predcrit.cli import main
 from predcrit.criteria import criterion_report
 from predcrit.expectation import (
+    CHUNK,
     ESTIMATOR_NAMES,
     ReplicationPlan,
     _chunk_sizes,
@@ -65,6 +67,56 @@ def test_chunks_can_be_computed_in_any_order():
         a = np.concatenate([chunk[name] for chunk in forward])
         b = np.concatenate([backward[c][name] for c in range(len(sizes))])
         assert a.tobytes() == b.tobytes()
+
+
+def _pointwise_draw_values(plan: ReplicationPlan, seed: int) -> dict:
+    """The estimator values of R datasets drawn point by point, y_i ~
+    N(theta, 1), and reduced to their statistics with `from_data`."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for size in _chunk_sizes(plan.R):
+        if plan.theta0 is None:
+            theta = rng.standard_normal(size) / math.sqrt(plan.m)
+        else:
+            theta = np.full(size, plan.theta0)
+        spec = NormalMeanSpec.from_data(theta[:, None] + rng.standard_normal((size, plan.n)), m=plan.m)
+        blocks.append(oracle.dataset_values(spec, (theta - spec.posterior_mean) ** 2))
+    return {name: np.concatenate([b[name] for b in blocks]) for name in plan.estimators}
+
+
+@pytest.mark.parametrize("n, m", [(2, 0.0), (5, 1.0), (40, 0.0)])
+def test_drawn_statistics_give_the_law_of_a_pointwise_draw(n, m):
+    # the chunk draws (ybar, s2y), not the points; every estimator must keep
+    # the mean and the spread it has when the points are drawn
+    plan = ReplicationPlan(R=100_000, n=n, m=m, seed=61)
+    kernel = {name: np.concatenate([_replicate_chunk(plan, c, s)[name]
+                                    for c, s in enumerate(_chunk_sizes(plan.R))])
+              for name in plan.estimators}
+    pointwise = _pointwise_draw_values(plan, seed=62)
+
+    def two_sample_z(a, b):
+        return (a.mean() - b.mean()) / math.hypot(a.std() / math.sqrt(a.size), b.std() / math.sqrt(b.size))
+
+    for name in plan.estimators:
+        a, b = kernel[name], pointwise[name]
+        if np.ptp(a) == 0:
+            assert np.ptp(b) == 0 and a[0] == pytest.approx(b[0], rel=1e-14), name
+            continue
+        assert abs(two_sample_z(a, b)) < 4, (name, "mean")
+        assert abs(two_sample_z((a - a.mean()) ** 2, (b - b.mean()) ** 2)) < 4, (name, "spread")
+
+
+def test_a_chunk_allocates_nothing_that_grows_with_n():
+    # 400 points per replicate would be 400 x CHUNK doubles; the statistics
+    # and the estimator values are a few dozen CHUNK-long arrays
+    plan = ReplicationPlan(R=CHUNK, n=400, seed=5)
+    tracemalloc.start()
+    try:
+        _replicate_chunk(plan, 0, CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * CHUNK * 8, peak / (CHUNK * 8)
 
 
 def test_chunk_sizes_cover_r_exactly():

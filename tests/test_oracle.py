@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -183,6 +184,31 @@ def test_loo_quantities_match_brute_force():
             ref_lo, ref_bar = _loo_brute_force(y, m, -0.7)
             assert lo == pytest.approx(ref_lo, rel=1e-12)
             assert bar == pytest.approx(ref_bar, rel=1e-12)
+
+
+def _b_reference(n, m, ybar, s2y, mu0):
+    """lppd - lppd_bar as the plain difference of `lppd` and `_loo`'s
+    formulas, in 60-digit decimal arithmetic from the exact float inputs.
+    Both carry -(n/2) log(2 pi), which cancels and is left out."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        n, m, ybar, s2y, mu0 = (decimal.Decimal(x) for x in (n, m, ybar, s2y, mu0))
+        v, w = 1 / (m + n), 1 / (m + n - 1)
+        sq_dev, shift2 = (n - 1) * s2y, n * m**2 * (ybar - mu0) ** 2
+        within = -(n / 2) * (1 + v).ln() - (sq_dev + shift2 * v**2) / (2 * (1 + v))
+        bar = -(n / 2) * (1 + w).ln() - (sq_dev * (1 + w**2) + shift2 * w**2) / (2 * (1 + w))
+        return within - bar
+
+
+def test_b_keeps_its_digits_at_large_n():
+    # b is about 1/(2n), the gap between two sums of size about 1.4 n:
+    # their float difference kept only 4 digits at n = 1e6
+    for n in (2, 3, 5, 40, 100_000, 1_000_000):
+        for m in (0.0, 0.5, 1.0, 3.0):
+            for ybar, s2y in ((0.3, 1.1), (-1.7, 0.2), (2.5, 3.0)):
+                spec = NormalMeanSpec(n=n, ybar=ybar, s2y=s2y, m=m, mu0=-0.25)
+                got = oracle.dataset_values(spec, 0.1)["b"]
+                want = _b_reference(n, m, ybar, s2y, -0.25)
+                assert abs(decimal.Decimal(float(got)) / want - 1) < 1e-14, (n, m, ybar, s2y)
 
 
 def test_dataset_values_loo_entries_match_loo_quantities_and_brute_force():
