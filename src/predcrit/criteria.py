@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .draws import PointwiseLogLikMatrix, _column_pass
+from .draws import PointwiseLogLikMatrix, _column_sums, _log_mean_exp_columns, _merge_moments, _shifted_exp
+from .errors import NonFiniteLogLikError
 
 __all__ = [
     "PointEstimateLogLik",
@@ -143,42 +144,79 @@ def criterion_report(
 
     AIC and BIC need `mle` (with k); DIC needs `lpd_at_mean`. Variance
     based quantities (p_waic2, p_dic_alt, all Monte Carlo errors) need at
-    least two draws and are marked unavailable otherwise.
+    least two draws and are marked unavailable otherwise. A field that
+    overflows (a log density past about 1e154 in magnitude squares to inf)
+    raises NonFiniteLogLikError naming it.
     """
     warnings: list[str] = []
-    cp = _column_pass(m)
-    report = CriterionReport(
-        lppd=cp.lppd,
-        p_waic1=cp.p_waic1,
-        elppd_waic1=cp.lppd - cp.p_waic1,
-    )
+    vals, s = m.values, m.n_draws
+    # an overflow is refused once the report is formed, not warned of block by block
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Two passes over blocks of draws, with no buffer larger than a block
+        # and no array of length S. The first sums the shifted exponentials for
+        # the log-mean-exp of each column. The second recomputes them as ratios,
+        # then the deviations from the column means and their squares, for the
+        # per-draw sums R_s = sum_i exp(a_si - lme_i), D_s = sum_i (a_si - mean_i)
+        # and Q_s = sum_i (a_si - mean_i)^2; centred per column, D and Q stay
+        # accurate at any magnitude. Each block's series are merged into their
+        # running means and sums of squared deviations.
+        lme, shift, w_bar = _log_mean_exp_columns(vals)
+        mean = vals.mean(axis=0)
+        moments = np.zeros((2, 6))  # of R, D, D^2, R - D, Q, R - Q
+        series = None  # one row per series, one column per draw of a block
 
-    have_variance = cp.p_waic2 is not None
-    if have_variance:
-        report.p_waic2 = cp.p_waic2
-        report.elppd_waic2 = cp.lppd - cp.p_waic2
-        report.waic = -2.0 * report.elppd_waic2
-        var = cp.variances
+        def per_draw(start, block, out):
+            nonlocal series
+            if series is None:
+                series = np.empty((len(moments[0]), len(block)))
+            r, d, d2, r_minus_d, q, r_minus_q = block_series = series[:, :len(block)]
+            _shifted_exp(block, shift, out)
+            out /= w_bar
+            out.sum(axis=1, out=r)
+            np.subtract(block, mean, out=out)
+            out.sum(axis=1, out=d)
+            np.square(out, out=out)
+            out.sum(axis=1, out=q)
+            np.square(d, out=d2)
+            np.subtract(r, d, out=r_minus_d)
+            np.subtract(r, q, out=r_minus_q)
+            _merge_moments(moments, start, block_series)
 
-        def se(variance):
-            return math.sqrt(variance / m.n_draws)
+        dev2 = _column_sums(vals, per_draw)
+        means, sums_of_squares = moments
+        lppd = float(lme.sum())
+        p_waic1 = float(2.0 * (lme - mean).sum())
+        report = CriterionReport(lppd=lppd, p_waic1=p_waic1, elppd_waic1=lppd - p_waic1)
+        # E_post log p(y | theta), the mean of the per-draw totals: the mean of
+        # D corrects sum_i mean_i for the rounding of the means
+        mean_loglik = float(mean.sum() + means[1])
 
-        # the variance form: 2 Var_post of the per-draw total log density
-        report.p_dic_alt = 2.0 * var.d
-        # Each error is that of a mean over draws of a per-draw sum of
-        # first-order influences; their per-point constants drop out, and
-        # the centred total D stands for the total (its mean is zero).
-        report.mc_se_lppd = se(var.r)
-        report.mc_se_mean_loglik = se(var.d)
-        report.mc_se_p_dic_alt = 2.0 * se(var.d2)
-        report.mc_se_p_waic1 = 2.0 * se(var.r_minus_d)
-        report.mc_se_p_waic2 = se(var.q)
-        report.mc_se_waic = 2.0 * se(var.r_minus_q)
-    else:
-        warnings.append(
-            "variance-based estimates (p_waic2, p_dic_alt, mc_se fields) "
-            "require at least 2 draws and are unavailable"
-        )
+        have_variance = s > 1
+        if have_variance:
+            report.p_waic2 = float((dev2 / (s - 1)).sum())
+            report.elppd_waic2 = lppd - report.p_waic2
+            report.waic = -2.0 * report.elppd_waic2
+            var_r, var_d, var_d2, var_r_minus_d, var_q, var_r_minus_q = (sums_of_squares / (s - 1)).tolist()
+
+            def se(variance):
+                return math.sqrt(variance / s)
+
+            # the variance form: 2 Var_post of the per-draw total log density
+            report.p_dic_alt = 2.0 * var_d
+            # Each error is that of a mean over draws of a per-draw sum of
+            # first-order influences; their per-point constants drop out, and
+            # the centred total D stands for the total (its mean is zero).
+            report.mc_se_lppd = se(var_r)
+            report.mc_se_mean_loglik = se(var_d)
+            report.mc_se_p_dic_alt = 2.0 * se(var_d2)
+            report.mc_se_p_waic1 = 2.0 * se(var_r_minus_d)
+            report.mc_se_p_waic2 = se(var_q)
+            report.mc_se_waic = 2.0 * se(var_r_minus_q)
+        else:
+            warnings.append(
+                "variance-based estimates (p_waic2, p_dic_alt, mc_se fields) "
+                "require at least 2 draws and are unavailable"
+            )
 
     if lpd_at_mean is not None:
         if not math.isfinite(lpd_at_mean):
@@ -186,7 +224,7 @@ def criterion_report(
         report.lpd_at_mean = float(lpd_at_mean)
         # 2 (log p(y|theta_mean) - E_post log p(y|theta)); negative when the
         # posterior mean is far from the mode, which is warned of, not clamped
-        pd = 2.0 * (lpd_at_mean - cp.mean_loglik)
+        pd = 2.0 * (lpd_at_mean - mean_loglik)
         report.p_dic = pd
         report.elpd_dic = lpd_at_mean - pd
         report.dic = -2.0 * report.elpd_dic
@@ -205,5 +243,8 @@ def criterion_report(
         report.aic = aic_val
         report.bic = bic(mle, m.n_points)
 
+    for name, value in report.__dict__.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NonFiniteLogLikError(f"{name} is {value}: the log densities overflow double precision")
     report.warnings = warnings
     return report

@@ -1,9 +1,11 @@
 """Numerically stable primitives over posterior-draw matrices.
 
 The central object is a matrix of pointwise log densities, S draws by n
-data points, with entry (s, i) = log p(y_i | theta^s) in nats. Everything
-downstream (information criteria, cross-validation summaries) reduces to
-a handful of column and row reductions defined here.
+data points, with entry (s, i) = log p(y_i | theta^s) in nats. This module
+validates, reads and writes it, and holds the blocked reductions the rest
+build on: column sums over blocks of draws, the log-mean-exp of each
+column (lppd) and the merging of running moments. The criteria's own
+passes over the matrix live in `criteria.criterion_report`.
 
 All reductions run in a fixed left-to-right order over the canonical
 index ordering, so results are bit-reproducible for a given matrix on a
@@ -16,7 +18,6 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -185,30 +186,6 @@ def lppd(m: PointwiseLogLikMatrix) -> float:
     return float(_log_mean_exp_columns(m.values)[0].sum())
 
 
-class _DrawVariances(NamedTuple):
-    """Variances over draws (ddof=1) of the per-draw sums every Monte Carlo
-    error is taken from: R_s = sum_i exp(a_si - lme_i), the centred total
-    D_s = sum_i (a_si - mean_i) and Q_s = sum_i (a_si - mean_i)^2."""
-
-    r: float
-    d: float
-    d2: float  # of D_s^2
-    r_minus_d: float
-    q: float
-    r_minus_q: float
-
-
-class _ColumnPass(NamedTuple):
-    """The column-sum criteria of one matrix and the variances of its
-    per-draw sums."""
-
-    lppd: float
-    p_waic1: float
-    p_waic2: float | None  # None for a single draw
-    mean_loglik: float  # E_post log p(y | theta), the mean of the per-draw totals
-    variances: _DrawVariances | None  # None for a single draw
-
-
 def _merge_moments(moments: np.ndarray, count: int, block: np.ndarray) -> None:
     """Fold the columns of `block` (one row per series) into the running
     mean and sum of squared deviations, moments[0] and moments[1], of the
@@ -222,57 +199,6 @@ def _merge_moments(moments: np.ndarray, count: int, block: np.ndarray) -> None:
     delta = block_mean - moments[0]
     moments[0] += delta * (k / total)
     moments[1] += block.sum(axis=1) + delta * delta * (count * k / total)
-
-
-def _column_pass(m: PointwiseLogLikMatrix) -> _ColumnPass:
-    """Every column reduction of the criteria, in two passes over blocks
-    of draws and no buffer larger than a block.
-
-    The first pass sums the shifted exponentials. The second recomputes
-    them as ratios, then takes the deviations and their squares, block by
-    block, for the column sums of squares and the per-draw sums R, D and Q
-    of the block's draws. The six series the errors need (R, D, D^2, R - D,
-    Q, R - Q) are merged into running moments as each block is done, so no
-    array has a length of S. The deviations are centred per column: D is
-    the per-draw total less sum_i mean_i, and D and Q stay accurate at any
-    magnitude of the log densities.
-    """
-    vals = m.values
-    s = m.n_draws
-    lme, shift, w_bar = _log_mean_exp_columns(vals)
-    mean = vals.mean(axis=0)
-    # running mean and sum of squared deviations of R, D, D^2, R - D, Q, R - Q
-    moments = np.zeros((2, len(_DrawVariances._fields)))
-    series = None  # one row per series, one column per draw of a block
-
-    def per_draw(start, block, out):
-        nonlocal series
-        if series is None:
-            series = np.empty((len(moments[0]), len(block)))
-        r, d, d2, r_minus_d, q, r_minus_q = block_series = series[:, :len(block)]
-        _shifted_exp(block, shift, out)
-        out /= w_bar
-        out.sum(axis=1, out=r)
-        np.subtract(block, mean, out=out)
-        out.sum(axis=1, out=d)
-        np.square(out, out=out)
-        out.sum(axis=1, out=q)
-        np.square(d, out=d2)
-        np.subtract(r, d, out=r_minus_d)
-        np.subtract(r, q, out=r_minus_q)
-        _merge_moments(moments, start, block_series)
-
-    dev2_columns = _column_sums(vals, per_draw)
-    means, sums_of_squares = moments
-    have_variance = s > 1
-    return _ColumnPass(
-        lppd=float(lme.sum()),
-        p_waic1=float(2.0 * (lme - mean).sum()),
-        p_waic2=float((dev2_columns / (s - 1)).sum()) if have_variance else None,
-        # the mean of D corrects sum_i mean_i for the rounding of the means
-        mean_loglik=float(mean.sum() + means[1]),
-        variances=_DrawVariances(*(sums_of_squares / (s - 1)).tolist()) if have_variance else None,
-    )
 
 
 def _header(width: int, prefix: str = "point_") -> list[str]:

@@ -10,7 +10,8 @@ class MatrixFormatError(ValueError):
 
 
 class NonFiniteLogLikError(ValueError):
-    """A log-density entry is NaN or infinite (CLI exit 3)."""
+    """A log-density entry is NaN or infinite, or a criterion formed from
+    finite ones overflows to NaN or infinity (CLI exit 3)."""
 
 
 class ModelRefusalError(RuntimeError):

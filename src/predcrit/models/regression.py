@@ -103,9 +103,9 @@ class _RegressionFit:
         self.b = np.add(beta_hat[1], b, out=b)
         self.sigma2 = sigma2
         self.sigma = sigma
-        # a refit's LOO fold scores its points one at a time: take the
-        # density's per-draw terms once
-        self._terms = None if exclude is None else normal_terms(sigma2)
+        # the density's per-draw terms, taken once for every set of points
+        # `loglik` scores (a LOO fold scores its points one at a time)
+        self._terms = normal_terms(sigma2)
         self.mle = (float(beta_hat[0]), float(beta_hat[1]), float(np.sqrt(rss / n_train)))
         self.rss = rss
 

@@ -148,8 +148,9 @@ class _SchoolsFit:
         if model.mode == "complete_pooling":
             w = 1.0 / sigma[keep] ** 2
             v_post = 1.0 / w.sum()
-            mean_post = v_post * (w * y[keep]).sum()
-            self.mu = mean_post + np.sqrt(v_post) * rng.standard_normal(draws)
+            # the flat-prior posterior mean, which is also the MLE
+            self._pooled_mean = v_post * (w * y[keep]).sum()
+            self.mu = self._pooled_mean + np.sqrt(v_post) * rng.standard_normal(draws)
         elif model.mode == "hierarchical":
             grid, mass, mu_hat, v_mu = _tau_grid_posterior(y[keep], sigma[keep], model.tau_grid)
             self.tau_grid, self.tau_mass = grid, mass
@@ -204,9 +205,7 @@ class _SchoolsFit:
         if mode == "no_pooling":  # theta_j = y_j leaves no residual
             mle = PointEstimateLogLik(float(normal_logpdf_inplace(np.zeros(len(d)), var).sum()), len(d))
         elif mode == "complete_pooling":
-            w = np.where(self._unseen, 0.0, 1.0 / var)
-            mu_hat = float((w * d.y).sum() / w.sum())
-            mle = PointEstimateLogLik(float(normal_logpdf_inplace(d.y - mu_hat, var).sum()), 1)
+            mle = PointEstimateLogLik(float(normal_logpdf_inplace(d.y - self._pooled_mean, var).sum()), 1)
         else:
             means = {"mu": float(self.mu.mean()), "tau": float(self.tau.mean())}
             var = var + self._unseen * means["tau"] ** 2

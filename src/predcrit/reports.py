@@ -107,9 +107,10 @@ def election_report(
     fit = model.fit(data, draws=draws, seed=derive_seed(seed, 0))
     pe = fit.point_estimates()
     mat = fit.pointwise_loglik()
+    del fit  # what follows reads only the matrix; free the draws and their density terms
     rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
     lpd_posterior = lpd_posterior_summary(mat.row_totals())
-    del fit, mat  # the folds below run concurrently; free the full-data draws first
+    del mat  # the folds below run concurrently; free the full-data matrix first
     loo = loo_report(model, data, rep.lppd, draws=draws, seed=derive_seed(seed, 1), bias_correction=True)
 
     return {

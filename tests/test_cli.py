@@ -113,6 +113,15 @@ def test_exit_code_3_for_non_finite(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_exit_code_3_when_finite_log_densities_overflow_the_report(runner, tmp_path):
+    path = _write(tmp_path, "big.csv", "point_1,point_2\n-1e155,-1\n-3e155,-2\n-2e155,-1.5\n")
+    result = runner.invoke(main, ["criteria", "--input", path, "--format", "json"])
+    assert result.exit_code == 3
+    assert result.output == (
+        "numeric validity error: p_waic2 is inf: the log densities overflow double precision\n"
+    )
+
+
 NON_FINITE_INPUTS = {
     "schools-y": ("s.csv", "school,y,sigma\nA,nan,15\nB,8,10\nC,-3,16\n",
                   [["fit", "--model", "schools"], ["schools-table"]], "nan"),

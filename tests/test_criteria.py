@@ -14,6 +14,7 @@ from predcrit.criteria import (
     lpd_posterior_summary,
 )
 from predcrit.draws import _BLOCK_BYTES, PointwiseLogLikMatrix, lppd
+from predcrit.errors import NonFiniteLogLikError
 
 
 def _matrix(vals):
@@ -290,3 +291,27 @@ def test_report_does_not_depend_on_the_block_size(order, monkeypatch):
                 assert math.isclose(got[key], value, rel_tol=1e-12), (key, block_bytes, got[key], value)
             else:
                 assert got[key] == value, key
+
+
+# finite log densities whose report overflows: deviations past about 1.3e154
+# square to inf, and a column of -9e307 sums to -inf
+OVERFLOWING_MATRICES = [
+    ([[-1e155, -1.0], [-3e155, -2.0], [-2e155, -1.5]], "p_waic2"),
+    ([[-9e307, -1.0], [-9e307, -2.0], [-9e307, -1.5]], "p_waic1"),
+]
+
+
+@pytest.mark.parametrize("vals, field", OVERFLOWING_MATRICES)
+def test_a_report_that_overflows_is_refused_naming_the_first_non_finite_field(vals, field):
+    # RuntimeWarnings are errors under this suite's settings, so numpy warns of nothing
+    with pytest.raises(NonFiniteLogLikError, match=f"^{field} is "):
+        criterion_report(_matrix(vals))
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"lpd_at_mean": 1e308}, "p_dic"),
+    ({"mle": PointEstimateLogLik(-1e308, k=2)}, "aic"),
+])
+def test_an_overflowing_point_estimate_field_is_refused(kwargs, field):
+    with pytest.raises(NonFiniteLogLikError, match=f"^{field} is "):
+        criterion_report(_matrix([[-1.0, -2.0], [-1.5, -2.5]]), **kwargs)

@@ -13,9 +13,6 @@ from predcrit.criteria import criterion_report
 from predcrit.draws import (
     _BLOCK_BYTES,
     PointwiseLogLikMatrix,
-    _ColumnPass,
-    _DrawVariances,
-    _column_pass,
     _require_finite_loglik,
     log_mean_exp,
     lppd,
@@ -441,8 +438,9 @@ def test_plot_csv_writers_pin_bytes(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _whole_matrix_pass(vals):
-    """The column pass as one S x n buffer computes it, field by field,
-    with each variance taken by np.var over the whole per-draw series."""
+    """The fields of criterion_report(m, lpd_at_mean=0.0) that its blocked
+    passes form, as one S x n buffer computes them, with each variance
+    taken by np.var over the whole per-draw series."""
     shift = vals.max(axis=0)
     buf = np.exp(vals - shift)
     w_bar = buf.mean(axis=0)
@@ -455,16 +453,32 @@ def _whole_matrix_pass(vals):
     np.square(buf, out=buf)
     q = buf.sum(axis=1)
     s = vals.shape[0]
-    variances = None
+    fields = {
+        "lppd": float(lme.sum()),
+        "p_waic1": float(2.0 * (lme - mean).sum()),
+        "p_waic2": None,
+        "p_dic": 2.0 * (0.0 - float(mean.sum() + d.mean())),
+    }
     if s > 1:
-        variances = _DrawVariances(*(float(np.var(x, ddof=1)) for x in (r, d, d**2, r - d, q, r - q)))
-    return _ColumnPass(
-        lppd=float(lme.sum()),
-        p_waic1=float(2.0 * (lme - mean).sum()),
-        p_waic2=float((buf.sum(axis=0) / (s - 1)).sum()) if s > 1 else None,
-        mean_loglik=float(mean.sum() + d.mean()),
-        variances=variances,
-    )
+        var_r, var_d, var_d2, var_r_minus_d, var_q, var_r_minus_q = (
+            float(np.var(x, ddof=1)) for x in (r, d, d**2, r - d, q, r - q)
+        )
+
+        def se(var):
+            return math.sqrt(var / s)
+
+        fields.update(
+            p_waic2=float((buf.sum(axis=0) / (s - 1)).sum()),
+            p_dic_alt=2.0 * var_d,
+            mc_se_lppd=se(var_r),
+            mc_se_mean_loglik=se(var_d),
+            mc_se_p_dic=2.0 * se(var_d),
+            mc_se_p_dic_alt=2.0 * se(var_d2),
+            mc_se_p_waic1=2.0 * se(var_r_minus_d),
+            mc_se_p_waic2=se(var_q),
+            mc_se_waic=2.0 * se(var_r_minus_q),
+        )
+    return fields
 
 
 def _block_rows(n):
@@ -484,45 +498,46 @@ KERNEL_SHAPES = [
 
 
 def _assert_merged_fields_match(got, want):
-    """The fields merged block by block agree within 1e-12."""
-    assert math.isclose(got.mean_loglik, want.mean_loglik, rel_tol=1e-12)
-    if want.variances is None:
-        assert got.variances is None
-        return
-    for field, expected in want.variances._asdict().items():
-        actual = getattr(got.variances, field)
-        assert math.isclose(actual, expected, rel_tol=1e-12), (field, actual, expected)
+    """The fields merged block by block agree within 1e-12: p_dic stands for
+    the mean of the per-draw totals and p_dic_alt for their variance. An
+    error field is the square root of a variance, so 5e-13 on it holds the
+    variance to 1e-12."""
+    for field in ("p_dic", "p_dic_alt", "mc_se_lppd", "mc_se_mean_loglik", "mc_se_p_dic",
+                  "mc_se_p_dic_alt", "mc_se_p_waic1", "mc_se_p_waic2", "mc_se_waic"):
+        actual, expected = getattr(got, field), want.get(field)
+        if expected is None:
+            assert actual is None, field
+        else:
+            rel_tol = 5e-13 if field.startswith("mc_se_") else 1e-12
+            assert math.isclose(actual, expected, rel_tol=rel_tol), (field, actual, expected)
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
 def test_row_blocked_pass_is_bitwise_the_whole_matrix_pass_on_row_major_input(shape):
     vals = np.random.default_rng(sum(shape)).normal(-2.0, 1.3, size=shape)
     m = PointwiseLogLikMatrix(vals)
-    got, want = _column_pass(m), _whole_matrix_pass(vals)
+    got, want = criterion_report(m, lpd_at_mean=0.0), _whole_matrix_pass(vals)
     for field in ("lppd", "p_waic1", "p_waic2"):
-        assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes(), field
+        assert np.asarray(getattr(got, field)).tobytes() == np.asarray(want[field]).tobytes(), field
     _assert_merged_fields_match(got, want)
-    assert lppd(m) == want.lppd
-    assert criterion_report(m).lppd == lppd(m)
+    assert lppd(m) == want["lppd"]
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
 def test_row_blocked_pass_matches_the_whole_matrix_pass_on_column_major_input(shape):
     vals = np.asfortranarray(np.random.default_rng(sum(shape)).normal(-2.0, 1.3, size=shape))
     m = PointwiseLogLikMatrix(vals)
-    got, want = _column_pass(m), _whole_matrix_pass(vals)
+    got, want = criterion_report(m, lpd_at_mean=0.0), _whole_matrix_pass(vals)
     for field in ("lppd", "p_waic1", "p_waic2"):
-        expected = getattr(want, field)
-        if expected is None:
+        if want[field] is None:
             assert getattr(got, field) is None, field
         else:
-            assert math.isclose(getattr(got, field), expected, rel_tol=1e-13), field
+            assert math.isclose(getattr(got, field), want[field], rel_tol=1e-13), field
     # numpy sums a row of a column-major buffer in order, so the per-draw
     # series of the whole column-major buffer carry an error of about n ulps
     # (2e-12 of a variance at n = 32779); a row-major buffer sums pairwise
     _assert_merged_fields_match(got, _whole_matrix_pass(np.ascontiguousarray(vals)))
     assert lppd(m) == got.lppd
-    assert criterion_report(m).lppd == lppd(m)
 
 
 def test_validation_names_a_bad_cell_in_the_last_block():
