@@ -34,7 +34,7 @@ from .models import (
     load_schools_csv,
 )
 from . import oracle as oracle_mod
-from .reports import election_report, schools_table_report, write_histogram_csv
+from .reports import election_report, schools_table_report
 from .seeds import derive_seed
 
 EXIT_FORMAT = 2
@@ -310,7 +310,9 @@ def election(input_path, hist_out, dic_parameterization, draws, seed, fmt, outpu
     rep = election_report(load_election_csv(input_path), draws=draws, seed=seed,
                           dic_parameterization=dic_parameterization.replace("-", "_"))
     if hist_out:
-        write_histogram_csv(rep["lpd_posterior"]["bin_left"], rep["lpd_posterior"]["counts"], hist_out)
+        hist = rep["lpd_posterior"]
+        _emit(None, [(repr(left), (str(count),)) for left, count in zip(hist["bin_left"], hist["counts"])],
+              "csv", hist_out, columns=("count",), label="bin_left")
     sections = (
         ("mle_", rep["mle"], ("a", "b", "sigma")),
         ("E_", rep["posterior_means"], ("sigma", "sigma2", "log_sigma")),

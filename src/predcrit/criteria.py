@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .draws import PointwiseLogLikMatrix, _column_sums, _log_mean_exp_columns, _merge_moments, _shifted_exp
+from .draws import PointwiseLogLikMatrix, _column_sums, _draw_column, _log_mean_exp_columns
+from .draws import _merge_moments, _shifted_exp
 from .errors import NonFiniteLogLikError
 
 __all__ = [
@@ -82,11 +83,7 @@ def lpd_posterior_summary(row_totals) -> dict:
     draws (30 bins of equal width over [min, max]) for plotting: `bin_left`
     holds the left bin edges and `counts` the draws per bin, as lists.
     """
-    tot = np.asarray(row_totals, dtype=float)
-    if tot.ndim != 1:
-        raise ValueError(f"draw column must be 1-dimensional, got shape {tot.shape}")
-    if tot.size < 1:
-        raise ValueError("empty draw column")
+    tot = _draw_column(row_totals)
     mean = float(tot.mean())
     mx = float(tot.max())
     counts, edges = np.histogram(tot, bins=30)

@@ -134,32 +134,34 @@ def _require_finite_loglik(values: np.ndarray, first_point: int = 0) -> None:
             )
 
 
+def _draw_column(column, least: int = 1) -> np.ndarray:
+    """`column` as a float array, refused unless 1-dimensional, at least `least` long and finite."""
+    col = np.asarray(column, dtype=float)
+    if col.ndim != 1:
+        raise ValueError(f"draw column must be 1-dimensional, got shape {col.shape}")
+    _require_finite_loglik(col[:, None])
+    if col.size < least:
+        raise ValueError("empty draw column" if least == 1 else f"variance requires at least {least} draws")
+    return col
+
+
 def log_mean_exp(column) -> float:
     """log( (1/S) sum_s exp(a_s) ) of a 1-dimensional column of S draws:
     lppd of the one-column matrix, bit for bit.
 
     The shift by the column maximum makes constant columns exact at any
-    magnitude and keeps every exponential at most 1, so no finite input
-    overflows.
+    magnitude and keeps every exponential at most 1; a draw more than the
+    float range below the maximum gives exp(-inf) = 0, without a warning.
     """
-    col = np.asarray(column, dtype=float)
-    if col.ndim != 1:
-        raise ValueError(f"draw column must be 1-dimensional, got shape {col.shape}")
-    if col.size == 0:
-        raise ValueError("empty draw column")
-    _require_finite_loglik(col[:, None])
-    return float(_log_mean_exp_columns(col[:, None])[0][0])
+    col = _draw_column(column)
+    with np.errstate(over="ignore"):
+        return float(_log_mean_exp_columns(col[:, None])[0][0])
 
 
 def mc_standard_error(column) -> float:
     """Monte Carlo standard error of the mean of a 1-dimensional column,
     sqrt(var / S)."""
-    col = np.asarray(column, dtype=float)
-    if col.ndim != 1:
-        raise ValueError(f"draw column must be 1-dimensional, got shape {col.shape}")
-    _require_finite_loglik(col[:, None])
-    if col.size < 2:
-        raise ValueError("variance requires at least 2 draws")
+    col = _draw_column(column, least=2)
     return float(math.sqrt(col.var(ddof=1) / col.size))
 
 
@@ -183,7 +185,9 @@ def lppd(m: PointwiseLogLikMatrix) -> float:
 
     Deterministic given the matrix; columns are reduced in index order.
     """
-    return float(_log_mean_exp_columns(m.values)[0].sum())
+    with np.errstate(over="ignore"):  # a - max may overflow to -inf: see log_mean_exp
+        lme = _log_mean_exp_columns(m.values)[0]
+    return float(lme.sum())
 
 
 def _merge_moments(moments: np.ndarray, count: int, block: np.ndarray) -> None:
@@ -339,24 +343,16 @@ def read_loglik_csv(source) -> PointwiseLogLikMatrix:
     return PointwiseLogLikMatrix(_read_table(source, "point_", "draw-matrix", "draws", optional=True))
 
 
-def _write_csv(target, header, rows) -> None:
-    """Write the header line (unless None), then one line per row, to a
-    path or a text stream. Rows are iterables of cell strings, joined with
-    commas as given: no cell needs quoting."""
-    if _is_path(target):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, header, rows)
-            return
-    if header is not None:
-        target.write(",".join(header) + "\n")
-    for row in rows:
-        target.write(",".join(row) + "\n")
-
-
 def write_loglik_csv(m: PointwiseLogLikMatrix, target, header: bool = True) -> None:
-    """Write a matrix in the same CSV format read_loglik_csv accepts.
+    """Write a matrix to a path or a text stream in the CSV format read_loglik_csv accepts.
 
     Each value is written as repr(float), which reads back bit-identical.
     """
-    _write_csv(target, _header(m.n_points) if header else None,
-               (map(repr, row) for row in m.values.tolist()))
+    if _is_path(target):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            write_loglik_csv(m, fh, header)
+            return
+    if header:
+        target.write(",".join(_header(m.n_points)) + "\n")
+    for row in m.values.tolist():
+        target.write(",".join(map(repr, row)) + "\n")

@@ -112,7 +112,8 @@ def loo_report(
         error, the fold's full-data lppd or None)."""
         fit = model.fit(data, exclude=i, draws=draws, seed=derive_seed(seed, i))
         col, lme = _scored_lme(fit, i)
-        se_sq = np.exp(col - lme).var(ddof=1) / draws if draws > 1 else 0.0  # delta method
+        with np.errstate(over="ignore"):  # as in log_mean_exp; each thread has its own error state
+            se_sq = np.exp(col - lme).var(ddof=1) / draws if draws > 1 else 0.0  # delta method
         del col
         full = None
         if bias_correction:

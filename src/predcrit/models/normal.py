@@ -81,9 +81,10 @@ class NormalMeanSpec:
         for one dataset, one array entry per dataset for a stack."""
         y = np.asarray(y, dtype=float)
         n = y.shape[-1]
-        # a single point's spread is 0: ddof 0 gives that, not 0/0
-        s2y = y.var(axis=-1, ddof=1 if n >= 2 else 0)
-        return cls(n=n, ybar=y.mean(axis=-1), s2y=s2y, m=m, mu0=mu0)
+        # one point's spread is 0 (ddof 0, not 0/0); __post_init__ refuses a statistic that overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            s2y = y.var(axis=-1, ddof=1 if n >= 2 else 0)
+            return cls(n=n, ybar=y.mean(axis=-1), s2y=s2y, m=m, mu0=mu0)
 
     @property
     def posterior_mean(self) -> float:

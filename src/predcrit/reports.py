@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .criteria import criterion_report, lpd_posterior_summary
-from .draws import _write_csv
 from .loo import loo_report
 from .models import (
     POOLING_MODES,
@@ -24,7 +23,6 @@ from .seeds import derive_seed
 __all__ = [
     "schools_table_report",
     "election_report",
-    "write_histogram_csv",
     "UNDEFINED_AIC_HIERARCHICAL",
     "UNDEFINED_LOO_NO_POOLING",
     "UNDEFINED_LOO_ONE_GROUP",
@@ -124,8 +122,3 @@ def election_report(
         "lpd_posterior": lpd_posterior,
     }
 
-
-def write_histogram_csv(bin_left, counts, target) -> None:
-    """Two-column plot data: bin_left,count."""
-    _write_csv(target, ("bin_left", "count"),
-               ((repr(float(left)), str(int(count))) for left, count in zip(bin_left, counts)))

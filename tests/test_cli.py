@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,8 @@ def test_election_json_and_histogram(runner, tmp_path):
     assert len(lines) == 31
     counts = [int(line.split(",")[1]) for line in lines[1:]]
     assert sum(counts) == 4000
+    hist_json = rep["lpd_posterior"]
+    assert lines[1:] == [f"{left!r},{count}" for left, count in zip(hist_json["bin_left"], hist_json["counts"])]
 
 
 def test_same_seed_byte_identical_output(runner, tmp_path):
@@ -704,6 +707,17 @@ def test_every_command_renders_one_report_in_every_format(runner, tmp_path, comm
     report = payload.get("report") or payload.get("criteria") or {}
     warnings = [f"warning: {w}" for w in report.get("warnings", [])]
     assert lines[len(lines) - len(warnings):] == warnings
+
+
+@pytest.mark.parametrize("command", ["fit", "loo"])
+def test_normal_mean_data_whose_spread_overflows_is_refused_with_one_error_line(command, runner, tmp_path):
+    y = tmp_path / "y.txt"
+    y.write_text("1.5e154\n-1.5e154\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [command, "--model", "normal-mean", "--input", str(y), "--draws", "100"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "error: s2y must be finite, got inf\n"
 
 
 @pytest.mark.parametrize("argv", [["oracle", "--n", "3", "--output"],

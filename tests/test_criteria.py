@@ -113,6 +113,11 @@ def test_lpd_posterior_summary_examples():
     # a matrix is not a column of draw totals: refused, not flattened
     with pytest.raises(ValueError, match=r"1-dimensional, got shape \(2, 3\)"):
         lpd_posterior_summary(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="empty draw column"):
+        lpd_posterior_summary([])
+    # NaN and inf totals are refused naming the draw, as log_mean_exp refuses them
+    with pytest.raises(NonFiniteLogLikError, match="at draw 1, point 0: nan"):
+        lpd_posterior_summary([-1.0, math.nan])
 
 
 def test_report_deviance_identities_hold_exactly():

@@ -22,7 +22,6 @@ from predcrit.draws import (
 )
 from predcrit.errors import MatrixFormatError, NonFiniteLogLikError
 from predcrit.models import load_balanced_csv, load_election_csv, load_schools_csv
-from predcrit.reports import write_histogram_csv
 
 
 def test_log_mean_exp_constant_column_is_fixed_point():
@@ -60,6 +59,15 @@ def test_log_mean_exp_is_lppd_of_the_one_column_matrix_bitwise(draws):
     for _ in range(20):
         col = rng.normal(-2.0, 1.5, size=draws)
         assert log_mean_exp(col) == lppd(PointwiseLogLikMatrix(col[:, None]))
+
+
+def test_a_column_wider_than_the_float_range_gives_its_log_mean_exp_without_a_warning():
+    # -1e308 - 1e308 overflows to -inf, whose exponential is the 0 it rounds to
+    col = np.array([1e308, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_mean_exp(col) == 1e308
+        assert lppd(PointwiseLogLikMatrix(col[:, None])) == 1e308
 
 
 def test_mc_standard_error_examples():
@@ -414,8 +422,17 @@ def test_csv_writer_bytes_match_csv_module(header, tmp_path):
 
 
 def test_plot_csv_writers_pin_bytes(tmp_path, monkeypatch):
+    # the histogram is written by `election --hist-out`; pin its bytes on fixed bins
+    report = cli.election_report
+
+    def fixed_bins(*args, **kwargs):
+        rep = report(*args, **kwargs)
+        rep["lpd_posterior"].update(bin_left=[-43.25, -42.5, 0.1], counts=[3, 0, 12])
+        return rep
+
+    monkeypatch.setattr(cli, "election_report", fixed_bins)
     hist = tmp_path / "hist.csv"
-    write_histogram_csv(np.array([-43.25, -42.5, 0.1]), np.array([3, 0, 12]), hist)
+    assert CliRunner().invoke(cli.main, ["election", "--draws", "10", "--hist-out", str(hist)]).exit_code == 0
     assert hist.read_bytes() == b"bin_left,count\n-43.25,3\n-42.5,0\n0.1,12\n"
     rows = [
         {"n": 2, "estimator": "cloo", "mc_mean": -0.125, "mc_se": 0.01, "oracle": 1 / 3},

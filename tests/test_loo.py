@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,18 @@ def test_a_non_finite_heldout_column_is_refused_naming_draw_and_point():
     model = _NaNHeldOutModel(PointwiseLogLikMatrix(np.full((10, 3), -1.0)))
     with pytest.raises(NonFiniteLogLikError, match="at draw 3, point 1: nan"):
         loo_report(model, np.zeros(3), -3.0, draws=10, seed=1, bias_correction=False)
+
+
+def test_a_fold_whose_column_is_wider_than_the_float_range_runs_without_a_warning():
+    # -1e308 - lme overflows to -inf in the fold's ratios exp(col - lme), whose 0 is right
+    vals = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]])
+    model = _FixedPosteriorModel(PointwiseLogLikMatrix(vals))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = loo_report(model, np.zeros(2), 1e308, draws=3, seed=1, bias_correction=False)
+    assert rep.per_point == [1e308, 0.0]
+    # ratios (1, 0, 0) and (1, 1, 1): variances 1/3 and 0 over 3 draws
+    assert rep.mc_se_lppd_loo == pytest.approx(1 / 3, rel=1e-15)
 
 
 class _HeldOutRecordingModel(_FixedPosteriorModel):

@@ -418,6 +418,15 @@ def test_normal_mean_refit_scores_all_points_at_the_training_estimates():
     assert pe.lpd_at_mean == pytest.approx(_normal_total(y, post_mean, 1.0), rel=1e-12)
 
 
+def test_normal_mean_data_whose_spread_overflows_is_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="s2y must be finite, got inf"):
+            NormalMeanModel().fit([1.5e154, -1.5e154], draws=10, seed=1)
+        with pytest.raises(ValueError, match="ybar must be finite, got inf"):
+            NormalMeanSpec.from_data([1e308, 1e308])
+
+
 def test_normal_mean_fit_without_training_points_draws_from_the_prior():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
