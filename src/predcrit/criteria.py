@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .draws import PointwiseLogLikMatrix, _column_sums, _draw_column, _log_mean_exp_columns
-from .draws import _merge_moments, _shifted_exp
-from .errors import NonFiniteLogLikError
+from .draws import _merge_moments, _require_finite_fields, _shifted_exp
 
 __all__ = [
     "PointEstimateLogLik",
@@ -128,8 +127,8 @@ class CriterionReport:
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def criterion_report(
@@ -240,8 +239,6 @@ def criterion_report(
         report.aic = aic_val
         report.bic = bic(mle, m.n_points)
 
-    for name, value in report.__dict__.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise NonFiniteLogLikError(f"{name} is {value}: the log densities overflow double precision")
+    _require_finite_fields(report.__dict__)
     report.warnings = warnings
     return report

@@ -2,7 +2,7 @@
 
 The central object is a matrix of pointwise log densities, S draws by n
 data points, with entry (s, i) = log p(y_i | theta^s) in nats. This module
-validates, reads and writes it, and holds the blocked reductions the rest
+validates and reads it, and holds the blocked reductions the rest
 build on: column sums over blocks of draws, the log-mean-exp of each
 column (lppd) and the merging of running moments. The criteria's own
 passes over the matrix live in `criteria.criterion_report`.
@@ -29,7 +29,6 @@ __all__ = [
     "mc_standard_error",
     "lppd",
     "read_loglik_csv",
-    "write_loglik_csv",
 ]
 
 
@@ -76,8 +75,14 @@ class PointwiseLogLikMatrix:
         return self.values[:, i]
 
     def row_totals(self) -> np.ndarray:
-        """Per-draw total log likelihood, sum over points."""
-        return self.values.sum(axis=1)
+        """Per-draw total log likelihood, sum over points. A total that
+        overflows is refused with NonFiniteLogLikError naming its draw."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = self.values.sum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(totals))
+        if bad.size:
+            _require_finite_fields({f"the total of draw {bad[0]}": float(totals[bad[0]])})
+        return totals
 
 
 # Bytes of log densities in one block of draws. A block's ratios, deviations
@@ -134,6 +139,13 @@ def _require_finite_loglik(values: np.ndarray, first_point: int = 0) -> None:
             )
 
 
+def _require_finite_fields(fields: dict) -> None:
+    """Refuse a result whose float fields hold NaN or inf, naming the first."""
+    for name, value in fields.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NonFiniteLogLikError(f"{name} is {value}: the log densities overflow double precision")
+
+
 def _draw_column(column, least: int = 1) -> np.ndarray:
     """`column` as a float array, refused unless 1-dimensional, at least `least` long and finite."""
     col = np.asarray(column, dtype=float)
@@ -185,9 +197,11 @@ def lppd(m: PointwiseLogLikMatrix) -> float:
 
     Deterministic given the matrix; columns are reduced in index order.
     """
-    with np.errstate(over="ignore"):  # a - max may overflow to -inf: see log_mean_exp
-        lme = _log_mean_exp_columns(m.values)[0]
-    return float(lme.sum())
+    # a - max may overflow to -inf (see log_mean_exp); an overflowing total is refused, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(_log_mean_exp_columns(m.values)[0].sum())
+    _require_finite_fields({"lppd": total})
+    return total
 
 
 def _merge_moments(moments: np.ndarray, count: int, block: np.ndarray) -> None:
@@ -203,10 +217,6 @@ def _merge_moments(moments: np.ndarray, count: int, block: np.ndarray) -> None:
     delta = block_mean - moments[0]
     moments[0] += delta * (k / total)
     moments[1] += block.sum(axis=1) + delta * delta * (count * k / total)
-
-
-def _header(width: int, prefix: str = "point_") -> list[str]:
-    return [f"{prefix}{j + 1}" for j in range(width)]
 
 
 def _is_path(source) -> bool:
@@ -290,7 +300,7 @@ def _read_table(source, header, what: str, rows: str, *, labels: int = 0,
     if first is None:
         raise MatrixFormatError(f"empty {what} file")
     numeric = optional and _is_numeric_row(first)
-    expected = _header(len(first), header) if isinstance(header, str) else list(header)
+    expected = [f"{header}{j + 1}" for j in range(len(first))] if isinstance(header, str) else list(header)
     if not numeric and first != expected:
         raise MatrixFormatError(
             f"header row must be {','.join(expected)}, got {','.join(first)}"
@@ -341,18 +351,3 @@ def read_loglik_csv(source) -> PointwiseLogLikMatrix:
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_loglik_csv(fh)
     return PointwiseLogLikMatrix(_read_table(source, "point_", "draw-matrix", "draws", optional=True))
-
-
-def write_loglik_csv(m: PointwiseLogLikMatrix, target, header: bool = True) -> None:
-    """Write a matrix to a path or a text stream in the CSV format read_loglik_csv accepts.
-
-    Each value is written as repr(float), which reads back bit-identical.
-    """
-    if _is_path(target):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            write_loglik_csv(m, fh, header)
-            return
-    if header:
-        target.write(",".join(_header(m.n_points)) + "\n")
-    for row in m.values.tolist():
-        target.write(",".join(map(repr, row)) + "\n")

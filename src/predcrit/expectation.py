@@ -19,7 +19,6 @@ reassembled bit-identically.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -50,8 +49,6 @@ ESTIMATOR_NAMES = (
     "elppd", "p_dic", "p_waic1", "p_waic2", "p_loo", "p_cloo", "b",
 )
 
-_LOO_NAMES = {"loo", "cloo", "p_loo", "p_cloo", "b"}
-
 
 @dataclass(frozen=True)
 class ReplicationPlan:
@@ -73,17 +70,18 @@ class ReplicationPlan:
             raise ValueError("too few replicates for error bars")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if not self.estimators:
-            allowed = tuple(e for e in ESTIMATOR_NAMES if self.n >= 2 or e not in _LOO_NAMES)
-            object.__setattr__(self, "estimators", allowed)
         if self.theta0 is None and self.m == 0:
             object.__setattr__(self, "theta0", 0.0)
         _check_settings(m=self.m, theta0=0.0 if self.theta0 is None else self.theta0)
+        # the oracle divides by n and by m, so it is asked only once both are checked
+        allowed = oracle.expectations(self.n, self.m).keys()
+        if not self.estimators:
+            object.__setattr__(self, "estimators", tuple(e for e in ESTIMATOR_NAMES if e in allowed))
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        loo_requested = set(self.estimators) & _LOO_NAMES
-        if loo_requested and self.n < 2:
+        loo_requested = set(self.estimators) - allowed
+        if loo_requested:
             raise ValueError(
                 f"estimators {sorted(loo_requested)} require n >= 2"
             )
@@ -105,9 +103,6 @@ class ExpectationResult:
 
     def to_dict(self) -> dict:
         return asdict(self.plan) | {"estimators": {name: asdict(s) for name, s in self.stats.items()}}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _chunk_sizes(R: int) -> list[int]:

@@ -24,7 +24,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .draws import _require_finite_loglik, log_mean_exp
+from .draws import _require_finite_fields, _require_finite_loglik, log_mean_exp
 from .draws import lppd as lppd_of  # noqa: F401  (unused here; perfbench's tracer wraps this binding)
 from .errors import NonFiniteLogLikError
 from .seeds import derive_seed
@@ -99,7 +99,7 @@ def loo_report(
     the lowest-numbered one propagates.
     With a single draw the Monte Carlo error is unavailable and
     `mc_se_lppd_loo` is None. A non-finite `lppd_full` is refused before
-    the first refit.
+    the first refit, a field that overflows once the report is formed.
     """
     n = len(data)
     if n < 2:
@@ -117,7 +117,9 @@ def loo_report(
         del col
         full = None
         if bias_correction:
-            full = float(np.sum([lme if j == i else _scored_lme(fit, j)[1] for j in range(n)]))
+            lmes = [lme if j == i else _scored_lme(fit, j)[1] for j in range(n)]
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused with the report
+                full = float(np.sum(lmes))
         return lme, se_sq, full
 
     with ThreadPoolExecutor(min(_available_cpus(), n)) as pool:
@@ -125,9 +127,10 @@ def loo_report(
         # once one raises
         per_point, se_sq, fold_full = (list(t) for t in zip(*pool.map(fold, range(n))))
     loo_total = float(sum(per_point))
-    bar = float(np.mean(fold_full)) if bias_correction else None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mean is refused below
+        bar = float(np.mean(fold_full)) if bias_correction else None
     b = lppd_full - bar if bias_correction else None
-    return LooReport(
+    report = LooReport(
         lppd_loo=loo_total,
         lppd_bar_minus_i=bar,
         b=b,
@@ -137,3 +140,5 @@ def loo_report(
         per_point=per_point,
         mc_se_lppd_loo=math.sqrt(sum(se_sq)) if draws > 1 else None,
     )
+    _require_finite_fields(report.__dict__)
+    return report

@@ -123,6 +123,16 @@ def test_exit_code_3_when_finite_log_densities_overflow_the_report(runner, tmp_p
     )
 
 
+
+def test_exit_code_3_when_the_full_data_lppd_of_loo_overflows(runner, tmp_path):
+    # every school's log density is about -5e307 under complete pooling, so their sum passes -1.8e308
+    path = _write(tmp_path, "s.csv", "school,y,sigma\nA,1e154,1\nB,-1e154,1\nC,1e154,1\nD,-1e154,1\nE,0,1\n")
+    result = runner.invoke(main, ["loo", "--model", "schools", "--mode", "complete_pooling", "--input", path,
+                                  "--draws", "100"])
+    assert result.exit_code == 3
+    assert result.output == "numeric validity error: lppd is -inf: the log densities overflow double precision\n"
+
+
 NON_FINITE_INPUTS = {
     "schools-y": ("s.csv", "school,y,sigma\nA,nan,15\nB,8,10\nC,-3,16\n",
                   [["fit", "--model", "schools"], ["schools-table"]], "nan"),

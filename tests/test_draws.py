@@ -18,7 +18,6 @@ from predcrit.draws import (
     lppd,
     mc_standard_error,
     read_loglik_csv,
-    write_loglik_csv,
 )
 from predcrit.errors import MatrixFormatError, NonFiniteLogLikError
 from predcrit.models import load_balanced_csv, load_election_csv, load_schools_csv
@@ -68,6 +67,28 @@ def test_a_column_wider_than_the_float_range_gives_its_log_mean_exp_without_a_wa
         warnings.simplefilter("error")
         assert log_mean_exp(col) == 1e308
         assert lppd(PointwiseLogLikMatrix(col[:, None])) == 1e308
+
+
+def test_an_lppd_that_overflows_is_refused_naming_lppd():
+    m = PointwiseLogLikMatrix(np.full((2, 2), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteLogLikError, match="^lppd is inf: the log densities overflow"):
+            lppd(m)
+    with pytest.raises(NonFiniteLogLikError, match="^lppd is -inf"):
+        lppd(PointwiseLogLikMatrix(np.full((2, 2), -1e308)))
+
+
+def test_a_row_total_that_overflows_is_refused_naming_its_draw():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteLogLikError, match="^the total of draw 0 is inf: the log densities overflow"):
+            PointwiseLogLikMatrix(np.full((2, 2), 1e308)).row_totals()
+        # the first draw whose total overflows is named, whichever way it overflows
+        vals = np.array([[1.0, 2.0], [3.0, 4.0], [-1e308, -1e308], [1e308, 1e308]])
+        with pytest.raises(NonFiniteLogLikError, match="^the total of draw 2 is -inf"):
+            PointwiseLogLikMatrix(vals).row_totals()
+        assert PointwiseLogLikMatrix(vals[:2]).row_totals().tolist() == [3.0, 7.0]
 
 
 def test_mc_standard_error_examples():
@@ -164,7 +185,7 @@ def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     m = PointwiseLogLikMatrix(rng.normal(-3, 2, size=(12, 4)))
     path = tmp_path / "mat.csv"
-    write_loglik_csv(m, path)
+    path.write_bytes(_csv_writer_reference(m, header=True))
     back = read_loglik_csv(path)
     np.testing.assert_array_equal(back.values, m.values)
 
@@ -315,9 +336,7 @@ def test_a_row_the_csv_module_refuses_is_a_format_error_naming_it(case):
 def test_csv_write_reads_back_bit_identical_via_stringio():
     rng = np.random.default_rng(8)
     m = PointwiseLogLikMatrix(rng.normal(size=(5, 3)) * 1e3)
-    buf = io.StringIO()
-    write_loglik_csv(m, buf)
-    back = read_loglik_csv(io.StringIO(buf.getvalue()))
+    back = read_loglik_csv(io.StringIO(_csv_writer_reference(m, header=True).decode("utf-8")))
     assert back.values.tobytes() == m.values.tobytes()
 
 
@@ -409,15 +428,14 @@ def _csv_writer_reference(m, header):
 
 
 @pytest.mark.parametrize("header", [True, False])
-def test_csv_writer_bytes_match_csv_module(header, tmp_path):
+def test_csv_edge_values_read_back_bit_identical(header, tmp_path):
     m = PointwiseLogLikMatrix(np.array([
         [-1.5, 5e-324, 1e300, 3.0],
         [-0.0, -2.2250738585072014e-308, -1e300, 1e16],
         [0.1, -7.0, 123456789.0, 1.0000000000000002],
     ]))
     path = tmp_path / "m.csv"
-    write_loglik_csv(m, path, header=header)
-    assert path.read_bytes() == _csv_writer_reference(m, header)
+    path.write_bytes(_csv_writer_reference(m, header))
     assert read_loglik_csv(path).values.tobytes() == m.values.tobytes()
 
 

@@ -257,7 +257,7 @@ def test_oracle_path_agrees_with_simulation_path():
 def test_result_json_round_trip():
     plan = ReplicationPlan(R=2_000, n=3, seed=1, estimators=("aic", "p_waic2"))
     result = run_expectation_study(plan)
-    decoded = json.loads(result.to_json())
+    decoded = json.loads(json.dumps(result.to_dict()))
     assert decoded["R"] == 2_000
     assert decoded["estimators"]["aic"]["mc_mean"] == result.stats["aic"].mc_mean
 
@@ -266,6 +266,6 @@ def test_result_json_carries_every_setting_of_its_study():
     # a drawn true mean is echoed as null
     for theta0 in (0.8, None):
         plan = ReplicationPlan(R=2_000, n=3, m=1.5, theta0=theta0, seed=4, estimators=("aic", "loo"))
-        decoded = json.loads(run_expectation_study(plan).to_json())
+        decoded = json.loads(json.dumps(run_expectation_study(plan).to_dict()))
         settings = {k: decoded[k] for k in ("R", "n", "m", "theta0", "seed")}
         assert ReplicationPlan(**settings, estimators=tuple(decoded["estimators"])) == plan

@@ -131,6 +131,19 @@ def test_a_fold_whose_column_is_wider_than_the_float_range_runs_without_a_warnin
     assert rep.mc_se_lppd_loo == pytest.approx(1 / 3, rel=1e-15)
 
 
+@pytest.mark.parametrize("value, bias_correction, field", [
+    (1e308, True, "lppd_loo"), (1e308, False, "lppd_loo"), (5e307, True, "lppd_bar_minus_i"),
+])
+def test_a_loo_report_that_overflows_is_refused_naming_the_field(value, bias_correction, field):
+    # three points scoring 1e308 each pass the float range in lppd_loo and in every fold's sum;
+    # at 5e307 both stay finite, and only the mean of the three fold sums overflows
+    model = _FixedPosteriorModel(PointwiseLogLikMatrix(np.full((4, 3), value)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteLogLikError, match=f"^{field} is inf: the log densities overflow"):
+            loo_report(model, np.zeros(3), 1.0, draws=4, seed=1, bias_correction=bias_correction)
+
+
 class _HeldOutRecordingModel(_FixedPosteriorModel):
     """A fixed posterior that records (left-out point, scored point) of
     each `loglik` call."""
