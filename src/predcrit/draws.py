@@ -139,11 +139,12 @@ def _require_finite_loglik(values: np.ndarray, first_point: int = 0) -> None:
             )
 
 
-def _require_finite_fields(fields: dict) -> None:
-    """Refuse a result whose float fields hold NaN or inf, naming the first."""
+def _require_finite_fields(fields: dict, source: str = "the log densities") -> None:
+    """Refuse a result whose float fields hold NaN or inf, naming the first
+    and the `source` whose values overflowed."""
     for name, value in fields.items():
         if isinstance(value, float) and not math.isfinite(value):
-            raise NonFiniteLogLikError(f"{name} is {value}: the log densities overflow double precision")
+            raise NonFiniteLogLikError(f"{name} is {value}: {source} overflow double precision")
 
 
 def _draw_column(column, least: int = 1) -> np.ndarray:

@@ -7,11 +7,10 @@ independent, with ybar ~ N(theta, 1/n) and (n - 1) s2y ~ chi^2_{n-1}, and
 every estimator of this family depends on a dataset only through them; so
 drawing the pair gives each replicate's estimator values their exact law
 without drawing the n points, and a study costs the same at any n.
-Every requested estimator is evaluated with the oracle module's closed
-forms, applied to the whole chunk of replicates at once; the per-point
-target elppd is also evaluated analytically, so no second Monte Carlo
-layer is needed. Averages over replicates then get z-scored against the
-exact expectations from the oracle module.
+Each chunk of replicates goes through the oracle module's closed forms at
+once, the per-point target elppd included, so no second Monte Carlo layer
+is needed; the averages over replicates are z-scored against the exact
+expectations the plan holds.
 
 Replicates are generated in fixed-size chunks, each chunk from its own
 derived seed, so chunks can be computed in any order (or in parallel) and
@@ -20,12 +19,12 @@ reassembled bit-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import oracle
-from .draws import mc_standard_error
+from .draws import _require_finite_fields, mc_standard_error
 from .models.normal import _check_settings
 from .seeds import derive_seed
 
@@ -56,7 +55,9 @@ class ReplicationPlan:
     estimator that `n` allows (those needing a held-out point want n >= 2).
     The prior mean is 0, so a fixed true mean `theta0` is its offset from it;
     `theta0=None` draws the true mean from the prior N(0, 1/m). Under the
-    flat prior (m = 0) no value depends on the true mean, and None becomes 0."""
+    flat prior (m = 0) no value depends on the true mean, and None becomes 0.
+    `exact`, the study's table from `oracle.expectations`, is built once
+    here; it is not a field, so `asdict`, `replace` and equality skip it."""
 
     R: int
     n: int
@@ -74,18 +75,16 @@ class ReplicationPlan:
             object.__setattr__(self, "theta0", 0.0)
         _check_settings(m=self.m, theta0=0.0 if self.theta0 is None else self.theta0)
         # the oracle divides by n and by m, so it is asked only once both are checked
-        allowed = oracle.expectations(self.n, self.m).keys()
-        if not self.estimators:
-            object.__setattr__(self, "estimators", tuple(e for e in ESTIMATOR_NAMES if e in allowed))
+        prior_dev2 = None if self.theta0 is None else self.theta0**2
+        object.__setattr__(self, "exact", oracle.expectations(self.n, self.m, prior_dev2))
+        object.__setattr__(self, "estimators",
+                           tuple(self.estimators or (e for e in ESTIMATOR_NAMES if e in self.exact)))
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        loo_requested = set(self.estimators) - allowed
+        loo_requested = set(self.estimators) - self.exact.keys()
         if loo_requested:
-            raise ValueError(
-                f"estimators {sorted(loo_requested)} require n >= 2"
-            )
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+            raise ValueError(f"estimators {sorted(loo_requested)} require n >= 2")
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,8 @@ class ExpectationResult:
     stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self.plan) | {"estimators": {name: asdict(s) for name, s in self.stats.items()}}
+        settings = {f.name: getattr(self.plan, f.name) for f in fields(self.plan)}
+        return settings | {"estimators": {name: dict(s.__dict__) for name, s in self.stats.items()}}
 
 
 def _chunk_sizes(R: int) -> list[int]:
@@ -129,7 +129,8 @@ def _replicate_chunk(plan: ReplicationPlan, chunk_index: int, size: int) -> dict
     ybar = theta + rng.standard_normal(size) / math.sqrt(n)
     s2y = rng.chisquare(n - 1, size) / (n - 1) if n >= 2 else np.zeros(size)
     spec = oracle.NormalMeanSpec(n=n, ybar=ybar, s2y=s2y, m=plan.m)
-    values = oracle.dataset_values(spec, (theta - spec.posterior_mean) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused once averaged
+        values = oracle.dataset_values(spec, (theta - spec.posterior_mean) ** 2)
     return {name: values[name] for name in plan.estimators}
 
 
@@ -141,23 +142,22 @@ def run_expectation_study(plan: ReplicationPlan) -> ExpectationResult:
     paired gap between the target elppd and the estimate; p_* entries
     report the raw penalties; `elppd` and `b` report themselves.
     """
-    chunks = [
-        _replicate_chunk(plan, c, size)
-        for c, size in enumerate(_chunk_sizes(plan.R))
-    ]
-    exact = oracle.expectations(plan.n, plan.m, None if plan.theta0 is None else plan.theta0**2)
+    chunks = [_replicate_chunk(plan, c, size) for c, size in enumerate(_chunk_sizes(plan.R))]
     result = ExpectationResult(plan=plan)
     for name in plan.estimators:
         vals = np.concatenate([c[name] for c in chunks])
-        mc_mean = float(vals.mean())
-        # a constant estimator has no Monte Carlo error; its rounding-level
-        # sample variance would turn an exact match into a huge z-score
-        mc_se = 0.0 if (vals == vals[0]).all() else mc_standard_error(vals)
-        oracle_value = exact[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mc_mean = float(vals.mean())
+            # NaN and inf carry into the mean, so a finite one clears every replicate
+            _require_finite_fields({name: mc_mean}, "the replicate values")
+            # a constant estimator has no Monte Carlo error; its rounding-level
+            # sample variance would turn an exact match into a huge z-score
+            mc_se = 0.0 if (vals == vals[0]).all() else mc_standard_error(vals)
+            _require_finite_fields({f"the mc_se of {name}": mc_se}, "the replicate values")
+        oracle_value = plan.exact[name]
         if mc_se > 0:
             z = (mc_mean - oracle_value) / mc_se
         elif math.isclose(mc_mean, oracle_value, rel_tol=1e-9, abs_tol=1e-12):
-            # degenerate estimator (constant across replicates), e.g. p_dic
             z = 0.0
         else:
             z = math.inf

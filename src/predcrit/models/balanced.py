@@ -52,6 +52,8 @@ class BalancedModel:
         self.mu = mu
         self.tau = tau
         self.counting = counting
+        # each group's conjugate normal-mean prior, prior precision 1/tau^2
+        self._group = NormalMeanModel(m=1.0 / tau**2, mu0=mu)
 
     def fit(self, data, exclude: int | None = None, *, draws: int, seed: int) -> _BalancedFit:
         """Draw the S x J group means and score them as the counting asks:
@@ -71,9 +73,8 @@ class BalancedModel:
             raise ValueError("y must be an n x J array of observations")
         n, J = y.shape
         theta = np.empty((draws, J))
-        group = NormalMeanModel(m=1.0 / self.tau**2, mu0=self.mu)
         for j in range(J):
-            theta[:, j] = group.fit(y[:, j], draws=draws, seed=derive_seed(seed, j)).theta
+            theta[:, j] = self._group.fit(y[:, j], draws=draws, seed=derive_seed(seed, j)).theta
         # n x J x S, then flatten or sum over i; the transpose is column-major S x n
         ll = normal_logpdf_inplace(np.subtract(y[:, :, None], theta.T, order="C"), 1.0)
         values = ll.reshape(n * J, draws).T if self.counting == "observation" else ll.sum(axis=0).T

@@ -7,6 +7,7 @@ simulation counterpart of the closed-form oracle module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,15 +44,41 @@ def normal_logpdf_inplace(resid: np.ndarray, var, terms: tuple | None = None) ->
     return resid
 
 
+def _inverse(x: float) -> float:
+    return 1.0 / x if x else math.inf
+
+
+def _square(x):
+    """x**2, inf where it overflows: a float's square would raise
+    OverflowError there, where an array's entry is inf."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _check_settings(**settings) -> None:
     """Raise a ValueError naming the first setting with a NaN or infinite
-    entry, a negative prior precision `m` or a prior sd `tau` not above 0."""
+    entry, a negative prior precision `m` or a prior sd `tau` not above 0,
+    or one that is inverted or squared out of double range: 1/m for m > 0,
+    theta0^2, and 1/tau^2 or tau^2."""
     for name, value in settings.items():
         _require_finite(np.asarray(value), name)
     if settings.get("m", 0.0) < 0:
         raise ValueError("prior precision m must be nonnegative")
     if settings.get("tau", 1.0) <= 0:
         raise ValueError("tau must be positive")
+    derived = {}
+    if settings.get("m", 0.0) > 0:
+        derived["1/m"] = 1.0 / float(settings["m"])
+    if "theta0" in settings:
+        derived["theta0^2"] = _square(float(settings["theta0"]))
+    if "tau" in settings:
+        # the balanced model's group precision, and the prior variance its group model takes back
+        derived["1/tau^2"] = _inverse(_square(float(settings["tau"])))
+        derived["tau^2"] = _inverse(derived["1/tau^2"])
+    for name, value in derived.items():
+        _require_finite(np.asarray(value), name)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ import math
 
 import numpy as np
 
-from .models.normal import NormalMeanSpec
+from .draws import _require_finite_fields
+from .models.normal import NormalMeanSpec, _square
 
 __all__ = [
     "NormalMeanSpec",
@@ -64,7 +65,7 @@ def elpd_aic(spec: NormalMeanSpec) -> float:
 
 def _shrunk_dev2(spec: NormalMeanSpec) -> float:
     # n (ybar - posterior_mean)^2 = n m^2 (ybar - mu0)^2 / (m + n)^2
-    return spec.n * (spec.m / (spec.m + spec.n)) ** 2 * (spec.ybar - spec.mu0) ** 2
+    return spec.n * (spec.m / (spec.m + spec.n)) ** 2 * _square(spec.ybar - spec.mu0)
 
 
 def lpd_at_posterior_mean(spec: NormalMeanSpec) -> float:
@@ -107,7 +108,7 @@ def p_waic2(spec: NormalMeanSpec) -> float:
     return (
         (n - 1) * spec.s2y / (m + n)
         + _shrunk_dev2(spec) / (m + n)
-        + n / (2 * (m + n) ** 2)
+        + n / (2 * _square(m + n))
     )
 
 
@@ -118,13 +119,13 @@ def _loo(spec: NormalMeanSpec):
         raise ValueError("leave-one-out requires at least 2 data points")
     sq_dev = (n - 1) * spec.s2y  # sum_i (y_i - ybar)^2
     w = 1.0 / (m + n - 1)
-    shift2 = n * m**2 * (spec.ybar - spec.mu0) ** 2
+    shift2 = n * _square(m) * _square(spec.ybar - spec.mu0)
     const = -(n / 2) * math.log(2 * math.pi * (1 + w))
     # With d_i = y_i - ybar: y_i - c_i = ((m+n) d_i + m (ybar - mu0)) w, and
     # fold i scores the full data with sum_j (y_j - c_i)^2
     # = sq_dev + n (ybar - c_i)^2, where ybar - c_i = (m (ybar - mu0) + d_i) w.
     # Summing over i (sum_i d_i = 0) leaves only sufficient statistics.
-    lppd_loo = const - ((m + n) ** 2 * sq_dev + shift2) * w**2 / (2 * (1 + w))
+    lppd_loo = const - (_square(m + n) * sq_dev + shift2) * w**2 / (2 * (1 + w))
     lppd_bar = const - (sq_dev * (1 + w**2) + shift2 * w**2) / (2 * (1 + w))
     return lppd_loo, lppd_bar
 
@@ -150,8 +151,8 @@ def _b(spec: NormalMeanSpec):
     v = 1.0 / (m + n)
     w = 1.0 / (m + n - 1)
     wv = w * v
-    d2 = (spec.ybar - spec.mu0) ** 2
-    spread = (n - 1) * spec.s2y * w + n * m**2 * d2 * (w + v + wv) / 2
+    d2 = _square(spec.ybar - spec.mu0)
+    spread = (n - 1) * spec.s2y * w + n * _square(m) * d2 * (w + v + wv) / 2
     return (n / 2) * math.log1p(wv / (1 + v)) + wv / ((1 + w) * (1 + v)) * spread
 
 
@@ -233,6 +234,8 @@ def expectations(n: int, m: float = 0.0, prior_dev2: float | None = None) -> dic
 
     `prior_dev2` defaults to 1/m (theta drawn from the prior) when m > 0;
     under the flat prior every term it enters carries m^2 and vanishes.
+    An entry that overflows to NaN or inf is refused with
+    `NonFiniteLogLikError` naming it.
 
     Flat-prior exact forms: the AIC gap is 1/2 - (n/2) log(1 + 1/n), about
     1/(4n); the WAIC-2 gap is (n-1)/(2n(n+1)), opposite in sign to the
@@ -246,16 +249,20 @@ def expectations(n: int, m: float = 0.0, prior_dev2: float | None = None) -> dic
         raise ValueError("prior_dev2 must be nonnegative")
     # with mu0 = 0, (ybar - mu0)^2 = ybar^2 takes its expected value
     spec = NormalMeanSpec(n=n, ybar=math.sqrt(prior_dev2 + 1.0 / n), s2y=1.0, m=m)
-    err2 = (m**2 * prior_dev2 + n) / (m + n) ** 2
-    values = dataset_values(spec, err2)
-    return {name: float(v) for name, v in values.items()}
+    err2 = (_square(m) * prior_dev2 + n) / _square(m + n)
+    exact = {name: float(v) for name, v in dataset_values(spec, err2).items()}
+    _require_finite_fields(exact, "the closed forms")
+    return exact
 
 
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def formula_table(spec: NormalMeanSpec) -> dict:
     """Every formula evaluated for one input, as a flat dict (CLI payload).
-    The observed and expected leave-one-out entries need n >= 2."""
+    The observed and expected leave-one-out entries need n >= 2. An entry
+    that overflows to NaN or inf is refused with `NonFiniteLogLikError`
+    naming it, as is an expectation that does."""
     n, m = spec.n, spec.m
     e = expectations(n, m)
     out = {
@@ -293,4 +300,5 @@ def formula_table(spec: NormalMeanSpec) -> dict:
             lppd_loo=lo,
             lppd_bar_minus_i=bar,
         )
+    _require_finite_fields(out, "the closed forms")
     return out

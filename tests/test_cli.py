@@ -493,6 +493,15 @@ BAD_SETTINGS = [
     (["oracle", "--n", "3", "--mu0", "-inf"], "mu0 must be finite"),
     (["expect", "--n", "3", "-R", "10", "--m", "nan"], "m must be finite"),
     (["expect", "--n", "3", "-R", "10", "--theta0", "nan"], "theta0 must be finite"),
+    # a setting the closed forms or a model invert or square out of double range
+    (["expect", "--n", "3", "--m", "5e-324", "-R", "200"], "1/m must be finite, got inf"),
+    (["oracle", "--n", "3", "--m", "5e-324"], "1/m must be finite, got inf"),
+    (["fit", "--model", "normal-mean", "--m", "5e-324"], "1/m must be finite, got inf"),
+    (["loo", "--model", "normal-mean", "--m", "5e-324"], "1/m must be finite, got inf"),
+    (["expect", "--n", "3", "--m", "1", "--theta0", "1e200", "-R", "200"], "theta0^2 must be finite, got inf"),
+    (["fit", "--model", "balanced", "--tau", "1e-200"], "1/tau^2 must be finite, got inf"),
+    (["fit", "--model", "balanced", "--tau", "1e-160"], "1/tau^2 must be finite, got inf"),
+    (["fit", "--model", "balanced", "--tau", "1e200"], "tau^2 must be finite, got inf"),
 ]
 
 
@@ -504,6 +513,23 @@ def test_a_non_finite_setting_exits_2_naming_it(runner, tmp_path, argv, message)
     result = runner.invoke(main, argv)
     assert result.exit_code == 2, result.output
     assert f"error: {message}" in result.output
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expect", "--n", "3", "--m", "1e-308", "-R", "200"], "the mc_se of aic is inf: the replicate values"),
+    (["expect", "--n", "3", "--m", "1e-308", "-R", "200", "--estimator", "dic"], "dic is nan: the replicate values"),
+    (["expect", "--n", "3", "--m", "1e200", "-R", "200"], "elppd is nan: the closed forms"),
+    (["expect", "--n", "3", "--m", "1", "--theta0", "1.3e154", "-R", "200"], "lppd_loo is -inf: the closed forms"),
+    (["oracle", "--n", "3", "--ybar", "1e200"], "lpd_at_posterior_mean is nan: the closed forms"),
+    (["oracle", "--n", "3", "--m", "1e200"], "elppd is nan: the closed forms"),
+    (["oracle", "--n", "5", "--s2y", "1e308"], "lpd_at_mle is -inf: the closed forms"),
+    (["oracle", "--n", "2", "--y", "1e200,1e200"], "lpd_at_posterior_mean is nan: the closed forms"),
+], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
+def test_closed_forms_that_overflow_exit_3_naming_the_first_non_finite_field(runner, argv, message):
+    # one line, no traceback and no numpy warning (pytest makes one an error)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 3, result.output
+    assert result.stderr == f"numeric validity error: {message} overflow double precision\n"
 
 
 _DIC_CHOICES = tuple(p.replace("_", "-") for p in DIC_PARAMETERIZATIONS)

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -269,3 +269,33 @@ def test_result_json_carries_every_setting_of_its_study():
         decoded = json.loads(json.dumps(run_expectation_study(plan).to_dict()))
         settings = {k: decoded[k] for k in ("R", "n", "m", "theta0", "seed")}
         assert ReplicationPlan(**settings, estimators=tuple(decoded["estimators"])) == plan
+
+
+def test_the_plan_builds_its_studys_exact_table_once(monkeypatch):
+    # one oracle.expectations call per plan, at the plan's own prior_dev2;
+    # the study reads the plan's table and a k-point sweep builds k + 1
+    calls = []
+    expectations = oracle.expectations
+    monkeypatch.setattr(oracle, "expectations", lambda *args: calls.append(args) or expectations(*args))
+    plan = ReplicationPlan(R=200, n=4, m=1.5, theta0=0.5)
+    assert calls == [(4, 1.5, 0.25)]
+    assert plan.exact == expectations(4, 1.5, 0.25)
+    run_expectation_study(plan)
+    assert len(calls) == 1
+    assert ReplicationPlan(R=200, n=4, m=1.5).exact == expectations(4, 1.5)
+    for ns in ("3", "2,5,10"):
+        calls.clear()
+        result = CliRunner().invoke(main, ["expect", "--n-values", ns, "-R", "200"])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == len(ns.split(",")) + 1
+
+
+def test_the_exact_table_is_not_a_setting_of_the_plan():
+    plan = ReplicationPlan(R=200, n=3, m=1.0, seed=4, estimators=("aic", "loo"))
+    assert "exact" not in asdict(plan)
+    assert plan == ReplicationPlan(**asdict(plan))
+    moved = replace(plan, n=6)
+    assert moved.exact == oracle.expectations(6, 1.0) != plan.exact
+    result = run_expectation_study(plan)
+    assert result.to_dict() == asdict(plan) | {"estimators": {k: asdict(s) for k, s in result.stats.items()}}
+

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -389,6 +390,12 @@ def test_balanced_input_validation():
         BalancedModel(0.0, 1.0, "rows")  # at construction, before any draw
     with pytest.raises(ValueError, match="tau must be positive"):
         BalancedModel(0.0, 0.0, "group")
+    # each group's prior precision 1/tau^2, and the prior variance that the
+    # group model takes back from it, must be finite
+    for tau, message in ((1e-200, "1/tau^2"), (1e-160, "1/tau^2"), (1e200, "tau^2"),
+                         (1.3407807929942596e154, "tau^2")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)} must be finite, got inf$"):
+            BalancedModel(0.0, tau, "group")
     with pytest.raises(ValueError, match="n x J"):
         BalancedModel(0.0, 1.0, "group").fit(_balanced_fixture()[:, 0], draws=10, seed=1)
 
@@ -416,6 +423,12 @@ def test_normal_mean_refit_scores_all_points_at_the_training_estimates():
     post_mean = (1.5 * 0.4 + train.sum()) / (1.5 + train.size)
     assert pe.mle.total_loglik == pytest.approx(_normal_total(y, train.mean(), 1.0), rel=1e-12)
     assert pe.lpd_at_mean == pytest.approx(_normal_total(y, post_mean, 1.0), rel=1e-12)
+
+
+def test_a_prior_precision_whose_reciprocal_overflows_is_refused_naming_m():
+    with pytest.raises(ValueError, match=r"^1/m must be finite, got inf$"):
+        NormalMeanSpec(n=3, m=np.float64(5e-324))  # inverted as a float: no numpy warning
+    assert NormalMeanModel(m=1e-308).m == 1e-308  # 1/m = 1e308 is finite
 
 
 def test_normal_mean_data_whose_spread_overflows_is_refused_without_a_warning():
