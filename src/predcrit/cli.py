@@ -89,13 +89,17 @@ def _numeric_rows(fields: dict) -> list:
     return rows
 
 
-def _parse_list(text: str, option: str, kind=float) -> list:
-    """The comma-separated values of `option`, blank entries skipped."""
-    try:
-        return [kind(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        noun = "integers" if kind is int else "numbers"
-        raise MatrixFormatError(f"{option} must be a comma-separated list of {noun}") from None
+def _numbers(tokens, source: str, kind=float) -> list:
+    """The non-blank `tokens` as numbers of `kind`; the first bad one is
+    named by its place among them in `source`."""
+    values = []
+    for j, t in enumerate((t for t in tokens if t.strip()), start=1):
+        try:
+            values.append(kind(t))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise MatrixFormatError(f"value {j} of {source} is not {noun}: {t!r}") from None
+    return values
 
 
 def _emit(payload, rows, fmt, output, *, columns=("value",), label="name", decimals=4,
@@ -185,13 +189,7 @@ def _read_values(path) -> np.ndarray:
         tokens = fh.read().replace(",", "\n").split()
     if not tokens:
         raise MatrixFormatError("empty data file")
-    values = []
-    for j, t in enumerate(tokens, start=1):
-        try:
-            values.append(float(t))
-        except ValueError:
-            raise MatrixFormatError(f"value {j} of the data file is not a number: {t!r}") from None
-    return _require_finite(np.array(values), "data file values")
+    return _require_finite(np.array(_numbers(tokens, "the data file")), "data file values")
 
 
 def _build_model(model, input_path, m, mu0, mode, prediction_mode, mu, tau, counting,
@@ -346,7 +344,7 @@ def oracle(n, m, ybar, s2y, mu0, y_csv, fmt, output):
         if given:
             raise ValueError(f"{' and '.join(given)} cannot be given with --y, "
                              "which sets ybar and s2y from the data")
-        y = np.array(_parse_list(y_csv, "--y"))
+        y = _require_finite(np.array(_numbers(y_csv.split(","), "--y")), "--y values")
         if y.size != n:
             raise ValueError(f"--y has {y.size} values but --n is {n}")
         spec = NormalMeanSpec.from_data(y, m=m, mu0=mu0)
@@ -376,7 +374,7 @@ def expect(n, m, replicates, estimators, theta0, n_values, seed, fmt, output):
         raise ValueError("give exactly one of --n and --n-values")
     if replicates is None:
         replicates = 100_000 if n_values is None else 10_000
-    ns = [n] if n_values is None else _parse_list(n_values, "--n-values", int)
+    ns = [n] if n_values is None else _numbers(n_values.split(","), "--n-values", int)
     if not ns:
         raise ValueError("--n-values must name at least one n")
     # a sweep's plan is checked, and its default estimators chosen, at its smallest n

@@ -118,19 +118,18 @@ def _replicate_chunk(plan: ReplicationPlan, chunk_index: int, size: int) -> dict
     chi^2_{n-1} (Cochran's theorem). `oracle.dataset_values` reads a
     dataset only through the pair, so its values have the law of a
     point-by-point draw at a cost that does not depend on n. At n = 1 the
-    spread is 0, as `NormalMeanSpec.from_data` gives it.
+    spread is 0, as `NormalMeanSpec.from_data` gives it. The posterior error
+    theta - posterior mean is (m theta - n d) / (m + n), d = ybar - theta the
+    drawn noise: no difference of two numbers the size of theta, whatever m.
     """
     rng = np.random.default_rng(derive_seed(plan.seed, chunk_index))
-    n = plan.n
-    if plan.theta0 is None:
-        theta = math.sqrt(1.0 / plan.m) * rng.standard_normal(size)
-    else:
-        theta = np.full(size, plan.theta0)
-    ybar = theta + rng.standard_normal(size) / math.sqrt(n)
+    n, m = plan.n, plan.m
+    theta = math.sqrt(1.0 / m) * rng.standard_normal(size) if plan.theta0 is None else plan.theta0
+    d = rng.standard_normal(size) / math.sqrt(n)  # the noise ybar - theta
     s2y = rng.chisquare(n - 1, size) / (n - 1) if n >= 2 else np.zeros(size)
-    spec = oracle.NormalMeanSpec(n=n, ybar=ybar, s2y=s2y, m=plan.m)
+    spec = oracle.NormalMeanSpec(n=n, ybar=theta + d, s2y=s2y, m=m)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused once averaged
-        values = oracle.dataset_values(spec, (theta - spec.posterior_mean) ** 2)
+        values = oracle.dataset_values(spec, ((m * theta - n * d) / (m + n)) ** 2)
     return {name: values[name] for name in plan.estimators}
 
 

@@ -100,6 +100,42 @@ def test_number_list_names_its_first_bad_value(runner, tmp_path):
     assert "input format error: value 3 of the data file is not a number: 'x'\n" in result.output
 
 
+_MATRIX = "point_1,point_2\n-1,-2\n-1.5,-2.5\n"
+_FOUR_ELECTIONS = "year,growth,vote\n1952,2.4,57.2\n1956,2.9,53.4\n1960,0.9,49.1\n1964,4.2,61.3\n"
+
+# An input refused before anything is computed, the --input file it is
+# given (None: no --input), and the one line it prints; each exits 2.
+INPUT_REFUSALS = {
+    "--y entry": (["oracle", "--n", "2", "--y", "1,x"], None, "input format error: value 2 of --y is not a number: 'x'"),
+    "--y spaces": (["oracle", "--n", "2", "--y", "1 2"], None, "input format error: value 1 of --y is not a number: '1 2'"),
+    "--n-values entry": (["expect", "--n-values", "2,x"], None,
+                         "input format error: value 2 of --n-values is not an integer: 'x'"),
+    "empty data vector": (["fit", "--model", "normal-mean"], "", "input format error: empty data file"),
+    "blank data vector": (["fit", "--model", "normal-mean"], " \n,\n", "input format error: empty data file"),
+    "normal-mean without --input": (["fit", "--model", "normal-mean"], None,
+                                    "error: --input is required for the normal-mean model"),
+    "infinite --mle-loglik": (["criteria", "--mle-loglik", "inf", "--k", "3"], _MATRIX,
+                              "error: point-estimate log likelihood must be finite"),
+    "negative --k": (["criteria", "--mle-loglik", "-3", "--k", "-1"], _MATRIX,
+                     "error: parameter count k must be nonnegative"),
+    "nan --lpd-at-mean": (["criteria", "--lpd-at-mean", "nan"], _MATRIX, "error: lpd_at_mean must be finite"),
+    "regression loo on 4 rows": (["loo", "--model", "regression"], _FOUR_ELECTIONS,
+                                 "error: too few training points for a proper sigma^2 posterior"),
+    "schools sigma of 0": (["schools-table"], "school,y,sigma\nA,28,15\nB,8,0\n",
+                           "error: all standard errors must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_REFUSALS))
+def test_an_input_refusal_exits_2_with_one_line_naming_it(runner, tmp_path, case):
+    argv, text, message = INPUT_REFUSALS[case]
+    if text is not None:
+        argv = [*argv, "--input", _write(tmp_path, "in.txt", text)]
+    result = runner.invoke(main, [*argv, "--draws", "100"] if "--model" in argv else argv)
+    assert result.exit_code == 2
+    assert result.output == message + "\n"
+
+
 def test_number_list_skips_a_leading_byte_order_mark(runner, tmp_path):
     argv = ["fit", "--model", "normal-mean", "--draws", "100", "--format", "json", "--input"]
     plain = runner.invoke(main, argv + [_write(tmp_path, "y.txt", "0.5, -1.25\n3e-3\n")])
@@ -502,6 +538,8 @@ BAD_SETTINGS = [
     (["fit", "--model", "balanced", "--tau", "1e-200"], "1/tau^2 must be finite, got inf"),
     (["fit", "--model", "balanced", "--tau", "1e-160"], "1/tau^2 must be finite, got inf"),
     (["fit", "--model", "balanced", "--tau", "1e200"], "tau^2 must be finite, got inf"),
+    (["oracle", "--n", "2", "--y", "1,nan"], "--y values must be finite, got nan"),
+    (["oracle", "--n", "2", "--y", "1,1e999"], "--y values must be finite, got inf"),
 ]
 
 
@@ -516,7 +554,7 @@ def test_a_non_finite_setting_exits_2_naming_it(runner, tmp_path, argv, message)
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["expect", "--n", "3", "--m", "1e-308", "-R", "200"], "the mc_se of aic is inf: the replicate values"),
+    (["expect", "--n", "3", "--m", "1e-308", "-R", "200"], "dic is nan: the replicate values"),
     (["expect", "--n", "3", "--m", "1e-308", "-R", "200", "--estimator", "dic"], "dic is nan: the replicate values"),
     (["expect", "--n", "3", "--m", "1e200", "-R", "200"], "elppd is nan: the closed forms"),
     (["expect", "--n", "3", "--m", "1", "--theta0", "1.3e154", "-R", "200"], "lppd_loo is -inf: the closed forms"),

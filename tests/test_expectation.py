@@ -299,3 +299,13 @@ def test_the_exact_table_is_not_a_setting_of_the_plan():
     result = run_expectation_study(plan)
     assert result.to_dict() == asdict(plan) | {"estimators": {k: asdict(s) for k, s in result.stats.items()}}
 
+
+@pytest.mark.parametrize("m", [1e-34, 1e-100])
+def test_a_drawn_true_mean_far_from_the_prior_mean_keeps_the_noise(m):
+    # theta ~ N(0, 1/m) is ~1e17 or ~1e50 while ybar - theta is ~0.6: the
+    # posterior error must come from the drawn noise, not from ybar - theta
+    result = CliRunner().invoke(main, ["expect", "--n", "3", "--m", repr(m), "-R", "2000", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    z = {name: s["z_score"] for name, s in json.loads(result.output)["estimators"].items()}
+    assert len(z) == 14
+    assert all(abs(v) <= 5 for v in z.values()), z

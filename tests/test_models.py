@@ -14,6 +14,7 @@ from predcrit.draws import PointwiseLogLikMatrix, lppd
 from predcrit.errors import MatrixFormatError, ModelRefusalError
 from predcrit.models import (
     BalancedModel,
+    EightSchoolsData,
     NormalMeanModel,
     NormalMeanSpec,
     RegressionData,
@@ -308,6 +309,18 @@ def test_schools_model_refuses_unknown_or_inconsistent_settings():
     for mode in ("no_pooling", "complete_pooling"):
         with pytest.raises(ValueError, match="new_groups prediction needs the hierarchical mode"):
             SchoolsModel(mode, "new_groups")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: NormalMeanSpec(n=0), "n must be a positive integer"),
+    (lambda: RegressionData(np.arange(5.0), np.arange(4.0)), "x and y must have the same length"),
+    (lambda: EightSchoolsData([1.0, 2.0], [1.0]), "y and sigma must be nonempty and the same length"),
+    (lambda: SchoolsModel().fit(EightSchoolsData([1.0], [1.0]), exclude=0, draws=10, seed=0),
+     "training set must contain at least one group"),
+], ids=["spec n=0", "regression lengths", "schools lengths", "schools fit of no group"])
+def test_a_model_input_it_cannot_use_is_refused_naming_why(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_no_pooling_heldout_refusal_direct():

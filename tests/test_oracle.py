@@ -280,6 +280,11 @@ def test_elppd_given_posterior():
         oracle.elppd_given_posterior(0.0, 0.0, -1.0)
 
 
+def test_expectations_refuse_a_negative_prior_deviation():
+    with pytest.raises(ValueError, match="^prior_dev2 must be nonnegative$"):
+        oracle.expectations(3, 1.0, -1.0)
+
+
 def test_elppd_given_posterior_recovers_expected_elppd():
     # average over ybar ~ N(theta0, 1/n) with post_mean = ybar recovers the
     # closed-form expectation
