@@ -83,8 +83,6 @@ def _tau_grid_posterior(y: np.ndarray, sigma: np.ndarray, grid: np.ndarray | Non
     if grid is None:
         tau_max = 2.0 * float(np.max(np.abs(y) + sigma))
         grid = np.linspace(0.0, tau_max, TAU_GRID_SIZE)
-    else:
-        grid = np.asarray(grid, dtype=float).reshape(-1)
     var = sigma[None, :] ** 2 + grid[:, None] ** 2
     v_mu = 1.0 / (1.0 / var).sum(axis=1)
     mu_hat = v_mu * (y[None, :] / var).sum(axis=1)
@@ -113,6 +111,14 @@ class SchoolsModel:
             raise ValueError(f"prediction_mode must be one of {PREDICTION_MODES}")
         if prediction_mode == "new_groups" and mode != "hierarchical":
             raise ValueError("new_groups prediction needs the hierarchical mode")
+        if tau_grid is not None:
+            if mode != "hierarchical":
+                raise ValueError("tau_grid needs the hierarchical mode")
+            tau_grid = _require_finite(np.asarray(tau_grid, dtype=float), "tau_grid")
+            if tau_grid.ndim != 1 or not tau_grid.size:
+                raise ValueError("tau_grid must be a nonempty 1-dimensional array")
+            if (tau_grid < 0).any():
+                raise ValueError("tau_grid must be nonnegative")
         self.mode = mode
         self.prediction_mode = prediction_mode
         self.tau_grid = tau_grid

@@ -15,7 +15,7 @@ future data from the same source. Every value `dataset_values` gives is
 affine in three statistics of a dataset: s2y, (ybar - mu0)^2 and
 err2 = (theta - posterior mean)^2. So its expectation is the same formula
 at the expected statistics: E s2y = 1, E (ybar - mu0)^2 = prior_dev2 + 1/n
-and E err2 = (m^2 prior_dev2 + n) / (m + n)^2, where the scalar
+and E err2 = (m / (m + n))^2 prior_dev2 + n / (m + n)^2, where the scalar
 `prior_dev2 = E (theta - mu0)^2` describes how theta is generated: 1/m
 when theta is drawn from the prior, (theta0 - mu0)^2 when fixed.
 """
@@ -39,7 +39,6 @@ __all__ = [
     "p_waic1",
     "p_waic2",
     "loo_quantities",
-    "elppd_given_posterior",
     "dataset_values",
     "true_p",
     "expectations",
@@ -63,9 +62,17 @@ def elpd_aic(spec: NormalMeanSpec) -> float:
     return lpd_at_mle(spec) - 1.0
 
 
+def _shift(spec: NormalMeanSpec, k):
+    """m (ybar - mu0) / (m + k), the prior's pull on a posterior mean from k
+    points (k = n for the full posterior, n - 1 for a leave-one-out fold).
+    The weight, at most 1, applies before ybar - mu0 multiplies in, so the
+    shift overflows only where ybar - mu0 does."""
+    return spec.m / (spec.m + k) * (spec.ybar - spec.mu0)
+
+
 def _shrunk_dev2(spec: NormalMeanSpec) -> float:
-    # n (ybar - posterior_mean)^2 = n m^2 (ybar - mu0)^2 / (m + n)^2
-    return spec.n * (spec.m / (spec.m + spec.n)) ** 2 * _square(spec.ybar - spec.mu0)
+    # n (ybar - posterior_mean)^2
+    return spec.n * _square(_shift(spec, spec.n))
 
 
 def lpd_at_posterior_mean(spec: NormalMeanSpec) -> float:
@@ -119,14 +126,14 @@ def _loo(spec: NormalMeanSpec):
         raise ValueError("leave-one-out requires at least 2 data points")
     sq_dev = (n - 1) * spec.s2y  # sum_i (y_i - ybar)^2
     w = 1.0 / (m + n - 1)
-    shift2 = n * _square(m) * _square(spec.ybar - spec.mu0)
+    shift2 = n * _square(_shift(spec, n - 1))  # n (m (ybar - mu0) w)^2
     const = -(n / 2) * math.log(2 * math.pi * (1 + w))
     # With d_i = y_i - ybar: y_i - c_i = ((m+n) d_i + m (ybar - mu0)) w, and
     # fold i scores the full data with sum_j (y_j - c_i)^2
     # = sq_dev + n (ybar - c_i)^2, where ybar - c_i = (m (ybar - mu0) + d_i) w.
     # Summing over i (sum_i d_i = 0) leaves only sufficient statistics.
-    lppd_loo = const - (_square(m + n) * sq_dev + shift2) * w**2 / (2 * (1 + w))
-    lppd_bar = const - (sq_dev * (1 + w**2) + shift2 * w**2) / (2 * (1 + w))
+    lppd_loo = const - (((m + n) * w) ** 2 * sq_dev + shift2) / (2 * (1 + w))
+    lppd_bar = const - (sq_dev * (1 + w**2) + shift2) / (2 * (1 + w))
     return lppd_loo, lppd_bar
 
 
@@ -146,37 +153,27 @@ def _b(spec: NormalMeanSpec):
     """lppd - lppd_bar without subtracting the two: each is a sum of size
     about 1.4 n and their gap about 1/(2n), so the difference keeps only
     about four correct digits at n = 1e6. With v = 1/(m+n) and
-    w = 1/(m+n-1), w - v = w v, and every term below is positive."""
+    w = 1/(m+n-1), w - v = w v, and every term below is positive; the
+    prior's m^2 (ybar - mu0)^2 w v is the fold shift times the full one."""
     n, m = spec.n, spec.m
     v = 1.0 / (m + n)
     w = 1.0 / (m + n - 1)
     wv = w * v
-    d2 = _square(spec.ybar - spec.mu0)
-    spread = (n - 1) * spec.s2y * w + n * _square(m) * d2 * (w + v + wv) / 2
-    return (n / 2) * math.log1p(wv / (1 + v)) + wv / ((1 + w) * (1 + v)) * spread
+    spread = (wv * (n - 1) * spec.s2y * w
+              + n * (w + v + wv) / 2 * _shift(spec, n - 1) * _shift(spec, n))
+    return (n / 2) * math.log1p(wv / (1 + v)) + spread / ((1 + w) * (1 + v))
 
 
 def _elppd_point(err2, post_var: float):
     return -0.5 * math.log(2 * math.pi * (1 + post_var)) - (err2 + 1.0) / (2 * (1 + post_var))
 
 
-def elppd_given_posterior(theta0: float, post_mean: float, post_var: float) -> float:
-    """Per-point expected log predictive density under a known truth.
-
-    E over ytilde ~ N(theta0, 1) of log N(ytilde | post_mean, 1 + post_var).
-    Lets replication studies evaluate their target analytically instead of
-    with a second Monte Carlo layer.
-    """
-    if post_var < 0:
-        raise ValueError("posterior variance must be nonnegative")
-    return _elppd_point((theta0 - post_mean) ** 2, post_var)
-
-
 def dataset_values(spec: NormalMeanSpec, err2) -> dict:
     """Every base quantity and estimator value of a dataset whose true
     mean theta sits at err2 = (theta - posterior mean)^2.
 
-    Base quantities: `elppd` (the target, n times `elppd_given_posterior`),
+    Base quantities: `elppd` (the target, n times the expected log density
+    of a new point ytilde ~ N(theta, 1) under the posterior predictive),
     `lppd_within` (the within-sample `lppd`) and, when n >= 2, `lppd_loo`
     and `lppd_bar`. Estimator values, one per name of the expectation
     study: the criterion names (aic, dic, waic1, waic2, loo, cloo) are the
@@ -233,7 +230,8 @@ def expectations(n: int, m: float = 0.0, prior_dev2: float | None = None) -> dic
     need n >= 2.
 
     `prior_dev2` defaults to 1/m (theta drawn from the prior) when m > 0;
-    under the flat prior every term it enters carries m^2 and vanishes.
+    under the flat prior every term it enters carries the weight m / (m + n)
+    and vanishes.
     An entry that overflows to NaN or inf is refused with
     `NonFiniteLogLikError` naming it.
 
@@ -249,7 +247,7 @@ def expectations(n: int, m: float = 0.0, prior_dev2: float | None = None) -> dic
         raise ValueError("prior_dev2 must be nonnegative")
     # with mu0 = 0, (ybar - mu0)^2 = ybar^2 takes its expected value
     spec = NormalMeanSpec(n=n, ybar=math.sqrt(prior_dev2 + 1.0 / n), s2y=1.0, m=m)
-    err2 = (_square(m) * prior_dev2 + n) / _square(m + n)
+    err2 = (m / (m + n)) ** 2 * prior_dev2 + n / (m + n) / (m + n)
     exact = {name: float(v) for name, v in dataset_values(spec, err2).items()}
     _require_finite_fields(exact, "the closed forms")
     return exact

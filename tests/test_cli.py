@@ -110,6 +110,7 @@ INPUT_REFUSALS = {
     "--y spaces": (["oracle", "--n", "2", "--y", "1 2"], None, "input format error: value 1 of --y is not a number: '1 2'"),
     "--n-values entry": (["expect", "--n-values", "2,x"], None,
                          "input format error: value 2 of --n-values is not an integer: 'x'"),
+    "--n-values without an n": (["expect", "--n-values", ","], None, "error: --n-values must name at least one n"),
     "empty data vector": (["fit", "--model", "normal-mean"], "", "input format error: empty data file"),
     "blank data vector": (["fit", "--model", "normal-mean"], " \n,\n", "input format error: empty data file"),
     "normal-mean without --input": (["fit", "--model", "normal-mean"], None,
@@ -554,20 +555,34 @@ def test_a_non_finite_setting_exits_2_naming_it(runner, tmp_path, argv, message)
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["expect", "--n", "3", "--m", "1e-308", "-R", "200"], "dic is nan: the replicate values"),
-    (["expect", "--n", "3", "--m", "1e-308", "-R", "200", "--estimator", "dic"], "dic is nan: the replicate values"),
-    (["expect", "--n", "3", "--m", "1e200", "-R", "200"], "elppd is nan: the closed forms"),
-    (["expect", "--n", "3", "--m", "1", "--theta0", "1.3e154", "-R", "200"], "lppd_loo is -inf: the closed forms"),
-    (["oracle", "--n", "3", "--ybar", "1e200"], "lpd_at_posterior_mean is nan: the closed forms"),
-    (["oracle", "--n", "3", "--m", "1e200"], "elppd is nan: the closed forms"),
+    (["expect", "--n", "3", "--m", "1", "--theta0", "1.3e154", "-R", "200"], "aic is -inf: the replicate values"),
     (["oracle", "--n", "5", "--s2y", "1e308"], "lpd_at_mle is -inf: the closed forms"),
-    (["oracle", "--n", "2", "--y", "1e200,1e200"], "lpd_at_posterior_mean is nan: the closed forms"),
+    (["oracle", "--n", "3", "--m", "1", "--ybar", "1e200"], "lpd_at_posterior_mean is -inf: the closed forms"),
 ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
 def test_closed_forms_that_overflow_exit_3_naming_the_first_non_finite_field(runner, argv, message):
     # one line, no traceback and no numpy warning (pytest makes one an error)
     result = runner.invoke(main, argv)
     assert result.exit_code == 3, result.output
     assert result.stderr == f"numeric validity error: {message} overflow double precision\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["expect", "--n", "3", "--m", "1e-308", "-R", "200"],
+    ["expect", "--n", "3", "--m", "1e-308", "-R", "200", "--estimator", "dic"],
+    ["expect", "--n", "3", "--m", "1e200", "-R", "200"],
+    ["oracle", "--n", "3", "--ybar", "1e200"],
+    ["oracle", "--n", "3", "--m", "1e200"],
+    ["oracle", "--n", "2", "--y", "1e200,1e200"],
+], ids="_".join)
+def test_closed_forms_whose_exact_values_are_finite_exit_0(runner, argv):
+    # the prior's weight applies before ybar - mu0 multiplies in, so no
+    # term is 0 x inf; no numpy warning either (pytest makes one an error)
+    result = runner.invoke(main, [*argv, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    payload = json.loads(result.stdout)
+    if argv[0] == "oracle" and "--m" not in argv:  # flat prior: the posterior mean is ybar
+        assert payload["lpd_at_posterior_mean"] == payload["lpd_at_mle"]
 
 
 _DIC_CHOICES = tuple(p.replace("_", "-") for p in DIC_PARAMETERIZATIONS)

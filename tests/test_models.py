@@ -323,6 +323,20 @@ def test_a_model_input_it_cannot_use_is_refused_naming_why(build, message):
         build()
 
 
+@pytest.mark.parametrize("mode, grid, message", [
+    ("hierarchical", [np.nan], "tau_grid must be finite, got nan"),
+    ("hierarchical", [np.inf], "tau_grid must be finite, got inf"),
+    ("hierarchical", [-2.0], "tau_grid must be nonnegative"),
+    ("hierarchical", [], "tau_grid must be a nonempty 1-dimensional array"),
+    ("hierarchical", [[1.0, 2.0]], "tau_grid must be a nonempty 1-dimensional array"),
+    ("no_pooling", [5.0], "tau_grid needs the hierarchical mode"),
+    ("complete_pooling", [5.0], "tau_grid needs the hierarchical mode"),
+], ids=["nan", "inf", "negative", "empty", "2-D", "no pooling", "complete pooling"])
+def test_a_tau_grid_the_schools_model_cannot_use_is_refused_naming_it(mode, grid, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SchoolsModel(mode, tau_grid=grid)
+
+
 def test_no_pooling_heldout_refusal_direct():
     with pytest.raises(ModelRefusalError, match="no distribution for an unobserved group"):
         SchoolsModel("no_pooling").fit(load_schools_csv(), exclude=2, draws=100, seed=0)

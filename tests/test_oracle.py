@@ -1,5 +1,7 @@
 import decimal
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from predcrit import oracle
 from predcrit.models import NormalMeanModel, NormalMeanSpec
 from predcrit.criteria import criterion_report
 from predcrit.draws import PointwiseLogLikMatrix, lppd
+from predcrit.errors import NonFiniteLogLikError
 from predcrit.loo import loo_report
 from predcrit.models import NormalMeanModel
 from predcrit.seeds import derive_seed
@@ -211,6 +214,104 @@ def test_b_keeps_its_digits_at_large_n():
                 assert abs(decimal.Decimal(float(got)) / want - 1) < 1e-14, (n, m, ybar, s2y)
 
 
+@functools.lru_cache(maxsize=None)
+def _decimal_log_2pi(prec):
+    """log(2 pi) to `prec` digits, pi by the series of the decimal module's
+    documentation."""
+    with decimal.localcontext(decimal.Context(prec=prec + 2)):
+        lasts, t, pi, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
+        while pi != lasts:
+            lasts = pi
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            pi += t
+        return (2 * pi).ln()
+
+
+def _table_reference(n, m, ybar, s2y, mu0):
+    """Every formula of `formula_table`, written out plainly (m^2 (ybar -
+    mu0)^2 and all) in 340-digit decimal arithmetic from the exact float
+    inputs: enough digits that 1 + 1/(m + n) keeps 1/(m + n) at m = 1e300,
+    and no value overflows."""
+    with decimal.localcontext(decimal.Context(prec=340)):
+        n, m, ybar, s2y, mu0 = (decimal.Decimal(x) for x in (n, m, ybar, s2y, mu0))
+        log_2pi = _decimal_log_2pi(340)
+        v = 1 / (m + n)
+        log1p_v = (1 + v).ln()
+
+        def observed(d2, s2y):
+            """The observed-data formulas at (ybar - mu0)^2 = d2."""
+            quad = (n - 1) * s2y + n * m**2 * d2 * v**2
+            out = {"lpd_at_mle": -(n / 2) * log_2pi - (n - 1) * s2y / 2}
+            out["elpd_aic"] = out["lpd_at_mle"] - 1
+            out["lpd_at_posterior_mean"] = -(n / 2) * log_2pi - quad / 2
+            out["mean_posterior_loglik"] = out["lpd_at_posterior_mean"] - n * v / 2
+            out["p_dic"] = n * v
+            out["lppd"] = -(n / 2) * (log_2pi + log1p_v) - quad / (2 * (1 + v))
+            out["p_waic1"] = quad / (m + n + 1) + n * v - n * log1p_v
+            out["p_waic2"] = quad * v + n * v**2 / 2
+            if n >= 2:
+                w = 1 / (m + n - 1)
+                sq_dev, shift2 = (n - 1) * s2y, n * m**2 * d2
+                const = -(n / 2) * (log_2pi + (1 + w).ln())
+                out["lppd_loo"] = const - ((m + n) ** 2 * sq_dev + shift2) * w**2 / (2 * (1 + w))
+                out["lppd_bar"] = const - (sq_dev * (1 + w**2) + shift2 * w**2) / (2 * (1 + w))
+            return out
+
+        obs = observed((ybar - mu0) ** 2, s2y)
+        prior_dev2 = 1 / m if m else decimal.Decimal(0)
+        e = observed(prior_dev2 + 1 / n, decimal.Decimal(1))
+        err2 = (m**2 * prior_dev2 + n) * v**2
+        elppd = n * (-(log_2pi + log1p_v) / 2 - (err2 + 1) / (2 * (1 + v)))
+        table = {name: obs[name] for name in obs if name not in ("lppd_loo", "lppd_bar")}
+        table.update(
+            true_p=n / (m + n + 1),
+            expected_lppd=e["lppd"],
+            expected_elppd=elppd,
+            expected_p_waic1=e["p_waic1"],
+            expected_p_waic2=e["p_waic2"],
+            expected_aic_gap=elppd - e["elpd_aic"],
+            expected_waic1_gap=elppd - (e["lppd"] - e["p_waic1"]),
+            expected_waic2_gap=elppd - (e["lppd"] - e["p_waic2"]),
+        )
+        if n >= 2:
+            b = e["lppd"] - e["lppd_bar"]
+            table.update(
+                expected_lppd_loo=e["lppd_loo"],
+                expected_lppd_bar=e["lppd_bar"],
+                expected_b=b,
+                expected_p_cloo=e["lppd_bar"] - e["lppd_loo"],
+                expected_loo_gap=elppd - e["lppd_loo"],
+                expected_cloo_gap=elppd - (e["lppd_loo"] + b),
+                lppd_loo=obs["lppd_loo"],
+                lppd_bar_minus_i=obs["lppd_bar"],
+            )
+        return table
+
+
+@pytest.mark.parametrize("m", [0.0, 1e-308, 1e-3, 1.0, 1e3, 1e200, 1e300])
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+def test_formula_table_is_exact_or_refused_only_out_of_double_range(n, m):
+    # The prior's pull m (ybar - mu0) / (m + n) is a weight at most 1 times
+    # ybar - mu0; squaring the two apart gave 0 x inf = NaN where every
+    # exact entry is finite, e.g. at (n = 3, m = 1e200) and at m = 0 with
+    # ybar - mu0 = 1e200.
+    mu0 = -0.5
+    for dev in (0.0, 0.3, 1e150, 1e200):
+        for s2y in (0.0, 1.1):
+            spec = NormalMeanSpec(n=n, ybar=mu0 + dev, s2y=s2y, m=m, mu0=mu0)
+            want = _table_reference(n, m, spec.ybar, s2y, mu0)
+            try:
+                got = oracle.formula_table(spec)
+            except NonFiniteLogLikError:
+                assert any(abs(x) > decimal.Decimal(sys.float_info.max) for x in want.values()), (dev, s2y)
+                continue
+            assert got.keys() - want.keys() == {"n", "m", "ybar", "s2y", "mu0"}
+            for name, exact in want.items():
+                assert abs(decimal.Decimal(got[name]) - exact) <= decimal.Decimal("1e-13") * max(1, abs(exact)), (dev, s2y, name)
+
+
 def test_dataset_values_loo_entries_match_loo_quantities_and_brute_force():
     rng = np.random.default_rng(318)
     for n in (2, 3, 9, 40):
@@ -263,21 +364,21 @@ def test_array_spec_matches_scalar_calls_elementwise():
             want = [fn(s) for s in scalar_specs]
             np.testing.assert_allclose(got, want, rtol=1e-14, err_msg=fn.__name__)
         theta = rng.normal(size=7)
-        got = oracle.elppd_given_posterior(theta, spec.posterior_mean, spec.posterior_var)
-        want = [oracle.elppd_given_posterior(float(t), s.posterior_mean, s.posterior_var)
+        got = oracle.dataset_values(spec, (theta - spec.posterior_mean) ** 2)["elppd"]
+        want = [oracle.dataset_values(s, (float(t) - s.posterior_mean) ** 2)["elppd"]
                 for t, s in zip(theta, scalar_specs)]
         np.testing.assert_allclose(got, want, rtol=1e-14)
     with pytest.raises(ValueError, match="sample variance"):
         NormalMeanSpec(n=4, ybar=ybar, s2y=np.array([1.0, -1e-3]))
 
 
-def test_elppd_given_posterior():
-    assert oracle.elppd_given_posterior(0.0, 0.0, 0.0) == pytest.approx(
-        -0.5 * math.log(2 * math.pi) - 0.5, rel=RTOL
+def test_dataset_elppd():
+    # a posterior pinned at the true mean scores each new point at N(0, 1)
+    pinned = NormalMeanSpec(n=4, m=1e300)
+    assert oracle.dataset_values(pinned, 0.0)["elppd"] == pytest.approx(
+        4 * (-0.5 * math.log(2 * math.pi) - 0.5), rel=RTOL
     )
-    assert oracle.elppd_given_posterior(0.0, 0.0, 1e12) < -10
-    with pytest.raises(ValueError):
-        oracle.elppd_given_posterior(0.0, 0.0, -1.0)
+    assert oracle.dataset_values(NormalMeanSpec(n=1), 1e12)["elppd"] < -10
 
 
 def test_expectations_refuse_a_negative_prior_deviation():
