@@ -35,7 +35,7 @@ from .models import (
 )
 from . import oracle as oracle_mod
 from .reports import election_report, schools_table_report
-from .seeds import derive_seed
+from .seeds import FIT_STREAM, FOLD_STREAM, derive_seed
 
 EXIT_FORMAT = 2
 EXIT_NUMERIC = 3
@@ -252,7 +252,7 @@ def _with_options(options):
 def fit(model, input_path, draws, seed, fmt, output, **options):
     """Fit a built-in model and report its criteria."""
     model_obj, data = _build_model(model, input_path, **options)
-    f = model_obj.fit(data, draws=draws, seed=derive_seed(seed, 0))
+    f = model_obj.fit(data, draws=draws, seed=derive_seed(seed, FIT_STREAM))
     pe = f.point_estimates()
     rep = criterion_report(f.pointwise_loglik(), lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
     payload = {"draws": draws, "seed": seed, "model": model, **pe.summary, "report": rep.to_dict()}
@@ -270,8 +270,9 @@ def fit(model, input_path, draws, seed, fmt, output, **options):
 def loo(model, input_path, draws, seed, fmt, output, **options):
     """Exact leave-one-out cross-validation by refitting."""
     model_obj, data = _build_model(model, input_path, **options)
-    full_lppd = lppd(model_obj.fit(data, draws=draws, seed=derive_seed(seed, 0)).pointwise_loglik())
-    loo_rep = loo_report(model_obj, data, full_lppd, draws=draws, seed=derive_seed(seed, 1), bias_correction=True)
+    full_lppd = lppd(model_obj.fit(data, draws=draws, seed=derive_seed(seed, FIT_STREAM)).pointwise_loglik())
+    loo_rep = loo_report(model_obj, data, full_lppd, draws=draws, seed=derive_seed(seed, FOLD_STREAM),
+                         bias_correction=True)
     payload = {"draws": draws, "seed": seed, "model": model, "lppd": full_lppd, "loo": loo_rep.to_dict()}
     _emit(payload, [("lppd", (full_lppd,))] + _numeric_rows(payload["loo"]), fmt, output)
 

@@ -165,14 +165,11 @@ def run_expectation_study(plan: ReplicationPlan) -> ExpectationResult:
 
 
 def bias_curve(plan: ReplicationPlan, n_values) -> list[dict]:
-    """One expectation study per n: `plan` with that n and the seed derived
-    from (plan.seed, position of n). One row per n and estimator, ready for
-    CSV or plotting."""
-    rows = []
-    for idx, n in enumerate(n_values):
-        result = run_expectation_study(replace(plan, n=int(n), seed=derive_seed(plan.seed, idx)))
-        rows += [
-            {"n": int(n), "estimator": name, "mc_mean": s.mc_mean, "mc_se": s.mc_se, "oracle": s.oracle_value}
-            for name, s in result.stats.items()
-        ]
-    return rows
+    """One expectation study per n: `plan` with that n and its seed
+    unchanged, so each n's rows are `run_expectation_study` at that n. One
+    row per n and estimator, ready for CSV or plotting."""
+    return [
+        {"n": int(n), "estimator": name, "mc_mean": s.mc_mean, "mc_se": s.mc_se, "oracle": s.oracle_value}
+        for n in n_values
+        for name, s in run_expectation_study(replace(plan, n=int(n))).stats.items()
+    ]

@@ -14,8 +14,7 @@ import numpy as np
 from ..criteria import PointEstimates
 from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
 from ..errors import ModelRefusalError
-from .normal import NormalMeanModel, _check_settings, normal_logpdf_inplace
-from ..seeds import derive_seed
+from .normal import NormalMeanSpec, _check_settings, normal_logpdf_inplace
 
 __all__ = [
     "BalancedModel",
@@ -52,8 +51,6 @@ class BalancedModel:
         self.mu = mu
         self.tau = tau
         self.counting = counting
-        # each group's conjugate normal-mean prior, prior precision 1/tau^2
-        self._group = NormalMeanModel(m=1.0 / tau**2, mu0=mu)
 
     def fit(self, data, exclude: int | None = None, *, draws: int, seed: int) -> _BalancedFit:
         """Draw the S x J group means and score them as the counting asks:
@@ -63,8 +60,8 @@ class BalancedModel:
         i of that group's log densities for each draw.
 
         With hyperparameters known the groups decouple into J independent
-        conjugate normal-mean problems (prior precision 1/tau^2), each
-        seeded from its own derived stream.
+        conjugate normal-mean problems (prior precision 1/tau^2, prior mean
+        mu); the S x J means are drawn in one call from `seed`.
         """
         if exclude is not None:
             raise ModelRefusalError("the balanced model supports `fit` only (known hyperparameters)")
@@ -72,9 +69,9 @@ class BalancedModel:
         if y.ndim != 2:
             raise ValueError("y must be an n x J array of observations")
         n, J = y.shape
-        theta = np.empty((draws, J))
-        for j in range(J):
-            theta[:, j] = self._group.fit(y[:, j], draws=draws, seed=derive_seed(seed, j)).theta
+        spec = NormalMeanSpec.from_data(y.T, m=1.0 / self.tau**2, mu0=self.mu)
+        z = np.random.default_rng(seed).standard_normal((draws, J))
+        theta = spec.posterior_mean + np.sqrt(spec.posterior_var) * z
         # n x J x S, then flatten or sum over i; the transpose is column-major S x n
         ll = normal_logpdf_inplace(np.subtract(y[:, :, None], theta.T, order="C"), 1.0)
         values = ll.reshape(n * J, draws).T if self.counting == "observation" else ll.sum(axis=0).T

@@ -38,7 +38,8 @@ def normal_logpdf_inplace(resid: np.ndarray, var, terms: tuple | None = None) ->
     buffer the density needs.
     """
     minus_2var, half_log = normal_terms(var) if terms is None else terms
-    np.square(resid, out=resid)
+    with np.errstate(over="ignore"):  # a square past double range is a -inf density, which callers refuse
+        np.square(resid, out=resid)
     resid /= minus_2var
     resid -= half_log
     return resid
@@ -74,7 +75,7 @@ def _check_settings(**settings) -> None:
     if "theta0" in settings:
         derived["theta0^2"] = _square(float(settings["theta0"]))
     if "tau" in settings:
-        # the balanced model's group precision, and the prior variance its group model takes back
+        # the balanced model's group precision, and the prior variance its NormalMeanSpec takes back
         derived["1/tau^2"] = _inverse(_square(float(settings["tau"])))
         derived["tau^2"] = _inverse(derived["1/tau^2"])
     for name, value in derived.items():

@@ -39,6 +39,10 @@ class RegressionData:
         # proper sigma^2 posterior needs n - k >= 1 with k = 3; keep a margin
         if x.size < 4:
             raise ValueError("regression needs at least 4 data points")
+        # X'X holds the sum of x^2, and the residual sum of squares is at most that of y
+        with np.errstate(over="ignore"):
+            for name, v in (("x", x), ("y", y)):
+                _require_finite(np.asarray(np.square(v).sum()), f"the sum of {name}^2")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

@@ -56,6 +56,9 @@ class EightSchoolsData:
             raise ValueError("y and sigma must be nonempty and the same length")
         if (sigma <= 0).any():
             raise ValueError("all standard errors must be positive")
+        with np.errstate(over="ignore"):  # every mode squares each effect and standard error
+            _require_finite(np.square(y), "y^2")
+            _require_finite(np.square(sigma), "sigma^2")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sigma", sigma)
 
@@ -119,6 +122,8 @@ class SchoolsModel:
                 raise ValueError("tau_grid must be a nonempty 1-dimensional array")
             if (tau_grid < 0).any():
                 raise ValueError("tau_grid must be nonnegative")
+            with np.errstate(over="ignore"):  # each point is squared into the group variances
+                _require_finite(np.square(tau_grid), "tau_grid^2")
         self.mode = mode
         self.prediction_mode = prediction_mode
         self.tau_grid = tau_grid
@@ -160,7 +165,9 @@ class _SchoolsFit:
         elif model.mode == "hierarchical":
             grid, mass, mu_hat, v_mu = _tau_grid_posterior(y[keep], sigma[keep], model.tau_grid)
             self.tau_grid, self.tau_mass = grid, mass
-            self._idx = idx = np.searchsorted(np.cumsum(mass), rng.random(draws))
+            cdf = np.cumsum(mass)
+            cdf /= cdf[-1]  # ends at exactly 1, so no uniform draw falls past the last point
+            self._idx = idx = np.searchsorted(cdf, rng.random(draws))
             self.tau = grid[idx]
             self.mu = mu_hat[idx] + np.sqrt(v_mu[idx]) * rng.standard_normal(draws)
 

@@ -2,8 +2,8 @@
 the election-regression summary.
 
 These live outside the CLI so tests and other callers get the exact same
-numbers the command line prints. All randomness derives from one master
-seed via fixed stream indices.
+numbers the command line prints: each fit draws from stream FIT_STREAM of
+the seed and its LOO folds from FOLD_STREAM, as `fit` and `loo` do.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .models import (
     RegressionModel,
     SchoolsModel,
 )
-from .seeds import derive_seed
+from .seeds import FIT_STREAM, FOLD_STREAM, derive_seed
 
 __all__ = [
     "schools_table_report",
@@ -51,9 +51,10 @@ def schools_table_report(
     columns = list(POOLING_MODES)
     rows = defaultdict(dict)
 
-    for col_idx, mode in enumerate(columns):
+    fit_seed, fold_seed = derive_seed(seed, FIT_STREAM), derive_seed(seed, FOLD_STREAM)
+    for mode in columns:
         model = SchoolsModel(mode)
-        fit = model.fit(data, draws=draws, seed=derive_seed(seed, col_idx))
+        fit = model.fit(data, draws=draws, seed=fit_seed)
         mat = fit.pointwise_loglik()
         pe = fit.point_estimates()
 
@@ -76,11 +77,9 @@ def schools_table_report(
 
         if mode == "no_pooling" or len(data) < 2:
             undefined = UNDEFINED_LOO_NO_POOLING if mode == "no_pooling" else UNDEFINED_LOO_ONE_GROUP
-            rows["p_loo"][mode] = undefined
-            rows["minus2_lppd_loo"][mode] = undefined
+            rows["p_loo"][mode] = rows["minus2_lppd_loo"][mode] = undefined
         else:
-            loo = loo_report(model, data, rep.lppd, draws=draws, seed=derive_seed(seed, 10 + col_idx),
-                             bias_correction=False)
+            loo = loo_report(model, data, rep.lppd, draws=draws, seed=fold_seed, bias_correction=False)
             rows["p_loo"][mode] = loo.p_loo
             rows["minus2_lppd_loo"][mode] = -2.0 * loo.lppd_loo
 
@@ -102,14 +101,14 @@ def election_report(
     """Full regression summary: fit, criteria, exact LOO, and the posterior
     distribution of the total log density (histogram included)."""
     model = RegressionModel(dic_parameterization)
-    fit = model.fit(data, draws=draws, seed=derive_seed(seed, 0))
+    fit = model.fit(data, draws=draws, seed=derive_seed(seed, FIT_STREAM))
     pe = fit.point_estimates()
     mat = fit.pointwise_loglik()
     del fit  # what follows reads only the matrix; free the draws and their density terms
     rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
     lpd_posterior = lpd_posterior_summary(mat.row_totals())
     del mat  # the folds below run concurrently; free the full-data matrix first
-    loo = loo_report(model, data, rep.lppd, draws=draws, seed=derive_seed(seed, 1), bias_correction=True)
+    loo = loo_report(model, data, rep.lppd, draws=draws, seed=derive_seed(seed, FOLD_STREAM), bias_correction=True)
 
     return {
         "draws": draws,

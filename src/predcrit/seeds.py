@@ -6,6 +6,11 @@ many streams run or in what order, which is what makes fold-level and
 replicate-level parallelism bit-reproducible.
 """
 
+# The two streams of a command's master seed: its full-data fit draws from
+# the first, and its leave-one-out folds derive their seeds from the second
+FIT_STREAM = 0
+FOLD_STREAM = 1
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -102,6 +102,7 @@ def test_number_list_names_its_first_bad_value(runner, tmp_path):
 
 _MATRIX = "point_1,point_2\n-1,-2\n-1.5,-2.5\n"
 _FOUR_ELECTIONS = "year,growth,vote\n1952,2.4,57.2\n1956,2.9,53.4\n1960,0.9,49.1\n1964,4.2,61.3\n"
+_TWO_MORE_SCHOOLS = "B,8,10\nC,-3,16\n"
 
 # An input refused before anything is computed, the --input file it is
 # given (None: no --input), and the one line it prints; each exits 2.
@@ -124,6 +125,17 @@ INPUT_REFUSALS = {
                                  "error: too few training points for a proper sigma^2 posterior"),
     "schools sigma of 0": (["schools-table"], "school,y,sigma\nA,28,15\nB,8,0\n",
                            "error: all standard errors must be positive"),
+    # data whose squares leave double range: refused at load, before a numpy warning
+    "schools-table y squared": (["schools-table"], "school,y,sigma\nA,1e200,15\n" + _TWO_MORE_SCHOOLS,
+                                "error: y^2 must be finite, got inf"),
+    "fit schools y squared": (["fit", "--model", "schools"], "school,y,sigma\nA,1e200,15\n" + _TWO_MORE_SCHOOLS,
+                              "error: y^2 must be finite, got inf"),
+    "schools-table sigma squared": (["schools-table"], "school,y,sigma\nA,28,1e200\n" + _TWO_MORE_SCHOOLS,
+                                    "error: sigma^2 must be finite, got inf"),
+    "election growth squared": (["election"], _FOUR_ELECTIONS + "1968,1e200,49.6\n",
+                                "error: the sum of x^2 must be finite, got inf"),
+    "election vote squared": (["election"], _FOUR_ELECTIONS + "1968,3.0,1e200\n",
+                              "error: the sum of y^2 must be finite, got inf"),
 }
 
 
@@ -168,6 +180,15 @@ def test_exit_code_3_when_the_full_data_lppd_of_loo_overflows(runner, tmp_path):
                                   "--draws", "100"])
     assert result.exit_code == 3
     assert result.output == "numeric validity error: lppd is -inf: the log densities overflow double precision\n"
+
+
+def test_exit_code_3_when_a_far_prior_mean_overflows_the_log_densities(runner, tmp_path):
+    # the posterior mean is about 2.5e299, so each log density is about -3e598: -inf, with no numpy warning
+    path = _write(tmp_path, "y.txt", "0.5\n1.2\n-0.3\n")
+    result = runner.invoke(main, ["fit", "--model", "normal-mean", "--m", "1", "--mu0", "1e300", "--input", path,
+                                  "--draws", "100"])
+    assert result.exit_code == 3
+    assert result.stderr == "numeric validity error: non-finite log density at draw 0, point 0: -inf\n"
 
 
 NON_FINITE_INPUTS = {
@@ -260,6 +281,23 @@ def test_schools_table_undefined_cells(runner):
     assert rows["p_loo"]["no_pooling"].startswith("undefined:")
     assert isinstance(rows["dic"]["hierarchical"], float)
     assert table["seed"] == 7 and table["draws"] == 4000
+
+
+@pytest.mark.parametrize("seed", ["7", "12345"])
+def test_each_schools_table_column_is_fit_and_loo_of_its_mode(runner, seed):
+    opts = ["--draws", "2000", "--seed", seed, "--format", "json"]
+    rows = json.loads(runner.invoke(main, ["schools-table", *opts]).output)["rows"]
+    for mode in POOLING_MODES:
+        rep = json.loads(runner.invoke(main, ["fit", "--model", "schools", "--mode", mode, *opts]).output)["report"]
+        want = {"minus2_lpd_mean": -2.0 * rep["lpd_at_mean"], "p_dic": rep["p_dic"], "dic": rep["dic"],
+                "minus2_lppd": -2.0 * rep["lppd"], "p_waic1": rep["p_waic1"], "p_waic2": rep["p_waic2"],
+                "waic": rep["waic"]}
+        if mode != "hierarchical":
+            want |= {"minus2_lpd_mle": -2.0 * rep["lpd_at_mle"], "k": float(rep["k"]), "aic": rep["aic"]}
+        if mode != "no_pooling":
+            loo = json.loads(runner.invoke(main, ["loo", "--model", "schools", "--mode", mode, *opts]).output)["loo"]
+            want |= {"p_loo": loo["p_loo"], "minus2_lppd_loo": -2.0 * loo["lppd_loo"]}
+        assert {row: cells[mode] for row, cells in rows.items() if not isinstance(cells[mode], str)} == want
 
 
 def test_schools_table_on_one_school_leaves_only_loo_undefined(runner, tmp_path):
@@ -608,6 +646,13 @@ def test_fit_regression_matches_election_report(runner):
     assert result.exit_code == 0
     report = election_report(load_election_csv(), draws=2000, seed=12, dic_parameterization="log_sigma")
     assert json.loads(result.output)["report"] == report["criteria"]
+
+
+def test_election_report_is_fit_and_loo_of_the_regression_model(runner):
+    argv = ["--model", "regression", "--draws", "2000", "--seed", "12", "--format", "json"]
+    report = election_report(load_election_csv(), draws=2000, seed=12, dic_parameterization="log_sigma")
+    assert json.loads(runner.invoke(main, ["fit", *argv]).output)["report"] == report["criteria"]
+    assert json.loads(runner.invoke(main, ["loo", *argv]).output)["loo"] == report["loo"]
 
 
 def test_fit_single_draw_table_prints_warnings(runner, tmp_path):

@@ -233,6 +233,17 @@ def test_bias_curve_rows_and_cloo_oracle():
         assert abs(r["mc_mean"] - r["oracle"]) < 5 * r["mc_se"]
 
 
+def test_each_bias_curve_row_is_the_study_at_its_n():
+    # every n runs on the plan's own seed, as `expect --n` does
+    rows = bias_curve(ReplicationPlan(R=2_000, n=2, m=1.0, seed=9), [2, 5, 40])
+    assert len(rows) == 3 * len(ESTIMATOR_NAMES)
+    for n in (2, 5, 40):
+        stats = run_expectation_study(ReplicationPlan(R=2_000, n=n, m=1.0, seed=9)).stats
+        for row in (r for r in rows if r["n"] == n):
+            s = stats[row["estimator"]]
+            assert (row["mc_mean"], row["mc_se"], row["oracle"]) == (s.mc_mean, s.mc_se, s.oracle_value)
+
+
 def test_bias_curve_waic_gap_signs():
     for n in (2, 5, 10):
         e = oracle.expectations(n)

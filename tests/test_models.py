@@ -327,14 +327,31 @@ def test_a_model_input_it_cannot_use_is_refused_naming_why(build, message):
     ("hierarchical", [np.nan], "tau_grid must be finite, got nan"),
     ("hierarchical", [np.inf], "tau_grid must be finite, got inf"),
     ("hierarchical", [-2.0], "tau_grid must be nonnegative"),
+    ("hierarchical", [1e200], "tau_grid^2 must be finite, got inf"),
+    ("hierarchical", [1e160, 1.0], "tau_grid^2 must be finite, got inf"),
     ("hierarchical", [], "tau_grid must be a nonempty 1-dimensional array"),
     ("hierarchical", [[1.0, 2.0]], "tau_grid must be a nonempty 1-dimensional array"),
     ("no_pooling", [5.0], "tau_grid needs the hierarchical mode"),
     ("complete_pooling", [5.0], "tau_grid needs the hierarchical mode"),
-], ids=["nan", "inf", "negative", "empty", "2-D", "no pooling", "complete pooling"])
+], ids=["nan", "inf", "negative", "square overflows", "square of one point overflows", "empty", "2-D",
+        "no pooling", "complete pooling"])
 def test_a_tau_grid_the_schools_model_cannot_use_is_refused_naming_it(mode, grid, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SchoolsModel(mode, tau_grid=grid)
+
+
+class _AlmostOne(np.random.Generator):
+    """Every uniform draw is the largest double below 1."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("exclude", [None, *range(8)])
+def test_a_uniform_draw_just_below_1_takes_a_tau_grid_point(exclude):
+    # the grid's masses sum to 1 only up to rounding; its CDF still ends at exactly 1
+    fit = SchoolsModel().fit(load_schools_csv(), exclude=exclude, draws=3, seed=_AlmostOne(np.random.PCG64(1)))
+    assert fit._idx.max() <= fit.tau_grid.size - 1
 
 
 def test_no_pooling_heldout_refusal_direct():
@@ -410,6 +427,13 @@ def test_group_counting_changes_p_waic_strictly():
     p_obs, p_grp = criterion_report(obs).p_waic2, criterion_report(grp).p_waic2
     assert p_obs != p_grp
     assert abs(p_obs - p_grp) > 0.05
+
+
+def test_balanced_fit_draws_its_group_means_in_one_call_from_its_seed():
+    y = _balanced_fixture(n=5, J=3)
+    spec = NormalMeanSpec.from_data(y.T, m=1.0 / 0.7**2, mu0=0.4)
+    want = spec.posterior_mean + np.sqrt(spec.posterior_var) * np.random.default_rng(8).standard_normal((300, 3))
+    assert np.array_equal(BalancedModel(0.4, 0.7, "group").fit(y, draws=300, seed=8).theta, want)
 
 
 def test_balanced_input_validation():
