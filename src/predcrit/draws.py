@@ -16,6 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import mmap
+import os
+import signal
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -224,6 +228,15 @@ def _is_path(source) -> bool:
     return isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
 
 
+class _PathText(io.TextIOWrapper):
+    """A UTF-8 text stream the readers opened from a path: its body may be
+    parsed by forked processes (_parse_body_forked), a caller's stream never."""
+
+
+def _open_path(path) -> _PathText:
+    return _PathText(open(path, "rb"), encoding="utf-8", newline="")
+
+
 def _csv_rows(stream, first: int = 0):
     """The rows of a CSV text stream, read a line at a time, so the stream
     stops at the end of the last row taken: every cell stripped of
@@ -269,6 +282,139 @@ def _is_numeric_row(cells: list[str]) -> bool:
     return True
 
 
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _loadtxt(stream, labels: int) -> np.ndarray:
+    """numpy's parse of the CSV text `stream`: a 2-dimensional float array,
+    one row per line, the first `labels` columns read as 0."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(stream, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float,
+                          converters=dict.fromkeys(range(labels), lambda cell: 0.0))
+
+
+# Bytes of CSV body each process forked to parse a path gets at least.
+# Forking and reaping a child took about 3 ms on a 2-CPU x86 host, a fifth
+# of numpy's time to parse this many bytes there.
+_WORKER_MIN_BYTES = 1 << 20
+# Bytes of CSV text a process hands to numpy's parser at a time, cut at a
+# line end, so the text and its rows stay small beside the table: reading a
+# 40 MB file, the parent peaked at 1.04 times the table at this size, 1.12
+# at 1 MiB.
+_PARSE_CHUNK_BYTES = 1 << 17
+
+
+def _line_runs(fd: int, start: int, end: int, parts: int):
+    """([start, cut_1, ..., end], [0, rows before cut_1, ..., all rows]):
+    bytes start..end of the file `fd` split into at most `parts` runs of
+    whole lines, each cut just after the first newline at or past its share,
+    with the lines before each cut; a last line without a newline counts."""
+    targets = [start + k * (end - start) // parts for k in range(1, parts)]
+    cuts, rows = [start], [0]
+    lines, pos, piece = 0, start, b"\n"
+    while pos < end:
+        piece = os.pread(fd, min(_PARSE_CHUNK_BYTES, end - pos), pos)
+        if not piece:
+            break  # the file shrank; parsing its runs will fail
+        seen = 0
+        while targets:
+            cut = piece.find(b"\n", max(targets[0] - pos, seen)) + 1
+            if not cut:
+                break  # the line ends in a later piece
+            lines += piece.count(b"\n", seen, cut)
+            seen = cut
+            cuts.append(pos + cut)
+            rows.append(lines)
+            del targets[0]
+        lines += piece.count(b"\n", seen)
+        pos += len(piece)
+    if cuts[-1] < end:
+        cuts.append(end)
+        rows.append(lines + (not piece.endswith(b"\n")))
+    return cuts, rows
+
+
+def _parse_lines(fd: int, start: int, end: int, out: np.ndarray, width: int, labels: int) -> bool:
+    """Parse the lines in bytes start..end of the file `fd` into `out`,
+    _PARSE_CHUNK_BYTES of whole lines at a time: True if each line gave one
+    row of `width` cells, which fill one row of `out` after the `labels`."""
+    row, size = 0, _PARSE_CHUNK_BYTES
+    while start < end:
+        want = min(size, end - start)
+        piece = os.pread(fd, want, start)
+        if len(piece) < want:
+            return False  # the file shrank
+        cut = want if start + want == end else piece.rfind(b"\n") + 1
+        if not cut:  # a line longer than the piece
+            size *= 2
+            continue
+        size = _PARSE_CHUNK_BYTES
+        text = piece[:cut].decode("utf-8")
+        lines = text.count("\n") + (not text.endswith("\n"))
+        data = _loadtxt(io.StringIO(text, newline=""), labels)
+        if data.shape != (lines, width):
+            return False
+        out[row:row + lines] = data[:, labels:]
+        row += lines
+        start += cut
+    return row == len(out)
+
+
+def _parse_body_forked(fd: int, body: int, width: int, labels: int) -> np.ndarray | None:
+    """The table in bytes `body`.. of the file `fd`, parsed by one process
+    per CPU, or None when it is read by one process.
+
+    The body is split into runs of whole lines, one per process, and the
+    table is one anonymous shared mapping. Each process parses its run with
+    _loadtxt and writes its rows in place, so every cell is the one a single
+    parse gives. A run that does not read one row of `width` cells per line
+    (blank or ragged rows, a bare CR line end, a quoted newline, a cell
+    numpy refuses) or a child that fails makes the answer None, as do one
+    CPU, a body below two runs of _WORKER_MIN_BYTES, no os.fork, and other
+    Python threads, whose locks a child could inherit held.
+    """
+    size = os.fstat(fd).st_size
+    parts = min(_available_cpus(), (size - body) // _WORKER_MIN_BYTES)
+    if parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    cuts, rows = _line_runs(fd, body, size, parts)
+    # a row of `width` cells takes a byte for each, and for each comma or newline after one
+    if rows[-1] * (2 * width - labels) > size - body + 1:
+        return None
+    table = np.frombuffer(mmap.mmap(-1, rows[-1] * (width - labels) * 8), dtype=float)
+    table = table.reshape(rows[-1], width - labels)
+    pids, ok = [], False
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of a fork beside any OS thread; those left here
+            # are numpy's BLAS pool, which stops across a fork, and a warning
+            # raised as an error would leave the forked child unreaped
+            warnings.simplefilter("ignore", DeprecationWarning)
+            for k in range(1, len(cuts) - 1):
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        ok = _parse_lines(fd, cuts[k], cuts[k + 1], table[rows[k]:rows[k + 1]], width, labels)
+                    finally:
+                        os._exit(0 if ok else 1)
+                pids.append(pid)
+        ok = _parse_lines(fd, cuts[0], cuts[1], table[:rows[1]], width, labels)
+    except (OSError, ValueError):  # a failed fork or read, text numpy refuses, a run grown since its count
+        ok = False
+    finally:
+        for pid in pids:
+            if not ok:
+                os.kill(pid, signal.SIGKILL)
+            ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and ok
+    return table if ok else None
+
+
 def _read_table(source, header, what: str, rows: str, *, labels: int = 0,
                 optional: bool = False) -> np.ndarray:
     """The numbers of a CSV table: one array row per body row, one column
@@ -284,14 +430,15 @@ def _read_table(source, header, what: str, rows: str, *, labels: int = 0,
     rows `rows`.
 
     The body is streamed through numpy's parser, which converts every cell
-    it accepts as Python's float() does. A body numpy refuses, or reads with
-    no rows or the wrong width, is read again row by row, which accepts the
-    rest of the format and words every error.
+    it accepts as Python's float() does; a path's body may be parsed by one
+    process per CPU (_parse_body_forked), cell for cell the same. A body
+    numpy refuses, or reads with no rows or the wrong width, is read again
+    row by row, which accepts the rest of the format and words every error.
     """
     if _is_path(source):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with _open_path(source) as fh:
             return _read_table(fh, header, what, rows, labels=labels, optional=optional)
-    if not source.seekable():
+    if not source.seekable():  # a pipe, say, even when given by a path
         source = io.StringIO(source.read())
     top = source.tell()
     if source.read(1) != "\ufeff":  # a leading UTF-8 byte-order mark is skipped
@@ -308,13 +455,14 @@ def _read_table(source, header, what: str, rows: str, *, labels: int = 0,
         )
     if numeric:
         source.seek(top)
-    body = source.tell()
+    body = source.tell()  # of a UTF-8 file, its byte offset
     width = len(first)
+    if isinstance(source, _PathText):
+        data = _parse_body_forked(source.fileno(), body, width, labels)
+        if data is not None:
+            return data
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(source, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float,
-                              converters=dict.fromkeys(range(labels), lambda cell: 0.0))
+        data = _loadtxt(source, labels)
     except ValueError:
         pass
     else:
@@ -349,6 +497,6 @@ def read_loglik_csv(source) -> PointwiseLogLikMatrix:
     parsed.
     """
     if _is_path(source):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with _open_path(source) as fh:
             return read_loglik_csv(fh)
     return PointwiseLogLikMatrix(_read_table(source, "point_", "draw-matrix", "draws", optional=True))

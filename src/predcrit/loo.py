@@ -17,14 +17,13 @@ S x n matrix.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
-from .draws import _require_finite_fields, _require_finite_loglik, log_mean_exp
+from .draws import _available_cpus, _require_finite_fields, _require_finite_loglik, log_mean_exp
 from .draws import lppd as lppd_of  # noqa: F401  (unused here; perfbench's tracer wraps this binding)
 from .errors import NonFiniteLogLikError
 from .seeds import derive_seed
@@ -64,14 +63,6 @@ class LooReport:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-
-def _available_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _scored_lme(fit: PosteriorFit, j: int) -> tuple[np.ndarray, float]:

@@ -40,6 +40,8 @@ POOLING_MODES = ("no_pooling", "complete_pooling", "hierarchical")
 PREDICTION_MODES = ("existing_groups", "new_groups")
 
 TAU_GRID_SIZE = 2000
+# Buckets of the guide table that starts each tau draw's search of the CDF.
+_GUIDE_BUCKETS = 4096
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,11 @@ class EightSchoolsData:
             raise ValueError("y and sigma must be nonempty and the same length")
         if (sigma <= 0).any():
             raise ValueError("all standard errors must be positive")
-        with np.errstate(over="ignore"):  # every mode squares each effect and standard error
+        # every mode squares each effect and standard error, and weighs a group by 1/sigma^2
+        with np.errstate(over="ignore", divide="ignore"):
             _require_finite(np.square(y), "y^2")
             _require_finite(np.square(sigma), "sigma^2")
+            _require_finite(1.0 / np.square(sigma), "1/sigma^2")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sigma", sigma)
 
@@ -81,10 +85,13 @@ def _tau_grid_posterior(y: np.ndarray, sigma: np.ndarray, grid: np.ndarray | Non
 
     Returns (grid, normalized masses, mu_hat(tau), V_mu(tau)). The default
     grid is uniform on [0, 2 max_j(|y_j| + sigma_j)] with TAU_GRID_SIZE
-    points; callers may pass their own (e.g. a single pinned value).
+    points; callers may pass their own (e.g. a single pinned value). A
+    default grid whose top squares out of double range is refused.
     """
     if grid is None:
         tau_max = 2.0 * float(np.max(np.abs(y) + sigma))
+        with np.errstate(over="ignore"):
+            _require_finite(np.square([tau_max]), "default tau_grid^2")
         grid = np.linspace(0.0, tau_max, TAU_GRID_SIZE)
     var = sigma[None, :] ** 2 + grid[:, None] ** 2
     v_mu = 1.0 / (1.0 / var).sum(axis=1)
@@ -98,6 +105,30 @@ def _tau_grid_posterior(y: np.ndarray, sigma: np.ndarray, grid: np.ndarray | Non
     mass = np.exp(logp)
     mass /= mass.sum()
     return grid, mass, mu_hat, v_mu
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u), the first index whose CDF value is at least
+    u, of a nondecreasing `cdf` ending at 1 and each u in [0, 1).
+
+    A guide table holds the answer for each bucket's lower edge b /
+    _GUIDE_BUCKETS, which is exact, as is the bucket u * _GUIDE_BUCKETS of
+    each draw; every draw starts at its bucket's entry and walks forward
+    while the CDF is below it. The draws that walk (8% of them on the eight
+    schools) are gathered into arrays of their own, so the walk allocates
+    nothing of the full length: walking in place left paper-tables'
+    resident peak about 1 MB higher with one fold worker.
+    """
+    guide = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS)
+    idx = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+    walking = np.flatnonzero(cdf[idx] < u)
+    u_w, idx_w = u[walking], idx[walking]
+    live = np.arange(walking.size)
+    while live.size:
+        idx_w[live] += 1
+        live = live[cdf[idx_w[live]] < u_w[live]]
+    idx[walking] = idx_w
+    return idx
 
 
 class SchoolsModel:
@@ -167,7 +198,7 @@ class _SchoolsFit:
             self.tau_grid, self.tau_mass = grid, mass
             cdf = np.cumsum(mass)
             cdf /= cdf[-1]  # ends at exactly 1, so no uniform draw falls past the last point
-            self._idx = idx = np.searchsorted(cdf, rng.random(draws))
+            self._idx = idx = _inverse_cdf(cdf, rng.random(draws))
             self.tau = grid[idx]
             self.mu = mu_hat[idx] + np.sqrt(v_mu[idx]) * rng.standard_normal(draws)
 

@@ -132,6 +132,15 @@ INPUT_REFUSALS = {
                               "error: y^2 must be finite, got inf"),
     "schools-table sigma squared": (["schools-table"], "school,y,sigma\nA,28,1e200\n" + _TWO_MORE_SCHOOLS,
                                     "error: sigma^2 must be finite, got inf"),
+    "schools-table sigma inverse square": (["schools-table"], "school,y,sigma\nA,28,1e-200\n" + _TWO_MORE_SCHOOLS,
+                                           "error: 1/sigma^2 must be finite, got inf"),
+    "fit schools sigma inverse square": (["fit", "--model", "schools"],
+                                         "school,y,sigma\nA,28,1e-160\n" + _TWO_MORE_SCHOOLS,
+                                         "error: 1/sigma^2 must be finite, got inf"),
+    # the default tau grid's top, 2 max(|y| + sigma), is 2e154 + 2
+    "fit schools default tau grid squared": (
+        ["fit", "--model", "schools"], "school,y,sigma\nA,1e154,1\nB,-1e154,1\nC,0,1\nD,1e154,1\nE,-1e154,1\n",
+        "error: default tau_grid^2 must be finite, got inf"),
     "election growth squared": (["election"], _FOUR_ELECTIONS + "1968,1e200,49.6\n",
                                 "error: the sum of x^2 must be finite, got inf"),
     "election vote squared": (["election"], _FOUR_ELECTIONS + "1968,3.0,1e200\n",

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import os
+import threading
 import warnings
 from importlib import resources
 
@@ -613,3 +615,169 @@ def test_validation_accepts_finite_cells_whose_total_overflows():
             PointwiseLogLikMatrix(vals)
         with pytest.raises(NonFiniteLogLikError, match="at draw 0, point 1: -inf"):
             PointwiseLogLikMatrix(np.array([[1.0, -np.inf, np.inf]]))
+
+
+# ---------------------------------------------------------------------------
+# a path's body parsed by one forked process per CPU: small files take the
+# forked path here through a lowered per-worker minimum and piece size
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Runs of 64 bytes or more, up to four processes, 32-byte pieces (so
+    most lines need a grown piece); `forked` lists what each forked parse
+    returned, None when the read stayed serial."""
+    monkeypatch.setattr(draws, "_WORKER_MIN_BYTES", 64)
+    monkeypatch.setattr(draws, "_PARSE_CHUNK_BYTES", 32)
+    monkeypatch.setattr(draws, "_available_cpus", lambda: 4)
+    results = []
+    parse = draws._parse_body_forked
+
+    def spy(*args):
+        results.append(parse(*args))
+        return results[-1]
+
+    monkeypatch.setattr(draws, "_parse_body_forked", spy)
+    yield results
+    _no_child_left()
+
+
+def _matrix_text(header=True, rows=40, cols=5, newline="\n", quoted=False, bom=False, trailing=True):
+    values = np.random.default_rng(rows * cols).normal(-3.0, 2.0, size=(rows, cols))
+    cell = '"{!r}"' if quoted else "{!r}"
+    lines = [",".join(cell.format(v) for v in row) for row in values.tolist()]
+    if header:
+        lines.insert(0, ",".join(f"point_{j + 1}" for j in range(cols)))
+    return ("\ufeff" if bom else "") + newline.join(lines) + (newline if trailing else "")
+
+
+def _outcome(read, source):
+    """(the values' bytes, shape) of a read, or (its error class, message)."""
+    try:
+        values = read(source)
+    except ValueError as exc:  # a format, non-finite or decoding error
+        return type(exc), str(exc)
+    return values.tobytes(), values.shape
+
+
+def _read_matrix(source):
+    return read_loglik_csv(source).values
+
+
+def _forked_and_serial(read, text, tmp_path, encode=lambda text: text.encode("utf-8")):
+    """The outcome of `read` on a file holding `text` by its path, and on
+    the same file opened as a stream, which is parsed serially."""
+    path = tmp_path / "table.csv"
+    path.write_bytes(encode(text))
+    with open(path, encoding="utf-8", newline="") as fh:
+        return _outcome(read, path), _outcome(read, fh)
+
+
+_FORKED_TEXTS = {
+    "header": _matrix_text(),
+    "no header": _matrix_text(header=False),
+    "crlf": _matrix_text(newline="\r\n"),
+    "no trailing newline": _matrix_text(trailing=False),
+    "quoted cells": _matrix_text(quoted=True),
+    "byte-order mark": _matrix_text(bom=True),
+    "byte-order mark, no header": _matrix_text(header=False, bom=True),
+    "one column": _matrix_text(rows=200, cols=1),
+}
+
+
+@pytest.mark.parametrize("case", list(_FORKED_TEXTS))
+def test_a_forked_read_is_bitwise_the_serial_read(case, forked, tmp_path):
+    got, want = _forked_and_serial(_read_matrix, _FORKED_TEXTS[case], tmp_path)
+    assert forked and forked[0] is not None  # every run read as one row per line
+    assert isinstance(got[0], bytes) and got == want
+
+
+def test_a_forked_read_of_model_tables_skips_their_labels(forked, tmp_path):
+    rng = np.random.default_rng(9)
+    text = "school,y,sigma\n" + "".join(f'"S {j}",{rng.normal(8, 10)!r},{rng.uniform(5, 20)!r}\n'
+                                       for j in range(60))
+    got, want = _forked_and_serial(lambda source: load_schools_csv(source).sigma, text, tmp_path)
+    assert forked and forked[0] is not None
+    assert isinstance(got[0], bytes) and got == want
+
+
+def _defect(text, where, line):
+    """`text` with its line at `where` (a share of the body) replaced by `line`."""
+    lines = text.split("\n")
+    lines[1 + int(where * (len(lines) - 2))] = line
+    return "\n".join(lines)
+
+
+_DEFECTS = {
+    "blank rows": "\n\n",
+    "many blank rows": "\n" * 20_000,  # more lines than rows the bytes could hold
+    "whitespace row": "  ",
+    "ragged row": "-1.5,-2",
+    "non-number cell": "-1.5,-2,x,-4,-5",
+    "nan cell": "-1.5,-2,nan,-4,-5",
+    "quoted newline": '-1.5,-2,-3,-4,"-5\n"',
+    "bare carriage return": "-1.5,-2,-3,-4,-5\r-1.5,-2,-3,-4,-5",
+    "invalid utf-8": "-1.5,-2,-3,-4,-5\udcff",
+}
+
+
+# a text stream decodes the file's first 8 KB as it reads the header, so
+# the first run's defect lies past them: of 800 rows, each run has 200
+@pytest.mark.parametrize("where", [0.2, 0.5, 1.0], ids=["first run", "middle", "last run"])
+@pytest.mark.parametrize("case", list(_DEFECTS))
+def test_a_forked_read_of_a_defect_gives_the_serial_outcome(case, where, forked, tmp_path):
+    text = _defect(_matrix_text(rows=800), where, _DEFECTS[case])
+    got, want = _forked_and_serial(_read_matrix, text, tmp_path,
+                                   lambda text: text.encode("utf-8", "surrogateescape"))
+    assert got == want
+    assert forked and (forked[0] is not None) == (case == "nan cell")
+
+
+def test_a_run_that_parses_to_other_than_its_counted_rows_sends_the_read_back(forked, monkeypatch, tmp_path):
+    # as when the file changes between the count and the parse
+    count = draws._line_runs
+
+    def overcount(*args):
+        cuts, rows = count(*args)
+        return cuts, [*rows[:-1], rows[-1] + 1]
+
+    monkeypatch.setattr(draws, "_line_runs", overcount)
+    got, want = _forked_and_serial(_read_matrix, _matrix_text(), tmp_path)
+    assert got == want and forked == [None]
+
+
+def test_the_reader_forks_nothing_without_a_path_cpus_a_large_body_fork_or_a_lone_thread(monkeypatch, tmp_path):
+    text = _matrix_text()
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8")
+    want = _outcome(_read_matrix, io.StringIO(text))
+
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(draws.os, "fork", refuse)
+    monkeypatch.setattr(draws, "_WORKER_MIN_BYTES", 64)
+    monkeypatch.setattr(draws, "_available_cpus", lambda: 1)
+    assert _outcome(_read_matrix, path) == want  # one CPU
+    monkeypatch.setattr(draws, "_available_cpus", lambda: 4)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert _outcome(_read_matrix, fh) == want  # a stream
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert _outcome(_read_matrix, path) == want  # another live thread
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    monkeypatch.setattr(draws, "_WORKER_MIN_BYTES", len(text))
+    assert _outcome(_read_matrix, path) == want  # a body below two runs
+    monkeypatch.setattr(draws, "_WORKER_MIN_BYTES", 64)
+    monkeypatch.delattr(draws.os, "fork")
+    assert _outcome(_read_matrix, path) == want  # no os.fork

@@ -26,6 +26,7 @@ from predcrit.models import (
     schools_fit,
 )
 from predcrit.models.normal import normal_logpdf_inplace
+from predcrit.models.schools import _GUIDE_BUCKETS, _inverse_cdf
 
 S = 100_000
 SEED = 12345
@@ -352,6 +353,37 @@ def test_a_uniform_draw_just_below_1_takes_a_tau_grid_point(exclude):
     # the grid's masses sum to 1 only up to rounding; its CDF still ends at exactly 1
     fit = SchoolsModel().fit(load_schools_csv(), exclude=exclude, draws=3, seed=_AlmostOne(np.random.PCG64(1)))
     assert fit._idx.max() <= fit.tau_grid.size - 1
+
+
+def _schools_tau_cdf(**model):
+    cdf = np.cumsum(SchoolsModel(**model).fit(load_schools_csv(), draws=1, seed=0).tau_mass)
+    return cdf / cdf[-1]
+
+
+# CDFs ending at exactly 1, as _SchoolsFit normalizes them
+_ADVERSARIAL_CDFS = {
+    "all mass on the first point": lambda: np.ones(2000),
+    "all mass on a middle point": lambda: np.repeat([0.0, 1.0], 1000),
+    "all mass on the last point": lambda: np.append(np.zeros(1999), 1.0),
+    "zero-mass tails": lambda: np.concatenate([np.zeros(700), np.linspace(1e-9, 1.0, 600), np.ones(700)]),
+    "one mass below a bucket": lambda: np.concatenate([np.zeros(10), np.full(10, 0.5 / 4096), np.ones(5)]),
+    "eight schools": _schools_tau_cdf,
+    "a one-point pinned tau_grid": lambda: _schools_tau_cdf(tau_grid=[5.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(_ADVERSARIAL_CDFS))
+def test_the_guide_table_tau_draw_is_searchsorted(case):
+    cdf = _ADVERSARIAL_CDFS[case]()
+    assert cdf[-1] == 1.0
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    u = np.concatenate([
+        np.random.default_rng(3).random(20_000),
+        [0.0, np.nextafter(1.0, 0.0)],
+        edges[1:-1], np.nextafter(edges[1:], 0.0),  # each bucket's lower edge, and its last double
+        np.unique(cdf[cdf < 1.0]), np.nextafter(np.unique(cdf[cdf > 0.0]), 0.0),
+    ])
+    assert np.array_equal(_inverse_cdf(cdf, u), np.searchsorted(cdf, u))
 
 
 def test_no_pooling_heldout_refusal_direct():
