@@ -498,5 +498,6 @@ def read_loglik_csv(source) -> PointwiseLogLikMatrix:
     """
     if _is_path(source):
         with _open_path(source) as fh:
+            # calls itself, not _read_table: perfbench's tracer counts two read spans for each path read
             return read_loglik_csv(fh)
     return PointwiseLogLikMatrix(_read_table(source, "point_", "draw-matrix", "draws", optional=True))

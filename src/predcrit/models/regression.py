@@ -143,6 +143,7 @@ class _RegressionFit:
         return float(normal_logpdf_inplace(r, s**2).sum())
 
     # ---- draw-level evaluation -------------------------------------------
+    # kept for perfbench's tracer, which wraps it by name as a models.score span
     def pointwise_loglik(self) -> PointwiseLogLikMatrix:
         return PointwiseLogLikMatrix(self.loglik(np.arange(len(self._data))))
 
@@ -171,5 +172,6 @@ class RegressionModel:
 
 
 def regression_fit(data: RegressionData, draws: int, seed: int) -> _RegressionFit:
-    """Fit the flat-prior regression to the full dataset."""
+    """Fit the flat-prior regression to the full dataset. No caller in the
+    package: perfbench's tracer wraps it by name as a models.fit span."""
     return RegressionModel().fit(data, draws=draws, seed=seed)

@@ -200,6 +200,31 @@ def test_exit_code_3_when_a_far_prior_mean_overflows_the_log_densities(runner, t
     assert result.stderr == "numeric validity error: non-finite log density at draw 0, point 0: -inf\n"
 
 
+# Hierarchical effect draws past double range: y tau^2 (about 4|y|^3 on the default grid) for effects of
+# +-4e102, sigma^2 tau^2 for a school at sigma 1e150; every square the data load checks stays finite.
+# Each file, and the first draw whose density is -inf.
+_THETA_OVERFLOWS = {
+    "y tau^2": ("school,y,sigma\nA,4e102,1\nB,-4e102,1\nC,0,1\n", 6),
+    "sigma^2 tau^2": ("school,y,sigma\nA,1e10,1e150\nB,-1e10,1\nC,0,1\nD,2e10,1\n", 0),
+}
+
+
+@pytest.mark.parametrize("data, argv", [
+    ("y tau^2", ["fit", "--model", "schools"]),
+    ("y tau^2", ["loo", "--model", "schools"]),
+    ("sigma^2 tau^2", ["fit", "--model", "schools"]),
+    ("sigma^2 tau^2", ["loo", "--model", "schools"]),
+    ("sigma^2 tau^2", ["schools-table"]),
+])
+def test_exit_code_3_when_a_hierarchical_effect_draw_overflows(runner, tmp_path, data, argv):
+    text, draw = _THETA_OVERFLOWS[data]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [*argv, "--input", _write(tmp_path, "s.csv", text), "--draws", "100"])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == f"numeric validity error: non-finite log density at draw {draw}, point 0: -inf\n"
+
+
 NON_FINITE_INPUTS = {
     "schools-y": ("s.csv", "school,y,sigma\nA,nan,15\nB,8,10\nC,-3,16\n",
                   [["fit", "--model", "schools"], ["schools-table"]], "nan"),

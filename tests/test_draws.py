@@ -2,6 +2,8 @@ import csv
 import io
 import math
 import os
+import subprocess
+import sys
 import threading
 import warnings
 from importlib import resources
@@ -767,6 +769,15 @@ def test_the_reader_forks_nothing_without_a_path_cpus_a_large_body_fork_or_a_lon
     monkeypatch.setattr(draws, "_available_cpus", lambda: 4)
     with open(path, encoding="utf-8", newline="") as fh:
         assert _outcome(_read_matrix, fh) == want  # a stream
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+    # fed by a process: a live writer thread would stop the fork by itself
+    writer = subprocess.Popen([sys.executable, "-c", "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())",
+                               str(path), str(fifo)])
+    try:
+        assert _outcome(_read_matrix, fifo) == want  # a pipe given by its path
+    finally:
+        assert writer.wait(timeout=30) == 0
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()

@@ -369,6 +369,8 @@ _ADVERSARIAL_CDFS = {
     "one mass below a bucket": lambda: np.concatenate([np.zeros(10), np.full(10, 0.5 / 4096), np.ones(5)]),
     "eight schools": _schools_tau_cdf,
     "a one-point pinned tau_grid": lambda: _schools_tau_cdf(tau_grid=[5.0]),
+    # about 24 points a bucket, so nearly every draw falls short of its bucket's entry and is searched again
+    "a grid finer than the guide": lambda: np.linspace(0.0, 1.0, 100_001)[1:],
 }
 
 
