@@ -42,7 +42,7 @@ class _BalancedFit:
 
 class BalancedModel:
     """Known (mu, tau) and a data-point counting. Only the full table is
-    fitted; a leave-one-out refit is refused."""
+    fitted; leave-one-out folds are refused."""
 
     def __init__(self, mu: float, tau: float, counting: str):
         _check_settings(mu=mu, tau=tau)
@@ -64,7 +64,7 @@ class BalancedModel:
         mu); the S x J means are drawn in one call from `seed`.
         """
         if exclude is not None:
-            raise ModelRefusalError("the balanced model supports `fit` only (known hyperparameters)")
+            return self.folds(data, draws=draws, seed=seed)(exclude)
         y = np.asarray(data, dtype=float)
         if y.ndim != 2:
             raise ValueError("y must be an n x J array of observations")
@@ -76,6 +76,10 @@ class BalancedModel:
         ll = normal_logpdf_inplace(np.subtract(y[:, :, None], theta.T, order="C"), 1.0)
         values = ll.reshape(n * J, draws).T if self.counting == "observation" else ll.sum(axis=0).T
         return _BalancedFit(PointwiseLogLikMatrix(values), self.counting, theta)
+
+    def folds(self, data, *, draws: int, seed: int):
+        """Refused: with the hyperparameters known there is no refit."""
+        raise ModelRefusalError("the balanced model supports `fit` only (known hyperparameters)")
 
 
 def load_balanced_csv(source) -> np.ndarray:

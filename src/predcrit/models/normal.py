@@ -13,20 +13,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..criteria import PointEstimateLogLik, PointEstimates
-from ..draws import PointwiseLogLikMatrix, _require_finite
+from ..draws import PointwiseLogLikMatrix, _require_finite, _require_finite_fields
 
 __all__ = [
     "NormalMeanSpec",
     "normal_logpdf_inplace",
     "normal_terms",
+    "mle_loglik",
     "NormalMeanModel",
 ]
 
 
 def normal_terms(var) -> tuple:
     """(-2 var, 0.5 log(2 pi var)): the terms of log N(r | 0, var) that do
-    not involve the residual r."""
-    return -2.0 * var, 0.5 * np.log(2.0 * np.pi * var)
+    not involve the residual r. A variance near double range makes them
+    infinite, and the density -inf or NaN, which callers refuse."""
+    with np.errstate(over="ignore"):
+        return -2.0 * var, 0.5 * np.log(2.0 * np.pi * var)
 
 
 def normal_logpdf_inplace(resid: np.ndarray, var, terms: tuple | None = None) -> np.ndarray:
@@ -38,11 +41,22 @@ def normal_logpdf_inplace(resid: np.ndarray, var, terms: tuple | None = None) ->
     buffer the density needs.
     """
     minus_2var, half_log = normal_terms(var) if terms is None else terms
-    with np.errstate(over="ignore"):  # a square past double range is a -inf density, which callers refuse
+    # a square or a variance past double range is a -inf or NaN density (inf / -inf), which callers refuse
+    with np.errstate(over="ignore", invalid="ignore"):
         np.square(resid, out=resid)
-    resid /= minus_2var
+        resid /= minus_2var
     resid -= half_log
     return resid
+
+
+def mle_loglik(logdens: np.ndarray, k: int) -> PointEstimateLogLik:
+    """The total of the data's log densities at an MLE of k parameters,
+    refused with NonFiniteLogLikError naming `lpd_at_mle` when it is not
+    finite, as a draw's non-finite density is."""
+    with np.errstate(over="ignore"):
+        total = float(logdens.sum())
+    _require_finite_fields({"lpd_at_mle": total})
+    return PointEstimateLogLik(total, k)
 
 
 def _inverse(x: float) -> float:
@@ -144,12 +158,12 @@ class _NormalMeanFit:
         """Total log density of all n points, the ones `pointwise_loglik`
         scores, at the training ybar (the MLE, None without training
         points) and at the training posterior mean."""
-        def lpd_at(center: float) -> float:
-            return float(normal_logpdf_inplace(self._y - center, 1.0).sum())
+        def lpd_at(center: float) -> np.ndarray:
+            return normal_logpdf_inplace(self._y - center, 1.0)
 
         return PointEstimates(
-            lpd_at_mean=lpd_at(self._center),
-            mle=None if self._mle is None else PointEstimateLogLik(lpd_at(self._mle), k=1),
+            lpd_at_mean=float(lpd_at(self._center).sum()),
+            mle=None if self._mle is None else mle_loglik(lpd_at(self._mle), k=1),
             summary={"posterior_mean_theta": float(self.theta.mean())},
         )
 
@@ -157,8 +171,8 @@ class _NormalMeanFit:
 class NormalMeanModel:
     """Refittable wrapper suitable for exact LOO.
 
-    Holds the prior; `fit` takes the data vector and optionally excludes
-    one point, returning a posterior that can score any of the original
+    Holds the prior; `fit` takes the data vector and `folds` its n
+    leave-one-out posteriors, each a fit that can score any of the original
     points (held-out scoring uses only the training posterior).
     """
 
@@ -168,8 +182,23 @@ class NormalMeanModel:
         self.mu0 = mu0
 
     def fit(self, data, exclude: int | None = None, *, draws: int, seed: int) -> _NormalMeanFit:
+        """The posterior of `data`, theta = center + sd z from S standard
+        normals z drawn from `seed`; `exclude=i` gives fold i of `folds`."""
+        if exclude is not None:
+            return self.folds(data, draws=draws, seed=seed)(exclude)
         y = np.asarray(data, dtype=float).reshape(-1)
-        train = y if exclude is None else np.delete(y, exclude)
+        return self._posterior(y, y, np.random.default_rng(seed).standard_normal(draws))
+
+    def folds(self, data, *, draws: int, seed: int):
+        """fold(i), the posterior without point i: every fold shifts and
+        scales the same S standard normals, drawn once from `seed` as the
+        full fit draws them."""
+        y = np.asarray(data, dtype=float).reshape(-1)
+        z = np.random.default_rng(seed).standard_normal(draws)
+        z.flags.writeable = False  # shared by every fold
+        return lambda i: self._posterior(y, np.delete(y, i), z)
+
+    def _posterior(self, y: np.ndarray, train: np.ndarray, z: np.ndarray) -> _NormalMeanFit:
         if train.size:
             spec = NormalMeanSpec.from_data(train, m=self.m, mu0=self.mu0)
             center, var, mle = spec.posterior_mean, spec.posterior_var, spec.ybar
@@ -177,5 +206,4 @@ class NormalMeanModel:
             center, var, mle = self.mu0, 1.0 / self.m, None
         else:
             raise ValueError("flat-prior fit needs at least one training point")
-        theta = center + np.sqrt(var) * np.random.default_rng(seed).standard_normal(draws)
-        return _NormalMeanFit(y, center, mle, theta)
+        return _NormalMeanFit(y, center, mle, center + np.sqrt(var) * z)

@@ -15,9 +15,9 @@ from importlib import resources
 
 import numpy as np
 
-from ..criteria import PointEstimateLogLik, PointEstimates
+from ..criteria import PointEstimates
 from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
-from .normal import normal_logpdf_inplace, normal_terms
+from .normal import mle_loglik, normal_logpdf_inplace, normal_terms
 
 __all__ = ["RegressionData", "RegressionModel", "regression_fit", "load_election_csv", "DIC_PARAMETERIZATIONS"]
 
@@ -65,10 +65,20 @@ def _design(x: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(x.size), x])
 
 
-class _RegressionFit:
-    """Joint posterior draws plus the point summaries used downstream."""
+def _draw(seed, draws: int, nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """What a fit on nu + 2 points transforms, drawn from `seed` in this
+    order: S chi-square values with nu degrees of freedom and S x 2
+    standard normals, row s holding (z_a, z_b)."""
+    rng = np.random.default_rng(seed)
+    return rng.chisquare(nu, draws), rng.standard_normal((draws, 2))
 
-    def __init__(self, data: RegressionData, exclude: int | None, draws: int, seed: int,
+
+class _RegressionFit:
+    """Joint posterior draws plus the point summaries used downstream: a
+    transform of `_draw`'s chi-square values and normals, drawn with the
+    training points' nu."""
+
+    def __init__(self, data: RegressionData, exclude: int | None, chi2: np.ndarray, z: np.ndarray,
                  dic_parameterization: str):
         self._data = data
         train_idx = np.arange(len(data)) if exclude is None else np.delete(np.arange(len(data)), exclude)
@@ -89,14 +99,12 @@ class _RegressionFit:
             raise ValueError("too few training points for a proper sigma^2 posterior")
         s2 = rss / nu
 
-        rng = np.random.default_rng(seed)
-        sigma2 = nu * s2 / rng.chisquare(nu, draws)
+        sigma2 = nu * s2 / chi2
         sigma = np.sqrt(sigma2)
         # (a, b) = beta_hat + sigma L z with L lower triangular, one
         # length-S column per coefficient (an S x 2 matmul is several times
-        # slower); z keeps the stream's order, row s holding (z_a, z_b)
+        # slower)
         chol = np.linalg.cholesky(xtx_inv)
-        z = rng.standard_normal((draws, 2))
         a = z[:, 0] * chol[0, 0]
         b = z[:, 0] * chol[1, 0]
         b += z[:, 1] * chol[1, 1]
@@ -133,14 +141,14 @@ class _RegressionFit:
         s = {"sigma": pm["sigma"], "sigma2": float(np.sqrt(pm["sigma2"])),
              "log_sigma": float(np.exp(pm["log_sigma"]))}[self._dic_parameterization]
         return PointEstimates(
-            lpd_at_mean=self._total_loglik_at(pm["a"], pm["b"], s),
-            mle=PointEstimateLogLik(self._total_loglik_at(*self.mle), k=3),
+            lpd_at_mean=float(self._loglik_at(pm["a"], pm["b"], s).sum()),
+            mle=mle_loglik(self._loglik_at(*self.mle), k=3),
             summary={"mle": dict(zip(("a", "b", "sigma"), self.mle)), "posterior_means": pm},
         )
 
-    def _total_loglik_at(self, a: float, b: float, s: float) -> float:
+    def _loglik_at(self, a: float, b: float, s: float) -> np.ndarray:
         r = self._data.y - (a + b * self._data.x)
-        return float(normal_logpdf_inplace(r, s**2).sum())
+        return normal_logpdf_inplace(r, s**2)
 
     # ---- draw-level evaluation -------------------------------------------
     # kept for perfbench's tracer, which wraps it by name as a models.score span
@@ -168,7 +176,18 @@ class RegressionModel:
         self.dic_parameterization = dic_parameterization
 
     def fit(self, data: RegressionData, exclude: int | None = None, *, draws: int, seed: int) -> _RegressionFit:
-        return _RegressionFit(data, exclude, draws, seed, self.dic_parameterization)
+        """The posterior of `data` from `seed`; `exclude=i` gives fold i of `folds`."""
+        if exclude is not None:
+            return self.folds(data, draws=draws, seed=seed)(exclude)
+        return _RegressionFit(data, None, *_draw(seed, draws, len(data) - 2), self.dic_parameterization)
+
+    def folds(self, data: RegressionData, *, draws: int, seed: int):
+        """fold(i), the posterior without point i. Every fold trains on
+        n - 1 points, so all transform one draw from `seed`: S chi-square
+        values with n - 3 degrees of freedom and S x 2 normals."""
+        chi2, z = shared = _draw(seed, draws, len(data) - 3)
+        chi2.flags.writeable = z.flags.writeable = False  # shared by every fold
+        return lambda i: _RegressionFit(data, i, *shared, self.dic_parameterization)
 
 
 def regression_fit(data: RegressionData, draws: int, seed: int) -> _RegressionFit:

@@ -17,15 +17,16 @@ not exist and a leave-one-out refit is refused.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from ..criteria import PointEstimateLogLik, PointEstimates
+from ..criteria import PointEstimates
 from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
 from ..errors import ModelRefusalError
-from .normal import normal_logpdf_inplace, normal_terms
+from .normal import mle_loglik, normal_logpdf_inplace, normal_terms
 
 __all__ = [
     "EightSchoolsData",
@@ -153,17 +154,63 @@ class SchoolsModel:
         self.tau_grid = tau_grid
 
     def fit(self, data: EightSchoolsData, exclude: int | None = None, *, draws: int, seed: int) -> _SchoolsFit:
-        return _SchoolsFit(self, data, exclude, draws, seed)
+        """The posterior of `data` from `seed`; `exclude=i` gives fold i of `folds`."""
+        if exclude is not None:
+            return self.folds(data, draws=draws, seed=seed)(exclude)
+        return _SchoolsFit(self, data, None, _SchoolsDraws(self.mode, draws, seed, shared=False))
+
+    def folds(self, data: EightSchoolsData, *, draws: int, seed: int):
+        """fold(i), the posterior without group i. All folds transform one
+        `_SchoolsDraws` from `seed`, drawn as the full fit draws. Refused
+        under no pooling before anything is drawn."""
+        if self.mode == "no_pooling":
+            raise ModelRefusalError(
+                "model cannot predict held-out point: the no-pooling fit has "
+                "no distribution for an unobserved group"
+            )
+        shared = _SchoolsDraws(self.mode, draws, seed, shared=True)
+        return lambda i: _SchoolsFit(self, data, i, shared)
+
+
+class _SchoolsDraws:
+    """The random numbers a schools fit transforms, drawn from one seed in
+    this order: S uniforms for tau and S normals for mu (hierarchical), or
+    S normals for the pooled effect (complete pooling), then, once a fit
+    reads `theta`, the S x J normals of the effects. `shared` draws serve
+    every fold of a dataset: the effects' normals are then drawn once, by
+    whichever fold reads them first, and kept."""
+
+    def __init__(self, mode: str, draws: int, seed, shared: bool):
+        self._rng = rng = np.random.default_rng(seed)
+        self.size = draws
+        self.u = rng.random(draws) if mode == "hierarchical" else None
+        self.z = None if mode == "no_pooling" else rng.standard_normal(draws)
+        self._lock = threading.Lock() if shared else None
+        self._effects = None
+        for values in (self.u, self.z) if shared else ():
+            if values is not None:
+                values.flags.writeable = False
+
+    def effect_normals(self, J: int) -> np.ndarray:
+        """The S x J normals of the effects: a fresh draw for a fit of its
+        own, which reads them once; for shared draws one read-only draw."""
+        if self._lock is None:
+            return self._rng.standard_normal((self.size, J))
+        with self._lock:
+            if self._effects is None:
+                self._effects = self._rng.standard_normal((self.size, J))
+                self._effects.flags.writeable = False
+            return self._effects
 
 
 class _SchoolsFit:
-    """Posterior draws of the pooling mode's parameters. `theta` (S x J,
-    over the *full* group list; under complete pooling a read-only view of
-    mu) is drawn when first read; a held-out group's column is the shared
-    effect or mu, never conditioned on its own y. `loglik` says how a
-    group without data in the fit is scored."""
+    """Posterior draws of the pooling mode's parameters, transformed from
+    `draws`. `theta` (S x J, over the *full* group list; under complete
+    pooling a read-only view of mu) is drawn when first read; a held-out
+    group's column is the shared effect or mu, never conditioned on its own
+    y. `loglik` says how a group without data in the fit is scored."""
 
-    def __init__(self, model: SchoolsModel, data: EightSchoolsData, exclude: int | None, draws: int, seed: int):
+    def __init__(self, model: SchoolsModel, data: EightSchoolsData, exclude: int | None, draws: _SchoolsDraws):
         self._model = model
         self._data = data
         self._exclude = exclude
@@ -171,13 +218,7 @@ class _SchoolsFit:
         keep = np.arange(J) if exclude is None else np.delete(np.arange(J), exclude)
         if keep.size == 0:
             raise ValueError("training set must contain at least one group")
-        if model.mode == "no_pooling" and exclude is not None:
-            raise ModelRefusalError(
-                "model cannot predict held-out point: the no-pooling fit has "
-                "no distribution for an unobserved group"
-            )
         self._unseen = np.isin(np.arange(J), keep, invert=True) | (model.prediction_mode == "new_groups")
-        self._rng = rng = np.random.default_rng(seed)
         self._draws = draws
         self.tau = self.mu = self.tau_grid = self.tau_mass = self._theta = None
         if model.mode == "complete_pooling":
@@ -185,21 +226,21 @@ class _SchoolsFit:
             v_post = 1.0 / w.sum()
             # the flat-prior posterior mean, which is also the MLE
             self._pooled_mean = v_post * (w * y[keep]).sum()
-            self.mu = self._pooled_mean + np.sqrt(v_post) * rng.standard_normal(draws)
+            self.mu = self._pooled_mean + np.sqrt(v_post) * draws.z
         elif model.mode == "hierarchical":
             grid, mass, mu_hat, v_mu = _tau_grid_posterior(y[keep], sigma[keep], model.tau_grid)
             self.tau_grid, self.tau_mass = grid, mass
             cdf = np.cumsum(mass)
             cdf /= cdf[-1]  # ends at exactly 1, so no uniform draw falls past the last point
-            self._idx = idx = _inverse_cdf(cdf, rng.random(draws))
+            self._idx = idx = _inverse_cdf(cdf, draws.u)
             self.tau = grid[idx]
-            self.mu = mu_hat[idx] + np.sqrt(v_mu[idx]) * rng.standard_normal(draws)
+            self.mu = mu_hat[idx] + np.sqrt(v_mu[idx]) * draws.z
 
     @property
     def theta(self) -> np.ndarray:
         # set by hand, not by functools.cached_property: before Python 3.12
         # that takes one lock for the whole class, so concurrent LOO folds
-        # would draw their effects one at a time
+        # would form their effects one at a time
         if self._theta is None:
             # an effect past double range (inf, or inf - inf) is a non-finite density, which callers refuse
             with np.errstate(over="ignore", invalid="ignore"):
@@ -207,11 +248,11 @@ class _SchoolsFit:
         return self._theta
 
     def _draw_theta(self) -> np.ndarray:
-        d, rng, draws, mode = self._data, self._rng, self._draws, self._model.mode
+        d, mode = self._data, self._model.mode
         if mode == "no_pooling":
-            return d.y + d.sigma * rng.standard_normal((draws, len(d)))
+            return d.y + d.sigma * self._draws.effect_normals(len(d))
         if mode == "complete_pooling":
-            return np.broadcast_to(self.mu[:, None], (draws, len(d)))
+            return np.broadcast_to(self.mu[:, None], (self._draws.size, len(d)))
         # theta_j | mu, tau ~ N((y t2 + mu s2) / den, s2 t2 / den) with
         # t2 = tau^2 and den = t2 + s2, so tau = 0 needs no special case;
         # the tau-only factors are tabulated on the grid, then gathered
@@ -224,8 +265,8 @@ class _SchoolsFit:
         buf = np.multiply(mu[:, None], s2)
         theta += buf
         theta /= np.take(den, idx, axis=0, out=buf)
-        rng.standard_normal(out=buf)
-        buf *= np.take(sd, idx, axis=0)
+        np.take(sd, idx, axis=0, out=buf)
+        buf *= self._draws.effect_normals(len(d))
         theta += buf
         if self._exclude is not None:
             theta[:, self._exclude] = mu
@@ -242,9 +283,9 @@ class _SchoolsFit:
         d, mode = self._data, self._model.mode
         var, mle = d.sigma**2, None
         if mode == "no_pooling":  # theta_j = y_j leaves no residual
-            mle = PointEstimateLogLik(float(normal_logpdf_inplace(np.zeros(len(d)), var).sum()), len(d))
+            mle = mle_loglik(normal_logpdf_inplace(np.zeros(len(d)), var), len(d))
         elif mode == "complete_pooling":
-            mle = PointEstimateLogLik(float(normal_logpdf_inplace(d.y - self._pooled_mean, var).sum()), 1)
+            mle = mle_loglik(normal_logpdf_inplace(d.y - self._pooled_mean, var), 1)
         else:
             means = {"mu": float(self.mu.mean()), "tau": float(self.tau.mean())}
             var = var + self._unseen * means["tau"] ** 2

@@ -2,12 +2,12 @@
 
 A master seed plus a stream index maps to a child seed through the
 SplitMix64 output function. Children are decorrelated regardless of how
-many streams run or in what order, which is what makes fold-level and
-replicate-level parallelism bit-reproducible.
+many streams run or in what order, which is what makes replicate-level
+parallelism bit-reproducible.
 """
 
 # The two streams of a command's master seed: its full-data fit draws from
-# the first, and its leave-one-out folds derive their seeds from the second
+# the first, and its leave-one-out folds share one draw from the second
 FIT_STREAM = 0
 FOLD_STREAM = 1
 

@@ -225,6 +225,35 @@ def test_exit_code_3_when_a_hierarchical_effect_draw_overflows(runner, tmp_path,
     assert result.stderr == f"numeric validity error: non-finite log density at draw {draw}, point 0: -inf\n"
 
 
+# Density variances past double range: 2 pi sigma^2 for a school at sigma 1e154, and 2 pi (tau^2 + sigma^2)
+# of new groups for effects of +-5e153 (the default tau grid tops out at 1e154); every square the load
+# checks stays finite. A flat-prior mode's fit reaches its MLE's total first.
+_DENSITY_OVERFLOWS = {
+    "sigma 1e154": "school,y,sigma\nA,1,1e154\nB,2,1\nC,3,1\nD,4,1\n",
+    "effects 5e153": "school,y,sigma\nA,5e153,1\nB,-5e153,1\nC,0,1\n",
+}
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    ("sigma 1e154", ["fit", "--model", "schools", "--mode", "complete_pooling"],
+     "lpd_at_mle is -inf: the log densities overflow double precision"),
+    ("sigma 1e154", ["fit", "--model", "schools", "--mode", "no_pooling"],
+     "lpd_at_mle is -inf: the log densities overflow double precision"),
+    ("sigma 1e154", ["loo", "--model", "schools", "--mode", "complete_pooling"],
+     "non-finite log density at draw 0, point 0: -inf"),
+    ("sigma 1e154", ["schools-table"], "non-finite log density at draw 0, point 0: -inf"),
+    ("effects 5e153", ["fit", "--model", "schools", "--prediction-mode", "new"],
+     "non-finite log density at draw 1, point 0: -inf"),
+])
+def test_exit_code_3_when_a_schools_density_variance_overflows(runner, tmp_path, data, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [*argv, "--input", _write(tmp_path, "s.csv", _DENSITY_OVERFLOWS[data]),
+                                      "--draws", "100"])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == f"numeric validity error: {message}\n"
+
+
 NON_FINITE_INPUTS = {
     "schools-y": ("s.csv", "school,y,sigma\nA,nan,15\nB,8,10\nC,-3,16\n",
                   [["fit", "--model", "schools"], ["schools-table"]], "nan"),

@@ -1,14 +1,17 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_models import REFITS
 
-from predcrit import loo
+from predcrit import loo, oracle
 from predcrit.draws import PointwiseLogLikMatrix, log_mean_exp, lppd
 from predcrit.errors import ModelRefusalError, NonFiniteLogLikError
 from predcrit.loo import loo_report
@@ -21,8 +24,8 @@ from predcrit.models import (
     load_schools_csv,
 )
 from predcrit.models.schools import _SchoolsFit
-from predcrit.reports import schools_table_report
-from predcrit.seeds import derive_seed
+from predcrit.reports import election_report, schools_table_report
+from predcrit.seeds import FOLD_STREAM, derive_seed
 
 FLAT_N2_LPPD_LOO = -math.log(4 * math.pi) - 2.0  # y = (0, 2), unit-variance normal mean
 FLAT_N2_LPPD_BAR = -math.log(4 * math.pi) - 1.0
@@ -65,17 +68,17 @@ def test_loo_needs_two_points():
 
 class _FixedPosteriorModel:
     """Every fold returns the same posterior; lppd_bar must equal the
-    common full-data lppd. Each fit is its own object, as folds run
+    common full-data lppd. Each fold is its own object, as folds run
     concurrently."""
 
     def __init__(self, matrix):
         self.matrix = matrix
 
-    def fit(self, data, exclude=None, *, draws, seed):
-        return _FixedPosterior(self, exclude)
+    def folds(self, data, *, draws, seed):
+        return lambda i: _FixedPosterior(self, i)
 
     def column(self, exclude, j):
-        """Column j of the fit made with `exclude`."""
+        """Column j of fold `exclude`."""
         return self.matrix.column(j)
 
 
@@ -92,15 +95,21 @@ class _FixedPosterior:
 
 
 class _RecordingModel(_FixedPosteriorModel):
-    """A fixed posterior that records the point each `fit` call leaves out."""
+    """A fixed posterior that records each draw of its folds, as "draw",
+    and the point each fold leaves out."""
 
     def __init__(self, matrix):
         super().__init__(matrix)
         self.calls = []
 
-    def fit(self, data, exclude=None, *, draws, seed):
-        self.calls.append(exclude)
-        return super().fit(data, exclude, draws=draws, seed=seed)
+    def folds(self, data, *, draws, seed):
+        self.calls.append("draw")
+        fold = super().folds(data, draws=draws, seed=seed)
+
+        def recorded(i):
+            self.calls.append(i)
+            return fold(i)
+        return recorded
 
 
 class _NaNHeldOutModel(_FixedPosteriorModel):
@@ -202,28 +211,19 @@ def _workers(monkeypatch, count):
     monkeypatch.setattr(loo, "_available_cpus", lambda: count)
 
 
-class _Refits:
-    """The model behind one of test_models' REFITS cases."""
-
-    def __init__(self, refit):
-        self.refit = refit
-
-    def fit(self, data, exclude=None, *, draws, seed):
-        return self.refit(exclude, draws, seed)
-
-
 @pytest.mark.parametrize("bias_correction", [True, False])
 @pytest.mark.parametrize("name", list(REFITS))
 def test_loo_report_is_bitwise_the_same_with_one_worker_and_with_n(monkeypatch, name, bias_correction):
-    """One worker against n, the threads switching every 10 us."""
-    points, refit = REFITS[name]
+    """One worker against n, the threads switching every 10 us; with the
+    correction the hierarchical folds share one lazy draw of the effects."""
+    model, data = REFITS[name]
     reports = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for count in (1, points.size):
+        for count in (1, len(data)):
             _workers(monkeypatch, count)
-            rep = loo_report(_Refits(refit), points, -10.0, draws=2_000, seed=8, bias_correction=bias_correction)
+            rep = loo_report(model, data, -10.0, draws=2_000, seed=8, bias_correction=bias_correction)
             reports.append(repr(rep.to_dict()))  # a float's repr round-trips its bits
     finally:
         sys.setswitchinterval(interval)
@@ -239,23 +239,169 @@ class _TwoFailingFoldsModel(_FixedPosteriorModel):
         self.wait = wait
         self.fold_4_raised = threading.Event()
 
-    def fit(self, data, exclude=None, *, draws, seed):
-        if exclude == 4:
-            self.fold_4_raised.set()
-            raise ModelRefusalError("fold 4 cannot be fitted")
-        if exclude == 2:
-            if self.wait:
-                assert self.fold_4_raised.wait(timeout=30)
-            raise ValueError("fold 2 cannot be fitted")
-        return super().fit(data, exclude, draws=draws, seed=seed)
+    def folds(self, data, *, draws, seed):
+        fold = super().folds(data, draws=draws, seed=seed)
+
+        def failing(i):
+            if i == 4:
+                self.fold_4_raised.set()
+                raise ModelRefusalError("fold 4 cannot be fitted")
+            if i == 2:
+                if self.wait:
+                    assert self.fold_4_raised.wait(timeout=30)
+                raise ValueError("fold 2 cannot be fitted")
+            return fold(i)
+        return failing
 
 
-@pytest.mark.parametrize("count", [1, 6])
+@pytest.mark.parametrize("count", [1, 2, 6])
 def test_the_lowest_numbered_failing_fold_raises_whichever_fails_first(monkeypatch, count):
     _workers(monkeypatch, count)
     model = _TwoFailingFoldsModel(PointwiseLogLikMatrix(np.full((10, 6), -1.0)), wait=count > 1)
     with pytest.raises(ValueError, match="fold 2 cannot be fitted"):
         loo_report(model, np.zeros(6), -6.0, draws=10, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# coupled folds: one draw of the shared numbers, and the joint error
+# ---------------------------------------------------------------------------
+
+class _CountingGenerator(np.random.Generator):
+    """numpy's generator for `seed`, counting the numbers it draws."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.drawn = 0
+
+    def _counted(self, values):
+        self.drawn += np.size(values)
+        return values
+
+    def random(self, *args, **kwargs):
+        return self._counted(super().random(*args, **kwargs))
+
+    def standard_normal(self, *args, **kwargs):
+        return self._counted(super().standard_normal(*args, **kwargs))
+
+    def chisquare(self, *args, **kwargs):
+        return self._counted(super().chisquare(*args, **kwargs))
+
+
+class _DrawCountingModel:
+    """A built-in model whose folds draw from a `_CountingGenerator`, one
+    per `folds` call, kept in `generators`."""
+
+    def __init__(self, model):
+        self.model = model
+        self.generators = []
+
+    def folds(self, data, *, draws, seed):
+        self.generators.append(_CountingGenerator(seed))
+        return self.model.folds(data, draws=draws, seed=self.generators[-1])
+
+
+# the numbers a fold posterior transforms, per draw: a normal; a chi-square
+# value and two normals; a normal; a uniform for tau and a normal for mu
+_SHARED_PER_DRAW = {"normal-mean-m1": 1, "regression": 3, "schools-complete-pooling": 1,
+                    "schools-existing-groups": 2, "schools-new-groups": 2, "schools-pinned-tau": 2}
+
+
+@pytest.mark.parametrize("bias_correction", [True, False])
+@pytest.mark.parametrize("name", list(_SHARED_PER_DRAW))
+def test_one_loo_report_draws_its_fold_numbers_once(name, bias_correction):
+    model, data = REFITS[name]
+    counting = _DrawCountingModel(model)
+    rep = loo_report(counting, data, -10.0, draws=500, seed=4, bias_correction=bias_correction)
+    [rng] = counting.generators
+    # the correction scores a hierarchical training school at its effect: S x J normals, drawn once for all folds
+    effects = 500 * len(data) if bias_correction and name in ("schools-existing-groups", "schools-pinned-tau") else 0
+    assert rng.drawn == 500 * _SHARED_PER_DRAW[name] + effects
+    # the generator numpy makes of the seed draws the same numbers
+    direct = loo_report(model, data, -10.0, draws=500, seed=4, bias_correction=bias_correction)
+    assert repr(rep.to_dict()) == repr(direct.to_dict())
+
+
+def test_a_no_pooling_loo_is_refused_before_anything_is_drawn():
+    counting = _DrawCountingModel(SchoolsModel("no_pooling"))
+    with pytest.raises(ModelRefusalError, match="no distribution for an unobserved group"):
+        loo_report(counting, load_schools_csv(), 0.0, draws=500, seed=1)
+    assert [rng.drawn for rng in counting.generators] == [0]
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("m", [0.0, 1.3])
+def test_normal_mean_loo_is_within_4_joint_errors_of_the_closed_form(m, seed):
+    y = np.random.default_rng(20).normal(0.4, 1.0, size=20)
+    rep = loo_report(NormalMeanModel(m=m, mu0=0.5), y, 0.0, draws=4_000, seed=seed, bias_correction=False)
+    want, _ = oracle.loo_quantities(y, m=m, mu0=0.5)
+    assert abs(rep.lppd_loo - want) < 4 * rep.mc_se_lppd_loo
+
+
+def test_the_joint_error_of_lppd_loo_is_calibrated():
+    """Over 120 seeds of one normal-mean dataset (n = 20, S = 2000) the
+    spread of lppd_loo is the mean reported error. The folds' errors
+    summed as if independent would read about 13x too large."""
+    y = np.random.default_rng(21).normal(size=20)
+    reps = [loo_report(NormalMeanModel(m=1.0), y, 0.0, draws=2_000, seed=seed, bias_correction=False)
+            for seed in range(120)]
+    ratio = np.std([r.lppd_loo for r in reps], ddof=1) / np.mean([r.mc_se_lppd_loo for r in reps])
+    assert 0.8 <= ratio <= 1.25, ratio
+
+
+def test_election_joint_error_is_under_half_the_summed_fold_errors():
+    """`election` at 4000 draws: the same folds' errors, summed in
+    quadrature as if independent, are more than twice the joint error."""
+    data, draws = load_election_csv(), 4_000
+    joint = election_report(data, draws=draws, seed=12345, dic_parameterization="log_sigma")["loo"]["mc_se_lppd_loo"]
+    fold = RegressionModel().folds(data, draws=draws, seed=derive_seed(12345, FOLD_STREAM))
+    summed_sq = 0.0
+    for i in range(len(data)):
+        col = fold(i).loglik(i)
+        summed_sq += np.exp(col - log_mean_exp(col)).var(ddof=1) / draws
+    assert joint <= math.sqrt(summed_sq) / 2, (joint, math.sqrt(summed_sq))
+
+
+# One fixed posterior whose folds take 0-8 ms, so later folds often finish
+# before earlier ones and wait for their row; one worker against four, more
+# than the cores, the threads switching every 10 us.
+_UNEVEN_FOLDS = """
+import sys, time
+import numpy as np
+from predcrit import loo
+from predcrit.draws import PointwiseLogLikMatrix
+
+class Uneven:
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def folds(self, data, *, draws, seed):
+        def fold(i):
+            time.sleep(0.002 * (i * 7 % 5))
+            return self
+        return fold
+
+    def loglik(self, j):
+        return self.matrix.column(j)
+
+sys.setswitchinterval(1e-5)
+mat = PointwiseLogLikMatrix(np.random.default_rng(5).normal(-2, 1, size=(50, 24)))
+for count in (1, 4):
+    loo._available_cpus = lambda: count
+    print(repr(loo.loo_report(Uneven(mat), np.zeros(24), -50.0, draws=50, seed=1).to_dict()))
+"""
+
+
+def test_folds_finishing_out_of_order_are_added_in_fold_order():
+    """Bitwise the same report with one worker and with four. In a child
+    process, so that folds waiting for a row that is never freed fail the
+    test within a minute: the pool's threads would keep this one alive."""
+    src = str(Path(loo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _UNEVEN_FOLDS], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    one, four = proc.stdout.splitlines()
+    assert one == four
 
 
 def test_no_fold_holds_an_s_by_n_matrix(monkeypatch):
@@ -312,11 +458,11 @@ def test_fold_order_independence_bitwise():
     y = rng.normal(0.5, 1.0, size=6)
     rep = loo_report(model, y, 0.0, draws=5_000, seed=777)
     total, per_point = rep.lppd_loo, rep.per_point
-    # recompute folds in scrambled order straight from derived seeds
+    # recompute folds in scrambled order from one draw of the shared numbers
+    fold = model.folds(y, draws=5_000, seed=777)
     scrambled = {}
     for i in (3, 0, 5, 2, 4, 1):
-        fit = model.fit(y, exclude=i, draws=5_000, seed=derive_seed(777, i))
-        scrambled[i] = log_mean_exp(fit.pointwise_loglik().column(i))
+        scrambled[i] = log_mean_exp(fold(i).pointwise_loglik().column(i))
     assert [scrambled[i] for i in range(6)] == per_point
     total2 = loo_report(model, y, 0.0, draws=5_000, seed=777).lppd_loo
     assert total2 == total
@@ -324,9 +470,9 @@ def test_fold_order_independence_bitwise():
 
 @pytest.mark.parametrize("name", ["regression", "schools-existing-groups"])
 def test_a_fold_scores_each_point_as_lppd_of_its_one_column_matrix_bitwise(name):
-    points, refit = REFITS[name]
-    fit = refit(1, 100_000, 9)
-    for i in range(points.size):
+    model, data = REFITS[name]
+    fit = model.fit(data, exclude=1, draws=100_000, seed=9)
+    for i in range(len(data)):
         assert log_mean_exp(fit.loglik(i)) == lppd(PointwiseLogLikMatrix(fit.loglik(np.array([i])))), i
 
 

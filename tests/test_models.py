@@ -666,20 +666,13 @@ def test_hierarchical_theta_equals_the_per_draw_conditional_formula(case):
 
 _NEW_GROUPS = SchoolsModel(prediction_mode="new_groups")
 REFITS = {
-    "normal-mean-flat": (_LAYOUT_Y, lambda i, draws, seed: NormalMeanModel().fit(
-        _LAYOUT_Y, exclude=i, draws=draws, seed=seed)),
-    "normal-mean-m1": (_LAYOUT_Y, lambda i, draws, seed: NormalMeanModel(m=1.0, mu0=0.3).fit(
-        _LAYOUT_Y, exclude=i, draws=draws, seed=seed)),
-    "regression": (load_election_csv().x, lambda i, draws, seed: RegressionModel().fit(
-        load_election_csv(), exclude=i, draws=draws, seed=seed)),
-    "schools-complete-pooling": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel("complete_pooling").fit(
-        _SCHOOLS, exclude=i, draws=draws, seed=seed)),
-    "schools-existing-groups": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel().fit(
-        _SCHOOLS, exclude=i, draws=draws, seed=seed)),
-    "schools-new-groups": (_SCHOOLS.y, lambda i, draws, seed: _NEW_GROUPS.fit(
-        _SCHOOLS, exclude=i, draws=draws, seed=seed)),
-    "schools-pinned-tau": (_SCHOOLS.y, lambda i, draws, seed: SchoolsModel(tau_grid=np.array([5.0])).fit(
-        _SCHOOLS, exclude=i, draws=draws, seed=seed)),
+    "normal-mean-flat": (NormalMeanModel(), _LAYOUT_Y),
+    "normal-mean-m1": (NormalMeanModel(m=1.0, mu0=0.3), _LAYOUT_Y),
+    "regression": (RegressionModel(), load_election_csv()),
+    "schools-complete-pooling": (SchoolsModel("complete_pooling"), _SCHOOLS),
+    "schools-existing-groups": (SchoolsModel(), _SCHOOLS),
+    "schools-new-groups": (_NEW_GROUPS, _SCHOOLS),
+    "schools-pinned-tau": (SchoolsModel(tau_grid=np.array([5.0])), _SCHOOLS),
 }
 
 
@@ -689,18 +682,19 @@ def test_heldout_column_is_bitwise_the_full_matrix_column(name):
     `pointwise_loglik()`, column-major, for single points and random index
     arrays with and without the held-out point, and the held-out column is
     the same when scored first on a fresh refit."""
-    points, refit = REFITS[name]
+    model, data = REFITS[name]
+    n = len(data)
     rng = np.random.default_rng(3)
-    for i in range(points.size):
-        fit = refit(i, 2_000, 40 + i)
+    for i in range(n):
+        fit = model.fit(data, exclude=i, draws=2_000, seed=40 + i)
         heldout = fit.loglik(i)
         assert heldout.shape == (2_000,)
-        assert np.array_equal(heldout, refit(i, 2_000, 40 + i).loglik(i))
+        assert np.array_equal(heldout, model.fit(data, exclude=i, draws=2_000, seed=40 + i).loglik(i))
         values = fit.pointwise_loglik().values
-        for j in range(points.size):
+        for j in range(n):
             assert np.array_equal(fit.loglik(j), values[:, j]), j
-        others = np.delete(np.arange(points.size), i)
-        for idx in (rng.permutation(points.size)[:rng.integers(1, points.size + 1)],
+        others = np.delete(np.arange(n), i)
+        for idx in (rng.permutation(n)[:rng.integers(1, n + 1)],
                     rng.permutation(np.append(rng.choice(others, 2), i)),
                     rng.choice(others, 3)):
             scored = fit.loglik(idx)

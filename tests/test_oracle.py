@@ -13,7 +13,6 @@ from predcrit.draws import PointwiseLogLikMatrix, lppd
 from predcrit.errors import NonFiniteLogLikError
 from predcrit.loo import loo_report
 from predcrit.models import NormalMeanModel
-from predcrit.seeds import derive_seed
 
 RTOL = 1e-12
 
@@ -474,8 +473,9 @@ def test_observed_formulas_match_draws_at_an_informative_prior():
     loo = loo_report(model, y, rep.lppd, draws=S, seed=seed)
     want_loo, want_bar = oracle.loo_quantities(y, m=m, mu0=mu0)
     held_second = bar_se_sq = bar_second = 0.0
+    folds = model.folds(y, draws=S, seed=seed)
     for i in range(y.size):  # the folds loo_report ran, each with its own MC-SE
-        fold = model.fit(y, exclude=i, draws=S, seed=derive_seed(seed, i)).pointwise_loglik().values
+        fold = folds(i).pointwise_loglik().values
         held_second += _second_order(fold[:, [i]])
         bar_se_sq += criterion_report(PointwiseLogLikMatrix(fold)).mc_se_lppd ** 2
         bar_second += _second_order(fold)

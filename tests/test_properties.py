@@ -11,7 +11,6 @@ from predcrit.errors import ModelRefusalError
 from predcrit.expectation import ReplicationPlan, _chunk_sizes, _replicate_chunk, run_expectation_study
 from predcrit.loo import loo_report
 from predcrit.models import NormalMeanModel, SchoolsModel, load_schools_csv
-from predcrit.seeds import derive_seed
 
 
 def _random_matrix(rng, s=60, n=6, loc=-2.0, scale=1.5):
@@ -62,11 +61,11 @@ def test_fold_parallelism_is_bit_reproducible():
     y = rng.normal(size=5)
     rep = loo_report(model, y, 0.0, draws=4_000, seed=31)
     total, per_point = rep.lppd_loo, rep.per_point
-    # folds recomputed independently, in reverse, from derived seeds
+    # folds recomputed in reverse from one draw of the shared numbers
+    fold = model.folds(y, draws=4_000, seed=31)
     redone = []
     for i in reversed(range(5)):
-        fit = model.fit(y, exclude=i, draws=4_000, seed=derive_seed(31, i))
-        redone.append(log_mean_exp(fit.pointwise_loglik().column(i)))
+        redone.append(log_mean_exp(fold(i).pointwise_loglik().column(i)))
     assert redone[::-1] == per_point
     assert loo_report(model, y, 0.0, draws=4_000, seed=31).lppd_loo == total
 
