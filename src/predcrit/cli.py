@@ -253,8 +253,9 @@ def fit(model, input_path, draws, seed, fmt, output, **options):
     """Fit a built-in model and report its criteria."""
     model_obj, data = _build_model(model, input_path, **options)
     f = model_obj.fit(data, draws=draws, seed=derive_seed(seed, FIT_STREAM))
+    mat = f.pointwise_loglik()
     pe = f.point_estimates()
-    rep = criterion_report(f.pointwise_loglik(), lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
+    rep = criterion_report(mat, lpd_at_mean=pe.lpd_at_mean, mle=pe.mle)
     payload = {"draws": draws, "seed": seed, "model": model, **pe.summary, "report": rep.to_dict()}
     rows = _numeric_rows(pe.summary) + _numeric_rows(payload["report"])
     _emit(payload, rows, fmt, output, warnings=rep.warnings)
@@ -268,7 +269,7 @@ def fit(model, input_path, draws, seed, fmt, output, **options):
 @output_option
 @_handle_errors
 def loo(model, input_path, draws, seed, fmt, output, **options):
-    """Exact leave-one-out cross-validation by refitting."""
+    """Exact leave-one-out cross-validation from coupled fold posteriors."""
     model_obj, data = _build_model(model, input_path, **options)
     full_lppd = lppd(model_obj.fit(data, draws=draws, seed=derive_seed(seed, FIT_STREAM)).pointwise_loglik())
     loo_rep = loo_report(model_obj, data, full_lppd, draws=draws, seed=derive_seed(seed, FOLD_STREAM),

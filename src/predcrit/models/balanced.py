@@ -52,7 +52,7 @@ class BalancedModel:
         self.tau = tau
         self.counting = counting
 
-    def fit(self, data, exclude: int | None = None, *, draws: int, seed: int) -> _BalancedFit:
+    def fit(self, data, *, draws: int, seed: int) -> _BalancedFit:
         """Draw the S x J group means and score them as the counting asks:
         observation counting has n*J columns, entry log N(y_ij |
         theta_j^s, 1), ordered (i=0,j=0..J-1), (i=1,...), matching
@@ -63,8 +63,6 @@ class BalancedModel:
         conjugate normal-mean problems (prior precision 1/tau^2, prior mean
         mu); the S x J means are drawn in one call from `seed`.
         """
-        if exclude is not None:
-            return self.folds(data, draws=draws, seed=seed)(exclude)
         y = np.asarray(data, dtype=float)
         if y.ndim != 2:
             raise ValueError("y must be an n x J array of observations")

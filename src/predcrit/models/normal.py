@@ -19,7 +19,7 @@ __all__ = [
     "NormalMeanSpec",
     "normal_logpdf_inplace",
     "normal_terms",
-    "mle_loglik",
+    "point_total",
     "NormalMeanModel",
 ]
 
@@ -49,14 +49,14 @@ def normal_logpdf_inplace(resid: np.ndarray, var, terms: tuple | None = None) ->
     return resid
 
 
-def mle_loglik(logdens: np.ndarray, k: int) -> PointEstimateLogLik:
-    """The total of the data's log densities at an MLE of k parameters,
-    refused with NonFiniteLogLikError naming `lpd_at_mle` when it is not
+def point_total(logdens: np.ndarray, name: str) -> float:
+    """The total of the data's log densities at a point estimate, refused
+    with NonFiniteLogLikError naming the field `name` when it is not
     finite, as a draw's non-finite density is."""
     with np.errstate(over="ignore"):
         total = float(logdens.sum())
-    _require_finite_fields({"lpd_at_mle": total})
-    return PointEstimateLogLik(total, k)
+    _require_finite_fields({name: total})
+    return total
 
 
 def _inverse(x: float) -> float:
@@ -158,12 +158,12 @@ class _NormalMeanFit:
         """Total log density of all n points, the ones `pointwise_loglik`
         scores, at the training ybar (the MLE, None without training
         points) and at the training posterior mean."""
-        def lpd_at(center: float) -> np.ndarray:
-            return normal_logpdf_inplace(self._y - center, 1.0)
+        def lpd_at(center: float, name: str) -> float:
+            return point_total(normal_logpdf_inplace(self._y - center, 1.0), name)
 
         return PointEstimates(
-            lpd_at_mean=float(lpd_at(self._center).sum()),
-            mle=None if self._mle is None else mle_loglik(lpd_at(self._mle), k=1),
+            lpd_at_mean=lpd_at(self._center, "lpd_at_mean"),
+            mle=None if self._mle is None else PointEstimateLogLik(lpd_at(self._mle, "lpd_at_mle"), 1),
             summary={"posterior_mean_theta": float(self.theta.mean())},
         )
 
@@ -181,11 +181,9 @@ class NormalMeanModel:
         self.m = m
         self.mu0 = mu0
 
-    def fit(self, data, exclude: int | None = None, *, draws: int, seed: int) -> _NormalMeanFit:
+    def fit(self, data, *, draws: int, seed: int) -> _NormalMeanFit:
         """The posterior of `data`, theta = center + sd z from S standard
-        normals z drawn from `seed`; `exclude=i` gives fold i of `folds`."""
-        if exclude is not None:
-            return self.folds(data, draws=draws, seed=seed)(exclude)
+        normals z drawn from `seed`."""
         y = np.asarray(data, dtype=float).reshape(-1)
         return self._posterior(y, y, np.random.default_rng(seed).standard_normal(draws))
 

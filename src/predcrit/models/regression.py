@@ -15,9 +15,9 @@ from importlib import resources
 
 import numpy as np
 
-from ..criteria import PointEstimates
+from ..criteria import PointEstimateLogLik, PointEstimates
 from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
-from .normal import mle_loglik, normal_logpdf_inplace, normal_terms
+from .normal import normal_logpdf_inplace, normal_terms, point_total
 
 __all__ = ["RegressionData", "RegressionModel", "regression_fit", "load_election_csv", "DIC_PARAMETERIZATIONS"]
 
@@ -95,8 +95,6 @@ class _RegressionFit:
         rss = float(resid @ resid)
         n_train = x.size
         nu = n_train - 2
-        if nu < 2:
-            raise ValueError("too few training points for a proper sigma^2 posterior")
         s2 = rss / nu
 
         sigma2 = nu * s2 / chi2
@@ -141,8 +139,8 @@ class _RegressionFit:
         s = {"sigma": pm["sigma"], "sigma2": float(np.sqrt(pm["sigma2"])),
              "log_sigma": float(np.exp(pm["log_sigma"]))}[self._dic_parameterization]
         return PointEstimates(
-            lpd_at_mean=float(self._loglik_at(pm["a"], pm["b"], s).sum()),
-            mle=mle_loglik(self._loglik_at(*self.mle), k=3),
+            lpd_at_mean=point_total(self._loglik_at(pm["a"], pm["b"], s), "lpd_at_mean"),
+            mle=PointEstimateLogLik(point_total(self._loglik_at(*self.mle), "lpd_at_mle"), 3),
             summary={"mle": dict(zip(("a", "b", "sigma"), self.mle)), "posterior_means": pm},
         )
 
@@ -175,16 +173,18 @@ class RegressionModel:
             raise ValueError(f"parameterization must be one of {DIC_PARAMETERIZATIONS}")
         self.dic_parameterization = dic_parameterization
 
-    def fit(self, data: RegressionData, exclude: int | None = None, *, draws: int, seed: int) -> _RegressionFit:
-        """The posterior of `data` from `seed`; `exclude=i` gives fold i of `folds`."""
-        if exclude is not None:
-            return self.folds(data, draws=draws, seed=seed)(exclude)
+    def fit(self, data: RegressionData, *, draws: int, seed: int) -> _RegressionFit:
+        """The posterior of `data` from `seed`."""
         return _RegressionFit(data, None, *_draw(seed, draws, len(data) - 2), self.dic_parameterization)
 
     def folds(self, data: RegressionData, *, draws: int, seed: int):
         """fold(i), the posterior without point i. Every fold trains on
         n - 1 points, so all transform one draw from `seed`: S chi-square
-        values with n - 3 degrees of freedom and S x 2 normals."""
+        values with n - 3 degrees of freedom and S x 2 normals. Refused
+        below 5 points, before anything is drawn: a fold's sigma^2 posterior
+        needs 3 training points past its 2 coefficients."""
+        if len(data) < 5:
+            raise ValueError("too few training points for a proper sigma^2 posterior")
         chi2, z = shared = _draw(seed, draws, len(data) - 3)
         chi2.flags.writeable = z.flags.writeable = False  # shared by every fold
         return lambda i: _RegressionFit(data, i, *shared, self.dic_parameterization)

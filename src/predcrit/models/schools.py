@@ -23,10 +23,10 @@ from importlib import resources
 
 import numpy as np
 
-from ..criteria import PointEstimates
+from ..criteria import PointEstimateLogLik, PointEstimates
 from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
 from ..errors import ModelRefusalError
-from .normal import mle_loglik, normal_logpdf_inplace, normal_terms
+from .normal import normal_logpdf_inplace, normal_terms, point_total
 
 __all__ = [
     "EightSchoolsData",
@@ -153,21 +153,21 @@ class SchoolsModel:
         self.prediction_mode = prediction_mode
         self.tau_grid = tau_grid
 
-    def fit(self, data: EightSchoolsData, exclude: int | None = None, *, draws: int, seed: int) -> _SchoolsFit:
-        """The posterior of `data` from `seed`; `exclude=i` gives fold i of `folds`."""
-        if exclude is not None:
-            return self.folds(data, draws=draws, seed=seed)(exclude)
+    def fit(self, data: EightSchoolsData, *, draws: int, seed: int) -> _SchoolsFit:
+        """The posterior of `data` from `seed`."""
         return _SchoolsFit(self, data, None, _SchoolsDraws(self.mode, draws, seed, shared=False))
 
     def folds(self, data: EightSchoolsData, *, draws: int, seed: int):
         """fold(i), the posterior without group i. All folds transform one
         `_SchoolsDraws` from `seed`, drawn as the full fit draws. Refused
-        under no pooling before anything is drawn."""
+        under no pooling, or with one group, before anything is drawn."""
         if self.mode == "no_pooling":
             raise ModelRefusalError(
                 "model cannot predict held-out point: the no-pooling fit has "
                 "no distribution for an unobserved group"
             )
+        if len(data) < 2:
+            raise ValueError("training set must contain at least one group")
         shared = _SchoolsDraws(self.mode, draws, seed, shared=True)
         return lambda i: _SchoolsFit(self, data, i, shared)
 
@@ -216,8 +216,6 @@ class _SchoolsFit:
         self._exclude = exclude
         y, sigma, J = data.y, data.sigma, len(data)
         keep = np.arange(J) if exclude is None else np.delete(np.arange(J), exclude)
-        if keep.size == 0:
-            raise ValueError("training set must contain at least one group")
         self._unseen = np.isin(np.arange(J), keep, invert=True) | (model.prediction_mode == "new_groups")
         self._draws = draws
         self.tau = self.mu = self.tau_grid = self.tau_mass = self._theta = None
@@ -282,19 +280,18 @@ class _SchoolsFit:
         hierarchical model has no MLE."""
         d, mode = self._data, self._model.mode
         var, mle = d.sigma**2, None
-        if mode == "no_pooling":  # theta_j = y_j leaves no residual
-            mle = mle_loglik(normal_logpdf_inplace(np.zeros(len(d)), var), len(d))
-        elif mode == "complete_pooling":
-            mle = mle_loglik(normal_logpdf_inplace(d.y - self._pooled_mean, var), 1)
-        else:
+        if mode == "hierarchical":
             means = {"mu": float(self.mu.mean()), "tau": float(self.tau.mean())}
             var = var + self._unseen * means["tau"] ** 2
+        else:  # theta_j = y_j leaves no residual under no pooling
+            resid, k = (np.zeros(len(d)), len(d)) if mode == "no_pooling" else (d.y - self._pooled_mean, 1)
+            mle = PointEstimateLogLik(point_total(normal_logpdf_inplace(resid, var), "lpd_at_mle"), k)
         if self._model.prediction_mode == "new_groups":
             center, summary = means["mu"], {"posterior_means": means}
         else:
             center = self.theta.mean(axis=0)
             summary = {"theta_bayes": center.tolist()}
-        return PointEstimates(float(normal_logpdf_inplace(d.y - center, var).sum()), mle, summary)
+        return PointEstimates(point_total(normal_logpdf_inplace(d.y - center, var), "lpd_at_mean"), mle, summary)
 
     # kept for perfbench's tracer, which wraps it by name as a models.score span
     def pointwise_loglik(self) -> PointwiseLogLikMatrix:

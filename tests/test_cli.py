@@ -198,6 +198,17 @@ def test_exit_code_3_when_a_far_prior_mean_overflows_the_log_densities(runner, t
                                   "--draws", "100"])
     assert result.exit_code == 3
     assert result.stderr == "numeric validity error: non-finite log density at draw 0, point 0: -inf\n"
+    # at 1e155 the posterior mean is about 1e154, so each of 9 log densities is about -5e307: finite, and
+    # every draw's is too, but their total at the posterior mean passes -1.8e308
+    path = str(tmp_path / "y9.txt")
+    np.savetxt(path, np.random.default_rng(2).normal(0.5, 1.0, size=9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["fit", "--model", "normal-mean", "--m", "1", "--mu0", "1e155",
+                                      "--input", path, "--draws", "100"])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == ("numeric validity error: lpd_at_mean is -inf: "
+                             "the log densities overflow double precision\n")
 
 
 # Hierarchical effect draws past double range: y tau^2 (about 4|y|^3 on the default grid) for effects of
@@ -227,7 +238,8 @@ def test_exit_code_3_when_a_hierarchical_effect_draw_overflows(runner, tmp_path,
 
 # Density variances past double range: 2 pi sigma^2 for a school at sigma 1e154, and 2 pi (tau^2 + sigma^2)
 # of new groups for effects of +-5e153 (the default tau grid tops out at 1e154); every square the load
-# checks stays finite. A flat-prior mode's fit reaches its MLE's total first.
+# checks stays finite. `fit` refuses the draw matrix before its point-estimate totals, as `loo` and
+# `schools-table` do.
 _DENSITY_OVERFLOWS = {
     "sigma 1e154": "school,y,sigma\nA,1,1e154\nB,2,1\nC,3,1\nD,4,1\n",
     "effects 5e153": "school,y,sigma\nA,5e153,1\nB,-5e153,1\nC,0,1\n",
@@ -236,9 +248,9 @@ _DENSITY_OVERFLOWS = {
 
 @pytest.mark.parametrize("data, argv, message", [
     ("sigma 1e154", ["fit", "--model", "schools", "--mode", "complete_pooling"],
-     "lpd_at_mle is -inf: the log densities overflow double precision"),
+     "non-finite log density at draw 0, point 0: -inf"),
     ("sigma 1e154", ["fit", "--model", "schools", "--mode", "no_pooling"],
-     "lpd_at_mle is -inf: the log densities overflow double precision"),
+     "non-finite log density at draw 0, point 0: -inf"),
     ("sigma 1e154", ["loo", "--model", "schools", "--mode", "complete_pooling"],
      "non-finite log density at draw 0, point 0: -inf"),
     ("sigma 1e154", ["schools-table"], "non-finite log density at draw 0, point 0: -inf"),

@@ -16,6 +16,7 @@ from predcrit.draws import PointwiseLogLikMatrix, log_mean_exp, lppd
 from predcrit.errors import ModelRefusalError, NonFiniteLogLikError
 from predcrit.loo import loo_report
 from predcrit.models import (
+    EightSchoolsData,
     NormalMeanModel,
     RegressionData,
     RegressionModel,
@@ -326,6 +327,17 @@ def test_a_no_pooling_loo_is_refused_before_anything_is_drawn():
     with pytest.raises(ModelRefusalError, match="no distribution for an unobserved group"):
         loo_report(counting, load_schools_csv(), 0.0, draws=500, seed=1)
     assert [rng.drawn for rng in counting.generators] == [0]
+    # folds a model cannot form are refused the same way: a regression fold of 3 points has no
+    # proper sigma^2 posterior, and one school leaves no training group (loo_report refuses n < 2 itself)
+    elections = load_election_csv()
+    counting = _DrawCountingModel(RegressionModel())
+    with pytest.raises(ValueError, match="^too few training points for a proper sigma\\^2 posterior$"):
+        loo_report(counting, RegressionData(elections.x[:4], elections.y[:4]), 0.0, draws=500, seed=1)
+    assert [rng.drawn for rng in counting.generators] == [0]
+    counting = _DrawCountingModel(SchoolsModel())
+    with pytest.raises(ValueError, match="^training set must contain at least one group$"):
+        counting.folds(EightSchoolsData([28.0], [15.0]), draws=500, seed=1)
+    assert [rng.drawn for rng in counting.generators] == [0]
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -471,7 +483,7 @@ def test_fold_order_independence_bitwise():
 @pytest.mark.parametrize("name", ["regression", "schools-existing-groups"])
 def test_a_fold_scores_each_point_as_lppd_of_its_one_column_matrix_bitwise(name):
     model, data = REFITS[name]
-    fit = model.fit(data, exclude=1, draws=100_000, seed=9)
+    fit = model.folds(data, draws=100_000, seed=9)(1)
     for i in range(len(data)):
         assert log_mean_exp(fit.loglik(i)) == lppd(PointwiseLogLikMatrix(fit.loglik(np.array([i])))), i
 
@@ -514,7 +526,7 @@ def _hierarchical_reference(data):
     over the fold sampler's own tau grid, with the grid posterior recomputed here."""
     total = 0.0
     for i in range(len(data)):
-        grid = SchoolsModel().fit(data, exclude=i, draws=1, seed=0).tau_grid
+        grid = SchoolsModel().folds(data, draws=1, seed=0)(i).tau_grid
         y, sigma = np.delete(data.y, i), np.delete(data.sigma, i)
         var = sigma[None, :] ** 2 + grid[:, None] ** 2
         v_mu = 1.0 / (1.0 / var).sum(axis=1)

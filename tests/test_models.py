@@ -11,7 +11,7 @@ from scipy import stats
 from predcrit import models, oracle
 from predcrit.criteria import criterion_report
 from predcrit.draws import PointwiseLogLikMatrix, lppd
-from predcrit.errors import MatrixFormatError, ModelRefusalError
+from predcrit.errors import MatrixFormatError, ModelRefusalError, NonFiniteLogLikError
 from predcrit.models import (
     BalancedModel,
     EightSchoolsData,
@@ -316,7 +316,7 @@ def test_schools_model_refuses_unknown_or_inconsistent_settings():
     (lambda: NormalMeanSpec(n=0), "n must be a positive integer"),
     (lambda: RegressionData(np.arange(5.0), np.arange(4.0)), "x and y must have the same length"),
     (lambda: EightSchoolsData([1.0, 2.0], [1.0]), "y and sigma must be nonempty and the same length"),
-    (lambda: SchoolsModel().fit(EightSchoolsData([1.0], [1.0]), exclude=0, draws=10, seed=0),
+    (lambda: SchoolsModel().folds(EightSchoolsData([1.0], [1.0]), draws=10, seed=0),
      "training set must contain at least one group"),
 ], ids=["spec n=0", "regression lengths", "schools lengths", "schools fit of no group"])
 def test_a_model_input_it_cannot_use_is_refused_naming_why(build, message):
@@ -351,7 +351,11 @@ class _AlmostOne(np.random.Generator):
 @pytest.mark.parametrize("exclude", [None, *range(8)])
 def test_a_uniform_draw_just_below_1_takes_a_tau_grid_point(exclude):
     # the grid's masses sum to 1 only up to rounding; its CDF still ends at exactly 1
-    fit = SchoolsModel().fit(load_schools_csv(), exclude=exclude, draws=3, seed=_AlmostOne(np.random.PCG64(1)))
+    model, data, seed = SchoolsModel(), load_schools_csv(), _AlmostOne(np.random.PCG64(1))
+    if exclude is None:
+        fit = model.fit(data, draws=3, seed=seed)
+    else:
+        fit = model.folds(data, draws=3, seed=seed)(exclude)
     assert fit._idx.max() <= fit.tau_grid.size - 1
 
 
@@ -390,7 +394,7 @@ def test_the_guide_table_tau_draw_is_searchsorted(case):
 
 def test_no_pooling_heldout_refusal_direct():
     with pytest.raises(ModelRefusalError, match="no distribution for an unobserved group"):
-        SchoolsModel("no_pooling").fit(load_schools_csv(), exclude=2, draws=100, seed=0)
+        SchoolsModel("no_pooling").folds(load_schools_csv(), draws=100, seed=0)(2)
 
 
 def test_schools_row_sum_consistency():
@@ -503,7 +507,7 @@ def test_normal_mean_point_estimates_match_the_oracle_on_a_full_fit():
 
 def test_normal_mean_refit_scores_all_points_at_the_training_estimates():
     y = np.array([0.0, 2.0, 1.0, -0.5])
-    pe = NormalMeanModel(m=1.5, mu0=0.4).fit(y, exclude=0, draws=10, seed=1).point_estimates()
+    pe = NormalMeanModel(m=1.5, mu0=0.4).folds(y, draws=10, seed=1)(0).point_estimates()
     train = y[1:]
     post_mean = (1.5 * 0.4 + train.sum()) / (1.5 + train.size)
     assert pe.mle.total_loglik == pytest.approx(_normal_total(y, train.mean(), 1.0), rel=1e-12)
@@ -528,7 +532,7 @@ def test_normal_mean_data_whose_spread_overflows_is_refused_without_a_warning():
 def test_normal_mean_fit_without_training_points_draws_from_the_prior():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fit = NormalMeanModel(m=4.0, mu0=0.7).fit([0.5], exclude=0, draws=40_000, seed=1)
+        fit = NormalMeanModel(m=4.0, mu0=0.7).folds([0.5], draws=40_000, seed=1)(0)
         pe = fit.point_estimates()
     assert fit.theta.mean() == pytest.approx(0.7, abs=4 * 0.5 / math.sqrt(40_000))
     assert fit.theta.var() == pytest.approx(0.25, rel=0.05)
@@ -536,12 +540,12 @@ def test_normal_mean_fit_without_training_points_draws_from_the_prior():
     assert pe.lpd_at_mean == pytest.approx(_normal_total(np.array([0.5]), 0.7, 1.0), rel=1e-12)
     assert fit.pointwise_loglik().n_points == 1
     with pytest.raises(ValueError, match="flat-prior fit needs at least one training point"):
-        NormalMeanModel(m=0.0).fit([0.5], exclude=0, draws=10, seed=1)
+        NormalMeanModel(m=0.0).folds([0.5], draws=10, seed=1)(0)
 
 
 def test_regression_refit_scores_all_points_at_the_training_estimates():
     data = load_election_csv()
-    fit = RegressionModel().fit(data, exclude=3, draws=2_000, seed=5)
+    fit = RegressionModel().folds(data, draws=2_000, seed=5)(3)
     pe = fit.point_estimates()
     x, y = np.delete(data.x, 3), np.delete(data.y, 3)
     design = np.column_stack([np.ones_like(x), x])
@@ -553,12 +557,29 @@ def test_regression_refit_scores_all_points_at_the_training_estimates():
     assert pe.lpd_at_mean == pytest.approx(at_mean, rel=1e-12)
 
 
+_SIGMA_1E154 = EightSchoolsData([1.0, 2.0, 3.0, 4.0], [1e154, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("make_fit, name", [
+    # each of the 9 densities at the posterior mean (about 1e154) is about -5e307, their total past -1.8e308
+    (lambda: NormalMeanModel(m=1.0, mu0=1e155).fit(np.random.default_rng(2).normal(0.5, 1.0, size=9),
+                                                   draws=10, seed=1), "lpd_at_mean"),
+    # 2 pi sigma^2 of the school at sigma 1e154 leaves double range, at the MLE as at every draw
+    (lambda: SchoolsModel("complete_pooling").fit(_SIGMA_1E154, draws=10, seed=1), "lpd_at_mle"),
+    (lambda: SchoolsModel("no_pooling").fit(_SIGMA_1E154, draws=10, seed=1), "lpd_at_mle"),
+], ids=["normal-mean total", "schools complete pooling", "schools no pooling"])
+def test_a_point_estimate_total_that_overflows_is_refused_naming_it(make_fit, name):
+    fit = make_fit()
+    with pytest.raises(NonFiniteLogLikError, match=f"^{name} is -inf: the log densities overflow double precision$"):
+        fit.point_estimates()
+
+
 def test_schools_refits_follow_pointwise_loglik():
     data = load_schools_csv()
     with pytest.raises(ModelRefusalError):
-        SchoolsModel("no_pooling").fit(data, exclude=2, draws=100, seed=0).point_estimates()
-    assert SchoolsModel().fit(data, exclude=2, draws=100, seed=0).point_estimates().mle is None
-    pe = SchoolsModel("complete_pooling").fit(data, exclude=2, draws=100, seed=0).point_estimates()
+        SchoolsModel("no_pooling").folds(data, draws=100, seed=0)(2).point_estimates()
+    assert SchoolsModel().folds(data, draws=100, seed=0)(2).point_estimates().mle is None
+    pe = SchoolsModel("complete_pooling").folds(data, draws=100, seed=0)(2).point_estimates()
     w = np.delete(1 / data.sigma**2, 2)
     mu_hat = float((w * np.delete(data.y, 2)).sum() / w.sum())
     assert pe.mle.total_loglik == pytest.approx(_normal_total(data.y, mu_hat, data.sigma**2), rel=1e-12)
@@ -601,10 +622,10 @@ def _row_major_balanced(counting):
 SCORED_FITS = {
     "normal-mean": (lambda: NormalMeanModel(m=1.5, mu0=0.4).fit(_LAYOUT_Y, draws=_LAYOUT_S, seed=1),
                     _row_major_normal_mean),
-    "normal-mean-refit": (lambda: NormalMeanModel().fit(_LAYOUT_Y, exclude=1, draws=_LAYOUT_S, seed=1),
+    "normal-mean-refit": (lambda: NormalMeanModel().folds(_LAYOUT_Y, draws=_LAYOUT_S, seed=1)(1),
                           _row_major_normal_mean),
     "regression": (lambda: regression_fit(load_election_csv(), _LAYOUT_S, 1), _row_major_regression),
-    "regression-refit": (lambda: RegressionModel().fit(load_election_csv(), exclude=4, draws=_LAYOUT_S, seed=1),
+    "regression-refit": (lambda: RegressionModel().folds(load_election_csv(), draws=_LAYOUT_S, seed=1)(4),
                          _row_major_regression),
     **{f"schools-{mode}": (lambda mode=mode: SchoolsModel(mode).fit(load_schools_csv(), draws=_LAYOUT_S, seed=1),
                            _row_major_schools)
@@ -630,7 +651,7 @@ HIERARCHICAL_FITS = {
     "default-grid": lambda draws, seed: schools_fit(_SCHOOLS, draws, seed),
     "pinned-0": lambda draws, seed: SchoolsModel(tau_grid=np.array([0.0])).fit(_SCHOOLS, draws=draws, seed=seed),
     "pinned-5": lambda draws, seed: SchoolsModel(tau_grid=np.array([5.0])).fit(_SCHOOLS, draws=draws, seed=seed),
-    "exclude-3": lambda draws, seed: SchoolsModel().fit(_SCHOOLS, exclude=3, draws=draws, seed=seed),
+    "exclude-3": lambda draws, seed: SchoolsModel().folds(_SCHOOLS, draws=draws, seed=seed)(3),
     "new-groups": lambda draws, seed: SchoolsModel(prediction_mode="new_groups").fit(
         _SCHOOLS, draws=draws, seed=seed),
 }
@@ -686,10 +707,10 @@ def test_heldout_column_is_bitwise_the_full_matrix_column(name):
     n = len(data)
     rng = np.random.default_rng(3)
     for i in range(n):
-        fit = model.fit(data, exclude=i, draws=2_000, seed=40 + i)
+        fit = model.folds(data, draws=2_000, seed=40 + i)(i)
         heldout = fit.loglik(i)
         assert heldout.shape == (2_000,)
-        assert np.array_equal(heldout, model.fit(data, exclude=i, draws=2_000, seed=40 + i).loglik(i))
+        assert np.array_equal(heldout, model.folds(data, draws=2_000, seed=40 + i)(i).loglik(i))
         values = fit.pointwise_loglik().values
         for j in range(n):
             assert np.array_equal(fit.loglik(j), values[:, j]), j
@@ -705,7 +726,7 @@ def test_heldout_column_is_bitwise_the_full_matrix_column(name):
 @pytest.mark.parametrize("model", [SchoolsModel(), _NEW_GROUPS, SchoolsModel("complete_pooling")],
                          ids=["existing-groups", "new-groups", "complete-pooling"])
 def test_a_schools_refit_draws_the_other_effects_only_when_theta_is_read(model):
-    fit = model.fit(_SCHOOLS, exclude=2, draws=1_000, seed=9)
+    fit = model.folds(_SCHOOLS, draws=1_000, seed=9)(2)
     heldout = fit.loglik(2)
     assert fit._theta is None
     if fit.tau is not None:  # the held-out effect is integrated out
