@@ -1,15 +1,19 @@
 """Exact leave-one-out cross-validation from coupled fold posteriors.
 
-Each of the n folds fits the model without point i and scores the held
-out point under the training posterior. `loo_report` asks the model for
-its folds once: `model.folds(data, draws=S, seed=seed)` draws, from that
-one seed, every random number the fold posteriors use (none depends on
-the point left out) and returns fold(i), the posterior without point i as
-a deterministic transform of those numbers. The folds share common random
-numbers, so their Monte Carlo errors move together, and the error of
-lppd_loo is the joint one: the standard error of the mean over draws of
-R_s = sum_i exp(l_s^(i) - lme_i), with l^(i) fold i's held-out column and
-lme_i its log-mean-exp.
+Each of the n folds is the posterior without point i, and scores the
+held out point under it. `loo_report` asks the model for its folds once:
+`model.folds(data, draws=S, seed=seed)` draws, from that one seed, every
+random number the fold posteriors use (none depends on the point left
+out) and returns fold(i), the posterior without point i as a
+deterministic transform of those numbers. The built-in models keep what
+the folds share as per-draw arrays formed once, so a fold holds only
+what sets it apart (a regression fold O(n) numbers, a hierarchical
+schools fold its tau index per draw) and forms each column it scores in
+a few passes over the shared arrays; no fold rebuilds a length-S
+posterior. The folds share common random numbers, so their Monte Carlo
+errors move together, and the error of lppd_loo is the joint one: the
+standard error of the mean over draws of R_s = sum_i exp(l_s^(i) - lme_i),
+with l^(i) fold i's held-out column and lme_i its log-mean-exp.
 
 The folds run on a thread pool, one worker per CPU the process may use;
 numpy releases the GIL in its loops over the draws, so the folds overlap.
@@ -24,7 +28,10 @@ rather than n points: b = lppd - mean over folds of the full-data lppd
 under the fold posterior, and the corrected estimate is lppd_loo + b.
 Every fold scores its held-out point with `loglik(i)`; only the correction
 scores the fold's other points, one column at a time, so no fold holds an
-S x n matrix.
+S x n matrix. The held-out column's log-mean-exp is `log_mean_exp`, bit
+for bit `lppd`'s; each other column's is formed from its max and its
+shifted exponentials in one work array the fold reuses, the same value up
+to the order of its sum.
 """
 from __future__ import annotations
 
@@ -90,6 +97,22 @@ def _scored_lme(fit: PosteriorFit, j: int) -> tuple[np.ndarray, float]:
         raise
 
 
+def _training_lme(fit: PosteriorFit, j: int, work: np.ndarray) -> float:
+    """log_mean_exp of column j of the fit from its max, its min (the two
+    are finite only if every draw is) and the sum of its shifted
+    exponentials, written into `work`, a length-S array the fold reuses
+    for each of its columns. It differs from `log_mean_exp` only in the
+    order of that sum, and skips its blocks and their buffer; a column
+    with NaN or inf is refused as `_scored_lme` refuses it."""
+    col = fit.loglik(j)
+    shift = col.max()
+    if not (math.isfinite(shift) and math.isfinite(col.min())):
+        return _scored_lme(fit, j)[1]
+    with np.errstate(over="ignore"):  # as in log_mean_exp: a draw past the float range below the max gives 0
+        np.exp(np.subtract(col, shift, out=work), out=work)
+    return float(shift) + math.log(work.sum() / work.size)
+
+
 def loo_report(
     model: FoldModel, data, lppd_full: float, *, draws: int, seed: int,
     bias_correction: bool = True,
@@ -132,7 +155,8 @@ def loo_report(
         del col
         full = None
         if bias_correction:
-            lmes = [lme if j == i else _scored_lme(fit, j)[1] for j in range(n)]
+            work = np.empty(draws)
+            lmes = [lme if j == i else _training_lme(fit, j, work) for j in range(n)]
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused with the report
                 full = float(np.sum(lmes))
         return lme, full

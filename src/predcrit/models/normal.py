@@ -20,6 +20,7 @@ __all__ = [
     "normal_logpdf_inplace",
     "normal_terms",
     "point_total",
+    "score_columns",
     "NormalMeanModel",
 ]
 
@@ -57,6 +58,18 @@ def point_total(logdens: np.ndarray, name: str) -> float:
         total = float(logdens.sum())
     _require_finite_fields({name: total})
     return total
+
+
+def score_columns(column, idx, draws: int) -> np.ndarray:
+    """What `column(j, out)` writes into a length-`draws` `out` for point
+    j: that column of an int `idx`; of an index array, its points' columns
+    side by side in a column-major draws x len(idx) array."""
+    if np.ndim(idx) == 0:
+        return column(idx, np.empty(draws))
+    out = np.empty((draws, len(idx)), order="F")
+    for k, j in enumerate(idx):
+        column(j, out[:, k])
+    return out
 
 
 def _inverse(x: float) -> float:

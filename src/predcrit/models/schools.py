@@ -17,6 +17,7 @@ not exist and a leave-one-out refit is refused.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from importlib import resources
@@ -26,7 +27,7 @@ import numpy as np
 from ..criteria import PointEstimateLogLik, PointEstimates
 from ..draws import PointwiseLogLikMatrix, _read_table, _require_finite
 from ..errors import ModelRefusalError
-from .normal import normal_logpdf_inplace, normal_terms, point_total
+from .normal import normal_logpdf_inplace, normal_terms, point_total, score_columns
 
 __all__ = [
     "EightSchoolsData",
@@ -108,6 +109,14 @@ def _tau_grid_posterior(y: np.ndarray, sigma: np.ndarray, grid: np.ndarray | Non
     return grid, mass, mu_hat, v_mu
 
 
+def _cdf(mass: np.ndarray) -> np.ndarray:
+    """The CDF of grid masses, ending at exactly 1 so that no uniform draw
+    falls past the last point."""
+    cdf = np.cumsum(mass)
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """np.searchsorted(cdf, u), the first index whose CDF value is at least
     u, of a nondecreasing `cdf` ending at 1 and each u in [0, 1).
@@ -123,6 +132,28 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     short = np.flatnonzero(cdf[idx] < u)
     idx[short] = np.searchsorted(cdf, u[short])
     return idx
+
+
+def _pooled(y: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
+    """(mean, variance) of the complete-pooling effect's flat-prior
+    posterior; the mean is also the MLE."""
+    w = 1.0 / sigma**2
+    v_post = 1.0 / w.sum()
+    return v_post * (w * y).sum(), v_post
+
+
+_work = threading.local()
+
+
+def _work_array(size: int) -> np.ndarray:
+    """This thread's length-`size` work array, kept from one scored column
+    to the next: a second array allocated and freed beside every column
+    more than doubled its cost, its pages returned to the system and
+    faulted in again each time."""
+    work = getattr(_work, "values", None)
+    if work is None or work.size != size:
+        work = _work.values = np.empty(size)
+    return work
 
 
 class SchoolsModel:
@@ -155,7 +186,7 @@ class SchoolsModel:
 
     def fit(self, data: EightSchoolsData, *, draws: int, seed: int) -> _SchoolsFit:
         """The posterior of `data` from `seed`."""
-        return _SchoolsFit(self, data, None, _SchoolsDraws(self.mode, draws, seed, shared=False))
+        return _SchoolsFit(self, data, _SchoolsDraws(self.mode, draws, seed, shared=False))
 
     def folds(self, data: EightSchoolsData, *, draws: int, seed: int):
         """fold(i), the posterior without group i. All folds transform one
@@ -169,22 +200,29 @@ class SchoolsModel:
         if len(data) < 2:
             raise ValueError("training set must contain at least one group")
         shared = _SchoolsDraws(self.mode, draws, seed, shared=True)
-        return lambda i: _SchoolsFit(self, data, i, shared)
+        fold = _PooledFold if self.mode == "complete_pooling" else _HierarchicalFold
+        return lambda i: fold(self, data, i, shared)
 
 
 class _SchoolsDraws:
     """The random numbers a schools fit transforms, drawn from one seed in
     this order: S uniforms for tau and S normals for mu (hierarchical), or
     S normals for the pooled effect (complete pooling), then, once a fit
-    reads `theta`, the S x J normals of the effects. `shared` draws serve
-    every fold of a dataset: the effects' normals are then drawn once, by
-    whichever fold reads them first, and kept."""
+    reads them, the S x J normals of the effects. `shared` draws serve
+    every fold of a dataset: they are read-only, and their effects'
+    normals are drawn once, by whichever fold reads them first, and kept,
+    one contiguous row per group. Shared hierarchical draws are kept in
+    increasing u, each draw's normals beside its uniform, so that a fold's
+    tau index is one run per grid point (see `_HierarchicalFold`)."""
 
     def __init__(self, mode: str, draws: int, seed, shared: bool):
         self._rng = rng = np.random.default_rng(seed)
         self.size = draws
         self.u = rng.random(draws) if mode == "hierarchical" else None
         self.z = None if mode == "no_pooling" else rng.standard_normal(draws)
+        self._order = np.argsort(self.u) if shared and self.u is not None else None
+        if self._order is not None:
+            self.u, self.z = self.u[self._order], self.z[self._order]
         self._lock = threading.Lock() if shared else None
         self._effects = None
         for values in (self.u, self.z) if shared else ():
@@ -192,53 +230,44 @@ class _SchoolsDraws:
                 values.flags.writeable = False
 
     def effect_normals(self, J: int) -> np.ndarray:
-        """The S x J normals of the effects: a fresh draw for a fit of its
-        own, which reads them once; for shared draws one read-only draw."""
+        """The S x J normals of the effects, a fresh draw for a fit of its
+        own, which reads them once; for shared draws, one read-only draw
+        kept as J x S, in the order of the other shared draws."""
         if self._lock is None:
             return self._rng.standard_normal((self.size, J))
         with self._lock:
             if self._effects is None:
-                self._effects = self._rng.standard_normal((self.size, J))
+                effects = self._rng.standard_normal((self.size, J)).T
+                if self._order is not None:
+                    effects = np.take(effects, self._order, axis=1)
+                self._effects = np.ascontiguousarray(effects)
                 self._effects.flags.writeable = False
             return self._effects
 
 
 class _SchoolsFit:
     """Posterior draws of the pooling mode's parameters, transformed from
-    `draws`. `theta` (S x J, over the *full* group list; under complete
-    pooling a read-only view of mu) is drawn when first read; a held-out
-    group's column is the shared effect or mu, never conditioned on its own
-    y. `loglik` says how a group without data in the fit is scored."""
+    `draws`. `theta` (S x J; under complete pooling a read-only view of mu)
+    is drawn when first read. `loglik` says how a new group is scored."""
 
-    def __init__(self, model: SchoolsModel, data: EightSchoolsData, exclude: int | None, draws: _SchoolsDraws):
+    def __init__(self, model: SchoolsModel, data: EightSchoolsData, draws: _SchoolsDraws):
         self._model = model
         self._data = data
-        self._exclude = exclude
-        y, sigma, J = data.y, data.sigma, len(data)
-        keep = np.arange(J) if exclude is None else np.delete(np.arange(J), exclude)
-        self._unseen = np.isin(np.arange(J), keep, invert=True) | (model.prediction_mode == "new_groups")
+        self._new_groups = model.prediction_mode == "new_groups"
         self._draws = draws
         self.tau = self.mu = self.tau_grid = self.tau_mass = self._theta = None
         if model.mode == "complete_pooling":
-            w = 1.0 / sigma[keep] ** 2
-            v_post = 1.0 / w.sum()
-            # the flat-prior posterior mean, which is also the MLE
-            self._pooled_mean = v_post * (w * y[keep]).sum()
+            self._pooled_mean, v_post = _pooled(data.y, data.sigma)
             self.mu = self._pooled_mean + np.sqrt(v_post) * draws.z
         elif model.mode == "hierarchical":
-            grid, mass, mu_hat, v_mu = _tau_grid_posterior(y[keep], sigma[keep], model.tau_grid)
+            grid, mass, mu_hat, v_mu = _tau_grid_posterior(data.y, data.sigma, model.tau_grid)
             self.tau_grid, self.tau_mass = grid, mass
-            cdf = np.cumsum(mass)
-            cdf /= cdf[-1]  # ends at exactly 1, so no uniform draw falls past the last point
-            self._idx = idx = _inverse_cdf(cdf, draws.u)
+            self._idx = idx = _inverse_cdf(_cdf(mass), draws.u)
             self.tau = grid[idx]
             self.mu = mu_hat[idx] + np.sqrt(v_mu[idx]) * draws.z
 
     @property
     def theta(self) -> np.ndarray:
-        # set by hand, not by functools.cached_property: before Python 3.12
-        # that takes one lock for the whole class, so concurrent LOO folds
-        # would form their effects one at a time
         if self._theta is None:
             # an effect past double range (inf, or inf - inf) is a non-finite density, which callers refuse
             with np.errstate(over="ignore", invalid="ignore"):
@@ -266,8 +295,6 @@ class _SchoolsFit:
         np.take(sd, idx, axis=0, out=buf)
         buf *= self._draws.effect_normals(len(d))
         theta += buf
-        if self._exclude is not None:
-            theta[:, self._exclude] = mu
         return theta
 
     def point_estimates(self) -> PointEstimates:
@@ -282,11 +309,12 @@ class _SchoolsFit:
         var, mle = d.sigma**2, None
         if mode == "hierarchical":
             means = {"mu": float(self.mu.mean()), "tau": float(self.tau.mean())}
-            var = var + self._unseen * means["tau"] ** 2
+            if self._new_groups:
+                var = var + means["tau"] ** 2
         else:  # theta_j = y_j leaves no residual under no pooling
             resid, k = (np.zeros(len(d)), len(d)) if mode == "no_pooling" else (d.y - self._pooled_mean, 1)
             mle = PointEstimateLogLik(point_total(normal_logpdf_inplace(resid, var), "lpd_at_mle"), k)
-        if self._model.prediction_mode == "new_groups":
+        if self._new_groups:
             center, summary = means["mu"], {"posterior_means": means}
         else:
             center = self.theta.mean(axis=0)
@@ -301,22 +329,125 @@ class _SchoolsFit:
         """log N(y_j | theta_j, sigma_j^2) per draw of the groups `idx`: the
         length-S column of an int, a column-major S x len(idx) array of an
         index array. Complete pooling scores every group at the shared
-        effect mu. A hierarchical group without data in the fit is scored
-        as log N(y_j | mu, tau^2 + sigma_j^2), its density terms tabulated
-        on the tau grid and gathered by the draws' tau index; scoring only
-        such groups draws no effects."""
+        effect mu. A new group is scored as log N(y_j | mu, tau^2 +
+        sigma_j^2), its density terms tabulated on the tau grid and
+        gathered by the draws' tau index; that draws no effects."""
         d = self._data
-        y, s2, unseen = d.y[idx], d.sigma[idx] ** 2, self._unseen[idx]
-        if self._model.mode == "complete_pooling" or unseen.all():
+        y, s2 = d.y[idx], d.sigma[idx] ** 2
+        if self._model.mode == "complete_pooling" or self._new_groups:
             resid = np.subtract.outer(y, self.mu).T
         else:
             resid = np.subtract(y, self.theta[:, idx], order="F")
-        if not unseen.any() or self._model.mode != "hierarchical":
+        if not self._new_groups:
             return normal_logpdf_inplace(resid, s2)
-        # a group with data keeps s2 + 0 = s2, so its bits are unchanged
-        var = s2[..., None] + unseen[..., None] * self.tau_grid**2
+        var = s2[..., None] + self.tau_grid**2
         terms = tuple(np.take(t, self._idx, axis=-1).T for t in normal_terms(var))
         return normal_logpdf_inplace(resid, None, terms)
+
+
+class _PooledFold:
+    """Fold i under complete pooling: two scalars, the training groups'
+    pooled mean m and sd v, over the shared normals z. With mu = m + v z
+    and r_j = 1 / sqrt(2 sigma_j^2), log N(y_j | mu, sigma_j^2) =
+    C_j - ((y_j - m) r_j - v r_j z)^2, C_j = -log(2 pi sigma_j^2) / 2."""
+
+    def __init__(self, model: SchoolsModel, data: EightSchoolsData, i: int, draws: _SchoolsDraws):
+        self._data, self._draws = data, draws
+        mean, v_post = _pooled(np.delete(data.y, i), np.delete(data.sigma, i))
+        self._mean, self._sd = mean, math.sqrt(v_post)
+
+    def loglik(self, idx) -> np.ndarray:
+        """log N(y_j | mu, sigma_j^2) per draw of the groups `idx`: the
+        length-S column of an int, a column-major S x len(idx) array of an
+        index array."""
+        return score_columns(self._column, idx, self._draws.size)
+
+    def _column(self, j: int, out: np.ndarray) -> np.ndarray:
+        minus_2var, half_log = normal_terms(self._data.sigma[j] ** 2)
+        r = 1.0 / math.sqrt(-minus_2var)  # 0 past double range, where the density is -inf
+        # a density past double range is a non-finite column, which callers refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(self._draws.z, -self._sd * r, out=out)
+            out += (self._data.y[j] - self._mean) * r
+            np.square(out, out=out)
+            np.subtract(-half_log, out, out=out)
+        return out
+
+
+class _HierarchicalFold:
+    """Fold i of the hierarchical model: one length-S array of its own,
+    the tau index of each draw (its own grid CDF applied to the shared
+    uniforms, which are sorted, so that the index runs through the grid
+    points in order and is found with one search of the grid in the
+    uniforms), and the training groups' grid tables mu_hat(tau) and
+    sd_mu(tau). With mu = mu_hat[idx] + sd_mu[idx] z, every column is one
+    residual of per-grid coefficients gathered by the tau index:
+
+    - a group without data (group i, or every group when predicting new
+      ones): log N(y_j | mu, tau^2 + sigma_j^2) = C[idx] - (A[idx] - B[idx] z)^2,
+      var = tau^2 + sigma_j^2, C = -log(2 pi var) / 2,
+      A = (y_j - mu_hat) / sqrt(2 var), B = sd_mu / sqrt(2 var);
+    - a training group j of the existing groups, at its effect theta_j |
+      mu, tau, y_j from the shared effect normals e_j:
+      log N(y_j | theta_j, sigma_j^2) = C_j - (P[idx] - Q[idx] z - R[idx] e_j)^2,
+      with y_j - theta_j = w (y_j - mu) - sd e_j, w = sigma_j^2 / (tau^2 +
+      sigma_j^2), sd = sqrt(w tau^2), all over sqrt(2 sigma_j^2).
+
+    No fold forms mu, tau or an S x J theta."""
+
+    def __init__(self, model: SchoolsModel, data: EightSchoolsData, i: int, draws: _SchoolsDraws):
+        self._data, self._i, self._draws = data, i, draws
+        self._new_groups = model.prediction_mode == "new_groups"
+        grid, mass, mu_hat, v_mu = _tau_grid_posterior(np.delete(data.y, i), np.delete(data.sigma, i),
+                                                       model.tau_grid)
+        self.tau_grid, self._mu_hat, self._mu_sd = grid, mu_hat, np.sqrt(v_mu)
+        # grid point k takes the draws with cdf[k - 1] < u <= cdf[k], as np.searchsorted(cdf, u) does
+        ends = np.searchsorted(draws.u, _cdf(mass), side="right")
+        self._idx = np.repeat(np.arange(grid.size), np.diff(ends, prepend=0))
+
+    def loglik(self, idx) -> np.ndarray:
+        """log N(y_j | theta_j, sigma_j^2) per draw of the groups `idx`, a
+        group without data in the fold at its effect integrated out: the
+        length-S column of an int, a column-major S x len(idx) array of an
+        index array. Scoring only such groups draws no effects."""
+        return score_columns(self._column, idx, self._draws.size)
+
+    def _column(self, j: int, out: np.ndarray) -> np.ndarray:
+        column = self._integrated if j == self._i or self._new_groups else self._at_effect
+        # a coefficient or density past double range is a non-finite column, which callers refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            return column(j, out, _work_array(out.size))
+
+    # Both columns gather with mode="clip": every tau index is on the grid,
+    # and "clip" writes straight into `out`, where the default buffers first.
+
+    def _integrated(self, j: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """C[idx] - (A[idx] - B[idx] z)^2, group j's effect integrated out."""
+        minus_2var, half_log = normal_terms(self._data.sigma[j] ** 2 + self.tau_grid**2)
+        r = 1.0 / np.sqrt(-minus_2var)
+        np.take(self._mu_sd * r, self._idx, out=out, mode="clip")
+        out *= self._draws.z
+        np.take((self._data.y[j] - self._mu_hat) * r, self._idx, out=work, mode="clip")
+        np.subtract(work, out, out=out)
+        np.square(out, out=out)
+        np.take(-half_log, self._idx, out=work, mode="clip")
+        return np.subtract(work, out, out=out)
+
+    def _at_effect(self, j: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """C_j - (P[idx] - Q[idx] z - R[idx] e_j)^2, training group j at its effect."""
+        s2, grid2 = self._data.sigma[j] ** 2, self.tau_grid**2
+        minus_2var, half_log = normal_terms(s2)
+        r = 1.0 / math.sqrt(-minus_2var)
+        w = s2 / (grid2 + s2)
+        np.take(w * self._mu_sd * r, self._idx, out=out, mode="clip")
+        out *= self._draws.z
+        np.take(np.sqrt(w * grid2) * r, self._idx, out=work, mode="clip")
+        work *= self._draws.effect_normals(len(self._data))[j]
+        out += work
+        np.take(w * (self._data.y[j] - self._mu_hat) * r, self._idx, out=work, mode="clip")
+        np.subtract(work, out, out=out)
+        np.square(out, out=out)
+        return np.subtract(-half_log, out, out=out)
 
 
 def schools_fit(data: EightSchoolsData, draws: int, seed: int) -> _SchoolsFit:

@@ -103,6 +103,8 @@ def test_number_list_names_its_first_bad_value(runner, tmp_path):
 _MATRIX = "point_1,point_2\n-1,-2\n-1.5,-2.5\n"
 _FOUR_ELECTIONS = "year,growth,vote\n1952,2.4,57.2\n1956,2.9,53.4\n1960,0.9,49.1\n1964,4.2,61.3\n"
 _TWO_MORE_SCHOOLS = "B,8,10\nC,-3,16\n"
+_COLLINEAR_ELECTIONS = "year,growth,vote\n1,1,2\n2,2,4\n3,3,6\n4,4,8\n5,5,10\n"
+_COLLINEAR_REFUSAL = "error: the rows other than row 5 lie exactly on a line, so the fold without it has no sigma^2 posterior"
 
 # An input refused before anything is computed, the --input file it is
 # given (None: no --input), and the one line it prints; each exits 2.
@@ -123,6 +125,9 @@ INPUT_REFUSALS = {
     "nan --lpd-at-mean": (["criteria", "--lpd-at-mean", "nan"], _MATRIX, "error: lpd_at_mean must be finite"),
     "regression loo on 4 rows": (["loo", "--model", "regression"], _FOUR_ELECTIONS,
                                  "error: too few training points for a proper sigma^2 posterior"),
+    # votes exactly twice the growth: without row 5 the other four rows leave a residual sum of squares of 0
+    "regression loo on collinear rows": (["loo", "--model", "regression"], _COLLINEAR_ELECTIONS, _COLLINEAR_REFUSAL),
+    "election on collinear rows": (["election", "--draws", "100"], _COLLINEAR_ELECTIONS, _COLLINEAR_REFUSAL),
     "schools sigma of 0": (["schools-table"], "school,y,sigma\nA,28,15\nB,8,0\n",
                            "error: all standard errors must be positive"),
     # data whose squares leave double range: refused at load, before a numpy warning

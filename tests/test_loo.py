@@ -129,6 +129,29 @@ def test_a_non_finite_heldout_column_is_refused_naming_draw_and_point():
         loo_report(model, np.zeros(3), -3.0, draws=10, seed=1, bias_correction=False)
 
 
+class _NonFiniteTrainingModel(_FixedPosteriorModel):
+    """A fixed posterior whose fold 1 scores point 2 at `value` in draw 4."""
+
+    def __init__(self, matrix, value):
+        super().__init__(matrix)
+        self.value = value
+
+    def column(self, exclude, j):
+        col = super().column(exclude, j).copy()
+        if (exclude, j) == (1, 2):
+            col[4] = self.value
+        return col
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+def test_a_non_finite_training_column_is_refused_naming_draw_and_point(value):
+    # the bias correction's own reduction of a training column refuses what log_mean_exp refuses
+    model = _NonFiniteTrainingModel(PointwiseLogLikMatrix(np.full((10, 3), -1.0)), value)
+    with pytest.raises(NonFiniteLogLikError, match=f"^non-finite log density at draw 4, point 2: {value}$"):
+        loo_report(model, np.zeros(3), -3.0, draws=10, seed=1)
+    assert loo_report(model, np.zeros(3), -3.0, draws=10, seed=1, bias_correction=False).lppd_loo == -3.0
+
+
 def test_a_fold_whose_column_is_wider_than_the_float_range_runs_without_a_warning():
     # -1e308 - lme overflows to -inf in the fold's ratios exp(col - lme), whose 0 is right
     vals = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]])
@@ -333,6 +356,11 @@ def test_a_no_pooling_loo_is_refused_before_anything_is_drawn():
     counting = _DrawCountingModel(RegressionModel())
     with pytest.raises(ValueError, match="^too few training points for a proper sigma\\^2 posterior$"):
         loo_report(counting, RegressionData(elections.x[:4], elections.y[:4]), 0.0, draws=500, seed=1)
+    assert [rng.drawn for rng in counting.generators] == [0]
+    # a fold whose training points lie exactly on a line has RSS 0, and no sigma^2 posterior
+    counting = _DrawCountingModel(RegressionModel())
+    with pytest.raises(ValueError, match="^the rows other than row 5 lie exactly on a line, "):
+        loo_report(counting, RegressionData(np.arange(1.0, 6.0), np.arange(2.0, 12.0, 2.0)), 0.0, draws=500, seed=1)
     assert [rng.drawn for rng in counting.generators] == [0]
     counting = _DrawCountingModel(SchoolsModel())
     with pytest.raises(ValueError, match="^training set must contain at least one group$"):
@@ -556,9 +584,9 @@ def test_schools_table_scores_only_its_three_full_data_fits(monkeypatch):
     original = _SchoolsFit.pointwise_loglik
 
     def counting(fit):
-        calls.append(fit._exclude)
+        calls.append(fit._model.mode)
         return original(fit)
 
     monkeypatch.setattr(_SchoolsFit, "pointwise_loglik", counting)
     schools_table_report(load_schools_csv(), draws=500, seed=5)
-    assert calls == [None, None, None]
+    assert calls == ["no_pooling", "complete_pooling", "hierarchical"]

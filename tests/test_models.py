@@ -26,7 +26,7 @@ from predcrit.models import (
     schools_fit,
 )
 from predcrit.models.normal import normal_logpdf_inplace
-from predcrit.models.schools import _GUIDE_BUCKETS, _inverse_cdf
+from predcrit.models.schools import _GUIDE_BUCKETS, _inverse_cdf, _tau_grid_posterior
 
 S = 100_000
 SEED = 12345
@@ -392,6 +392,32 @@ def test_the_guide_table_tau_draw_is_searchsorted(case):
     assert np.array_equal(_inverse_cdf(cdf, u), np.searchsorted(cdf, u))
 
 
+class _GivenUniforms(np.random.Generator):
+    """numpy's generator whose uniform draws are `values`."""
+
+    def __init__(self, values):
+        super().__init__(np.random.PCG64(2))
+        self.values = values
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert size == self.values.size
+        return self.values.copy()
+
+
+@pytest.mark.parametrize("tau_grid", [None, [5.0], [0.0, 8.0]], ids=["default grid", "one point", "two points"])
+def test_a_fold_tau_index_is_searchsorted_of_its_cdf(tau_grid):
+    # the folds sort the shared uniforms and take each grid point's run: uniforms on and just below
+    # every CDF value of the fold, 0 and the last double below 1 must land where np.searchsorted puts them
+    model, data = SchoolsModel(tau_grid=tau_grid), load_schools_csv()
+    for i in (0, 3):
+        mass = _tau_grid_posterior(np.delete(data.y, i), np.delete(data.sigma, i), model.tau_grid)[1]
+        cdf = np.cumsum(mass) / np.cumsum(mass)[-1]
+        u = np.concatenate([np.random.default_rng(i).random(3_000), [0.0, np.nextafter(1.0, 0.0)],
+                            np.unique(cdf[cdf < 1.0]), np.nextafter(np.unique(cdf[cdf > 0.0]), 0.0)])
+        fit = model.folds(data, draws=u.size, seed=_GivenUniforms(u))(i)
+        assert np.array_equal(fit._idx, np.searchsorted(cdf, np.sort(u)))
+
+
 def test_no_pooling_heldout_refusal_direct():
     with pytest.raises(ModelRefusalError, match="no distribution for an unobserved group"):
         SchoolsModel("no_pooling").folds(load_schools_csv(), draws=100, seed=0)(2)
@@ -543,18 +569,17 @@ def test_normal_mean_fit_without_training_points_draws_from_the_prior():
         NormalMeanModel(m=0.0).folds([0.5], draws=10, seed=1)(0)
 
 
-def test_regression_refit_scores_all_points_at_the_training_estimates():
+def test_a_regression_fold_scores_all_points_around_the_training_ols():
+    # fold i holds, for every point j, d_j = (y_j - a_hat - b_hat x_j) / sqrt(RSS) and K = -log(2 pi RSS) / 2
+    # of the training OLS, so log N(y_j | a_hat + b_hat x_j, RSS / m) = K + log(m) / 2 - m d_j^2 / 2
     data = load_election_csv()
     fit = RegressionModel().folds(data, draws=2_000, seed=5)(3)
-    pe = fit.point_estimates()
     x, y = np.delete(data.x, 3), np.delete(data.y, 3)
     design = np.column_stack([np.ones_like(x), x])
     (a, b), rss = np.linalg.lstsq(design, y, rcond=None)[:2]
     sigma2 = float(rss[0]) / x.size
-    assert pe.mle.total_loglik == pytest.approx(_normal_total(data.y, a + b * data.x, sigma2), rel=1e-12)
-    pm = fit.posterior_means
-    at_mean = _normal_total(data.y, pm["a"] + pm["b"] * data.x, np.exp(2 * pm["log_sigma"]))
-    assert pe.lpd_at_mean == pytest.approx(at_mean, rel=1e-12)
+    at_mle = (fit._k + 0.5 * math.log(x.size) - x.size * fit._d**2 / 2).sum()
+    assert at_mle == pytest.approx(_normal_total(data.y, a + b * data.x, sigma2), rel=1e-12)
 
 
 _SIGMA_1E154 = EightSchoolsData([1.0, 2.0, 3.0, 4.0], [1e154, 1.0, 1.0, 1.0])
@@ -574,15 +599,15 @@ def test_a_point_estimate_total_that_overflows_is_refused_naming_it(make_fit, na
         fit.point_estimates()
 
 
-def test_schools_refits_follow_pointwise_loglik():
+def test_a_complete_pooling_fold_centres_on_the_training_pooled_mean():
     data = load_schools_csv()
     with pytest.raises(ModelRefusalError):
-        SchoolsModel("no_pooling").folds(data, draws=100, seed=0)(2).point_estimates()
-    assert SchoolsModel().folds(data, draws=100, seed=0)(2).point_estimates().mle is None
-    pe = SchoolsModel("complete_pooling").folds(data, draws=100, seed=0)(2).point_estimates()
+        SchoolsModel("no_pooling").folds(data, draws=100, seed=0)
+    fit = SchoolsModel("complete_pooling").folds(data, draws=100, seed=0)(2)
     w = np.delete(1 / data.sigma**2, 2)
     mu_hat = float((w * np.delete(data.y, 2)).sum() / w.sum())
-    assert pe.mle.total_loglik == pytest.approx(_normal_total(data.y, mu_hat, data.sigma**2), rel=1e-12)
+    assert fit._mean == pytest.approx(mu_hat, rel=1e-12)
+    assert fit._sd == pytest.approx(math.sqrt(1 / w.sum()), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +631,29 @@ def _row_major_regression(fit):
     return normal_logpdf_inplace(resid, fit.sigma2[:, None])
 
 
+def _regression_fold_4(draws, seed):
+    """Fold 4 of the election data, and the same posterior rebuilt the
+    textbook way: sigma^2 = RSS / chi2, (a, b) = beta_hat + sigma L z."""
+    data = load_election_csv()
+    rng = np.random.default_rng(seed)
+    chi2, z = rng.chisquare(len(data) - 3, draws), rng.standard_normal((draws, 2))
+    x, y = np.delete(data.x, 4), np.delete(data.y, 4)
+    design = np.column_stack([np.ones_like(x), x])
+    xtx_inv = np.linalg.inv(design.T @ design)
+    beta_hat = xtx_inv @ (design.T @ y)
+    sigma2 = float(((y - design @ beta_hat) ** 2).sum()) / chi2
+    ab = beta_hat + np.sqrt(sigma2)[:, None] * (z @ np.linalg.cholesky(xtx_inv).T)
+    textbook = _FoldPosterior(data, ab[:, 0], ab[:, 1], sigma2)
+    return RegressionModel().folds(data, draws=draws, seed=seed)(4), textbook
+
+
+class _FoldPosterior:
+    """A fold's (a, b, sigma^2) per draw, for the row-major formula."""
+
+    def __init__(self, data, a, b, sigma2):
+        self._data, self.a, self.b, self.sigma2 = data, a, b, sigma2
+
+
 def _row_major_schools(fit):
     d = fit._data
     return normal_logpdf_inplace(d.y[None, :] - fit.theta, d.sigma[None, :] ** 2)
@@ -625,8 +673,7 @@ SCORED_FITS = {
     "normal-mean-refit": (lambda: NormalMeanModel().folds(_LAYOUT_Y, draws=_LAYOUT_S, seed=1)(1),
                           _row_major_normal_mean),
     "regression": (lambda: regression_fit(load_election_csv(), _LAYOUT_S, 1), _row_major_regression),
-    "regression-refit": (lambda: RegressionModel().folds(load_election_csv(), draws=_LAYOUT_S, seed=1)(4),
-                         _row_major_regression),
+    "regression-refit": (lambda: _regression_fold_4(_LAYOUT_S, 1), _row_major_regression),
     **{f"schools-{mode}": (lambda mode=mode: SchoolsModel(mode).fit(load_schools_csv(), draws=_LAYOUT_S, seed=1),
                            _row_major_schools)
        for mode in ("no_pooling", "complete_pooling", "hierarchical")},
@@ -640,10 +687,16 @@ SCORED_FITS = {
 def test_every_model_writes_a_column_major_matrix_equal_to_the_row_major_formula(name):
     make_fit, formula = SCORED_FITS[name]
     fit = make_fit()
-    values = fit.pointwise_loglik().values
+    if name == "regression-refit":
+        # a fold scores its own transform of the shared draws: equal to the textbook posterior's formula up to rounding
+        fit, textbook = fit
+        values = fit.loglik(np.arange(len(textbook._data)))
+        np.testing.assert_allclose(values, formula(textbook), rtol=1e-12, atol=0)
+    else:
+        values = fit.pointwise_loglik().values
+        assert np.array_equal(values, formula(fit))
     assert values.shape[0] == _LAYOUT_S and values.shape[1] > 1
     assert values.flags.f_contiguous
-    assert np.array_equal(values, formula(fit))
 
 
 _SCHOOLS = load_schools_csv()
@@ -651,7 +704,6 @@ HIERARCHICAL_FITS = {
     "default-grid": lambda draws, seed: schools_fit(_SCHOOLS, draws, seed),
     "pinned-0": lambda draws, seed: SchoolsModel(tau_grid=np.array([0.0])).fit(_SCHOOLS, draws=draws, seed=seed),
     "pinned-5": lambda draws, seed: SchoolsModel(tau_grid=np.array([5.0])).fit(_SCHOOLS, draws=draws, seed=seed),
-    "exclude-3": lambda draws, seed: SchoolsModel().folds(_SCHOOLS, draws=draws, seed=seed)(3),
     "new-groups": lambda draws, seed: SchoolsModel(prediction_mode="new_groups").fit(
         _SCHOOLS, draws=draws, seed=seed),
 }
@@ -663,8 +715,8 @@ def test_hierarchical_theta_equals_the_per_draw_conditional_formula(case):
     fit = HIERARCHICAL_FITS[case](draws, seed)
     y, sigma, J = _SCHOOLS.y, _SCHOOLS.sigma, len(_SCHOOLS)
     # replay the fit's stream: tau by inverse CDF, then mu's normals, then
-    # theta's, the conditional effects whatever the prediction mode; a
-    # held-out group's column is mu, which its own y never enters
+    # theta's, the conditional effects whatever the prediction mode (a
+    # fold's columns are checked against the same formula in test_folds.py)
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(np.cumsum(fit.tau_mass), rng.random(draws))
     assert np.array_equal(fit.tau, fit.tau_grid[idx])
@@ -675,8 +727,6 @@ def test_hierarchical_theta_equals_the_per_draw_conditional_formula(case):
     cond_mean = (y[None, :] * t2 + mu[:, None] * s2) / (t2 + s2)
     cond_var = s2 * t2 / (t2 + s2)
     theta = cond_mean + np.sqrt(cond_var) * rng.standard_normal((draws, J))
-    if case == "exclude-3":
-        theta[:, 3] = mu
     assert np.array_equal(fit.theta, theta)
 
 
@@ -711,7 +761,7 @@ def test_heldout_column_is_bitwise_the_full_matrix_column(name):
         heldout = fit.loglik(i)
         assert heldout.shape == (2_000,)
         assert np.array_equal(heldout, model.folds(data, draws=2_000, seed=40 + i)(i).loglik(i))
-        values = fit.pointwise_loglik().values
+        values = fit.loglik(np.arange(n))
         for j in range(n):
             assert np.array_equal(fit.loglik(j), values[:, j]), j
         others = np.delete(np.arange(n), i)
@@ -726,12 +776,24 @@ def test_heldout_column_is_bitwise_the_full_matrix_column(name):
 @pytest.mark.parametrize("model", [SchoolsModel(), _NEW_GROUPS, SchoolsModel("complete_pooling")],
                          ids=["existing-groups", "new-groups", "complete-pooling"])
 def test_a_schools_refit_draws_the_other_effects_only_when_theta_is_read(model):
-    fit = model.folds(_SCHOOLS, draws=1_000, seed=9)(2)
+    # a fold reads a training group's effect when it scores that group: hierarchical, existing groups only
+    draws = 1_000
+    fold = model.folds(_SCHOOLS, draws=draws, seed=9)
+    fit = fold(2)
     heldout = fit.loglik(2)
-    assert fit._theta is None
-    if fit.tau is not None:  # the held-out effect is integrated out
-        var = fit.tau**2 + _SCHOOLS.sigma[2] ** 2
-        direct = -0.5 * np.log(2 * np.pi * var) - (_SCHOOLS.y[2] - fit.mu) ** 2 / (2 * var)
+    assert fit._draws._effects is None
+    if model.mode == "hierarchical":  # the held-out effect is integrated out
+        rng = np.random.default_rng(9)
+        u, z = rng.random(draws), rng.standard_normal(draws)
+        order = np.argsort(u)  # the folds take the draws in increasing u
+        u, z = u[order], z[order]
+        grid, mass, mu_hat, v_mu = _tau_grid_posterior(np.delete(_SCHOOLS.y, 2), np.delete(_SCHOOLS.sigma, 2))
+        idx = np.searchsorted(np.cumsum(mass) / np.cumsum(mass)[-1], u)
+        mu, var = mu_hat[idx] + np.sqrt(v_mu[idx]) * z, grid[idx] ** 2 + _SCHOOLS.sigma[2] ** 2
+        direct = -0.5 * np.log(2 * np.pi * var) - (_SCHOOLS.y[2] - mu) ** 2 / (2 * var)
         np.testing.assert_allclose(heldout, direct, rtol=1e-12)
-    assert np.array_equal(fit.theta[:, 2], fit.mu)
+    fit.loglik(np.arange(len(_SCHOOLS)))
+    effects = fit._draws._effects
+    assert (effects is not None) == (model.mode == "hierarchical" and model.prediction_mode == "existing_groups")
+    assert fold(5)._draws._effects is effects  # drawn once for all folds
     assert np.array_equal(fit.loglik(2), heldout)
