@@ -142,20 +142,6 @@ def _pooled(y: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
     return v_post * (w * y).sum(), v_post
 
 
-_work = threading.local()
-
-
-def _work_array(size: int) -> np.ndarray:
-    """This thread's length-`size` work array, kept from one scored column
-    to the next: a second array allocated and freed beside every column
-    more than doubled its cost, its pages returned to the system and
-    faulted in again each time."""
-    work = getattr(_work, "values", None)
-    if work is None or work.size != size:
-        work = _work.values = np.empty(size)
-    return work
-
-
 class SchoolsModel:
     """Refittable group-level model. `mode` picks the pooling,
     `prediction_mode` whether replications are of the existing groups or of
@@ -225,9 +211,20 @@ class _SchoolsDraws:
             self.u, self.z = self.u[self._order], self.z[self._order]
         self._lock = threading.Lock() if shared else None
         self._effects = None
+        self._work = threading.local()
         for values in (self.u, self.z) if shared else ():
             if values is not None:
                 values.flags.writeable = False
+
+    def work_array(self) -> np.ndarray:
+        """The calling thread's length-S work array, kept from one scored
+        column to the next: a second array allocated and freed beside
+        every column more than doubled its cost, its pages returned to the
+        system and faulted in again each time."""
+        work = getattr(self._work, "values", None)
+        if work is None:
+            work = self._work.values = np.empty(self.size)
+        return work
 
     def effect_normals(self, J: int) -> np.ndarray:
         """The S x J normals of the effects, a fresh draw for a fit of its
@@ -416,7 +413,7 @@ class _HierarchicalFold:
         column = self._integrated if j == self._i or self._new_groups else self._at_effect
         # a coefficient or density past double range is a non-finite column, which callers refuse
         with np.errstate(over="ignore", invalid="ignore"):
-            return column(j, out, _work_array(out.size))
+            return column(j, out, self._draws.work_array())
 
     # Both columns gather with mode="clip": every tau index is on the grid,
     # and "clip" writes straight into `out`, where the default buffers first.
