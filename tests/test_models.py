@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from test_folds import _textbook_regression_fold
 
 from predcrit import models, oracle
 from predcrit.criteria import criterion_report
@@ -637,13 +638,7 @@ def _regression_fold_4(draws, seed):
     data = load_election_csv()
     rng = np.random.default_rng(seed)
     chi2, z = rng.chisquare(len(data) - 3, draws), rng.standard_normal((draws, 2))
-    x, y = np.delete(data.x, 4), np.delete(data.y, 4)
-    design = np.column_stack([np.ones_like(x), x])
-    xtx_inv = np.linalg.inv(design.T @ design)
-    beta_hat = xtx_inv @ (design.T @ y)
-    sigma2 = float(((y - design @ beta_hat) ** 2).sum()) / chi2
-    ab = beta_hat + np.sqrt(sigma2)[:, None] * (z @ np.linalg.cholesky(xtx_inv).T)
-    textbook = _FoldPosterior(data, ab[:, 0], ab[:, 1], sigma2)
+    textbook = _FoldPosterior(data, *_textbook_regression_fold(data, 4, chi2, z))
     return RegressionModel().folds(data, draws=draws, seed=seed)(4), textbook
 
 
