@@ -202,16 +202,14 @@ class _RegressionFold:
 
 
 def _combination(terms, out: np.ndarray) -> np.ndarray:
-    """sum c x over the pairs (c, x) of `terms`, scalars c and arrays x,
-    written into `out` with two passes a term and no temporary: nested as
+    """sum c x over the pairs (c, x) of `terms`, scalars c (not all 0; a
+    fold's c_a is L[0, 0] > 0 where x_j = 0) and arrays x, written into
+    `out` with two passes a term and no temporary: nested as
     (((c_1 / c_2) x_1 + x_2) (c_2 / c_3) + x_3) c_3, the terms with c != 0
     in increasing |c|, so that no ratio exceeds 1. A second array beside
     `out`, allocated and freed with every column, made a column 1.3 to 2
     times as slow."""
     terms = sorted((term for term in terms if term[0] != 0.0), key=lambda term: abs(term[0]))
-    if not terms:
-        out.fill(0.0)
-        return out
     coefs, arrays = zip(*terms)
     scales = [c / c_next for c, c_next in zip(coefs, coefs[1:])] + [coefs[-1]]
     np.multiply(arrays[0], scales[0], out=out)

@@ -233,11 +233,8 @@ class _SchoolsDraws:
         if self._lock is None:
             return self._rng.standard_normal((self.size, J))
         with self._lock:
-            if self._effects is None:
-                effects = self._rng.standard_normal((self.size, J)).T
-                if self._order is not None:
-                    effects = np.take(effects, self._order, axis=1)
-                self._effects = np.ascontiguousarray(effects)
+            if self._effects is None:  # only the hierarchical folds, whose draws are sorted, read them
+                self._effects = np.take(self._rng.standard_normal((self.size, J)).T, self._order, axis=1)
                 self._effects.flags.writeable = False
             return self._effects
 
